@@ -15,7 +15,7 @@ import yaml
 
 from .capability import (DockLink, capability_at, capability_report,
                          capability_to_dict, compose_capability)
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import ConfigError, ScenarioConfig, _vec, load_scenario
 from .harness import MetricLog, run_scenario, summarize, weight_oracle
 from .sim import SimulationDiverged
 
@@ -78,10 +78,13 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     log = MetricLog.read(args.log)
     with open(args.windows, "r", encoding="utf-8") as fh:
-        windows_raw = yaml.safe_load(fh)
+        try:
+            windows_raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError("$", f"invalid YAML: {exc}") from exc
     if not isinstance(windows_raw, dict):
         raise ConfigError("$", "windows file must map body name -> [t0, t1]")
-    windows = {k: (float(v[0]), float(v[1])) for k, v in windows_raw.items()}
+    windows = {k: _vec(v, f"$.{k}", 2) for k, v in windows_raw.items()}
     result = weight_oracle(log, windows, noise_floor_n=args.noise_floor)
     print(json.dumps({
         "verdict": result.verdict,

@@ -8,7 +8,7 @@ spring constants. Both are modeled at the API level, not the motor level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .frames import RigidTransform, euler_xyz_from_quat, quat_from_euler_xyz, slerp
 from .geometry import Box, Vec3
@@ -40,6 +40,7 @@ class ArmSpec:
     max_speed: float = 1.5           # m/s hardware cap
     max_angular_speed: float = 6.0   # rad/s hardware cap
     track_tau_s: float = 0.010       # first-order tracking time constant
+    _box: Box = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, vals in (("workspace_extents", self.workspace_extents),
@@ -50,9 +51,12 @@ class ArmSpec:
                 raise ValueError(f"{self.name}: {label} must be strictly positive")
         if self.stiffness <= 0.0 or self.max_speed <= 0.0 or self.track_tau_s <= 0.0:
             raise ValueError(f"{self.name}: stiffness, max_speed and track_tau_s must be positive")
+        # Built once: arm_step clamps against it on every control tick.
+        object.__setattr__(self, "_box",
+                           Box.from_extents(self.workspace_center, self.workspace_extents))
 
     def workspace_box_base(self) -> Box:
-        return Box.from_extents(self.workspace_center, self.workspace_extents)
+        return self._box
 
     def workspace_box_world(self) -> Box:
         """World-frame workspace box; requires a translation-only base pose."""

@@ -22,6 +22,7 @@ from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
 from .frames import RigidTransform
+from .geometry import Box, Vec3
 from .routing import LowPassFilter, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                   SolverParams, World, step_world)
@@ -61,18 +62,29 @@ class MetricLog:
         return log
 
 
-def _fl(values) -> list[float]:
-    return [float(v) for v in values]
+ZERO3 = (0.0, 0.0, 0.0)
+ZERO6 = (0.0,) * 6
+
+
+class GloveRateViolation(RuntimeError):
+    """A glove command was due sooner than the contracted glove period allows."""
 
 
 @dataclass(slots=True)
 class _ArmUnit:
+    """One arm's mutable state plus the constants its per-tick work reads."""
+
     index: int
     name: str
     cfg: object
     state: ArmState
     dock_state: DockState
     magnet: MagnetChannel
+    box_base: Box                      # workspace box, base frame
+    trigger_box: Box | None            # inflated world box; None when never docking
+    base_inv: RigidTransform
+    park: RigidTransform               # world frame
+    park_cmd: ArmCommand               # park target in the base frame
     joint: DockJoint | None = None
     clamped: bool = False
     cooldown_until: float = 0.0
@@ -89,19 +101,31 @@ class Coordinator:
         self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz, self.dt, size=6)
         self.glove_cmd = GloveCommand(
             spring_constant=(cfg.glove.spring_constant,) * 5)
-        self.units = [
-            _ArmUnit(index=i, name=arm.name, cfg=arm,
-                     state=ArmState(pose=RigidTransform.from_translation(arm.park_position)),
-                     dock_state=DockState.FREE,
-                     magnet=MagnetChannel(latency_s=cfg.dock.magnet_latency_s))
-            for i, arm in enumerate(cfg.arms)
-        ]
+        self.tool_inv = cfg.dock.tool_offset.inverse()
+        self.units = [self._unit(i, arm) for i, arm in enumerate(cfg.arms)]
         self.rng = np.random.default_rng(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
-        self._prev_spheres: dict[str, np.ndarray] = {}
-        self._prev_plate: np.ndarray | None = None
+        self._prev_spheres: dict[str, Vec3] = {}
+        self._prev_plate: Vec3 | None = None
         self._last_glove_tick: int | None = None
         self.log = MetricLog(self._header())
+
+    def _unit(self, index: int, arm) -> _ArmUnit:
+        spec = arm.spec
+        base_inv = spec.base_pose.inverse()
+        park = RigidTransform.from_translation(arm.park_position)
+        trigger_box = None
+        if self.cfg.condition is not Condition.FREE:
+            trigger_box = spec.workspace_box_world().inflate(
+                self.cfg.dock.workspace_inflation_m)
+        return _ArmUnit(
+            index=index, name=arm.name, cfg=arm, state=ArmState(pose=park),
+            dock_state=DockState.FREE,
+            magnet=MagnetChannel(latency_s=self.cfg.dock.magnet_latency_s),
+            box_base=spec.workspace_box_base(), trigger_box=trigger_box,
+            base_inv=base_inv, park=park,
+            park_cmd=ArmCommand(target=base_inv.compose(park),
+                                speed_limit=arm.pursuit_speed))
 
     def _header(self) -> dict:
         c = self.cfg
@@ -172,9 +196,11 @@ class Coordinator:
         intended = hand_forward_model(sensed, cal, wrist, cfg.glove.hand_params)
 
         if tick % self.glove_period == 0:
-            if self._last_glove_tick is not None:
-                assert tick - self._last_glove_tick >= self.glove_period, \
-                    "glove command rate contract violated"
+            last = self._last_glove_tick
+            if last is not None and tick - last < self.glove_period:
+                raise GloveRateViolation(
+                    f"glove commanded at tick {tick}, {tick - last} ticks after the "
+                    f"previous command; the contract needs {self.glove_period}")
             self._last_glove_tick = tick
             stops = tuple(
                 contact_drum_param(intended, k, self.world,
@@ -191,20 +217,25 @@ class Coordinator:
     def _update_hand_colliders(self, hand: HandState) -> None:
         spheres = hand_collider_spheres(hand, self.cfg.glove.geometry,
                                         self.cfg.glove.hand_params)
+        dt = self.dt
+        prev_spheres = self._prev_spheres
         colliders = []
         for name, center, radius in spheres:
-            c = np.asarray(center)
-            prev = self._prev_spheres.get(name)
-            vel = np.zeros(3) if prev is None else (c - prev) / self.dt
-            colliders.append(HandCollider(name=name, center=c, radius=radius,
+            prev = prev_spheres.get(name)
+            if prev is None:
+                vel = ZERO3
+            else:
+                vel = ((center[0] - prev[0]) / dt, (center[1] - prev[1]) / dt,
+                       (center[2] - prev[2]) / dt)
+            colliders.append(HandCollider(name=name, center=center, radius=radius,
                                           velocity=vel))
-            self._prev_spheres[name] = c
+            prev_spheres[name] = center
         self.world.set_hand(colliders)
 
     def _tracked_plate(self, plate: RigidTransform) -> RigidTransform:
         if self.noise_std <= 0.0:
             return plate
-        noise = self.rng.normal(0.0, self.noise_std, 3)
+        noise = self.rng.normal(0.0, self.noise_std, 3).tolist()
         t = tuple(p + n for p, n in zip(plate.translation, noise))
         return RigidTransform(plate.rotation, t)
 
@@ -214,23 +245,32 @@ class Coordinator:
                 return u
         return None
 
-    def _dock_management(self, t: float, plate: RigidTransform,
-                         plate_vel: np.ndarray, cmd_world: np.ndarray,
-                         events: list[str]):
-        """Run the lifecycle for every arm; returns per-arm transmitted wrench."""
+    def _follow(self, u: _ArmUnit, plate: RigidTransform):
+        """Base-frame effector pose that keeps the docked magnet on the plate,
+        and its translation clamped to the workspace."""
+        follow = plate.compose(u.joint.attach_pose).compose(self.tool_inv)
+        local = u.base_inv.compose(follow)
+        return local, u.box_base.clamp_point(local.translation)
+
+    def _dock_management(self, t: float, plate: RigidTransform, plate_vel: Vec3,
+                         cmd_world: tuple[float, ...], events: list[str]):
+        """Run the lifecycle for every arm.
+
+        Returns the per-arm transmitted wrench (world frame), the per-arm slip
+        flags and, per docked arm index, ``(joint, local, clamped)`` from
+        :meth:`_follow` so arm control can reuse this tick's follow pose.
+        """
         cfg = self.cfg
         dock = cfg.dock
-        transmitted = {u.name: np.zeros(6) for u in self.units}
+        transmitted = {u.name: ZERO6 for u in self.units}
         slips = {u.name: False for u in self.units}
+        follows = {}
         if cfg.condition is Condition.FREE:
-            return transmitted, slips
+            return transmitted, slips, follows
 
         predicted = predict_position(plate.translation, plate_vel,
                                      dock.interception_horizon_s)
-        triggers = {}
-        for u in self.units:
-            box = u.cfg.spec.workspace_box_world().inflate(dock.workspace_inflation_m)
-            triggers[u.name] = box.contains(predicted)
+        triggers = {u.name: u.trigger_box.contains(predicted) for u in self.units}
 
         # Nearest effector among free arms whose trigger fires wins the
         # interception; ties break toward the lowest arm index.
@@ -252,25 +292,21 @@ class Coordinator:
             slot_available = all(other.joint is None for other in self.units)
 
             if u.dock_state is DockState.DOCKED and u.joint is not None:
-                follow = plate.compose(u.joint.attach_pose).compose(
-                    dock.tool_offset.inverse())
-                local = u.cfg.spec.base_pose.inverse().compose(follow)
-                clamped = u.cfg.spec.workspace_box_base().clamp_point(local.translation)
+                local, clamped = self._follow(u, plate)
+                follows[u.index] = (u.joint, local, clamped)
                 violation = math.dist(local.translation, clamped)
                 if violation > dock.release_slack_m:
                     release_demanded = True
                 plate_inv = plate.inverse()
-                cmd_plate = np.zeros(6)
-                cmd_plate[:3] = plate_inv.rotate_vector(tuple(cmd_world[:3]))
-                cmd_plate[3:] = plate_inv.rotate_vector(tuple(cmd_world[3:]))
+                cmd_plate = (plate_inv.rotate_vector(cmd_world[:3])
+                             + plate_inv.rotate_vector(cmd_world[3:]))
                 out_plate, slip, released = joint_transmit(u.joint, cmd_plate)
                 if released:
                     release_demanded = True
                 if not release_demanded:
-                    w = np.zeros(6)
-                    w[:3] = plate.rotate_vector(tuple(out_plate[:3]))
-                    w[3:] = plate.rotate_vector(tuple(out_plate[3:]))
-                    transmitted[u.name] = w
+                    out = out_plate.tolist()
+                    transmitted[u.name] = (plate.rotate_vector(out[:3])
+                                           + plate.rotate_vector(out[3:]))
                     slips[u.name] = slip
 
             if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
@@ -299,29 +335,31 @@ class Coordinator:
                 elif ev in ("release", "abort"):
                     u.joint = None
                     u.magnet.command(False, t)
-                    transmitted[u.name] = np.zeros(6)
+                    transmitted[u.name] = ZERO6
                     if ev == "release":
                         u.cooldown_until = t + dock.reattach_cooldown_s
             u.dock_state = new_state
-        return transmitted, slips
+        return transmitted, slips, follows
 
     def _arm_control(self, t: float, plate: RigidTransform,
-                     cmd_world: np.ndarray, events: list[str]) -> dict:
+                     cmd_world: tuple[float, ...], follows: dict,
+                     events: list[str]) -> dict:
         cfg = self.cfg
         dock = cfg.dock
         targets = {}
         for u in self.units:
             spec = u.cfg.spec
             if u.dock_state is DockState.DOCKED and u.joint is not None:
-                follow = plate.compose(u.joint.attach_pose).compose(
-                    dock.tool_offset.inverse())
-                local = spec.base_pose.inverse().compose(follow)
-                clamped_pos = spec.workspace_box_base().clamp_point(local.translation)
+                cached = follows.get(u.index)
+                if cached is not None and cached[0] is u.joint:
+                    _, local, clamped_pos = cached
+                else:  # attached this tick: no follow pose computed yet
+                    local, clamped_pos = self._follow(u, plate)
                 pinned = spec.base_pose.compose(
                     RigidTransform(local.rotation, clamped_pos))
                 u.clamped = clamped_pos != local.translation
                 u.state = ArmState(pose=pinned, clamped=u.clamped)
-                disp = impedance_displacement(tuple(cmd_world[:3]), spec.stiffness)
+                disp = impedance_displacement(cmd_world[:3], spec.stiffness)
                 target = RigidTransform(
                     pinned.rotation,
                     tuple(p + d for p, d in zip(pinned.translation, disp)))
@@ -332,71 +370,70 @@ class Coordinator:
                 u.clamped = u.state.clamped
                 target = spec.base_pose.compose(cmd.target)
             elif u.dock_state is DockState.RELEASING:
-                hold = spec.base_pose.inverse().compose(u.state.pose)
+                hold = u.base_inv.compose(u.state.pose)
                 cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
                 u.state = arm_step(spec, u.state, cmd, self.dt)
                 u.clamped = False
                 target = u.state.pose
             else:
-                park = RigidTransform.from_translation(u.cfg.park_position)
-                cmd = ArmCommand(target=spec.base_pose.inverse().compose(park),
-                                 speed_limit=u.cfg.pursuit_speed)
-                u.state = arm_step(spec, u.state, cmd, self.dt)
+                u.state = arm_step(spec, u.state, u.park_cmd, self.dt)
                 u.clamped = u.state.clamped
-                target = park
+                target = u.park
             targets[u.name] = target
             events.append(f"arm_target:{u.name}")
         return targets
 
     def _tick(self, tick: int) -> None:
         cfg = self.cfg
-        t = tick * self.dt
+        dt = self.dt
+        t = tick * dt
         events: list[str] = []
 
         hand = self._hand_for_tick(t, events, tick)
         self._update_hand_colliders(hand)
 
         try:
-            _, impulses = step_world(self.world, self.dt)
+            _, impulses = step_world(self.world, dt)
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
         plate_truth = hand.wrist_pose.compose(cfg.dock.plate_offset)
         plate = self._tracked_plate(plate_truth)
-        plate_pos = np.asarray(plate.translation)
-        plate_vel = (np.zeros(3) if self._prev_plate is None
-                     else (plate_pos - self._prev_plate) / self.dt)
+        plate_pos = plate.translation
+        prev = self._prev_plate
+        plate_vel = (ZERO3 if prev is None else
+                     ((plate_pos[0] - prev[0]) / dt, (plate_pos[1] - prev[1]) / dt,
+                      (plate_pos[2] - prev[2]) / dt))
         self._prev_plate = plate_pos
 
         docked = self._docked_unit()
         routed = route_forces(impulses, hand, self.glove_cmd,
-                              docked is not None, self.dt,
+                              docked is not None, dt,
                               arm_base=docked.cfg.spec.base_pose if docked else None,
-                              reference_point=plate.translation)
+                              reference_point=plate_pos)
+        net_force = routed.net_force.tolist()
+        net_torque = routed.net_torque.tolist()
 
-        rendering = docked is not None and cfg.condition is Condition.FORCE_FEEDBACK
-        filter_input = np.zeros(6)
-        if rendering:
-            filter_input[:3] = routed.net_force
-            if cfg.coordinator.render_net_torque:
-                filter_input[3:] = routed.net_torque
+        filter_input = ZERO6
+        if docked is not None and cfg.condition is Condition.FORCE_FEEDBACK:
+            filter_input = tuple(net_force) + (
+                tuple(net_torque) if cfg.coordinator.render_net_torque else ZERO3)
         filtered = self.filter.update(filter_input)
 
-        cmd_world = np.zeros(6)
+        cmd_world = ZERO6
         if docked is not None:
             if cfg.condition is Condition.FORCE_FEEDBACK:
                 # The arm's own actuation saturates at its envelope; injected
                 # loads model external pulls on the joint and bypass it.
                 spec = docked.cfg.spec
-                cmd_world[:3] = np.clip(filtered[:3], -np.asarray(spec.max_force),
-                                        np.asarray(spec.max_force))
-                cmd_world[3:] = np.clip(filtered[3:], -np.asarray(spec.max_torque),
-                                        np.asarray(spec.max_torque))
-            cmd_world += np.asarray(cfg.sample_injected_load(t))
+                limits = spec.max_force + spec.max_torque
+                cmd_world = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
+            cmd_world = tuple(c + l for c, l in
+                              zip(cmd_world, cfg.sample_injected_load(t)))
 
-        transmitted, slips = self._dock_management(t, plate, plate_vel,
-                                                   cmd_world, events)
-        targets = self._arm_control(t, plate, cmd_world, events)
+        transmitted, slips, follows = self._dock_management(
+            t, plate, plate_vel, cmd_world, events)
+        targets = self._arm_control(t, plate, cmd_world, follows, events)
 
         support = {}
         for body in self.world.bodies:
@@ -405,41 +442,42 @@ class Coordinator:
             total = 0.0
             for imp in impulses:
                 if imp.hand_collider is not None and imp.body_b == body.name:
-                    total += imp.magnitude / self.dt * imp.normal[1]
+                    total += imp.magnitude / dt * imp.normal[1]
             support[body.name] = float(total)
 
+        tool_offset = cfg.dock.tool_offset
         arms_rec = []
         for u in self.units:
-            magnet_pose = u.state.pose.compose(cfg.dock.tool_offset)
+            pose = u.state.pose
             arms_rec.append({
                 "name": u.name,
                 "state": u.dock_state.value,
-                "pos": _fl(u.state.pose.translation),
-                "quat": _fl(u.state.pose.rotation),
-                "target": _fl(targets[u.name].translation),
-                "rendered": _fl(transmitted[u.name]),
-                "slip": bool(slips[u.name]),
-                "clamped": bool(u.clamped),
-                "tool_dist": float(magnet_pose.translation_distance_to(plate_truth)),
-                "magnet": bool(u.magnet.effective),
+                "pos": list(pose.translation),
+                "quat": list(pose.rotation),
+                "target": list(targets[u.name].translation),
+                "rendered": list(transmitted[u.name]),
+                "slip": slips[u.name],
+                "clamped": u.clamped,
+                "tool_dist": pose.compose(tool_offset).translation_distance_to(plate_truth),
+                "magnet": u.magnet.effective,
             })
 
         self.log.append({
             "tick": tick,
-            "t": float(t),
-            "dt": float(self.dt),
+            "t": t,
+            "dt": dt,
             "events": events,
-            "wrist": _fl(hand.wrist_pose.translation),
-            "flex": _fl(hand.flex),
-            "stops": _fl(self.glove_cmd.stop_angle),
-            "resist": _fl(hand.resist_torques),
-            "sensor_clamps": int(sum(hand.clamp_flags)),
-            "cmd_wrench": _fl(cmd_world),
-            "net_force": _fl(routed.net_force),
-            "net_torque": _fl(routed.net_torque),
-            "residual": _fl(routed.residual),
+            "wrist": list(hand.wrist_pose.translation),
+            "flex": list(hand.flex),
+            "stops": list(self.glove_cmd.stop_angle),
+            "resist": list(hand.resist_torques),
+            "sensor_clamps": sum(hand.clamp_flags),
+            "cmd_wrench": list(cmd_world),
+            "net_force": net_force,
+            "net_torque": net_torque,
+            "residual": routed.residual.tolist(),
             "paired": float(routed.paired_magnitude),
-            "contacts": int(routed.hand_contact_count),
+            "contacts": routed.hand_contact_count,
             "support": support,
             "docked_arm": docked.name if docked else None,
             "arms": arms_rec,

@@ -181,22 +181,24 @@ def contact_drum_param(hand: HandState, finger: int, world: World, *,
 
 
 class LowPassFilter:
-    """First-order low-pass on a fixed-rate vector signal."""
+    """First-order low-pass on a fixed-rate vector signal, held as a float tuple."""
 
     def __init__(self, cutoff_hz: float, dt: float, size: int = 6):
         if cutoff_hz < 0.0:
             raise ValueError("cutoff must be nonnegative")
         self.enabled = cutoff_hz > 0.0
         self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt) if self.enabled else 1.0
-        self.state = np.zeros(size)
+        self.state = (0.0,) * size
 
-    def update(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self.enabled:
-            self.state = x.copy()
-        else:
-            self.state = self.state + self.alpha * (x - self.state)
-        return self.state.copy()
+    def update(self, x) -> tuple[float, ...]:
+        x = tuple(float(v) for v in x)
+        if len(x) != len(self.state):
+            raise ValueError(f"expected a {len(self.state)}-vector, got {len(x)} values")
+        if self.enabled:
+            a = self.alpha
+            x = tuple(s + a * (v - s) for s, v in zip(self.state, x))
+        self.state = x
+        return x
 
     def reset(self) -> None:
-        self.state = np.zeros_like(self.state)
+        self.state = (0.0,) * len(self.state)

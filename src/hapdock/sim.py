@@ -78,9 +78,9 @@ class HandCollider:
     """Kinematic sphere driven by the hand model; never receives impulses."""
 
     name: str
-    center: np.ndarray
+    center: Vec3
     radius: float
-    velocity: np.ndarray
+    velocity: Vec3
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,7 +250,7 @@ class _Contact:
     point: tuple[float, float, float]
     accumulated: float = 0.0
 
-    def other_velocity(self) -> np.ndarray:
+    def other_velocity(self):
         if self.hand is not None:
             return self.hand.velocity
         if self.other is not None and self.other.kind is not BodyKind.STATIC:
@@ -270,7 +270,7 @@ def _snapshot(world: World):
         pos = b.position.tolist()
         half = b.half_extents.tolist() if b.half_extents is not None else None
         bodies.append((b, pos, half))
-    hand = [(h, h.center.tolist()) for h in world.hand]
+    hand = [(h, h.center) for h in world.hand]
     return bodies, hand
 
 
@@ -354,7 +354,7 @@ def _penalty_contacts(world: World, dt: float) -> list[ContactImpulse]:
         pos = body.position.tolist()
         half = body.half_extents.tolist()
         for h in world.hand:
-            hc = h.center.tolist()
+            hc = h.center
             hit = _sphere_box(hc[0], hc[1], hc[2], h.radius,
                               pos[0], pos[1], pos[2], half[0], half[1], half[2])
             if hit is None:
@@ -376,9 +376,11 @@ def _check_finite(world: World) -> None:
     for b in world.bodies:
         if b.kind is not BodyKind.DYNAMIC:
             continue
-        probe = float(b.position.sum()) + float(b.velocity.sum())
-        if not math.isfinite(probe) or abs(probe) > _RUNAWAY_LIMIT:
-            raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
+        # Per component: a sum would let opposite runaways cancel. The
+        # comparison is False for NaN, so NaN fails it too.
+        for v in b.position.tolist() + b.velocity.tolist():
+            if not abs(v) <= _RUNAWAY_LIMIT:
+                raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
 
 
 def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:

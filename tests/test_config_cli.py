@@ -5,6 +5,7 @@ import yaml
 
 from hapdock.cli import main
 from hapdock.config import ConfigError, load_scenario, scenario_from_dict
+from hapdock.harness import MetricLog
 from hapdock.scenarios import SHIPPED_BUILDERS, build, build_pursuit_static
 
 SCENARIOS_DIR = "scenarios"
@@ -150,3 +151,18 @@ class TestCli:
         assert main(["oracle", str(log), str(windows)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "indistinguishable"
+
+    @pytest.mark.parametrize("text, path", [
+        ("can_a: 3\n", "$.can_a"),
+        ("can_a: [1]\n", "$.can_a"),
+        ("can_a: [a, b]\n", "$.can_a[0]"),
+        ("can_a: [0.0, 1.0\n", "$"),
+    ])
+    def test_oracle_malformed_windows_exit_2(self, tmp_path, capsys, text, path):
+        log = tmp_path / "log.ndjson"
+        MetricLog({"record": "header", "scenario": "s", "condition": "free"}).write(log)
+        windows = tmp_path / "win.yaml"
+        windows.write_text(text)
+        assert main(["oracle", str(log), str(windows)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from hapdock import geometry
 from hapdock.config import scenario_from_dict
-from hapdock.harness import MetricLog, run_scenario, summarize, weight_oracle
+from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
+                             run_scenario, summarize, weight_oracle)
 from hapdock.scenarios import build
 
 
@@ -216,6 +218,67 @@ class TestDockingPipeline:
         cur = log.records[attach_tick]["arms"][0]["pos"]
         step = math.dist(prev, cur)
         assert step <= cfg.arms[0].pursuit_speed * 0.001 + 1e-9
+
+
+def _short(name: str, duration_s: float, **over):
+    raw = _as_dict_raw(name)
+    raw["coordinator"] = {**raw["coordinator"], "duration_s": duration_s}
+    raw.update(over)
+    return scenario_from_dict(raw)
+
+
+class TestHotPath:
+    def test_glove_rate_contract_raises(self):
+        coord = Coordinator(build("pursuit_static"))
+        coord._tick(0)
+        with pytest.raises(GloveRateViolation):
+            coord._tick(0)  # a second glove command in the same period
+
+    def test_ticks_build_no_box(self, monkeypatch):
+        coord = Coordinator(_short("handover_sweep", 0.5))
+        built = []
+        original = geometry.Box.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(geometry.Box, "__post_init__", counting)
+        log = coord.run()
+        assert {r["arms"][0]["state"] for r in log.records} >= {"intercepting", "docked"}
+        assert built == []
+
+    def test_one_follow_pose_per_docked_tick(self, monkeypatch):
+        calls = []
+        original = Coordinator._follow
+
+        def counting(self, u, plate):
+            calls.append(u.name)
+            return original(self, u, plate)
+
+        monkeypatch.setattr(Coordinator, "_follow", counting)
+        log = run_scenario(_short("handover_sweep", 0.5))
+        docked = sum(a["state"] == "docked" for r in log.records for a in r["arms"])
+        assert docked > 0
+        assert len(calls) == docked
+
+    def test_records_hold_only_plain_values(self):
+        # Docked force feedback with hand contacts and tracking noise: every
+        # per-tick vector source reaches the record.
+        log = run_scenario(_short("single_lift_force_feedback", 1.5,
+                                  tracking_noise_std_m=0.0005))
+        assert any(r["contacts"] for r in log.records)
+        assert any(r["docked_arm"] for r in log.records)
+
+        def plain(v) -> bool:
+            if isinstance(v, list):
+                return all(plain(x) for x in v)
+            if isinstance(v, dict):
+                return all(isinstance(k, str) and plain(x) for k, x in v.items())
+            return type(v) in (float, int, bool, str, type(None))
+
+        bad = [(r["tick"], k) for r in log.records for k, v in r.items() if not plain(v)]
+        assert bad == []
 
 
 def _as_dict_raw(name: str) -> dict:

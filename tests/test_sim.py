@@ -198,6 +198,14 @@ class TestDivergence:
             for _ in range(10):
                 step_world(w, DT)
 
+    @pytest.mark.parametrize("attr", ["position", "velocity"])
+    def test_opposite_runaway_components_halt(self, attr):
+        # The components sum to zero, so only a per-component check sees them.
+        w = world_with(can())
+        getattr(w.body("can"), attr)[:3] = (1.0e12, -1.0e12, 0.0)
+        with pytest.raises(SimulationDiverged):
+            step_world(w, DT)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             step_world(world_with(can()), 0.0)
