@@ -15,8 +15,7 @@ from .devices import (ArmCommand, ArmSpec, ArmState, GloveCommand, GloveSpec,
                       hand_forward_model, impedance_displacement)
 from .docking import (DockJoint, DockJointKind, DockState, dock_step,
                       joint_transmit, pursue, try_attach)
-from .frames import (FrameMismatchError, FrameTag, RigidTransform,
-                     effector_correction)
+from .frames import RigidTransform
 from .harness import MetricLog, OracleResult, run_scenario, weight_oracle
 from .routing import RoutedForces, contact_drum_param, route_forces
 from .sim import ContactImpulse, RigidBody, SimulationDiverged, World, step_world
@@ -26,13 +25,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmCommand", "ArmSpec", "ArmState", "Condition", "ConfigError",
     "ContactImpulse", "DockJoint", "DockJointKind", "DockLink", "DockState",
-    "FrameMismatchError", "FrameTag", "GloveCommand", "GloveSpec",
-    "HandCalibration", "HandState", "HybridCapability", "MetricLog",
-    "OracleResult", "RigidBody", "RigidTransform", "RoutedForces",
-    "ScenarioConfig", "SimulationDiverged", "UNBOUNDED", "World",
-    "arm_step", "capability_at", "compose_capability", "contact_drum_param",
-    "dock_step", "effector_correction", "glove_apply", "hand_forward_model",
+    "GloveCommand", "GloveSpec", "HandCalibration", "HandState",
+    "HybridCapability", "MetricLog", "OracleResult", "RigidBody",
+    "RigidTransform", "RoutedForces", "ScenarioConfig", "SimulationDiverged",
+    "UNBOUNDED", "World", "arm_step", "capability_at", "compose_capability",
+    "contact_drum_param", "dock_step", "glove_apply", "hand_forward_model",
     "impedance_displacement", "joint_transmit", "load_scenario", "pursue",
-    "route_forces", "run_scenario", "step_world", "try_attach",
-    "weight_oracle",
+    "route_forces", "run_scenario", "step_world", "try_attach", "weight_oracle",
 ]

@@ -16,7 +16,7 @@ import yaml
 
 from .devices import (ARM_CATALOG, GLOVE_CATALOG, GLOVE_PERIOD_TICKS, ArmSpec,
                       DEVICE_PERIOD_LIMIT_S, GloveSpec, HandCalibration,
-                      HandGeometry, HandModelParams, NUM_FINGERS,
+                      HandGeometry, HandModelParams, NUM_FINGERS, TICK_RATE_HZ,
                       DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS)
 from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_CONTACT_RADIUS_M, DEFAULT_FRICTION_MU,
@@ -41,9 +41,19 @@ class Condition(Enum):
     FORCE_FEEDBACK = "force_feedback"
 
 
-def _require(data: dict, key: str, path: str):
+def _fields(data, path: str, known: str) -> dict:
+    """``data`` as a mapping whose keys are all among the space-separated ``known``."""
     if not isinstance(data, dict):
         raise ConfigError(path, "expected a mapping")
+    allowed = known.split()
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}",
+                              f"unknown field; known: {', '.join(allowed)}")
+    return data
+
+
+def _require(data: dict, key: str, path: str):
     if key not in data:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return data[key]
@@ -60,6 +70,20 @@ def _number(value, path: str, *, minimum=None, positive=False) -> float:
     if minimum is not None and v < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
     return v
+
+
+def _integer(value, path: str, *, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {type(value).__name__}")
+    return value
 
 
 def _vec(value, path: str, n: int) -> tuple[float, ...]:
@@ -118,7 +142,7 @@ class DockSettings:
 @dataclass(frozen=True, slots=True)
 class BodyConfig:
     name: str
-    kind: str                      # dynamic | kinematic | static
+    kind: str                      # dynamic | static
     shape: str                     # box | sphere
     center: tuple[float, float, float]
     half_extents: tuple[float, float, float] | None = None
@@ -126,7 +150,6 @@ class BodyConfig:
     mass: float = 0.0
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     collide_with_hand: bool = True
-    rotation_locked: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,42 +170,39 @@ class TrajectoryConfig:
     abduction: tuple[tuple[float, tuple[float, ...]], ...]
     wrist_rotation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
-    def _sample(self, track, t: float):
-        times = [w[0] for w in track]
-        if t <= times[0]:
-            return track[0][1]
-        if t >= times[-1]:
-            return track[-1][1]
-        i = bisect_right(times, t) - 1
-        t0, v0 = track[i]
-        t1, v1 = track[i + 1]
-        a = (t - t0) / (t1 - t0)
-        return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1))
-
     def sample(self, t: float):
-        return (self._sample(self.wrist, t),
-                self._sample(self.flex, t),
-                self._sample(self.abduction, t))
+        return (sample_track(self.wrist, t),
+                sample_track(self.flex, t),
+                sample_track(self.abduction, t))
+
+
+def sample_track(track, t: float) -> tuple[float, ...]:
+    """Piecewise-linear value of a ``((t, values), ...)`` track, held at its ends."""
+    times = [w[0] for w in track]
+    if t <= times[0]:
+        return track[0][1]
+    if t >= times[-1]:
+        return track[-1][1]
+    i = bisect_right(times, t) - 1
+    t0, v0 = track[i]
+    t1, v1 = track[i + 1]
+    a = (t - t0) / (t1 - t0)
+    return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1))
 
 
 @dataclass(frozen=True, slots=True)
 class CoordinatorConfig:
     duration_s: float
-    tick_rate_hz: float = 1000.0
     glove_period_ticks: int = GLOVE_PERIOD_TICKS
     filter_cutoff_hz: float = 20.0
-    # The magnet-on-plate dock cannot carry torque about its normal and the
-    # hand is kept flat, so only the net force is actively rendered unless a
-    # scenario opts in.
-    render_net_torque: bool = False
 
     @property
     def dt(self) -> float:
-        return 1.0 / self.tick_rate_hz
+        return 1.0 / TICK_RATE_HZ
 
     @property
     def ticks(self) -> int:
-        return int(round(self.duration_s * self.tick_rate_hz))
+        return int(round(self.duration_s * TICK_RATE_HZ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,22 +222,14 @@ class ScenarioConfig:
     tracking_noise_std_m: float = 0.0
 
     def sample_injected_load(self, t: float) -> tuple[float, ...]:
-        track = self.injected_load
-        if not track:
+        if not self.injected_load:
             return (0.0,) * 6
-        times = [w[0] for w in track]
-        if t <= times[0]:
-            return track[0][1]
-        if t >= times[-1]:
-            return track[-1][1]
-        i = bisect_right(times, t) - 1
-        t0, v0 = track[i]
-        t1, v1 = track[i + 1]
-        a = (t - t0) / (t1 - t0)
-        return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1))
+        return sample_track(self.injected_load, t)
 
 
 def _arm_from_dict(data, path: str) -> ArmConfig:
+    _fields(data, path, "name model base_position workspace_center workspace_extents "
+            "rot_range_deg max_force max_torque stiffness park_position pursuit_speed")
     name = _string(_require(data, "name", path), f"{path}.name")
     model = data.get("model", "virtuose_6d")
     if model not in ARM_CATALOG:
@@ -253,15 +265,15 @@ def _arm_from_dict(data, path: str) -> ArmConfig:
 
 
 def _glove_from_dict(data, path: str) -> GloveConfig:
+    _fields(data, path, "model spring_constant calibration")
     model = data.get("model", "dexmo")
     if model not in GLOVE_CATALOG:
         raise ConfigError(f"{path}.model",
                           f"unknown glove model {model!r}; known: {sorted(GLOVE_CATALOG)}")
     spec = GLOVE_CATALOG[model]
     spring = _number(data.get("spring_constant", 1.0), f"{path}.spring_constant", minimum=0.0)
-    cal = data.get("calibration", {})
-    if not isinstance(cal, dict):
-        raise ConfigError(f"{path}.calibration", "expected a mapping")
+    cal = _fields(data.get("calibration", {}), f"{path}.calibration",
+                  "flex_min flex_max abd_min abd_max")
     try:
         calibration = HandCalibration(
             flex_min=_vec(cal.get("flex_min", (0.0,) * NUM_FINGERS),
@@ -279,6 +291,10 @@ def _glove_from_dict(data, path: str) -> GloveConfig:
 
 
 def _dock_from_dict(data, path: str) -> DockSettings:
+    _fields(data, path, "joint_kind breaking_force_n friction_mu contact_radius_m "
+            "pos_tol_m ang_tol_deg magnet_latency_s interception_horizon_s "
+            "workspace_inflation_m release_slack_m handover_gap_bound_s "
+            "reattach_cooldown_s")
     kind_name = data.get("joint_kind", "plate_friction")
     if kind_name not in JOINT_KIND_CATALOG:
         raise ConfigError(f"{path}.joint_kind",
@@ -316,10 +332,12 @@ def _dock_from_dict(data, path: str) -> DockSettings:
 
 
 def _body_from_dict(data, path: str) -> BodyConfig:
+    _fields(data, path, "name kind shape center half_extents radius mass velocity "
+            "collide_with_hand")
     name = _string(_require(data, "name", path), f"{path}.name")
     kind = _string(_require(data, "kind", path), f"{path}.kind")
-    if kind not in ("dynamic", "kinematic", "static"):
-        raise ConfigError(f"{path}.kind", "must be one of dynamic, kinematic, static")
+    if kind not in ("dynamic", "static"):
+        raise ConfigError(f"{path}.kind", "must be dynamic or static")
     shape = _string(_require(data, "shape", path), f"{path}.shape")
     if shape not in ("box", "sphere"):
         raise ConfigError(f"{path}.shape", "must be box or sphere")
@@ -339,11 +357,12 @@ def _body_from_dict(data, path: str) -> BodyConfig:
     return BodyConfig(name=name, kind=kind, shape=shape, center=center,
                       half_extents=half_extents, radius=radius, mass=mass,
                       velocity=velocity,
-                      collide_with_hand=bool(data.get("collide_with_hand", True)),
-                      rotation_locked=bool(data.get("rotation_locked", True)))
+                      collide_with_hand=_boolean(data.get("collide_with_hand", True),
+                                                 f"{path}.collide_with_hand"))
 
 
 def _scene_from_dict(data, path: str) -> SceneConfig:
+    _fields(data, path, "gravity bodies surface_stiffness solver_iterations slop")
     bodies = data.get("bodies", [])
     if not isinstance(bodies, list):
         raise ConfigError(f"{path}.bodies", "expected a list")
@@ -356,8 +375,8 @@ def _scene_from_dict(data, path: str) -> SceneConfig:
         bodies=parsed,
         surface_stiffness=_number(data.get("surface_stiffness", 800.0),
                                   f"{path}.surface_stiffness", positive=True),
-        solver_iterations=int(_number(data.get("solver_iterations", 12),
-                                      f"{path}.solver_iterations", minimum=1)),
+        solver_iterations=_integer(data.get("solver_iterations", 12),
+                                   f"{path}.solver_iterations", minimum=1),
         slop=_number(data.get("slop", 5.0e-4), f"{path}.slop", minimum=0.0),
     )
 
@@ -380,6 +399,7 @@ def _track_from_list(data, path: str, width: int):
 
 
 def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
+    _fields(data, path, "wrist flex abduction wrist_rotation")
     wrist = _track_from_list(_require(data, "wrist", path), f"{path}.wrist", 3)
     flex = _track_from_list(_require(data, "flex", path), f"{path}.flex", NUM_FINGERS)
     abduction = _track_from_list(data.get("abduction", [[0.0] + [0.5] * NUM_FINGERS]),
@@ -396,13 +416,14 @@ def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("$", "scenario config must be a mapping")
+    _fields(data, "$", "schema_version name seed condition coordinator arms glove "
+            "dock scene trajectory lift_windows injected_load tracking_noise_std_m "
+            "oracle_noise_floor_n")
     version = _require(data, "schema_version", "$")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError("$.schema_version", f"unsupported schema version {version!r}")
     name = _string(_require(data, "name", "$"), "$.name")
-    seed = int(_number(data.get("seed", 0), "$.seed", minimum=0))
+    seed = _integer(data.get("seed", 0), "$.seed", minimum=0)
     cond_raw = _string(_require(data, "condition", "$"), "$.condition")
     try:
         condition = Condition(cond_raw)
@@ -410,26 +431,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("$.condition",
                           f"must be one of {[c.value for c in Condition]}") from None
 
-    coord_raw = data.get("coordinator", {})
-    if not isinstance(coord_raw, dict):
-        raise ConfigError("$.coordinator", "expected a mapping")
+    coord_raw = _fields(data.get("coordinator", {}), "$.coordinator",
+                        "duration_s glove_period_ticks filter_cutoff_hz")
     duration = _number(_require(coord_raw, "duration_s", "$.coordinator"),
                        "$.coordinator.duration_s", positive=True)
-    rate = _number(coord_raw.get("tick_rate_hz", 1000.0),
-                   "$.coordinator.tick_rate_hz", positive=True)
-    glove_period = int(_number(coord_raw.get("glove_period_ticks", GLOVE_PERIOD_TICKS),
-                               "$.coordinator.glove_period_ticks", minimum=1))
-    if glove_period / rate < DEVICE_PERIOD_LIMIT_S:
+    glove_period = _integer(coord_raw.get("glove_period_ticks", GLOVE_PERIOD_TICKS),
+                            "$.coordinator.glove_period_ticks", minimum=1)
+    if glove_period / TICK_RATE_HZ < DEVICE_PERIOD_LIMIT_S:
         raise ConfigError("$.coordinator.glove_period_ticks",
                           f"glove commands may not be issued more often than every "
                           f"{DEVICE_PERIOD_LIMIT_S * 1e3:.1f} ms")
     cutoff = _number(coord_raw.get("filter_cutoff_hz", 20.0),
                      "$.coordinator.filter_cutoff_hz", minimum=0.0)
-    coordinator = CoordinatorConfig(duration_s=duration, tick_rate_hz=rate,
-                                    glove_period_ticks=glove_period,
-                                    filter_cutoff_hz=cutoff,
-                                    render_net_torque=bool(
-                                        coord_raw.get("render_net_torque", False)))
+    coordinator = CoordinatorConfig(duration_s=duration, glove_period_ticks=glove_period,
+                                    filter_cutoff_hz=cutoff)
 
     arms_raw = _require(data, "arms", "$")
     if not isinstance(arms_raw, list) or not arms_raw:

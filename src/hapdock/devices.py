@@ -16,13 +16,12 @@ from .geometry import Box, Vec3
 # Scheduler rate contract: the coordinator ticks at 1 kHz; the glove must not
 # be commanded faster than 30 Hz while the arm must be re-targeted at least
 # that often.
-CONTROL_TICK_S = 0.001
+TICK_RATE_HZ = 1000.0
 DEVICE_PERIOD_LIMIT_S = 1.0 / 30.0
 GLOVE_PERIOD_TICKS = 34  # 34 ms >= 33.3 ms minimum spacing
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 NUM_FINGERS = 5
-PHALANGES_PER_FINGER = 3
 
 
 @dataclass(frozen=True, slots=True)

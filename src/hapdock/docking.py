@@ -5,10 +5,8 @@ attach/release behaviour, the interception controller and the dock lifecycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .devices import ArmCommand
 from .frames import RigidTransform, correction_chain
@@ -38,6 +36,7 @@ class DockJointKind:
     name: str
     constrained: frozenset
     friction_limited: frozenset = frozenset()
+    free: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = (self.constrained | self.friction_limited) - set(DOF_LABELS)
@@ -45,13 +44,9 @@ class DockJointKind:
             raise ValueError(f"unknown DOF labels: {sorted(bad)}")
         if self.constrained & self.friction_limited:
             raise ValueError("a DOF cannot be both constrained and friction-limited")
-
-    @property
-    def free(self) -> frozenset:
-        return frozenset(DOF_LABELS) - self.constrained - self.friction_limited
-
-    def constrained_mask(self) -> tuple[bool, ...]:
-        return tuple(label in self.constrained for label in DOF_LABELS)
+        # Built once: joint_transmit reads it on every docked tick.
+        object.__setattr__(self, "free", frozenset(DOF_LABELS) - self.constrained
+                           - self.friction_limited)
 
     def degraded_dofs(self) -> tuple[str, ...]:
         """DOFs the hybrid device cannot rely on through this joint."""
@@ -75,11 +70,6 @@ TOOTHED = DockJointKind("toothed", constrained=frozenset(DOF_LABELS))
 # Plate rides a slider: one in-plane translation stays free.
 PRISMATIC = DockJointKind("prismatic",
                           constrained=frozenset({"ty", "tz", "rx", "ry", "rz"}))
-
-
-def free_axes(constrained: set[str] | frozenset) -> DockJointKind:
-    """Custom joint kind from an explicit constrained-DOF set."""
-    return DockJointKind("free_axes", constrained=frozenset(constrained))
 
 
 JOINT_KIND_CATALOG = {k.name: k for k in
@@ -184,32 +174,32 @@ def try_attach(magnet_pose: RigidTransform, plate_pose: RigidTransform,
                      attach_pose=attach)
 
 
-def joint_transmit(joint: DockJoint, wrench) -> tuple[np.ndarray, bool, bool]:
-    """Pass a plate-frame wrench through the joint.
+def joint_transmit(joint: DockJoint, wrench) -> tuple[tuple[float, ...], bool, bool]:
+    """Pass a plate-frame wrench (six numbers) through the joint.
 
-    Returns (transmitted, slip, released). Free DOFs transmit zero;
-    friction-limited DOFs are truncated to the preload capacity with
-    ``slip=True``; tensile axial load beyond the breaking force or off-axis
-    peel torque beyond the peel threshold releases the joint, transmitting
-    nothing. Axial tension is the +tz component (pulling the magnet off the
-    plate along its normal).
+    Returns (transmitted, slip, released), ``transmitted`` a 6-tuple of
+    floats. Free DOFs transmit zero; friction-limited DOFs are truncated to
+    the preload capacity with ``slip=True``; tensile axial load beyond the
+    breaking force or off-axis peel torque beyond the peel threshold releases
+    the joint, transmitting nothing. Axial tension is the +tz component
+    (pulling the magnet off the plate along its normal).
     """
-    w = np.asarray(wrench, dtype=float)
-    if w.shape != (6,):
+    out = [float(v) for v in wrench]
+    if len(out) != 6:
         raise ValueError("wrench must be a 6-vector")
-    if not np.all(np.isfinite(w)):
+    if not all(map(math.isfinite, out)):
         raise ValueError("wrench must be finite")
 
-    tension = w[2]
+    tension = out[2]
     if tension > joint.breaking_force:
-        return np.zeros(6), False, True
-    peel = math.hypot(w[3], w[4])
+        return (0.0,) * 6, False, True
+    peel = math.hypot(out[3], out[4])
     if peel > joint.peel_torque:
-        return np.zeros(6), False, True
+        return (0.0,) * 6, False, True
 
-    out = w.copy()
+    free = joint.kind.free
     for i, label in enumerate(DOF_LABELS):
-        if label in joint.kind.free:
+        if label in free:
             out[i] = 0.0
 
     slip = False
@@ -229,7 +219,7 @@ def joint_transmit(joint: DockJoint, wrench) -> tuple[np.ndarray, bool, bool]:
         if abs(out[5]) > cap:
             out[5] = math.copysign(cap, out[5])
             slip = True
-    return out, slip, False
+    return tuple(out), slip, False
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,27 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 Quat = tuple[float, float, float, float]  # (w, x, y, z)
 Vec3 = tuple[float, float, float]
 
-# Algebraic identities hold to 1e-9; anything that went through the physics
-# stepper is only trusted to 1e-6.
+# Algebraic identities hold to 1e-9.
 ALGEBRA_TOL = 1e-9
-INTEGRATION_TOL = 1e-6
-
-
-class FrameTag(Enum):
-    WORLD = "world"
-    ARM_BASE = "arm_base"
-    EFFECTOR = "effector"
-    TOOL = "tool"
-    TARGET = "target"
-
-
-class FrameMismatchError(ValueError):
-    """Raised when transforms tagged with incompatible frames are combined."""
 
 
 def _qmul(a: Quat, b: Quat) -> Quat:
@@ -147,14 +132,6 @@ class RigidTransform:
         return self.rotation_angle() <= tol and math.sqrt(tx * tx + ty * ty + tz * tz) <= tol
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    return a.compose(b)
-
-
-def inverse(t: RigidTransform) -> RigidTransform:
-    return t.inverse()
-
-
 def slerp(a: Quat, b: Quat, fraction: float) -> Quat:
     """Shortest-arc spherical interpolation between two unit quaternions."""
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
@@ -224,53 +201,3 @@ def correction_chain(base_w: RigidTransform, effect_w: RigidTransform,
     effect_forward_new = effect_fwd.compose(correction)
     return CorrectionChain(effect_local, target_local, effector_to_tool,
                            effect_local_new, correction, effect_forward_new)
-
-
-def effector_correction(base_w: RigidTransform, effect_w: RigidTransform,
-                        tool_w: RigidTransform, target_w: RigidTransform,
-                        effect_fwd: RigidTransform) -> RigidTransform:
-    """Corrected controller-side effector target (see :func:`correction_chain`)."""
-    return correction_chain(base_w, effect_w, tool_w, target_w, effect_fwd).effect_forward_new
-
-
-@dataclass(frozen=True, slots=True)
-class FramedTransform:
-    """A transform tagged with the frames it maps between (parent -> child)."""
-
-    transform: RigidTransform
-    parent: FrameTag
-    child: FrameTag
-
-    def compose(self, other: "FramedTransform") -> "FramedTransform":
-        if self.child is not other.parent:
-            raise FrameMismatchError(
-                f"cannot chain {self.parent.value}->{self.child.value} "
-                f"with {other.parent.value}->{other.child.value}")
-        return FramedTransform(self.transform.compose(other.transform),
-                               self.parent, other.child)
-
-    def inverse(self) -> "FramedTransform":
-        return FramedTransform(self.transform.inverse(), self.child, self.parent)
-
-
-def _require_frames(t: FramedTransform, parent: FrameTag, child: FrameTag,
-                    label: str) -> RigidTransform:
-    if t.parent is not parent or t.child is not child:
-        raise FrameMismatchError(
-            f"{label} must map {parent.value}->{child.value}, "
-            f"got {t.parent.value}->{t.child.value}")
-    return t.transform
-
-
-def effector_correction_framed(base_w: FramedTransform, effect_w: FramedTransform,
-                               tool_w: FramedTransform, target_w: FramedTransform,
-                               effect_fwd: FramedTransform) -> FramedTransform:
-    """Frame-checked wrapper around :func:`effector_correction`."""
-    raw = effector_correction(
-        _require_frames(base_w, FrameTag.WORLD, FrameTag.ARM_BASE, "base_w"),
-        _require_frames(effect_w, FrameTag.WORLD, FrameTag.EFFECTOR, "effect_w"),
-        _require_frames(tool_w, FrameTag.WORLD, FrameTag.TOOL, "tool_w"),
-        _require_frames(target_w, FrameTag.WORLD, FrameTag.TARGET, "target_w"),
-        _require_frames(effect_fwd, FrameTag.ARM_BASE, FrameTag.EFFECTOR, "effect_fwd"),
-    )
-    return FramedTransform(raw, FrameTag.ARM_BASE, FrameTag.EFFECTOR)

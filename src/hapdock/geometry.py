@@ -37,10 +37,6 @@ class Box:
         return all(abs(p[i] - self.center[i]) <= self.half_extents[i] + margin
                    for i in range(3))
 
-    def interior_contains(self, p) -> bool:
-        return all(abs(p[i] - self.center[i]) < self.half_extents[i]
-                   for i in range(3))
-
     def clamp_point(self, p) -> Vec3:
         out = []
         for i in range(3):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Condition, ScenarioConfig
-from .devices import (ArmCommand, ArmState, GloveCommand, HandState, arm_step,
-                      glove_apply, hand_collider_spheres, hand_forward_model,
-                      impedance_displacement)
+from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandState,
+                      arm_step, glove_apply, hand_collider_spheres,
+                      hand_forward_model, impedance_displacement)
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
@@ -135,7 +135,7 @@ class Coordinator:
             "scenario": c.name,
             "seed": c.seed,
             "condition": c.condition.value,
-            "tick_rate_hz": c.coordinator.tick_rate_hz,
+            "tick_rate_hz": TICK_RATE_HZ,
             "ticks": c.coordinator.ticks,
             "arms": [a.name for a in c.arms],
             "bodies": [b.name for b in c.scene.bodies],
@@ -158,21 +158,15 @@ class Coordinator:
 
     def _build_world(self) -> World:
         scene = self.cfg.scene
-        world = World(gravity=np.asarray(scene.gravity),
+        world = World(gravity=scene.gravity,
                       params=SolverParams(iterations=scene.solver_iterations,
                                           slop=scene.slop,
                                           surface_stiffness=scene.surface_stiffness))
-        kind_map = {"dynamic": BodyKind.DYNAMIC, "kinematic": BodyKind.KINEMATIC,
-                    "static": BodyKind.STATIC}
         for b in scene.bodies:
-            velocity = np.zeros(6)
-            velocity[:3] = b.velocity
             world.add_body(RigidBody(
-                name=b.name, kind=kind_map[b.kind], shape=b.shape,
-                position=np.asarray(b.center),
-                half_extents=None if b.half_extents is None else np.asarray(b.half_extents),
-                radius=b.radius, velocity=velocity, mass=b.mass,
-                rotation_locked=b.rotation_locked,
+                name=b.name, kind=BodyKind(b.kind), shape=b.shape,
+                position=b.center, half_extents=b.half_extents, radius=b.radius,
+                velocity=b.velocity, mass=b.mass,
                 collide_with_hand=b.collide_with_hand))
         return world
 
@@ -304,9 +298,8 @@ class Coordinator:
                 if released:
                     release_demanded = True
                 if not release_demanded:
-                    out = out_plate.tolist()
-                    transmitted[u.name] = (plate.rotate_vector(out[:3])
-                                           + plate.rotate_vector(out[3:]))
+                    transmitted[u.name] = (plate.rotate_vector(out_plate[:3])
+                                           + plate.rotate_vector(out_plate[3:]))
                     slips[u.name] = slip
 
             if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
@@ -407,17 +400,14 @@ class Coordinator:
         self._prev_plate = plate_pos
 
         docked = self._docked_unit()
-        routed = route_forces(impulses, hand, self.glove_cmd,
-                              docked is not None, dt,
-                              arm_base=docked.cfg.spec.base_pose if docked else None,
+        routed = route_forces(impulses, hand, docked is not None, dt,
                               reference_point=plate_pos)
-        net_force = routed.net_force.tolist()
-        net_torque = routed.net_torque.tolist()
 
+        # The magnet-on-plate dock cannot carry torque about its normal and the
+        # hand is kept flat, so only the net force is rendered.
         filter_input = ZERO6
         if docked is not None and cfg.condition is Condition.FORCE_FEEDBACK:
-            filter_input = tuple(net_force) + (
-                tuple(net_torque) if cfg.coordinator.render_net_torque else ZERO3)
+            filter_input = routed.net_force + ZERO3
         filtered = self.filter.update(filter_input)
 
         cmd_world = ZERO6
@@ -473,10 +463,10 @@ class Coordinator:
             "resist": list(hand.resist_torques),
             "sensor_clamps": sum(hand.clamp_flags),
             "cmd_wrench": list(cmd_world),
-            "net_force": net_force,
-            "net_torque": net_torque,
-            "residual": routed.residual.tolist(),
-            "paired": float(routed.paired_magnitude),
+            "net_force": list(routed.net_force),
+            "net_torque": list(routed.net_torque),
+            "residual": list(routed.residual),
+            "paired": routed.paired_magnitude,
             "contacts": routed.hand_contact_count,
             "support": support,
             "docked_arm": docked.name if docked else None,

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, GloveCommand,
-                      HandGeometry, HandModelParams, HandState,
-                      finger_sphere_centers)
-from .frames import RigidTransform
+from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandGeometry,
+                      HandModelParams, HandState, finger_sphere_centers)
+from .frames import RigidTransform, Vec3
 from .sim import ContactImpulse, World, sphere_box_signed_depth
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
@@ -26,47 +25,48 @@ PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacemen
 class RoutedForces:
     """Outcome of one routing pass over a step's impulses."""
 
-    arm_wrench: np.ndarray          # 6-vector in the arm base frame (zeros if undocked)
-    glove_stops: GloveCommand
-    residual: np.ndarray            # unroutable 6-vector, world frame (logged)
-    net_force: np.ndarray           # world frame, total over hand colliders
-    net_torque: np.ndarray          # world frame, about the reference point
+    residual: tuple[float, ...]     # unroutable 6-vector, world frame (zeros if docked)
+    net_force: Vec3                 # world frame, total over hand colliders
+    net_torque: Vec3                # world frame, about the reference point
     paired_magnitude: float         # |force| attributed to canceling squeeze pairs
     hand_contact_count: int
 
 
 def _hand_forces(impulses: list[ContactImpulse], dt: float):
-    """Per-collider reaction forces on the hand, grouped with their source body."""
+    """Per-collider reaction forces on the hand as (source body, force, point)."""
     out = []
     for imp in impulses:
         if imp.hand_collider is None:
             continue
         scale = imp.magnitude / dt
-        force = np.array([-scale * imp.normal[0],
-                          -scale * imp.normal[1],
-                          -scale * imp.normal[2]])
-        out.append((imp.hand_collider, imp.body_b, force, imp.point))
+        nx, ny, nz = imp.normal
+        out.append((imp.body_b, (-scale * nx, -scale * ny, -scale * nz), imp.point))
     return out
 
 
 def _paired_magnitude(forces, angle_deg: float) -> float:
     """Greedy opposing-pair detection: forces on hand colliders against the
     same body whose lines of action oppose within the cone pair off; the
-    common magnitude counts as glove-internal squeeze."""
+    common magnitude counts as glove-internal squeeze.
+
+    Norms and dot products stay in numpy: its 3-element dot rounds differently
+    from a left-to-right float sum, and the result is logged."""
     cos_limit = math.cos(math.radians(angle_deg))
+    bodies = [body for body, _, _ in forces]
+    vecs = [np.array(f) for _, f, _ in forces]
     used = [False] * len(forces)
     paired = 0.0
     for i in range(len(forces)):
         if used[i]:
             continue
-        _, body_i, fi, _ = forces[i]
+        body_i, fi = bodies[i], vecs[i]
         ni = float(np.linalg.norm(fi))
         if ni < 1e-12:
             continue
         for j in range(i + 1, len(forces)):
             if used[j]:
                 continue
-            _, body_j, fj, _ = forces[j]
+            body_j, fj = bodies[j], vecs[j]
             if body_j != body_i:
                 continue
             nj = float(np.linalg.norm(fj))
@@ -80,49 +80,37 @@ def _paired_magnitude(forces, angle_deg: float) -> float:
 
 
 def route_forces(impulses: list[ContactImpulse], hand: HandState,
-                 stops: GloveCommand, docked: bool, dt: float, *,
-                 arm_base: RigidTransform | None = None,
-                 reference_point=None,
+                 docked: bool, dt: float, *, reference_point=None,
                  pairing_angle_deg: float = PAIRING_ANGLE_DEG) -> RoutedForces:
     """Route one step's hand-contact impulses.
 
-    The vector sum over all hand colliders is the net world-referenced force;
-    when docked it is expressed in the arm base frame and returned as the arm
-    wrench (torque taken about ``reference_point``, normally the attachment
-    plate). When not docked it is logged as residual and discarded.
+    The vector sum over all hand colliders is the net world-referenced force,
+    with its torque taken about ``reference_point`` (normally the attachment
+    plate). When docked the arm renders it; when not docked it is logged as
+    residual and discarded.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     forces = _hand_forces(impulses, dt)
     if reference_point is None:
         reference_point = hand.wrist_pose.translation
-    ref = np.asarray(reference_point, dtype=float)
+    rx, ry, rz = reference_point
 
-    net_force = np.zeros(3)
-    net_torque = np.zeros(3)
-    rx, ry, rz = float(ref[0]), float(ref[1]), float(ref[2])
-    for _, _, f, p in forces:
-        net_force += f
+    fx = fy = fz = tx = ty = tz = 0.0
+    for _, f, p in forces:
+        fx += f[0]
+        fy += f[1]
+        fz += f[2]
         ax, ay, az = p[0] - rx, p[1] - ry, p[2] - rz
-        net_torque[0] += ay * f[2] - az * f[1]
-        net_torque[1] += az * f[0] - ax * f[2]
-        net_torque[2] += ax * f[1] - ay * f[0]
+        tx += ay * f[2] - az * f[1]
+        ty += az * f[0] - ax * f[2]
+        tz += ax * f[1] - ay * f[0]
+    net_force = (fx, fy, fz)
+    net_torque = (tx, ty, tz)
 
-    paired = _paired_magnitude(forces, pairing_angle_deg)
-
-    arm_wrench = np.zeros(6)
-    residual = np.zeros(6)
-    if docked and arm_base is not None:
-        rot_inv = arm_base.inverse()
-        arm_wrench[:3] = rot_inv.rotate_vector(tuple(net_force))
-        arm_wrench[3:] = rot_inv.rotate_vector(tuple(net_torque))
-    else:
-        residual[:3] = net_force
-        residual[3:] = net_torque
-
-    return RoutedForces(arm_wrench=arm_wrench, glove_stops=stops,
-                        residual=residual, net_force=net_force,
-                        net_torque=net_torque, paired_magnitude=paired,
+    return RoutedForces(residual=(0.0,) * 6 if docked else net_force + net_torque,
+                        net_force=net_force, net_torque=net_torque,
+                        paired_magnitude=_paired_magnitude(forces, pairing_angle_deg),
                         hand_contact_count=len(forces))
 
 
@@ -199,6 +187,3 @@ class LowPassFilter:
             x = tuple(s + a * (v - s) for s, v in zip(self.state, x))
         self.state = x
         return x
-
-    def reset(self) -> None:
-        self.state = (0.0,) * len(self.state)

@@ -37,7 +37,7 @@ def _desk_and_cans() -> list[dict]:
             "name": name, "kind": "dynamic", "shape": "box",
             "center": [CAN_X[name], 0.055, 0.0],
             "half_extents": [0.033, 0.055, 0.033],
-            "mass": mass, "rotation_locked": True,
+            "mass": mass,
         })
     return bodies
 

@@ -1,10 +1,10 @@
 """Minimal impulse-based rigid-body world: desk, cans and kinematic hand colliders.
 
 Deliberately small: axis-aligned boxes and spheres, zero restitution, no
-friction, sequential impulses plus positional projection. Dynamic bodies in
-the shipped scenes have locked rotations (the experiment constrained them),
-so angular dynamics are not integrated; penetration is always resolved by
-moving dynamic bodies, never the hand.
+friction, sequential impulses plus positional projection. Bodies carry no
+rotational state (the experiment constrained the cans' rotation), so only
+linear dynamics are integrated; penetration is always resolved by moving
+dynamic bodies, never the hand.
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .frames import Quat, RigidTransform
-
 Vec3 = tuple[float, float, float]
 
 
 class BodyKind(Enum):
     DYNAMIC = "dynamic"
-    KINEMATIC = "kinematic"
     STATIC = "static"
 
 
@@ -32,8 +29,8 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass(slots=True)
 class RigidBody:
-    """A simulated body. Boxes are axis-aligned; dynamic boxes keep a fixed
-    orientation (rotation-locked), matching the constrained cans."""
+    """A simulated body. Boxes are axis-aligned and never rotate, matching
+    the constrained cans."""
 
     name: str
     kind: BodyKind
@@ -41,16 +38,15 @@ class RigidBody:
     position: np.ndarray
     half_extents: np.ndarray | None = None      # boxes
     radius: float | None = None                 # spheres
-    orientation: Quat = (1.0, 0.0, 0.0, 0.0)
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mass: float = 0.0
-    inertia: np.ndarray = field(default_factory=lambda: np.eye(3))  # reserved
-    rotation_locked: bool = True
     collide_with_hand: bool = True
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
+        if self.position.shape != (3,) or self.velocity.shape != (3,):
+            raise ValueError(f"{self.name}: position and velocity must be 3-vectors")
         if self.shape not in ("box", "sphere"):
             raise ValueError(f"{self.name}: unsupported shape {self.shape!r}")
         if self.shape == "box":
@@ -59,18 +55,10 @@ class RigidBody:
             self.half_extents = np.asarray(self.half_extents, dtype=float)
             if np.any(self.half_extents <= 0.0):
                 raise ValueError(f"{self.name}: half_extents must be positive")
-            if abs(self.orientation[0]) < 1.0 - 1e-9:
-                raise ValueError(f"{self.name}: box bodies must stay axis-aligned")
         if self.shape == "sphere" and (self.radius is None or self.radius <= 0.0):
             raise ValueError(f"{self.name}: sphere bodies need a positive radius")
         if self.kind is BodyKind.DYNAMIC and self.mass <= 0.0:
             raise ValueError(f"{self.name}: dynamic bodies need positive mass")
-        if self.kind is BodyKind.DYNAMIC and not self.rotation_locked:
-            raise ValueError(f"{self.name}: free rotation of dynamic bodies is not supported")
-
-    @property
-    def pose(self) -> RigidTransform:
-        return RigidTransform(self.orientation, tuple(self.position))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +90,6 @@ class SolverParams:
     iterations: int = 12
     slop: float = 5.0e-4                # allowed resting penetration, m
     surface_stiffness: float = 800.0    # N/m, hand-vs-immovable penalty
-    contact_margin: float = 0.0         # extra detection margin
 
 
 @dataclass(slots=True)
@@ -174,20 +161,6 @@ def _sphere_box(cx: float, cy: float, cz: float, radius: float,
     return n_out, radius + gaps[axis], point
 
 
-def sphere_box_overlap(center, radius: float, box_pos, box_half):
-    """Array-friendly wrapper around the float-path sphere/box test."""
-    cx, cy, cz = (float(v) for v in center)
-    bx, by, bz = (float(v) for v in box_pos)
-    hx, hy, hz = (float(v) for v in box_half)
-    return _sphere_box(cx, cy, cz, radius, bx, by, bz, hx, hy, hz)
-
-
-def sphere_box_depth(center, radius: float, box_pos, box_half) -> float:
-    """Penetration depth (<= 0 when separated) of a sphere against a box."""
-    hit = sphere_box_overlap(center, radius, box_pos, box_half)
-    return 0.0 if hit is None else hit[1]
-
-
 def sphere_box_signed_depth(center, radius: float, box_pos, box_half) -> float:
     """Signed depth: positive penetration, negative clearance, zero at touch."""
     cx, cy, cz = (float(v) for v in center)
@@ -231,15 +204,6 @@ def _box_box(ax: float, ay: float, az: float, hax: float, hay: float, haz: float
     return normal, overlaps[axis], point
 
 
-def box_box_overlap(pa, ha, pb, hb):
-    """Array-friendly wrapper around the float-path box/box test."""
-    ax, ay, az = (float(v) for v in pa)
-    hax, hay, haz = (float(v) for v in ha)
-    bx, by, bz = (float(v) for v in pb)
-    hbx, hby, hbz = (float(v) for v in hb)
-    return _box_box(ax, ay, az, hax, hay, haz, bx, by, bz, hbx, hby, hbz)
-
-
 @dataclass(slots=True)
 class _Contact:
     body: RigidBody                     # the dynamic body the impulse pushes
@@ -253,8 +217,8 @@ class _Contact:
     def other_velocity(self):
         if self.hand is not None:
             return self.hand.velocity
-        if self.other is not None and self.other.kind is not BodyKind.STATIC:
-            return self.other.velocity[:3]
+        if self.other is not None and self.other.kind is BodyKind.DYNAMIC:
+            return self.other.velocity
         return np.zeros(3)
 
     def other_dynamic(self) -> RigidBody | None:
@@ -398,7 +362,7 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     dynamics = world.dynamic_bodies()
 
     for b in dynamics:
-        b.velocity[:3] += world.gravity * dt
+        b.velocity += world.gravity * dt
 
     if contacts:
         for _ in range(world.params.iterations):
@@ -406,21 +370,21 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
             for c in contacts:
                 other_dyn = c.other_dynamic()
                 inv_mass = 1.0 / c.body.mass + (1.0 / other_dyn.mass if other_dyn else 0.0)
-                v_rel = float((c.body.velocity[:3] - c.other_velocity()) @ c.normal)
+                v_rel = float((c.body.velocity - c.other_velocity()) @ c.normal)
                 d_lambda = -v_rel / inv_mass
                 new_acc = max(0.0, c.accumulated + d_lambda)
                 change = new_acc - c.accumulated
                 c.accumulated = new_acc
                 if change != 0.0:
                     settled = False
-                    c.body.velocity[:3] += (change / c.body.mass) * c.normal
+                    c.body.velocity += (change / c.body.mass) * c.normal
                     if other_dyn is not None:
-                        other_dyn.velocity[:3] -= (change / other_dyn.mass) * c.normal
+                        other_dyn.velocity -= (change / other_dyn.mass) * c.normal
             if settled:
                 break
 
     for b in dynamics:
-        b.position += b.velocity[:3] * dt
+        b.position += b.velocity * dt
 
     # Positional projection: remove residual penetration without injecting
     # momentum, moving dynamic bodies only.
@@ -451,13 +415,13 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
         if c.hand is not None:
             report.append(ContactImpulse(
                 body_a="hand", body_b=c.body.name,
-                point=c.point, normal=tuple(c.normal),
+                point=c.point, normal=tuple(c.normal.tolist()),
                 magnitude=c.accumulated, hand_collider=c.hand.name))
         else:
             report.append(ContactImpulse(
                 body_a=c.other.name if c.other is not None else "world",
                 body_b=c.body.name,
-                point=c.point, normal=tuple(c.normal),
+                point=c.point, normal=tuple(c.normal.tolist()),
                 magnitude=c.accumulated, hand_collider=None))
     report.extend(penalty)
     return world, report
@@ -469,7 +433,7 @@ def mechanical_energy(world: World, reference_y: float = 0.0) -> float:
     up = -world.gravity / g if g > 0.0 else np.array([0.0, 1.0, 0.0])
     total = 0.0
     for b in world.dynamic_bodies():
-        v2 = float(b.velocity[:3] @ b.velocity[:3])
+        v2 = float(b.velocity @ b.velocity)
         height = float(b.position @ up) - reference_y
         total += 0.5 * b.mass * v2 + b.mass * g * height
     return total

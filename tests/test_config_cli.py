@@ -86,6 +86,64 @@ class TestValidation:
             scenario_from_dict(d)
         assert err.value.path == "$.arms[0].model"
 
+    # Removed options, a typo of dock.breaking_force_n and one unknown key
+    # per remaining level: none may be dropped silently.
+    @pytest.mark.parametrize("where, key, value", [
+        ((), "colour", "red"),
+        (("coordinator",), "tick_rate_hz", 333.0),
+        (("coordinator",), "render_net_torque", True),
+        (("arms", 0), "mass", 1.0),
+        (("glove",), "modle", "dexmo"),
+        (("glove", "calibration"), "flex_mn", [0.0] * 5),
+        (("dock",), "breaking_force", 5.0),
+        (("scene",), "gravty", [0.0, -9.81, 0.0]),
+        (("scene", "bodies", 0), "rotation_locked", False),
+        (("trajectory",), "wirst", [[0.0, 0.0, 0.0, 0.0]]),
+    ])
+    def test_unknown_field_rejected_with_path(self, tmp_path, capsys, where, key, value):
+        d, path = every_level_dict(where, key, value)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(d)
+        assert err.value.path == path
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(d))
+        assert main(["validate", str(bad)]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, value", [
+        (("scene", "bodies", 0), "collide_with_hand", "false"),
+        ((), "seed", 1.7),
+        ((), "seed", True),
+        ((), "schema_version", True),
+        (("scene",), "solver_iterations", 2.9),
+        (("coordinator",), "glove_period_ticks", 34.5),
+        ((), "glove", 3),
+        ((), "dock", []),
+        (("glove",), "calibration", [1.0]),
+    ])
+    def test_loose_types_rejected_with_path(self, where, key, value):
+        d, path = every_level_dict(where, key, value)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(d)
+        assert err.value.path == path
+
+
+def every_level_dict(where: tuple, key: str, value) -> tuple[dict, str]:
+    """A valid config with every nested level present, plus ``key: value``
+    set at ``where``; returns it with the field path of the added key."""
+    d = minimal_dict(
+        glove={"calibration": {}}, dock={},
+        scene={"bodies": [{"name": "c", "kind": "dynamic", "shape": "box",
+                           "center": [0.0, 0.5, 0.0],
+                           "half_extents": [0.1, 0.1, 0.1], "mass": 1.0}]})
+    scenario_from_dict(d)
+    node, path = d, "$"
+    for step in where:
+        node = node[step]
+        path += f"[{step}]" if isinstance(step, int) else f".{step}"
+    node[key] = value
+    return d, f"{path}.{key}"
+
 
 class TestShippedParity:
     @pytest.mark.parametrize("name", sorted(SHIPPED_BUILDERS))

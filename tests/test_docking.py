@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hapdock.devices import ArmSpec, ArmState, arm_step
-from hapdock.docking import (DOF_LABELS, DockContext, DockJoint,
+from hapdock.docking import (DOF_LABELS, DockContext, DockJoint, DockJointKind,
                              DockState, IllegalDockTransition, MagnetChannel,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP,
-                             PRISMATIC, TOOTHED, dock_step, free_axes,
-                             joint_transmit, predict_position, pursue,
-                             require_transition, try_attach)
+                             PRISMATIC, TOOTHED, dock_step, joint_transmit,
+                             predict_position, pursue, require_transition,
+                             try_attach)
 from hapdock.frames import RigidTransform
 
 ALL_KINDS = (PLATE_SLIP, PLATE_FRICTION, PINNED_ROTARY, TOOTHED, PRISMATIC)
@@ -25,13 +25,14 @@ class TestJointKinds:
         for kind in ALL_KINDS:
             labels = set(kind.constrained) | set(kind.friction_limited) | set(kind.free)
             assert labels == set(DOF_LABELS)
-            assert len(kind.constrained_mask()) == 6
+            assert not kind.free & (kind.constrained | kind.friction_limited)
 
-    def test_free_axes_factory(self):
-        kind = free_axes({"tx", "ty", "tz"})
+    def test_custom_kind_from_constrained_set(self):
+        kind = DockJointKind("custom", constrained=frozenset({"tx", "ty", "tz"}))
         assert kind.free == frozenset({"rx", "ry", "rz"})
+        assert kind.free is kind.free  # built once, not per read
         with pytest.raises(ValueError):
-            free_axes({"bogus"})
+            DockJointKind("custom", constrained=frozenset({"bogus"}))
 
     def test_degraded_dofs(self):
         assert PLATE_FRICTION.degraded_dofs() == ("rz",)
@@ -54,7 +55,7 @@ class TestJointTransmit:
         out, _, released = joint_transmit(plate_joint(),
                                           [0, 0, BREAK + 1e-6, 0, 0, 0])
         assert released
-        assert np.all(out == 0.0)
+        assert out == (0.0,) * 6
 
     def test_pinned_rotary_transmits_no_normal_torque(self):
         out, slip, released = joint_transmit(plate_joint(PINNED_ROTARY),
@@ -107,7 +108,7 @@ class TestJointTransmit:
         peel = joint.peel_torque
         assert peel == pytest.approx(BREAK * joint.contact_radius / 2.0)
         out, _, released = joint_transmit(joint, [0, 0, 0, peel * 1.01, 0, 0])
-        assert released and np.all(out == 0.0)
+        assert released and out == (0.0,) * 6
 
     def test_nonfinite_wrench_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hapdock.frames import (FrameMismatchError, FramedTransform, FrameTag,
-                            RigidTransform, compose, correction_chain,
-                            effector_correction, effector_correction_framed,
-                            euler_xyz_from_quat, inverse, quat_from_euler_xyz,
-                            slerp)
+from hapdock.frames import (RigidTransform, correction_chain, euler_xyz_from_quat,
+                            quat_from_euler_xyz, slerp)
 
 ROT_Z_90 = RigidTransform.from_axis_angle((0, 0, 1), math.pi / 2)
 
@@ -49,15 +46,15 @@ class TestCompose:
     def test_identity_is_neutral(self):
         rng = np.random.default_rng(1)
         t = random_transform(rng)
-        out = compose(t, RigidTransform.identity())
+        out = t.compose(RigidTransform.identity())
         assert out.rotation_angle_to(t) < 1e-12
         assert out.translation_distance_to(t) < 1e-12
-        out = compose(RigidTransform.identity(), t)
+        out = RigidTransform.identity().compose(t)
         assert out.translation_distance_to(t) < 1e-12
 
     def test_rotz_then_local_translation(self):
         # A quarter turn followed by a unit local x-offset lands at +y.
-        out = compose(ROT_Z_90, RigidTransform.from_translation((1, 0, 0)))
+        out = ROT_Z_90.compose(RigidTransform.from_translation((1, 0, 0)))
         assert out.translation == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
         assert out.transform_point((0.0, 0.0, 0.0)) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
@@ -69,14 +66,14 @@ class TestCompose:
         rng = np.random.default_rng(2)
         for _ in range(200):
             t = random_transform(rng)
-            assert compose(t, inverse(t)).is_identity(tol=1e-9)
-            assert compose(inverse(t), t).is_identity(tol=1e-9)
+            assert t.compose(t.inverse()).is_identity(tol=1e-9)
+            assert t.inverse().compose(t).is_identity(tol=1e-9)
 
     def test_quaternion_stays_normalized(self):
         rng = np.random.default_rng(3)
         t = random_transform(rng)
         for _ in range(2000):
-            t = compose(t, ROT_Z_90)
+            t = t.compose(ROT_Z_90)
             assert abs(t.quat_norm() - 1.0) < 1e-9
 
     def test_matches_matrix_product(self):
@@ -84,7 +81,7 @@ class TestCompose:
         for _ in range(100):
             a, b = random_transform(rng), random_transform(rng)
             expected = matrix_of(a) @ matrix_of(b)
-            angle, dist = pose_error(expected, compose(a, b))
+            angle, dist = pose_error(expected, a.compose(b))
             assert angle < 1e-9 and dist < 1e-9
 
     def test_zero_quaternion_rejected(self):
@@ -97,7 +94,7 @@ class TestEffectorCorrection:
         rng = np.random.default_rng(5)
         base, effect, tool = (random_transform(rng) for _ in range(3))
         fwd = random_transform(rng)
-        out = effector_correction(base, effect, tool, tool, fwd)
+        out = correction_chain(base, effect, tool, tool, fwd).effect_forward_new
         assert out.rotation_angle_to(fwd) < 1e-9
         assert out.translation_distance_to(fwd) < 1e-9
 
@@ -146,40 +143,10 @@ class TestEffectorCorrection:
     def test_bit_identical_repeat(self):
         rng = np.random.default_rng(8)
         args = [random_transform(rng) for _ in range(5)]
-        a = effector_correction(*args)
-        b = effector_correction(*args)
+        a = correction_chain(*args).effect_forward_new
+        b = correction_chain(*args).effect_forward_new
         assert a.rotation == b.rotation
         assert a.translation == b.translation
-
-
-class TestFrameTags:
-    def _framed(self, rng):
-        return {
-            "base_w": FramedTransform(random_transform(rng), FrameTag.WORLD, FrameTag.ARM_BASE),
-            "effect_w": FramedTransform(random_transform(rng), FrameTag.WORLD, FrameTag.EFFECTOR),
-            "tool_w": FramedTransform(random_transform(rng), FrameTag.WORLD, FrameTag.TOOL),
-            "target_w": FramedTransform(random_transform(rng), FrameTag.WORLD, FrameTag.TARGET),
-            "effect_fwd": FramedTransform(random_transform(rng), FrameTag.ARM_BASE, FrameTag.EFFECTOR),
-        }
-
-    def test_accepts_matching_tags(self):
-        out = effector_correction_framed(**self._framed(np.random.default_rng(9)))
-        assert out.parent is FrameTag.ARM_BASE and out.child is FrameTag.EFFECTOR
-
-    def test_rejects_mismatched_tags(self):
-        kwargs = self._framed(np.random.default_rng(10))
-        kwargs["tool_w"] = FramedTransform(kwargs["tool_w"].transform,
-                                           FrameTag.WORLD, FrameTag.TARGET)
-        with pytest.raises(FrameMismatchError):
-            effector_correction_framed(**kwargs)
-
-    def test_chain_composition_checks_frames(self):
-        rng = np.random.default_rng(11)
-        a = FramedTransform(random_transform(rng), FrameTag.WORLD, FrameTag.ARM_BASE)
-        b = FramedTransform(random_transform(rng), FrameTag.ARM_BASE, FrameTag.EFFECTOR)
-        assert a.compose(b).child is FrameTag.EFFECTOR
-        with pytest.raises(FrameMismatchError):
-            b.compose(a.compose(b))
 
 
 class TestHelpers:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS,
-                             GloveCommand, HandCalibration, hand_forward_model)
+                             HandCalibration, hand_forward_model)
 from hapdock.frames import RigidTransform
 from hapdock.routing import (LowPassFilter, contact_drum_param, route_forces)
 from hapdock.sim import (BodyKind, ContactImpulse, HandCollider, RigidBody,
@@ -31,30 +31,28 @@ class TestRouteForces:
         # Equal-and-opposite pair on the same body: glove-only, zero net.
         imp = [impulse("index_2", "post", (0.0, -1.0, 0.0), 0.02 * DT),
                impulse("thumb_2", "post", (0.0, 1.0, 0.0), 0.02 * DT)]
-        routed = route_forces(imp, hand_at(), GloveCommand(), True, DT,
-                              arm_base=IDENTITY, reference_point=(0, 0, 0))
-        assert np.linalg.norm(routed.net_force) == 0.0
+        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0, 0, 0))
+        assert routed.net_force == (0.0, 0.0, 0.0)
         assert routed.paired_magnitude == pytest.approx(0.02)
-        assert np.all(routed.arm_wrench[:3] == 0.0)
 
     def test_support_reaction_goes_to_arm_when_docked(self):
         # Hand statically supporting 0.3 kg: arm feels (0, -2.943, 0) N.
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT,
                        point=(0.0, 0.1, 0.0))]
-        routed = route_forces(imp, hand_at(), GloveCommand(), True, DT,
-                              arm_base=IDENTITY, reference_point=(0.0, 0.1, 0.0))
-        assert routed.arm_wrench[:3] == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
-        assert np.all(routed.residual == 0.0)
+        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0.0, 0.1, 0.0))
+        assert routed.net_force == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
+        assert routed.residual == (0.0,) * 6
         assert routed.paired_magnitude == 0.0
 
     def test_undocked_net_force_is_discarded_to_residual(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT)]
-        routed = route_forces(imp, hand_at(), GloveCommand(), False, DT)
-        assert np.all(routed.arm_wrench == 0.0)
+        routed = route_forces(imp, hand_at(), False, DT)
         assert routed.residual[:3] == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
+        assert routed.residual == routed.net_force + routed.net_torque
 
     def test_bookkeeping_identity(self):
-        # arm wrench plus residual accounts for every hand-contact force.
+        # The net force is the sum of every hand-contact force; the residual
+        # carries it exactly when no arm is docked.
         rng = np.random.default_rng(40)
         imps = []
         for i in range(6):
@@ -63,26 +61,17 @@ class TestRouteForces:
             imps.append(impulse(f"c{i}", "body", tuple(n),
                                 float(rng.uniform(0, 1e-3)),
                                 point=tuple(rng.uniform(-0.1, 0.1, 3))))
+        total = -sum(np.asarray(i.normal) * i.magnitude / DT for i in imps)
         for docked in (True, False):
-            routed = route_forces(imps, hand_at(), GloveCommand(), docked, DT,
-                                  arm_base=IDENTITY, reference_point=(0, 0, 0))
-            total = routed.arm_wrench[:3] + routed.residual[:3]
-            assert total == pytest.approx(routed.net_force, abs=1e-12)
-
-    def test_arm_wrench_expressed_in_base_frame(self):
-        base = RigidTransform.from_axis_angle((0, 0, 1), math.pi / 2,
-                                              (0.5, 0.0, 0.0))
-        imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 1.0 * DT)]
-        routed = route_forces(imp, hand_at(), GloveCommand(), True, DT,
-                              arm_base=base, reference_point=(0, 0, 0))
-        # World -y maps to base -x under a +90 deg base yaw.
-        assert routed.arm_wrench[:3] == pytest.approx((-1.0, 0.0, 0.0), abs=1e-9)
+            routed = route_forces(imps, hand_at(), docked, DT, reference_point=(0, 0, 0))
+            assert routed.net_force == pytest.approx(total, abs=1e-12)
+            assert routed.residual == ((0.0,) * 6 if docked
+                                       else routed.net_force + routed.net_torque)
 
     def test_torque_about_reference_point(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 1.0 * DT,
                        point=(0.1, 0.0, 0.0))]
-        routed = route_forces(imp, hand_at(), GloveCommand(), True, DT,
-                              arm_base=IDENTITY, reference_point=(0.0, 0.0, 0.0))
+        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0.0, 0.0, 0.0))
         # The hand feels the 1 N reaction downward at +10 cm x: -0.1 Nm about z.
         assert routed.net_torque == pytest.approx((0.0, 0.0, -0.1), abs=1e-12)
 
@@ -91,12 +80,12 @@ class TestRouteForces:
         n2 = (math.sin(math.radians(30)), math.cos(math.radians(30)), 0.0)
         imp = [impulse("a", "post", (0.0, -1.0, 0.0), 1e-3),
                impulse("b", "post", n2, 1e-3)]
-        routed = route_forces(imp, hand_at(), GloveCommand(), False, DT)
+        routed = route_forces(imp, hand_at(), False, DT)
         assert routed.paired_magnitude == 0.0
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            route_forces([], hand_at(), GloveCommand(), False, 0.0)
+            route_forces([], hand_at(), False, 0.0)
 
 
 def pinch_world() -> World:
@@ -188,11 +177,10 @@ class TestContactDrum:
                                          radius=0.05,
                                          velocity=np.array([0.0, vy, 0.0]))])
                 _, impulses = step_world(w, DT)
-                routed = route_forces(impulses, hand_at(), GloveCommand(),
-                                      True, DT, arm_base=IDENTITY,
+                routed = route_forces(impulses, hand_at(), True, DT,
                                       reference_point=(0.0, 0.0, 0.0))
                 if i > 700:
-                    forces.append(-routed.arm_wrench[1])
+                    forces.append(-routed.net_force[1])
             return sum(forces) / len(forces)
 
         f_light = support_force(0.15)
