@@ -22,6 +22,8 @@ GLOVE_PERIOD_TICKS = 34  # 34 ms >= 33.3 ms minimum spacing
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 NUM_FINGERS = 5
+# Hand collider names per finger, proximal to distal.
+PHALANGE_NAMES = tuple(tuple(f"{name}_{j}" for j in range(3)) for name in FINGER_NAMES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,10 +357,10 @@ def hand_collider_spheres(state: HandState,
                           ) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) for one state."""
     out = [("palm", state.wrist_pose.transform_point(geom.palm_center), geom.palm_radius)]
-    for k, name in enumerate(FINGER_NAMES):
+    radius = geom.phalange_radius
+    for k, names in enumerate(PHALANGE_NAMES):
         abd = params.abduction_angle(state.abduction[k])
         centers = finger_sphere_centers(geom, state.wrist_pose, k,
                                         state.joint_angles[k], abd)
-        for j, c in enumerate(centers):
-            out.append((f"{name}_{j}", c, geom.phalange_radius))
+        out.extend((name, c, radius) for name, c in zip(names, centers))
     return out

@@ -105,7 +105,9 @@ class Coordinator:
         self.units = [self._unit(i, arm) for i, arm in enumerate(cfg.arms)]
         self.rng = np.random.default_rng(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
-        self._prev_spheres: dict[str, Vec3] = {}
+        # Without a body that collides with the hand nothing reads the
+        # hand colliders, so none are built.
+        self.hand_contacts = any(b.collide_with_hand for b in self.world.bodies)
         self._prev_plate: Vec3 | None = None
         self._last_glove_tick: int | None = None
         self.log = MetricLog(self._header())
@@ -211,19 +213,17 @@ class Coordinator:
     def _update_hand_colliders(self, hand: HandState) -> None:
         spheres = hand_collider_spheres(hand, self.cfg.glove.geometry,
                                         self.cfg.glove.hand_params)
-        dt = self.dt
-        prev_spheres = self._prev_spheres
-        colliders = []
-        for name, center, radius in spheres:
-            prev = prev_spheres.get(name)
-            if prev is None:
-                vel = ZERO3
-            else:
-                vel = ((center[0] - prev[0]) / dt, (center[1] - prev[1]) / dt,
-                       (center[2] - prev[2]) / dt)
-            colliders.append(HandCollider(name=name, center=center, radius=radius,
-                                          velocity=vel))
-            prev_spheres[name] = center
+        prev = self.world.hand
+        if prev:
+            # The spheres come in the same order every tick, so the previous
+            # collider at the same index is the same sphere.
+            dt = self.dt
+            colliders = [
+                HandCollider(name, c, radius, ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt,
+                                               (c[2] - p[2]) / dt))
+                for (name, c, radius), (_, p, _, _) in zip(spheres, prev)]
+        else:
+            colliders = [HandCollider(name, c, radius, ZERO3) for name, c, radius in spheres]
         self.world.set_hand(colliders)
 
     def _tracked_plate(self, plate: RigidTransform) -> RigidTransform:
@@ -383,7 +383,8 @@ class Coordinator:
         events: list[str] = []
 
         hand = self._hand_for_tick(t, events, tick)
-        self._update_hand_colliders(hand)
+        if self.hand_contacts:
+            self._update_hand_colliders(hand)
 
         try:
             _, impulses = step_world(self.world, dt)
@@ -506,10 +507,15 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
         if not t0 < t1:
             raise ValueError(f"window for {name!r} must satisfy t0 < t1")
         samples = []
-        for rec in log.records:
-            if t0 <= rec["t"] <= t1:
-                rendered_y = sum(arm["rendered"][1] for arm in rec["arms"])
-                samples.append(-rendered_y)
+        for i, rec in enumerate(log.records):
+            try:
+                if t0 <= rec["t"] <= t1:
+                    rendered_y = sum(arm["rendered"][1] for arm in rec["arms"])
+                    samples.append(-rendered_y)
+            except KeyError as exc:
+                raise ValueError(f"log record {i} has no field {exc.args[0]!r}") from None
+            except (TypeError, IndexError) as exc:
+                raise ValueError(f"log record {i} is malformed: {exc}") from None
         if not samples:
             raise ValueError(f"window for {name!r} contains no log records")
         means[name] = float(sum(samples) / len(samples))

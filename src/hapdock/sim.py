@@ -5,6 +5,17 @@ friction, sequential impulses plus positional projection. Bodies carry no
 rotational state (the experiment constrained the cans' rotation), so only
 linear dynamics are integrated; penetration is always resolved by moving
 dynamic bodies, never the hand.
+
+Positions and velocities are lists of three Python floats updated in place.
+Every update is element-wise, so it rounds exactly as the equivalent numpy
+expression would. The one reduction is the relative normal velocity
+``v_rel``: numpy's 3-element ``@`` goes through BLAS ``ddot``, which fuses
+multiply and add, while the float sum here rounds each step. For a normal
+with one nonzero component both round once and agree bit for bit; every
+box-box normal and every sphere-box face normal is of that kind. A
+sphere-box edge or corner contact (normal with several nonzero components)
+would round differently, as numpy's own result there already depends on
+whether the CPU has FMA.
 """
 
 from __future__ import annotations
@@ -12,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import NamedTuple
 
 Vec3 = tuple[float, float, float]
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 class BodyKind(Enum):
@@ -35,25 +46,27 @@ class RigidBody:
     name: str
     kind: BodyKind
     shape: str                                  # "box" | "sphere"
-    position: np.ndarray
-    half_extents: np.ndarray | None = None      # boxes
+    position: list[float]                       # updated in place
+    half_extents: Vec3 | None = None            # boxes
     radius: float | None = None                 # spheres
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    velocity: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     mass: float = 0.0
     collide_with_hand: bool = True
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.position.shape != (3,) or self.velocity.shape != (3,):
+        self.position = [float(v) for v in self.position]
+        self.velocity = [float(v) for v in self.velocity]
+        if len(self.position) != 3 or len(self.velocity) != 3:
             raise ValueError(f"{self.name}: position and velocity must be 3-vectors")
         if self.shape not in ("box", "sphere"):
             raise ValueError(f"{self.name}: unsupported shape {self.shape!r}")
         if self.shape == "box":
             if self.half_extents is None:
                 raise ValueError(f"{self.name}: box bodies need half_extents")
-            self.half_extents = np.asarray(self.half_extents, dtype=float)
-            if np.any(self.half_extents <= 0.0):
+            self.half_extents = tuple(float(v) for v in self.half_extents)
+            if len(self.half_extents) != 3:
+                raise ValueError(f"{self.name}: half_extents must be a 3-vector")
+            if any(h <= 0.0 for h in self.half_extents):
                 raise ValueError(f"{self.name}: half_extents must be positive")
         if self.shape == "sphere" and (self.radius is None or self.radius <= 0.0):
             raise ValueError(f"{self.name}: sphere bodies need a positive radius")
@@ -61,8 +74,7 @@ class RigidBody:
             raise ValueError(f"{self.name}: dynamic bodies need positive mass")
 
 
-@dataclass(frozen=True, slots=True)
-class HandCollider:
+class HandCollider(NamedTuple):
     """Kinematic sphere driven by the hand model; never receives impulses."""
 
     name: str
@@ -92,15 +104,24 @@ class SolverParams:
     surface_stiffness: float = 800.0    # N/m, hand-vs-immovable penalty
 
 
+# Widens the hand's bounding box so rounding in the box test can never cull
+# a sphere-box pair the narrowphase would report.
+_HAND_BOX_MARGIN = 1.0e-9
+
+
 @dataclass(slots=True)
 class World:
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.81, 0.0]))
+    gravity: Vec3 = (0.0, -9.81, 0.0)
     params: SolverParams = field(default_factory=SolverParams)
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
+    # (min x, min y, min z, max x, max y, max z) around every hand sphere,
+    # or None without a hand; set by ``set_hand``.
+    hand_box: tuple[float, ...] | None = field(default=None, init=False)
 
     def __post_init__(self):
-        self.gravity = np.asarray(self.gravity, dtype=float)
+        self.gravity = tuple(float(g) for g in self.gravity)
+        self.set_hand(self.hand)
 
     def add_body(self, body: RigidBody) -> RigidBody:
         if any(b.name == body.name for b in self.bodies):
@@ -115,7 +136,14 @@ class World:
         raise KeyError(name)
 
     def set_hand(self, colliders: list[HandCollider]) -> None:
-        self.hand = list(colliders)
+        self.hand = hand = list(colliders)
+        if not hand:
+            self.hand_box = None
+            return
+        r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
+        xs, ys, zs = zip(*(h.center for h in hand))
+        self.hand_box = (min(xs) - r, min(ys) - r, min(zs) - r,
+                         max(xs) + r, max(ys) + r, max(zs) + r)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]
@@ -204,49 +232,46 @@ def _box_box(ax: float, ay: float, az: float, hax: float, hay: float, haz: float
     return normal, overlaps[axis], point
 
 
-@dataclass(slots=True)
 class _Contact:
-    body: RigidBody                     # the dynamic body the impulse pushes
-    other: RigidBody | None             # other rigid body (None for hand)
-    hand: HandCollider | None
-    normal: np.ndarray                  # pushes ``body`` away
-    depth: float
-    point: tuple[float, float, float]
-    accumulated: float = 0.0
+    """One contact for the solver, with what it reads precomputed."""
 
-    def other_velocity(self):
-        if self.hand is not None:
-            return self.hand.velocity
-        if self.other is not None and self.other.kind is BodyKind.DYNAMIC:
-            return self.other.velocity
-        return np.zeros(3)
+    __slots__ = ("body", "other", "hand", "normal", "depth", "point",
+                 "other_dyn", "other_vel", "inv_mass", "accumulated")
 
-    def other_dynamic(self) -> RigidBody | None:
-        if self.other is not None and self.other.kind is BodyKind.DYNAMIC:
-            return self.other
-        return None
-
-
-def _snapshot(world: World):
-    """Plain-float position/extent snapshot for the narrowphase sweeps."""
-    bodies = []
-    for b in world.bodies:
-        pos = b.position.tolist()
-        half = b.half_extents.tolist() if b.half_extents is not None else None
-        bodies.append((b, pos, half))
-    hand = [(h, h.center) for h in world.hand]
-    return bodies, hand
+    def __init__(self, body: RigidBody, other: RigidBody | None,
+                 hand: HandCollider | None, normal: Vec3, depth: float, point: Vec3):
+        self.body = body            # the dynamic body the impulse pushes
+        self.other = other          # other rigid body (None for hand)
+        self.hand = hand
+        self.normal = normal        # pushes ``body`` away
+        self.depth = depth
+        self.point = point
+        self.accumulated = 0.0
+        dyn = other if other is not None and other.kind is BodyKind.DYNAMIC else None
+        self.other_dyn = dyn
+        # A live reference: a dynamic other body's list changes during the solve.
+        if hand is not None:
+            self.other_vel = hand.velocity
+        elif dyn is not None:
+            self.other_vel = dyn.velocity
+        else:
+            self.other_vel = _ZERO3
+        self.inv_mass = 1.0 / body.mass + (1.0 / dyn.mass if dyn is not None else 0.0)
 
 
-def _pair_hit(a: RigidBody, pa, ha, b: RigidBody, pb, hb):
+def _pair_hit(a: RigidBody, b: RigidBody):
     """Contact for a body pair, normal pushing ``b`` away from ``a``."""
+    pa, pb = a.position, b.position
     if a.shape == "box" and b.shape == "box":
+        ha, hb = a.half_extents, b.half_extents
         return _box_box(pa[0], pa[1], pa[2], ha[0], ha[1], ha[2],
                         pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
     if a.shape == "box" and b.shape == "sphere":
+        ha = a.half_extents
         return _sphere_box(pb[0], pb[1], pb[2], b.radius,
                            pa[0], pa[1], pa[2], ha[0], ha[1], ha[2])
     if a.shape == "sphere" and b.shape == "box":
+        hb = b.half_extents
         hit = _sphere_box(pa[0], pa[1], pa[2], a.radius,
                           pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
         if hit is None:
@@ -266,43 +291,55 @@ def _pair_hit(a: RigidBody, pa, ha, b: RigidBody, pb, hb):
     return n, depth, point
 
 
+def _hand_reach(world: World, dynamic: bool):
+    """Boxes of the given kind that collide with the hand and whose extent
+    meets the hand's bounding box (the hand broadphase)."""
+    box = world.hand_box
+    if box is None:
+        return
+    lx, ly, lz, ux, uy, uz = box
+    for body in world.bodies:
+        if ((body.kind is BodyKind.DYNAMIC) is not dynamic
+                or not body.collide_with_hand or body.shape != "box"):
+            continue
+        px, py, pz = body.position
+        hx, hy, hz = body.half_extents
+        if (px + hx < lx or px - hx > ux or py + hy < ly or py - hy > uy
+                or pz + hz < lz or pz - hz > uz):
+            continue
+        yield body, px, py, pz, hx, hy, hz
+
+
 def _collect_contacts(world: World) -> list[_Contact]:
     contacts: list[_Contact] = []
-    bodies, hand = _snapshot(world)
+    bodies = world.bodies
     n = len(bodies)
     for i in range(n):
-        a, pa, ha = bodies[i]
+        a = bodies[i]
         for j in range(i + 1, n):
-            b, pb, hb = bodies[j]
+            b = bodies[j]
             if a.kind is not BodyKind.DYNAMIC and b.kind is not BodyKind.DYNAMIC:
                 continue
-            hit = _pair_hit(a, pa, ha, b, pb, hb)
+            hit = _pair_hit(a, b)
             if hit is None:
                 continue
             normal, depth, point = hit
             if b.kind is BodyKind.DYNAMIC:
-                contacts.append(_Contact(body=b, other=a, hand=None,
-                                         normal=np.array(normal), depth=depth,
-                                         point=point))
+                contacts.append(_Contact(b, a, None, normal, depth, point))
             else:
-                contacts.append(_Contact(body=a, other=b, hand=None,
-                                         normal=-np.array(normal), depth=depth,
-                                         point=point))
-    for body, pos, half in bodies:
-        if body.kind is not BodyKind.DYNAMIC or not body.collide_with_hand:
-            continue
-        if body.shape != "box":
-            continue
-        for h, hc in hand:
-            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius,
-                              pos[0], pos[1], pos[2], half[0], half[1], half[2])
+                contacts.append(_Contact(a, b, None,
+                                         (-normal[0], -normal[1], -normal[2]),
+                                         depth, point))
+    for body, px, py, pz, hx, hy, hz in _hand_reach(world, dynamic=True):
+        for h in world.hand:
+            hc = h.center
+            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius, px, py, pz, hx, hy, hz)
             if hit is None:
                 continue
             n_out, depth, point = hit
             # Push the dynamic body away from the hand sphere.
-            contacts.append(_Contact(body=body, other=None, hand=h,
-                                     normal=np.array([-n_out[0], -n_out[1], -n_out[2]]),
-                                     depth=depth, point=point))
+            contacts.append(_Contact(body, None, h, (-n_out[0], -n_out[1], -n_out[2]),
+                                     depth, point))
     return contacts
 
 
@@ -310,17 +347,10 @@ def _penalty_contacts(world: World, dt: float) -> list[ContactImpulse]:
     """Hand against immovable geometry: reported as spring-law pseudo impulses."""
     out: list[ContactImpulse] = []
     k = world.params.surface_stiffness
-    for body in world.bodies:
-        if body.kind is BodyKind.DYNAMIC or not body.collide_with_hand:
-            continue
-        if body.shape != "box":
-            continue
-        pos = body.position.tolist()
-        half = body.half_extents.tolist()
+    for body, px, py, pz, hx, hy, hz in _hand_reach(world, dynamic=False):
         for h in world.hand:
             hc = h.center
-            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius,
-                              pos[0], pos[1], pos[2], half[0], half[1], half[2])
+            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius, px, py, pz, hx, hy, hz)
             if hit is None:
                 continue
             n_out, depth, point = hit
@@ -342,9 +372,11 @@ def _check_finite(world: World) -> None:
             continue
         # Per component: a sum would let opposite runaways cancel. The
         # comparison is False for NaN, so NaN fails it too.
-        for v in b.position.tolist() + b.velocity.tolist():
-            if not abs(v) <= _RUNAWAY_LIMIT:
-                raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
+        for vec in (b.position, b.velocity):
+            for v in vec:
+                if not abs(v) <= _RUNAWAY_LIMIT:
+                    raise SimulationDiverged(
+                        f"body {b.name!r} has non-finite or runaway state")
 
 
 def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
@@ -361,30 +393,46 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     penalty = _penalty_contacts(world, dt)
     dynamics = world.dynamic_bodies()
 
+    gx, gy, gz = world.gravity
     for b in dynamics:
-        b.velocity += world.gravity * dt
+        v = b.velocity
+        v[0] += gx * dt
+        v[1] += gy * dt
+        v[2] += gz * dt
 
     if contacts:
         for _ in range(world.params.iterations):
             settled = True
             for c in contacts:
-                other_dyn = c.other_dynamic()
-                inv_mass = 1.0 / c.body.mass + (1.0 / other_dyn.mass if other_dyn else 0.0)
-                v_rel = float((c.body.velocity - c.other_velocity()) @ c.normal)
-                d_lambda = -v_rel / inv_mass
-                new_acc = max(0.0, c.accumulated + d_lambda)
-                change = new_acc - c.accumulated
+                v = c.body.velocity
+                o = c.other_vel
+                nx, ny, nz = c.normal
+                v_rel = (v[0] - o[0]) * nx + (v[1] - o[1]) * ny + (v[2] - o[2]) * nz
+                acc = c.accumulated
+                new_acc = max(0.0, acc + -v_rel / c.inv_mass)
+                change = new_acc - acc
                 c.accumulated = new_acc
                 if change != 0.0:
                     settled = False
-                    c.body.velocity += (change / c.body.mass) * c.normal
-                    if other_dyn is not None:
-                        other_dyn.velocity -= (change / other_dyn.mass) * c.normal
+                    s = change / c.body.mass
+                    v[0] += s * nx
+                    v[1] += s * ny
+                    v[2] += s * nz
+                    other = c.other_dyn
+                    if other is not None:
+                        s = change / other.mass
+                        w = other.velocity
+                        w[0] -= s * nx
+                        w[1] -= s * ny
+                        w[2] -= s * nz
             if settled:
                 break
 
     for b in dynamics:
-        b.position += b.velocity * dt
+        p, v = b.position, b.velocity
+        p[0] += v[0] * dt
+        p[1] += v[1] * dt
+        p[2] += v[2] * dt
 
     # Positional projection: remove residual penetration without injecting
     # momentum, moving dynamic bodies only.
@@ -396,13 +444,22 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
             if excess <= 0.0:
                 continue
             moved = True
-            other_dyn = c.other_dynamic()
-            if other_dyn is None:
-                c.body.position += excess * c.normal
+            nx, ny, nz = c.normal
+            p = c.body.position
+            other = c.other_dyn
+            if other is None:
+                s = excess
             else:
-                wa = other_dyn.mass / (c.body.mass + other_dyn.mass)
-                c.body.position += (excess * wa) * c.normal
-                other_dyn.position -= (excess * (1.0 - wa)) * c.normal
+                wa = other.mass / (c.body.mass + other.mass)
+                s = excess * wa
+                q = other.position
+                s_other = excess * (1.0 - wa)
+                q[0] -= s_other * nx
+                q[1] -= s_other * ny
+                q[2] -= s_other * nz
+            p[0] += s * nx
+            p[1] += s * ny
+            p[2] += s * nz
         if not moved:
             break
 
@@ -415,25 +472,13 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
         if c.hand is not None:
             report.append(ContactImpulse(
                 body_a="hand", body_b=c.body.name,
-                point=c.point, normal=tuple(c.normal.tolist()),
+                point=c.point, normal=c.normal,
                 magnitude=c.accumulated, hand_collider=c.hand.name))
         else:
             report.append(ContactImpulse(
                 body_a=c.other.name if c.other is not None else "world",
                 body_b=c.body.name,
-                point=c.point, normal=tuple(c.normal.tolist()),
+                point=c.point, normal=c.normal,
                 magnitude=c.accumulated, hand_collider=None))
     report.extend(penalty)
     return world, report
-
-
-def mechanical_energy(world: World, reference_y: float = 0.0) -> float:
-    """Kinetic plus gravitational potential energy of the dynamic bodies."""
-    g = float(np.linalg.norm(world.gravity))
-    up = -world.gravity / g if g > 0.0 else np.array([0.0, 1.0, 0.0])
-    total = 0.0
-    for b in world.dynamic_bodies():
-        v2 = float(b.velocity @ b.velocity)
-        height = float(b.position @ up) - reference_y
-        total += 0.5 * b.mass * v2 + b.mass * g * height
-    return total

@@ -224,3 +224,20 @@ class TestCli:
         assert main(["oracle", str(log), str(windows)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:")
+
+    @pytest.mark.parametrize("records, message", [
+        ([{"tick": 0}], "log record 0 has no field 't'"),
+        ([{"t": 0.0, "arms": []}, {"t": 0.001}], "log record 1 has no field 'arms'"),
+        ([{"t": 0.0, "arms": [{"name": "a"}]}], "log record 0 has no field 'rendered'"),
+        ([{"t": 0.0, "arms": [{"rendered": [0.0]}]}], "log record 0 is malformed"),
+    ])
+    def test_oracle_malformed_log_exit_2(self, tmp_path, capsys, records, message):
+        log = MetricLog({"record": "header", "scenario": "s", "condition": "free"})
+        for rec in records:
+            log.append(rec)
+        path = tmp_path / "log.ndjson"
+        log.write(path)
+        windows = tmp_path / "win.yaml"
+        windows.write_text("can_a: [0.0, 1.0]\n")
+        assert main(["oracle", str(path), str(windows)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")

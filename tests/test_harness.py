@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hapdock import geometry
+from hapdock import geometry, harness
 from hapdock.config import scenario_from_dict
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
@@ -261,6 +261,36 @@ class TestHotPath:
         docked = sum(a["state"] == "docked" for r in log.records for a in r["arms"])
         assert docked > 0
         assert len(calls) == docked
+
+    def test_no_hand_colliders_without_hand_bodies(self, monkeypatch):
+        # No handover body collides with the hand, so nothing reads colliders.
+        calls = []
+        monkeypatch.setattr(harness, "hand_collider_spheres",
+                            lambda *a: calls.append(a))
+        coord = Coordinator(_short("handover_sweep", 0.5))
+        coord.run()
+        assert calls == []
+        assert coord.world.hand == []
+
+    def test_lift_tick_builds_sixteen_colliders(self, monkeypatch):
+        built = []
+        original = harness.HandCollider
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "HandCollider", counting)
+        coord = Coordinator(_short("single_lift_force_feedback", 0.01))
+        coord._tick(0)
+        assert len(built) == 16
+        assert [h.velocity for h in coord.world.hand] == [(0.0, 0.0, 0.0)] * 16
+        coord._tick(1)
+        assert len(built) == 32
+        # Velocities come from the same sphere one tick earlier.
+        for (name, center, _, velocity), prev in zip(built[16:], built[:16]):
+            assert name == prev[0]
+            assert velocity == tuple((c - p) / coord.dt for c, p in zip(center, prev[1]))
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every
