@@ -62,7 +62,10 @@ def _require(data: dict, key: str, path: str):
 def _number(value, path: str, *, minimum=None, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:               # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
     if positive and v <= 0.0:
@@ -143,10 +146,8 @@ class DockSettings:
 class BodyConfig:
     name: str
     kind: str                      # dynamic | static
-    shape: str                     # box | sphere
     center: tuple[float, float, float]
-    half_extents: tuple[float, float, float] | None = None
-    radius: float | None = None
+    half_extents: tuple[float, float, float]
     mass: float = 0.0
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     collide_with_hand: bool = True
@@ -231,7 +232,7 @@ def _arm_from_dict(data, path: str) -> ArmConfig:
     _fields(data, path, "name model base_position workspace_center workspace_extents "
             "rot_range_deg max_force max_torque stiffness park_position pursuit_speed")
     name = _string(_require(data, "name", path), f"{path}.name")
-    model = data.get("model", "virtuose_6d")
+    model = _string(data.get("model", "virtuose_6d"), f"{path}.model")
     if model not in ARM_CATALOG:
         raise ConfigError(f"{path}.model",
                           f"unknown arm model {model!r}; known: {sorted(ARM_CATALOG)}")
@@ -266,7 +267,7 @@ def _arm_from_dict(data, path: str) -> ArmConfig:
 
 def _glove_from_dict(data, path: str) -> GloveConfig:
     _fields(data, path, "model spring_constant calibration")
-    model = data.get("model", "dexmo")
+    model = _string(data.get("model", "dexmo"), f"{path}.model")
     if model not in GLOVE_CATALOG:
         raise ConfigError(f"{path}.model",
                           f"unknown glove model {model!r}; known: {sorted(GLOVE_CATALOG)}")
@@ -295,7 +296,7 @@ def _dock_from_dict(data, path: str) -> DockSettings:
             "pos_tol_m ang_tol_deg magnet_latency_s interception_horizon_s "
             "workspace_inflation_m release_slack_m handover_gap_bound_s "
             "reattach_cooldown_s")
-    kind_name = data.get("joint_kind", "plate_friction")
+    kind_name = _string(data.get("joint_kind", "plate_friction"), f"{path}.joint_kind")
     if kind_name not in JOINT_KIND_CATALOG:
         raise ConfigError(f"{path}.joint_kind",
                           f"unknown joint kind {kind_name!r}; known: {sorted(JOINT_KIND_CATALOG)}")
@@ -332,31 +333,21 @@ def _dock_from_dict(data, path: str) -> DockSettings:
 
 
 def _body_from_dict(data, path: str) -> BodyConfig:
-    _fields(data, path, "name kind shape center half_extents radius mass velocity "
-            "collide_with_hand")
+    _fields(data, path, "name kind center half_extents mass velocity collide_with_hand")
     name = _string(_require(data, "name", path), f"{path}.name")
     kind = _string(_require(data, "kind", path), f"{path}.kind")
     if kind not in ("dynamic", "static"):
         raise ConfigError(f"{path}.kind", "must be dynamic or static")
-    shape = _string(_require(data, "shape", path), f"{path}.shape")
-    if shape not in ("box", "sphere"):
-        raise ConfigError(f"{path}.shape", "must be box or sphere")
     center = _vec(_require(data, "center", path), f"{path}.center", 3)
-    half_extents = None
-    radius = None
-    if shape == "box":
-        half_extents = _vec(_require(data, "half_extents", path), f"{path}.half_extents", 3)
-        if any(h <= 0 for h in half_extents):
-            raise ConfigError(f"{path}.half_extents", "must be strictly positive")
-    else:
-        radius = _number(_require(data, "radius", path), f"{path}.radius", positive=True)
+    half_extents = _vec(_require(data, "half_extents", path), f"{path}.half_extents", 3)
+    if any(h <= 0 for h in half_extents):
+        raise ConfigError(f"{path}.half_extents", "must be strictly positive")
     mass = _number(data.get("mass", 0.0), f"{path}.mass", minimum=0.0)
     if kind == "dynamic" and mass <= 0.0:
         raise ConfigError(f"{path}.mass", "dynamic bodies need a positive mass")
     velocity = _vec(data.get("velocity", (0.0, 0.0, 0.0)), f"{path}.velocity", 3)
-    return BodyConfig(name=name, kind=kind, shape=shape, center=center,
-                      half_extents=half_extents, radius=radius, mass=mass,
-                      velocity=velocity,
+    return BodyConfig(name=name, kind=kind, center=center,
+                      half_extents=half_extents, mass=mass, velocity=velocity,
                       collide_with_hand=_boolean(data.get("collide_with_hand", True),
                                                  f"{path}.collide_with_hand"))
 
@@ -409,8 +400,12 @@ def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
             if any(not 0.0 <= v <= 1.0 for v in values):
                 raise ConfigError(f"{path}.{label}[{i}]",
                                   "normalized values must lie in [0, 1]")
-    rotation = data.get("wrist_rotation", (1.0, 0.0, 0.0, 0.0))
-    rotation = _vec(rotation, f"{path}.wrist_rotation", 4)
+    rotation = _vec(data.get("wrist_rotation", (1.0, 0.0, 0.0, 0.0)),
+                    f"{path}.wrist_rotation", 4)
+    # Stored as given: the per-tick ``from_quat`` normalizes it once, and a
+    # normalized copy here could shift the logged bits.
+    if math.hypot(*rotation) < 1e-12:
+        raise ConfigError(f"{path}.wrist_rotation", "must be a nonzero quaternion")
     return TrajectoryConfig(wrist=wrist, flex=flex, abduction=abduction,
                             wrist_rotation=rotation)
 

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 Quat = tuple[float, float, float, float]  # (w, x, y, z)
 Vec3 = tuple[float, float, float]
 
-# Algebraic identities hold to 1e-9.
-ALGEBRA_TOL = 1e-9
-
 
 def _qmul(a: Quat, b: Quat) -> Quat:
     aw, ax, ay, az = a
@@ -122,14 +119,6 @@ class RigidTransform:
         ax, ay, az = self.translation
         bx, by, bz = other.translation
         return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
-
-    def quat_norm(self) -> float:
-        w, x, y, z = self.rotation
-        return math.sqrt(w * w + x * x + y * y + z * z)
-
-    def is_identity(self, tol: float = ALGEBRA_TOL) -> bool:
-        tx, ty, tz = self.translation
-        return self.rotation_angle() <= tol and math.sqrt(tx * tx + ty * ty + tz * tz) <= tol
 
 
 def slerp(a: Quat, b: Quat, fraction: float) -> Quat:

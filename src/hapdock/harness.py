@@ -166,9 +166,8 @@ class Coordinator:
                                           surface_stiffness=scene.surface_stiffness))
         for b in scene.bodies:
             world.add_body(RigidBody(
-                name=b.name, kind=BodyKind(b.kind), shape=b.shape,
-                position=b.center, half_extents=b.half_extents, radius=b.radius,
-                velocity=b.velocity, mass=b.mass,
+                name=b.name, kind=BodyKind(b.kind), position=b.center,
+                half_extents=b.half_extents, velocity=b.velocity, mass=b.mass,
                 collide_with_hand=b.collide_with_hand))
         return world
 

@@ -125,7 +125,7 @@ def _finger_penetration(world: World, geom: HandGeometry, params: HandModelParam
                                     params.joint_angles(flex), abd_angle)
     worst = -math.inf
     for body in world.bodies:
-        if not body.collide_with_hand or body.shape != "box":
+        if not body.collide_with_hand:
             continue
         for c in centers:
             depth = sphere_box_signed_depth(c, geom.phalange_radius,

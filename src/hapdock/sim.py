@@ -1,10 +1,10 @@
 """Minimal impulse-based rigid-body world: desk, cans and kinematic hand colliders.
 
-Deliberately small: axis-aligned boxes and spheres, zero restitution, no
-friction, sequential impulses plus positional projection. Bodies carry no
-rotational state (the experiment constrained the cans' rotation), so only
-linear dynamics are integrated; penetration is always resolved by moving
-dynamic bodies, never the hand.
+Deliberately small: axis-aligned box bodies, sphere hand colliders, zero
+restitution, no friction, sequential impulses plus positional projection.
+Bodies carry no rotational state (the experiment constrained the cans'
+rotation), so only linear dynamics are integrated; penetration is always
+resolved by moving dynamic bodies, never the hand.
 
 Positions and velocities are lists of three Python floats updated in place.
 Every update is element-wise, so it rounds exactly as the equivalent numpy
@@ -12,7 +12,7 @@ expression would. The one reduction is the relative normal velocity
 ``v_rel``: numpy's 3-element ``@`` goes through BLAS ``ddot``, which fuses
 multiply and add, while the float sum here rounds each step. For a normal
 with one nonzero component both round once and agree bit for bit; every
-box-box normal and every sphere-box face normal is of that kind. A
+box-box normal and every hand sphere-box face normal is of that kind. A hand
 sphere-box edge or corner contact (normal with several nonzero components)
 would round differently, as numpy's own result there already depends on
 whether the CPU has FMA.
@@ -40,15 +40,13 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass(slots=True)
 class RigidBody:
-    """A simulated body. Boxes are axis-aligned and never rotate, matching
-    the constrained cans."""
+    """A simulated body: an axis-aligned box that never rotates, matching the
+    constrained cans."""
 
     name: str
     kind: BodyKind
-    shape: str                                  # "box" | "sphere"
     position: list[float]                       # updated in place
-    half_extents: Vec3 | None = None            # boxes
-    radius: float | None = None                 # spheres
+    half_extents: Vec3
     velocity: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     mass: float = 0.0
     collide_with_hand: bool = True
@@ -58,18 +56,11 @@ class RigidBody:
         self.velocity = [float(v) for v in self.velocity]
         if len(self.position) != 3 or len(self.velocity) != 3:
             raise ValueError(f"{self.name}: position and velocity must be 3-vectors")
-        if self.shape not in ("box", "sphere"):
-            raise ValueError(f"{self.name}: unsupported shape {self.shape!r}")
-        if self.shape == "box":
-            if self.half_extents is None:
-                raise ValueError(f"{self.name}: box bodies need half_extents")
-            self.half_extents = tuple(float(v) for v in self.half_extents)
-            if len(self.half_extents) != 3:
-                raise ValueError(f"{self.name}: half_extents must be a 3-vector")
-            if any(h <= 0.0 for h in self.half_extents):
-                raise ValueError(f"{self.name}: half_extents must be positive")
-        if self.shape == "sphere" and (self.radius is None or self.radius <= 0.0):
-            raise ValueError(f"{self.name}: sphere bodies need a positive radius")
+        self.half_extents = tuple(float(v) for v in self.half_extents)
+        if len(self.half_extents) != 3:
+            raise ValueError(f"{self.name}: half_extents must be a 3-vector")
+        if any(h <= 0.0 for h in self.half_extents):
+            raise ValueError(f"{self.name}: half_extents must be positive")
         if self.kind is BodyKind.DYNAMIC and self.mass <= 0.0:
             raise ValueError(f"{self.name}: dynamic bodies need positive mass")
 
@@ -259,38 +250,6 @@ class _Contact:
         self.inv_mass = 1.0 / body.mass + (1.0 / dyn.mass if dyn is not None else 0.0)
 
 
-def _pair_hit(a: RigidBody, b: RigidBody):
-    """Contact for a body pair, normal pushing ``b`` away from ``a``."""
-    pa, pb = a.position, b.position
-    if a.shape == "box" and b.shape == "box":
-        ha, hb = a.half_extents, b.half_extents
-        return _box_box(pa[0], pa[1], pa[2], ha[0], ha[1], ha[2],
-                        pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
-    if a.shape == "box" and b.shape == "sphere":
-        ha = a.half_extents
-        return _sphere_box(pb[0], pb[1], pb[2], b.radius,
-                           pa[0], pa[1], pa[2], ha[0], ha[1], ha[2])
-    if a.shape == "sphere" and b.shape == "box":
-        hb = b.half_extents
-        hit = _sphere_box(pa[0], pa[1], pa[2], a.radius,
-                          pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
-        if hit is None:
-            return None
-        n_out, depth, point = hit
-        return (-n_out[0], -n_out[1], -n_out[2]), depth, point
-    dx, dy, dz = pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    depth = a.radius + b.radius - dist
-    if depth <= 0.0:
-        return None
-    if dist > 1e-12:
-        n = (dx / dist, dy / dist, dz / dist)
-    else:
-        n = (0.0, 1.0, 0.0)
-    point = (pa[0] + n[0] * a.radius, pa[1] + n[1] * a.radius, pa[2] + n[2] * a.radius)
-    return n, depth, point
-
-
 def _hand_reach(world: World, dynamic: bool):
     """Boxes of the given kind that collide with the hand and whose extent
     meets the hand's bounding box (the hand broadphase)."""
@@ -300,7 +259,7 @@ def _hand_reach(world: World, dynamic: bool):
     lx, ly, lz, ux, uy, uz = box
     for body in world.bodies:
         if ((body.kind is BodyKind.DYNAMIC) is not dynamic
-                or not body.collide_with_hand or body.shape != "box"):
+                or not body.collide_with_hand):
             continue
         px, py, pz = body.position
         hx, hy, hz = body.half_extents
@@ -320,7 +279,9 @@ def _collect_contacts(world: World) -> list[_Contact]:
             b = bodies[j]
             if a.kind is not BodyKind.DYNAMIC and b.kind is not BodyKind.DYNAMIC:
                 continue
-            hit = _pair_hit(a, b)
+            pa, ha, pb, hb = a.position, a.half_extents, b.position, b.half_extents
+            hit = _box_box(pa[0], pa[1], pa[2], ha[0], ha[1], ha[2],
+                           pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
             if hit is None:
                 continue
             normal, depth, point = hit

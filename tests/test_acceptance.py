@@ -12,7 +12,7 @@ import numpy as np
 from hapdock.cli import main
 from hapdock.frames import RigidTransform, correction_chain
 from hapdock.harness import MetricLog, run_scenario, weight_oracle
-from hapdock.scenarios import SHIPPED_BUILDERS, build
+from shipped import NAMES, build
 
 G = 9.81
 CAN_MASS = {"can_a": 0.01, "can_b": 0.15, "can_c": 0.3}
@@ -272,13 +272,13 @@ def test_ac7_handover():
 def test_ac8_determinism():
     """Every shipped scenario replays byte-identically."""
     mismatched = []
-    for name in sorted(SHIPPED_BUILDERS):
+    for name in sorted(NAMES):
         first = cached_run(name).to_bytes()
         second = run_scenario(build(name)).to_bytes()
         if first != second:
             mismatched.append(name)
     report("AC8 determinism", not mismatched,
-           f"({len(SHIPPED_BUILDERS)} scenarios byte-identical)"
+           f"({len(NAMES)} scenarios byte-identical)"
            if not mismatched else f"(mismatch: {mismatched})")
 
 
@@ -286,7 +286,7 @@ def test_ac9_rate_contract_audit():
     """Every shipped log honors the rate contract: glove >= 33.3 ms spacing,
     arm targets <= 33.3 ms spacing, control tick exactly 1 ms."""
     bad = []
-    for name in sorted(SHIPPED_BUILDERS):
+    for name in sorted(NAMES):
         log = cached_run(name)
         glove_t = [r["t"] for r in log.records if "glove_cmd" in r["events"]]
         if any(b - a < 1.0 / 30.0 - 1e-9 for a, b in zip(glove_t, glove_t[1:])):
@@ -303,5 +303,5 @@ def test_ac9_rate_contract_audit():
                 bad.append(f"{name}: tick structure broken at {i}")
                 break
     report("AC9 rate contract audit", not bad,
-           f"({len(SHIPPED_BUILDERS)} scenario logs audited)" if not bad
+           f"({len(NAMES)} scenario logs audited)" if not bad
            else f"({bad})")

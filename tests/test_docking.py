@@ -122,7 +122,8 @@ class TestTryAttach:
         pose = RigidTransform.from_translation((0.3, 0.1, 0.0))
         joint = try_attach(pose, pose, 0.005, math.radians(5), PLATE_FRICTION)
         assert joint is not None
-        assert joint.attach_pose.is_identity(tol=1e-9)
+        assert joint.attach_pose.rotation_angle() <= 1e-9
+        assert math.hypot(*joint.attach_pose.translation) <= 1e-9
 
     def test_gap_beyond_tolerance_refuses(self):
         plate = RigidTransform.identity()

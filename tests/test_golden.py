@@ -7,14 +7,11 @@ same commit and reports the largest per-field deviation.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
-from hapdock.config import load_scenario
 from hapdock.harness import run_scenario
-
-SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from shipped import NAMES, build
 
 GOLDEN_SHA256 = {
     "decouple_sweep": "04380943cd9f9effbf92ed5b66c973ce13902b0e310028ce93cfe8fa3baa045b",
@@ -29,11 +26,10 @@ GOLDEN_SHA256 = {
 
 
 def test_every_shipped_scenario_is_pinned():
-    assert sorted(p.stem for p in SCENARIOS_DIR.glob("*.yaml")) == sorted(GOLDEN_SHA256)
+    assert list(NAMES) == sorted(GOLDEN_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_log_bytes_match_golden(name):
-    cfg = load_scenario(SCENARIOS_DIR / f"{name}.yaml")
-    blob = run_scenario(cfg).to_bytes()
+    blob = run_scenario(build(name)).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]

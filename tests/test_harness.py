@@ -6,7 +6,7 @@ from hapdock import geometry, harness
 from hapdock.config import scenario_from_dict
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
-from hapdock.scenarios import build
+from shipped import as_dict, build
 
 
 def synthetic_log(force_by_can: dict, ticks_per_window: int = 100) -> tuple:
@@ -79,7 +79,7 @@ class TestMetricLog:
 class TestCoordinator:
     def test_free_condition_never_docks(self):
         d = build("pursuit_static")
-        cfg = scenario_from_dict({**_as_dict_raw("pursuit_static"),
+        cfg = scenario_from_dict({**as_dict("pursuit_static"),
                                   "condition": "free"})
         log = run_scenario(cfg)
         assert all(r["docked_arm"] is None for r in log.records)
@@ -111,7 +111,7 @@ class TestCoordinator:
         assert cfg.sample_injected_load(2.4)[1] == pytest.approx(60.0)
 
     def test_tracking_noise_stays_deterministic(self):
-        raw = _as_dict_raw("pursuit_static")
+        raw = as_dict("pursuit_static")
         raw["tracking_noise_std_m"] = 0.0005
         a = run_scenario(scenario_from_dict(raw)).to_bytes()
         b = run_scenario(scenario_from_dict(raw)).to_bytes()
@@ -129,7 +129,7 @@ class TestCoordinator:
         from hapdock.capability import DockLink, capability_at, compose_capability
         from hapdock.docking import PLATE_FRICTION
 
-        raw = _as_dict_raw("single_lift_force_feedback")
+        raw = as_dict("single_lift_force_feedback")
         raw["name"] = "overload_lift"
         raw["coordinator"] = {"duration_s": 3.2}
         raw["scene"]["bodies"] = [b for b in raw["scene"]["bodies"]
@@ -162,7 +162,7 @@ class TestDockingPipeline:
     def test_golden_state_sequence_with_monotone_timestamps(self):
         # Hand starts outside the interception region and walks in: the log
         # must show the full free -> intercepting -> docked progression.
-        raw = _as_dict_raw("pursuit_static")
+        raw = as_dict("pursuit_static")
         raw["coordinator"] = {"duration_s": 2.0}
         raw["trajectory"]["wrist"] = [
             [0.0, 1.10, 0.175, 0.0],
@@ -221,7 +221,7 @@ class TestDockingPipeline:
 
 
 def _short(name: str, duration_s: float, **over):
-    raw = _as_dict_raw(name)
+    raw = as_dict(name)
     raw["coordinator"] = {**raw["coordinator"], "duration_s": duration_s}
     raw.update(over)
     return scenario_from_dict(raw)
@@ -309,8 +309,3 @@ class TestHotPath:
 
         bad = [(r["tick"], k) for r in log.records for k, v in r.items() if not plain(v)]
         assert bad == []
-
-
-def _as_dict_raw(name: str) -> dict:
-    from hapdock.scenarios import SHIPPED_BUILDERS
-    return SHIPPED_BUILDERS[name]()

@@ -1,6 +1,7 @@
 """Property tests: invariants that must hold for every input, not just the
 hand-picked cases of the unit tests."""
 
+import copy
 import itertools
 import math
 import struct
@@ -10,11 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box)
+from shipped import NAMES, as_dict
 
 joints = st.builds(
     DockJoint,
@@ -105,7 +108,7 @@ def hand_worlds(draw):
     for i in range(n_boxes):
         kind = draw(st.sampled_from(BOX_KINDS))
         world.add_body(RigidBody(
-            name=f"box{i}", kind=kind, shape="box",
+            name=f"box{i}", kind=kind,
             position=draw(st.tuples(coords, coords, coords)),
             half_extents=draw(st.tuples(halves, halves, halves)),
             mass=1.0 if kind is BodyKind.DYNAMIC else 0.0,
@@ -174,3 +177,40 @@ def test_dock_step_only_takes_legal_transitions():
             seen.add((state, new))
     # Every legal transition is reachable from some context.
     assert LEGAL_TRANSITIONS <= seen
+
+
+# -- config ------------------------------------------------------------------
+
+SHIPPED = {name: as_dict(name) for name in NAMES}
+# Values of another type than a field expects, and vectors of a wrong length.
+ALIEN_VALUES = (None, "text", [], {}, {"key": 1.0}, True, math.nan, math.inf, 10**30,
+                10**400, [1.0], [1.0, 2.0], [1.0] * 4, [1.0] * 7)
+
+
+def value_paths(node, prefix=()):
+    """The key or index path of every value nested in ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(data=st.data())
+def test_mutated_config_loads_or_raises_config_error(data):
+    d = copy.deepcopy(SHIPPED[data.draw(st.sampled_from(NAMES))])
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, key = data.draw(st.sampled_from(list(value_paths(d))))
+        node = d
+        for step in parents:
+            node = node[step]
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(ALIEN_VALUES)))
+    try:
+        scenario_from_dict(d)
+    except ConfigError:
+        pass

@@ -90,7 +90,7 @@ class TestRouteForces:
 
 def pinch_world() -> World:
     w = World()
-    w.add_body(RigidBody(name="post", kind=BodyKind.STATIC, shape="box",
+    w.add_body(RigidBody(name="post", kind=BodyKind.STATIC,
                          position=[0.16, 0.0, 0.027],
                          half_extents=[0.04, 0.004, 0.008]))
     return w
@@ -129,7 +129,7 @@ class TestContactDrum:
                                     hand.joint_angles[1], abd)[2]
         r = DEFAULT_HAND_GEOMETRY.phalange_radius
         w = World()
-        w.add_body(RigidBody(name="plate", kind=BodyKind.STATIC, shape="box",
+        w.add_body(RigidBody(name="plate", kind=BodyKind.STATIC,
                              position=[tip[0], tip[1] - r - 0.004, tip[2]],
                              half_extents=[0.05, 0.004, 0.05]))
         assert contact_drum_param(hand, 1, w) == pytest.approx(0.3, abs=1e-12)
@@ -159,11 +159,11 @@ class TestContactDrum:
         # lighter vs heavier runs keep the 1:2 force ratio.
         def support_force(mass):
             w = World()
-            w.add_body(RigidBody(name="desk", kind=BodyKind.STATIC, shape="box",
+            w.add_body(RigidBody(name="desk", kind=BodyKind.STATIC,
                                  position=[0.0, -0.03, 0.0],
                                  half_extents=[0.5, 0.03, 0.5],
                                  collide_with_hand=False))
-            w.add_body(RigidBody(name="can", kind=BodyKind.DYNAMIC, shape="box",
+            w.add_body(RigidBody(name="can", kind=BodyKind.DYNAMIC,
                                  position=[0.0, 0.055, 0.0],
                                  half_extents=[0.033, 0.055, 0.033], mass=mass))
             forces = []

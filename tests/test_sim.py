@@ -28,13 +28,13 @@ def plain_floats(vec) -> bool:
 
 
 def desk() -> RigidBody:
-    return RigidBody(name="desk", kind=BodyKind.STATIC, shape="box",
+    return RigidBody(name="desk", kind=BodyKind.STATIC,
                      position=[0.0, -0.03, 0.0], half_extents=[0.5, 0.03, 0.5],
                      collide_with_hand=False)
 
 
 def can(name="can", mass=0.3, y=0.055) -> RigidBody:
-    return RigidBody(name=name, kind=BodyKind.DYNAMIC, shape="box",
+    return RigidBody(name=name, kind=BodyKind.DYNAMIC,
                      position=[0.0, y, 0.0], half_extents=[0.033, 0.055, 0.033],
                      mass=mass)
 
@@ -226,13 +226,13 @@ class TestDivergence:
 class TestValidation:
     def test_dynamic_body_needs_mass(self):
         with pytest.raises(ValueError):
-            RigidBody(name="bad", kind=BodyKind.DYNAMIC, shape="box",
+            RigidBody(name="bad", kind=BodyKind.DYNAMIC,
                       position=[0, 0, 0], half_extents=[0.1, 0.1, 0.1], mass=0.0)
 
     def test_vectors_must_have_three_components(self):
         # Velocity is linear only; a 6-vector from the old layout is refused.
         with pytest.raises(ValueError):
-            RigidBody(name="bad", kind=BodyKind.DYNAMIC, shape="box", mass=1.0,
+            RigidBody(name="bad", kind=BodyKind.DYNAMIC, mass=1.0,
                       position=[0, 0, 0], half_extents=[0.1, 0.1, 0.1],
                       velocity=np.zeros(6))
 
