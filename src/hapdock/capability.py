@@ -4,6 +4,10 @@ Composing grounded arms with a worn glove yields pose-dependent envelopes:
 inside an arm's reach the hybrid can render ground-referenced force, outside
 it degrades to the glove alone. Regions where two arms overlap stack their
 force contributions.
+
+A stacked force is a bound of the layout, not something a run renders: the
+coordinator docks one arm at a time (``slot_available`` in the harness's dock
+lifecycle), so ``hapdock run`` renders at most one arm's force at any tick.
 """
 
 from __future__ import annotations
@@ -301,6 +305,9 @@ def capability_report(cap: HybridCapability) -> str:
     lines.append(f"  rotation: {_fmt_rotation(cap.rotation_volume)}")
     fx, fy, fz = cap.force_envelope
     lines.append(f"  force: {fx:g} / {fy:g} / {fz:g} N (zero where ungrounded)")
+    if len(cap.force_regions) > 1:
+        lines.append("  force where reaches overlap is a layout bound: "
+                     "a run docks one arm at a time")
     torque_txt = ", ".join(f"{label}={value:g} Nm" for label, value in cap.torque_envelope)
     lines.append(f"  torque: {torque_txt}")
     if cap.degraded_dofs:

@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 import yaml
 
@@ -177,14 +178,16 @@ class TrajectoryConfig:
                 sample_track(self.abduction, t))
 
 
+_row_time = itemgetter(0)
+
+
 def sample_track(track, t: float) -> tuple[float, ...]:
     """Piecewise-linear value of a ``((t, values), ...)`` track, held at its ends."""
-    times = [w[0] for w in track]
-    if t <= times[0]:
+    if t <= track[0][0]:
         return track[0][1]
-    if t >= times[-1]:
+    if t >= track[-1][0]:
         return track[-1][1]
-    i = bisect_right(times, t) - 1
+    i = bisect_right(track, t, key=_row_time) - 1
     t0, v0 = track[i]
     t1, v1 = track[i + 1]
     a = (t - t0) / (t1 - t0)

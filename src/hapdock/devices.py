@@ -8,7 +8,7 @@ spring constants. Both are modeled at the API level, not the motor level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .frames import RigidTransform, euler_xyz_from_quat, quat_from_euler_xyz, slerp
 from .geometry import Box, Vec3
@@ -238,8 +238,9 @@ def glove_apply(cmd: GloveCommand, hand: HandState,
         torque = spring * excess if excess > 0.0 else 0.0
         torques.append(min(torque, spec.max_joint_torque))
     angles = tuple(params.joint_angles(f) for f in new_flex)
-    return replace(hand, flex=tuple(new_flex), joint_angles=angles,
-                   resist_torques=tuple(torques))
+    return HandState(wrist_pose=hand.wrist_pose, flex=tuple(new_flex),
+                     abduction=hand.abduction, joint_angles=angles,
+                     resist_torques=tuple(torques), clamp_flags=hand.clamp_flags)
 
 
 def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmState:
@@ -334,20 +335,32 @@ DEFAULT_HAND_GEOMETRY = HandGeometry()
 def finger_sphere_centers(geom: HandGeometry, wrist: RigidTransform, finger: int,
                           joint_angles: tuple[float, float, float],
                           abd_angle: float) -> list[Vec3]:
-    """Wrist-frame chain evaluated to world-space phalange sphere centers."""
+    """Wrist-frame chain evaluated to world-space phalange sphere centers.
+
+    Each center is ``wrist.transform_point`` of the chain point with
+    ``_qrotate`` written out: the same expressions in the same order, so the
+    same bits, without two calls and two tuples per sphere.
+    """
     mcp, pip, dip = joint_angles
-    cum = (mcp, mcp + pip, mcp + pip + dip)
+    l0, l1, l2 = geom.phalange_lengths
     ca, sa = math.cos(abd_angle), math.sin(abd_angle)
     curl = geom.curl_sign[finger]
     px, py, pz = geom.finger_base(finger)
+    w, x, y, z = wrist.rotation
+    ox, oy, oz = wrist.translation
     centers = []
-    for length, theta in zip(geom.phalange_lengths, cum):
+    for length, theta in ((l0, mcp), (l1, mcp + pip), (l2, mcp + pip + dip)):
         dx = math.cos(theta)
         dy = curl * math.sin(theta)
         px += length * (dx * ca)
         py += length * dy
         pz += length * (-dx * sa)
-        centers.append(wrist.transform_point((px, py, pz)))
+        tx = 2.0 * (y * pz - z * py)
+        ty = 2.0 * (z * px - x * pz)
+        tz = 2.0 * (x * py - y * px)
+        centers.append((ox + (px + w * tx + (y * tz - z * ty)),
+                        oy + (py + w * ty + (z * tx - x * tz)),
+                        oz + (pz + w * tz + (x * ty - y * tx))))
     return centers
 
 
@@ -356,11 +369,22 @@ def hand_collider_spheres(state: HandState,
                           params: HandModelParams = DEFAULT_HAND_PARAMS
                           ) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) for one state."""
-    out = [("palm", state.wrist_pose.transform_point(geom.palm_center), geom.palm_radius)]
+    wrist = state.wrist_pose
+    # wrist.transform_point(geom.palm_center), written out as in
+    # finger_sphere_centers.
+    w, x, y, z = wrist.rotation
+    vx, vy, vz = geom.palm_center
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    ox, oy, oz = wrist.translation
+    palm = (ox + (vx + w * tx + (y * tz - z * ty)),
+            oy + (vy + w * ty + (z * tx - x * tz)),
+            oz + (vz + w * tz + (x * ty - y * tx)))
+    out = [("palm", palm, geom.palm_radius)]
     radius = geom.phalange_radius
     for k, names in enumerate(PHALANGE_NAMES):
         abd = params.abduction_angle(state.abduction[k])
-        centers = finger_sphere_centers(geom, state.wrist_pose, k,
-                                        state.joint_angles[k], abd)
-        out.extend((name, c, radius) for name, c in zip(names, centers))
+        centers = finger_sphere_centers(geom, wrist, k, state.joint_angles[k], abd)
+        out += [(name, c, radius) for name, c in zip(names, centers)]
     return out

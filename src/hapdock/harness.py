@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import Condition, ScenarioConfig
 from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandState,
@@ -88,6 +87,15 @@ class _ArmUnit:
     joint: DockJoint | None = None
     clamped: bool = False
     cooldown_until: float = 0.0
+    # Set every tick by the dock lifecycle: whether the predicted plate is in
+    # the trigger box, the wrench transmitted to the hand (world frame), the
+    # slip flag, and while docked ``(joint, local, clamped)`` from
+    # ``_follow``, which arm control reuses.
+    trigger: bool = False
+    transmitted: tuple[float, ...] = ZERO6
+    slip: bool = False
+    follow: tuple | None = None
+    target: RigidTransform | None = None   # set by arm control, world frame
 
 
 class Coordinator:
@@ -103,7 +111,7 @@ class Coordinator:
             spring_constant=(cfg.glove.spring_constant,) * 5)
         self.tool_inv = cfg.dock.tool_offset.inverse()
         self.units = [self._unit(i, arm) for i, arm in enumerate(cfg.arms)]
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = random.Random(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
         # Without a body that collides with the hand nothing reads the
         # hand colliders, so none are built.
@@ -210,26 +218,40 @@ class Coordinator:
                            cfg.glove.hand_params)
 
     def _update_hand_colliders(self, hand: HandState) -> None:
+        """Build the colliders with their velocities and gather the extent
+        of their centers for the hand's bounding box, in one pass."""
         spheres = hand_collider_spheres(hand, self.cfg.glove.geometry,
                                         self.cfg.glove.hand_params)
+        # The spheres come in the same order every tick, so the previous
+        # collider at the same index is the same sphere.
         prev = self.world.hand
-        if prev:
-            # The spheres come in the same order every tick, so the previous
-            # collider at the same index is the same sphere.
-            dt = self.dt
-            colliders = [
-                HandCollider(name, c, radius, ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt,
-                                               (c[2] - p[2]) / dt))
-                for (name, c, radius), (_, p, _, _) in zip(spheres, prev)]
-        else:
-            colliders = [HandCollider(name, c, radius, ZERO3) for name, c, radius in spheres]
-        self.world.set_hand(colliders)
+        dt = self.dt
+        colliders = []
+        lx = ly = lz = math.inf
+        ux = uy = uz = -math.inf
+        r_max = 0.0
+        for i, (name, c, radius) in enumerate(spheres):
+            x, y, z = c
+            if prev:
+                p = prev[i].center
+                vel = ((x - p[0]) / dt, (y - p[1]) / dt, (z - p[2]) / dt)
+            else:
+                vel = ZERO3
+            colliders.append(HandCollider(name, c, radius, vel))
+            lx = x if x < lx else lx
+            ux = x if x > ux else ux
+            ly = y if y < ly else ly
+            uy = y if y > uy else uy
+            lz = z if z < lz else lz
+            uz = z if z > uz else uz
+            r_max = radius if radius > r_max else r_max
+        self.world.set_hand(colliders, (lx, ly, lz, ux, uy, uz, r_max))
 
     def _tracked_plate(self, plate: RigidTransform) -> RigidTransform:
         if self.noise_std <= 0.0:
             return plate
-        noise = self.rng.normal(0.0, self.noise_std, 3).tolist()
-        t = tuple(p + n for p, n in zip(plate.translation, noise))
+        gauss, std = self.rng.gauss, self.noise_std
+        t = tuple(p + gauss(0.0, std) for p in plate.translation)
         return RigidTransform(plate.rotation, t)
 
     def _docked_unit(self) -> _ArmUnit | None:
@@ -249,28 +271,30 @@ class Coordinator:
                          cmd_world: tuple[float, ...], events: list[str]):
         """Run the lifecycle for every arm.
 
-        Returns the per-arm transmitted wrench (world frame), the per-arm slip
-        flags and, per docked arm index, ``(joint, local, clamped)`` from
-        :meth:`_follow` so arm control can reuse this tick's follow pose.
+        Sets each unit's ``transmitted``, ``slip`` and ``follow`` for this
+        tick.
         """
         cfg = self.cfg
         dock = cfg.dock
-        transmitted = {u.name: ZERO6 for u in self.units}
-        slips = {u.name: False for u in self.units}
-        follows = {}
+        units = self.units
+        for u in units:
+            u.transmitted = ZERO6
+            u.slip = False
+            u.follow = None
         if cfg.condition is Condition.FREE:
-            return transmitted, slips, follows
+            return
 
         predicted = predict_position(plate.translation, plate_vel,
                                      dock.interception_horizon_s)
-        triggers = {u.name: u.trigger_box.contains(predicted) for u in self.units}
+        for u in units:
+            u.trigger = u.trigger_box.contains(predicted)
 
         # Nearest effector among free arms whose trigger fires wins the
         # interception; ties break toward the lowest arm index.
         winner = None
         best = None
-        for u in self.units:
-            if u.dock_state is not DockState.FREE or not triggers[u.name]:
+        for u in units:
+            if u.dock_state is not DockState.FREE or not u.trigger:
                 continue
             if t < u.cooldown_until:
                 continue
@@ -278,15 +302,15 @@ class Coordinator:
             if best is None or d < best - 1e-12:
                 best, winner = d, u.index
 
-        for u in self.units:
+        for u in units:
             release_demanded = False
             joint_candidate = None
             magnet_on = u.magnet.update(t)
-            slot_available = all(other.joint is None for other in self.units)
+            slot_available = all(other.joint is None for other in units)
 
             if u.dock_state is DockState.DOCKED and u.joint is not None:
                 local, clamped = self._follow(u, plate)
-                follows[u.index] = (u.joint, local, clamped)
+                u.follow = (u.joint, local, clamped)
                 violation = math.dist(local.translation, clamped)
                 if violation > dock.release_slack_m:
                     release_demanded = True
@@ -297,9 +321,9 @@ class Coordinator:
                 if released:
                     release_demanded = True
                 if not release_demanded:
-                    transmitted[u.name] = (plate.rotate_vector(out_plate[:3])
-                                           + plate.rotate_vector(out_plate[3:]))
-                    slips[u.name] = slip
+                    u.transmitted = (plate.rotate_vector(out_plate[:3])
+                                     + plate.rotate_vector(out_plate[3:]))
+                    u.slip = slip
 
             if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
                 magnet_pose = u.state.pose.compose(dock.tool_offset)
@@ -309,7 +333,7 @@ class Coordinator:
                     friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
 
             ctx = DockContext(
-                intercept_wanted=triggers[u.name],
+                intercept_wanted=u.trigger,
                 arbitration_winner=(u.index == winner),
                 magnet_energized=magnet_on,
                 attach_candidate=joint_candidate is not None,
@@ -327,22 +351,19 @@ class Coordinator:
                 elif ev in ("release", "abort"):
                     u.joint = None
                     u.magnet.command(False, t)
-                    transmitted[u.name] = ZERO6
+                    u.transmitted = ZERO6
                     if ev == "release":
                         u.cooldown_until = t + dock.reattach_cooldown_s
             u.dock_state = new_state
-        return transmitted, slips, follows
 
     def _arm_control(self, t: float, plate: RigidTransform,
-                     cmd_world: tuple[float, ...], follows: dict,
-                     events: list[str]) -> dict:
-        cfg = self.cfg
-        dock = cfg.dock
-        targets = {}
+                     cmd_world: tuple[float, ...], events: list[str]) -> None:
+        """Step every arm and set its ``target`` for this tick."""
+        dock = self.cfg.dock
         for u in self.units:
             spec = u.cfg.spec
             if u.dock_state is DockState.DOCKED and u.joint is not None:
-                cached = follows.get(u.index)
+                cached = u.follow
                 if cached is not None and cached[0] is u.joint:
                     _, local, clamped_pos = cached
                 else:  # attached this tick: no follow pose computed yet
@@ -371,9 +392,8 @@ class Coordinator:
                 u.state = arm_step(spec, u.state, u.park_cmd, self.dt)
                 u.clamped = u.state.clamped
                 target = u.park
-            targets[u.name] = target
+            u.target = target
             events.append(f"arm_target:{u.name}")
-        return targets
 
     def _tick(self, tick: int) -> None:
         cfg = self.cfg
@@ -421,9 +441,8 @@ class Coordinator:
             cmd_world = tuple(c + l for c, l in
                               zip(cmd_world, cfg.sample_injected_load(t)))
 
-        transmitted, slips, follows = self._dock_management(
-            t, plate, plate_vel, cmd_world, events)
-        targets = self._arm_control(t, plate, cmd_world, follows, events)
+        self._dock_management(t, plate, plate_vel, cmd_world, events)
+        self._arm_control(t, plate, cmd_world, events)
 
         support = {}
         for body in self.world.bodies:
@@ -444,9 +463,9 @@ class Coordinator:
                 "state": u.dock_state.value,
                 "pos": list(pose.translation),
                 "quat": list(pose.rotation),
-                "target": list(targets[u.name].translation),
-                "rendered": list(transmitted[u.name]),
-                "slip": slips[u.name],
+                "target": list(u.target.translation),
+                "rendered": list(u.transmitted),
+                "slip": u.slip,
                 "clamped": u.clamped,
                 "tool_dist": pose.compose(tool_offset).translation_distance_to(plate_truth),
                 "magnet": u.magnet.effective,

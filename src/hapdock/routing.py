@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandGeometry,
                       HandModelParams, HandState, finger_sphere_centers)
 from .frames import RigidTransform, Vec3
@@ -49,30 +47,32 @@ def _paired_magnitude(forces, angle_deg: float) -> float:
     same body whose lines of action oppose within the cone pair off; the
     common magnitude counts as glove-internal squeeze.
 
-    Norms and dot products stay in numpy: its 3-element dot rounds differently
-    from a left-to-right float sum, and the result is logged."""
+    Norms and dot products are plain float sums, left to right. The result is
+    logged, and numpy's 3-element ``norm`` and ``@`` (BLAS ``ddot``, which may
+    fuse multiply and add) would round differently in general. Here they
+    agree bit for bit: a hand force is ``-scale * normal``, and every
+    box-box and hand sphere-box face normal has one nonzero component, so
+    each sum has one nonzero term and both forms round it once. Only a hand
+    sphere-box edge or corner contact would differ (see ``sim``).
+    """
     cos_limit = math.cos(math.radians(angle_deg))
-    bodies = [body for body, _, _ in forces]
-    vecs = [np.array(f) for _, f, _ in forces]
+    norms = [math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2]) for _, f, _ in forces]
     used = [False] * len(forces)
     paired = 0.0
     for i in range(len(forces)):
-        if used[i]:
+        ni = norms[i]
+        if used[i] or ni < 1e-12:
             continue
-        body_i, fi = bodies[i], vecs[i]
-        ni = float(np.linalg.norm(fi))
-        if ni < 1e-12:
-            continue
+        body_i, fi, _ = forces[i]
         for j in range(i + 1, len(forces)):
-            if used[j]:
+            nj = norms[j]
+            if used[j] or nj < 1e-12:
                 continue
-            body_j, fj = bodies[j], vecs[j]
+            body_j, fj, _ = forces[j]
             if body_j != body_i:
                 continue
-            nj = float(np.linalg.norm(fj))
-            if nj < 1e-12:
-                continue
-            if float(fi @ fj) / (ni * nj) <= -cos_limit:
+            dot = fi[0] * fj[0] + fi[1] * fj[1] + fi[2] * fj[2]
+            if dot / (ni * nj) <= -cos_limit:
                 paired += min(ni, nj)
                 used[i] = used[j] = True
                 break

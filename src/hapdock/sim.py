@@ -126,15 +126,25 @@ class World:
                 return b
         raise KeyError(name)
 
-    def set_hand(self, colliders: list[HandCollider]) -> None:
+    def set_hand(self, colliders: list[HandCollider],
+                 extent: tuple[float, ...] | None = None) -> None:
+        """Replace the hand colliders and rebuild the hand's bounding box.
+
+        ``extent`` is (min x, min y, min z, max x, max y, max z, largest
+        radius) over the colliders' centers, for a caller that gathered it
+        while building them; without it the list is walked here.
+        """
         self.hand = hand = list(colliders)
         if not hand:
             self.hand_box = None
             return
-        r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
-        xs, ys, zs = zip(*(h.center for h in hand))
-        self.hand_box = (min(xs) - r, min(ys) - r, min(zs) - r,
-                         max(xs) + r, max(ys) + r, max(zs) + r)
+        if extent is None:
+            xs, ys, zs = zip(*(h.center for h in hand))
+            extent = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs),
+                      max(h.radius for h in hand))
+        lx, ly, lz, ux, uy, uz, radius = extent
+        r = radius + _HAND_BOX_MARGIN
+        self.hand_box = (lx - r, ly - r, lz - r, ux + r, uy + r, uz + r)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]
@@ -212,15 +222,17 @@ def _box_box(ax: float, ay: float, az: float, hax: float, hay: float, haz: float
     oz = haz + hbz - abs(dz)
     if oz <= 0.0:
         return None
-    overlaps = (ox, oy, oz)
-    axis = overlaps.index(min(overlaps))
-    rel = (dx, dy, dz)[axis]
-    sign = 1.0 if rel >= 0.0 else -1.0
-    normal = tuple(sign if i == axis else 0.0 for i in range(3))
+    # The axis of least overlap; on a tie, the first such axis.
+    if ox <= oy and ox <= oz:
+        depth, normal = ox, (1.0 if dx >= 0.0 else -1.0, 0.0, 0.0)
+    elif oy <= oz:
+        depth, normal = oy, (0.0, 1.0 if dy >= 0.0 else -1.0, 0.0)
+    else:
+        depth, normal = oz, (0.0, 0.0, 1.0 if dz >= 0.0 else -1.0)
     point = (0.5 * (max(ax - hax, bx - hbx) + min(ax + hax, bx + hbx)),
              0.5 * (max(ay - hay, by - hby) + min(ay + hay, by + hby)),
              0.5 * (max(az - haz, bz - hbz) + min(az + haz, bz + hbz)))
-    return normal, overlaps[axis], point
+    return normal, depth, point
 
 
 class _Contact:
@@ -250,13 +262,19 @@ class _Contact:
         self.inv_mass = 1.0 / body.mass + (1.0 / dyn.mass if dyn is not None else 0.0)
 
 
-def _hand_reach(world: World, dynamic: bool):
-    """Boxes of the given kind that collide with the hand and whose extent
-    meets the hand's bounding box (the hand broadphase)."""
+def _hand_hits(world: World, dynamic: bool):
+    """``(body, collider, _sphere_box hit)`` for every hand sphere touching a
+    box of the given kind that collides with the hand.
+
+    A box whose extent misses the hand's bounding box is skipped (the hand
+    broadphase). Per sphere, ``_sphere_box``'s x and y rejects run here with
+    its own expressions before the call; most spheres miss on one of them.
+    """
     box = world.hand_box
     if box is None:
         return
     lx, ly, lz, ux, uy, uz = box
+    hand = world.hand
     for body in world.bodies:
         if ((body.kind is BodyKind.DYNAMIC) is not dynamic
                 or not body.collide_with_hand):
@@ -266,61 +284,66 @@ def _hand_reach(world: World, dynamic: bool):
         if (px + hx < lx or px - hx > ux or py + hy < ly or py - hy > uy
                 or pz + hz < lz or pz - hz > uz):
             continue
-        yield body, px, py, pz, hx, hy, hz
+        for h in hand:
+            cx, cy, cz = h.center
+            radius = h.radius
+            rx = cx - px
+            if rx > hx + radius or rx < -hx - radius:
+                continue
+            ry = cy - py
+            if ry > hy + radius or ry < -hy - radius:
+                continue
+            hit = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)
+            if hit is not None:
+                yield body, h, hit
 
 
 def _collect_contacts(world: World) -> list[_Contact]:
     contacts: list[_Contact] = []
     bodies = world.bodies
     n = len(bodies)
+    dynamic = BodyKind.DYNAMIC
     for i in range(n):
         a = bodies[i]
+        a_static = a.kind is not dynamic
+        ax, ay, az = a.position
+        hax, hay, haz = a.half_extents
         for j in range(i + 1, n):
             b = bodies[j]
-            if a.kind is not BodyKind.DYNAMIC and b.kind is not BodyKind.DYNAMIC:
+            b_static = b.kind is not dynamic
+            if a_static and b_static:
                 continue
-            pa, ha, pb, hb = a.position, a.half_extents, b.position, b.half_extents
-            hit = _box_box(pa[0], pa[1], pa[2], ha[0], ha[1], ha[2],
-                           pb[0], pb[1], pb[2], hb[0], hb[1], hb[2])
+            bx, by, bz = b.position
+            hbx, hby, hbz = b.half_extents
+            # _box_box's three separating-axis rejects, its own expressions.
+            if (hax + hbx - abs(bx - ax) <= 0.0 or hay + hby - abs(by - ay) <= 0.0
+                    or haz + hbz - abs(bz - az) <= 0.0):
+                continue
+            hit = _box_box(ax, ay, az, hax, hay, haz, bx, by, bz, hbx, hby, hbz)
             if hit is None:
                 continue
             normal, depth, point = hit
-            if b.kind is BodyKind.DYNAMIC:
+            if not b_static:
                 contacts.append(_Contact(b, a, None, normal, depth, point))
             else:
                 contacts.append(_Contact(a, b, None,
                                          (-normal[0], -normal[1], -normal[2]),
                                          depth, point))
-    for body, px, py, pz, hx, hy, hz in _hand_reach(world, dynamic=True):
-        for h in world.hand:
-            hc = h.center
-            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius, px, py, pz, hx, hy, hz)
-            if hit is None:
-                continue
-            n_out, depth, point = hit
-            # Push the dynamic body away from the hand sphere.
-            contacts.append(_Contact(body, None, h, (-n_out[0], -n_out[1], -n_out[2]),
-                                     depth, point))
+    for body, h, (n_out, depth, point) in _hand_hits(world, dynamic=True):
+        # Push the dynamic body away from the hand sphere.
+        contacts.append(_Contact(body, None, h, (-n_out[0], -n_out[1], -n_out[2]),
+                                 depth, point))
     return contacts
 
 
 def _penalty_contacts(world: World, dt: float) -> list[ContactImpulse]:
     """Hand against immovable geometry: reported as spring-law pseudo impulses."""
-    out: list[ContactImpulse] = []
     k = world.params.surface_stiffness
-    for body, px, py, pz, hx, hy, hz in _hand_reach(world, dynamic=False):
-        for h in world.hand:
-            hc = h.center
-            hit = _sphere_box(hc[0], hc[1], hc[2], h.radius, px, py, pz, hx, hy, hz)
-            if hit is None:
-                continue
-            n_out, depth, point = hit
-            # Impulse applied to the body is the hand pressing inward.
-            out.append(ContactImpulse(
-                body_a="hand", body_b=body.name,
-                point=point, normal=(-n_out[0], -n_out[1], -n_out[2]),
-                magnitude=k * depth * dt, hand_collider=h.name))
-    return out
+    # Impulse applied to the body is the hand pressing inward.
+    return [ContactImpulse(body_a="hand", body_b=body.name,
+                           point=point, normal=(-n_out[0], -n_out[1], -n_out[2]),
+                           magnitude=k * depth * dt, hand_collider=h.name)
+            for body, h, (n_out, depth, point) in _hand_hits(world, dynamic=False)]
 
 
 # A desk-scale body a million kilometers out is as diverged as a NaN.
@@ -328,16 +351,17 @@ _RUNAWAY_LIMIT = 1.0e9
 
 
 def _check_finite(world: World) -> None:
+    lo, hi = -_RUNAWAY_LIMIT, _RUNAWAY_LIMIT
     for b in world.bodies:
         if b.kind is not BodyKind.DYNAMIC:
             continue
         # Per component: a sum would let opposite runaways cancel. The
-        # comparison is False for NaN, so NaN fails it too.
-        for vec in (b.position, b.velocity):
-            for v in vec:
-                if not abs(v) <= _RUNAWAY_LIMIT:
-                    raise SimulationDiverged(
-                        f"body {b.name!r} has non-finite or runaway state")
+        # comparisons are False for NaN, so NaN fails them too.
+        px, py, pz = b.position
+        vx, vy, vz = b.velocity
+        if not (lo <= px <= hi and lo <= py <= hi and lo <= pz <= hi
+                and lo <= vx <= hi and lo <= vy <= hi and lo <= vz <= hi):
+            raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
 
 
 def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:

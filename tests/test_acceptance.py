@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped criterion, each printing a PASS/FAIL
-line. Scenario runs are cached module-wide so each scenario executes once
-(plus a second, fresh run where reproducibility itself is the criterion).
+line. Scenario runs are cached for the session (``shipped.cached_run``) so
+each scenario executes once (plus a second, fresh run where reproducibility
+itself is the criterion).
 """
 
 import json
@@ -11,22 +12,11 @@ import numpy as np
 
 from hapdock.cli import main
 from hapdock.frames import RigidTransform, correction_chain
-from hapdock.harness import MetricLog, run_scenario, weight_oracle
-from shipped import NAMES, build
+from hapdock.harness import run_scenario, weight_oracle
+from shipped import NAMES, RUNTIME as _RUNTIME, build, cached_run
 
 G = 9.81
 CAN_MASS = {"can_a": 0.01, "can_b": 0.15, "can_c": 0.3}
-
-_CACHE: dict[str, MetricLog] = {}
-_RUNTIME: dict[str, float] = {}
-
-
-def cached_run(name: str) -> MetricLog:
-    if name not in _CACHE:
-        t0 = time.perf_counter()
-        _CACHE[name] = run_scenario(build(name))
-        _RUNTIME[name] = time.perf_counter() - t0
-    return _CACHE[name]
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -87,6 +87,9 @@ class TestMultiArm:
         point = capability_at(cap, (0.0, 0.0, 0.0))
         assert point.force == (19.0, 19.0, 19.0)
         assert set(point.reachable_by) == {"arm_a", "arm_b"}
+        # A run docks one arm at a time, so the stacked figure is a bound.
+        assert "layout bound" in capability_report(cap)
+        assert "layout bound" not in capability_report(PROTOTYPE)
 
     def test_pointwise_lookup(self):
         arms = [arm_at(0.0, "arm_a"), arm_at(1.33, "arm_b")]

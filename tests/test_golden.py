@@ -2,7 +2,8 @@
 
 AC8 only compares two runs inside one process, so a change that shifts a
 float bit in every run would still pass it. These digests pin the bytes
-themselves. A change that alters numerics on purpose regenerates them in the
+themselves; they hash the session's cached run, which AC8 compares with a
+fresh one. A change that alters numerics on purpose regenerates them in the
 same commit and reports the largest per-field deviation.
 """
 
@@ -10,8 +11,7 @@ import hashlib
 
 import pytest
 
-from hapdock.harness import run_scenario
-from shipped import NAMES, build
+from shipped import NAMES, cached_run
 
 GOLDEN_SHA256 = {
     "decouple_sweep": "04380943cd9f9effbf92ed5b66c973ce13902b0e310028ce93cfe8fa3baa045b",
@@ -31,5 +31,5 @@ def test_every_shipped_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_log_bytes_match_golden(name):
-    blob = run_scenario(build(name)).to_bytes()
+    blob = cached_run(name).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]

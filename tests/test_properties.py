@@ -8,15 +8,22 @@ import struct
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapdock import sim
 from hapdock.config import ConfigError, scenario_from_dict
+from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, NUM_FINGERS,
+                             PHALANGE_NAMES, HandState, finger_sphere_centers,
+                             hand_collider_spheres)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
-from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
-                         _penalty_contacts, _sphere_box)
+from hapdock.frames import RigidTransform
+from hapdock.routing import _paired_magnitude
+from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _box_box,
+                         _collect_contacts, _penalty_contacts, _sphere_box)
 from shipped import NAMES, as_dict
 
 joints = st.builds(
@@ -161,6 +168,245 @@ def test_hand_broadphase_culls_no_contact(world):
                for imp in _penalty_contacts(world, dt)]
     assert penalty == [(b, h, n, k * depth * dt, p)
                        for b, h, n, depth, p in brute_force_hand_hits(world, dynamic=False)]
+
+
+@st.composite
+def box_worlds(draw):
+    """Boxes of both kinds, some placed with a face exactly on another box's
+    face or 1e-13 m off it (apart or overlapping)."""
+    world = World()
+    n_boxes = draw(st.integers(2, 5))
+    for i in range(n_boxes):
+        kind = draw(st.sampled_from(BOX_KINDS))
+        half = draw(st.tuples(halves, halves, halves))
+        if i and draw(st.booleans()):
+            other = world.bodies[draw(st.integers(0, i - 1))]
+            axis = draw(st.integers(0, 2))
+            side = draw(st.sampled_from((1.0, -1.0)))
+            gap = draw(st.sampled_from((0.0, 1e-13, -1e-13)))
+            position = []
+            for k in range(3):
+                p, h = other.position[k], other.half_extents[k]
+                if k == axis:
+                    position.append(p + side * (h + half[k] + gap))
+                else:
+                    position.append(p + draw(st.floats(-1.0, 1.0)) * (h + half[k]))
+        else:
+            position = draw(st.tuples(coords, coords, coords))
+        world.add_body(RigidBody(name=f"box{i}", kind=kind, position=position,
+                                 half_extents=half,
+                                 mass=1.0 if kind is BodyKind.DYNAMIC else 0.0))
+    return world
+
+
+def brute_force_box_hits(world: World) -> list:
+    """``_box_box`` on every pair with a dynamic body, in pair order."""
+    hits = []
+    bodies = world.bodies
+    for i, a in enumerate(bodies):
+        for b in bodies[i + 1:]:
+            if a.kind is not BodyKind.DYNAMIC and b.kind is not BodyKind.DYNAMIC:
+                continue
+            hit = _box_box(*a.position, *a.half_extents, *b.position, *b.half_extents)
+            if hit is None:
+                continue
+            normal, depth, point = hit
+            if b.kind is BodyKind.DYNAMIC:
+                hits.append((b.name, a.name, normal, depth, point))
+            else:
+                hits.append((a.name, b.name, tuple(-c for c in normal), depth, point))
+    return hits
+
+
+@settings(max_examples=500, deadline=None)
+@given(world=box_worlds())
+def test_hoisted_box_reject_culls_exactly_the_misses(world):
+    calls = []
+
+    def recording(*args):
+        hit = _box_box(*args)
+        calls.append(hit)
+        return hit
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "_box_box", recording)
+        contacts = [(c.body.name, c.other.name, c.normal, c.depth, c.point)
+                    for c in _collect_contacts(world) if c.hand is None]
+    assert contacts == brute_force_box_hits(world)
+    # Every pair that passes the inlined reject is one _box_box reports.
+    assert None not in calls
+    assert len(calls) == len(contacts)
+
+
+def reference_box_box(ax, ay, az, hax, hay, haz, bx, by, bz, hbx, hby, hbz):
+    """``_box_box`` as it was written before its axis pick was unrolled."""
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    overlaps = (hax + hbx - abs(dx), hay + hby - abs(dy), haz + hbz - abs(dz))
+    if min(overlaps) <= 0.0:
+        return None
+    axis = overlaps.index(min(overlaps))
+    sign = 1.0 if (dx, dy, dz)[axis] >= 0.0 else -1.0
+    normal = tuple(sign if i == axis else 0.0 for i in range(3))
+    point = (0.5 * (max(ax - hax, bx - hbx) + min(ax + hax, bx + hbx)),
+             0.5 * (max(ay - hay, by - hby) + min(ay + hay, by + hby)),
+             0.5 * (max(az - haz, bz - hbz) + min(az + haz, bz + hbz)))
+    return normal, overlaps[axis], point
+
+
+# Few distinct values, so equal overlaps on two or three axes are common.
+grid = st.sampled_from((-0.02, -0.01, 0.0, 0.01, 0.02))
+grid_halves = st.sampled_from((0.01, 0.015, 0.02))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=st.tuples(grid, grid, grid), ha=st.tuples(grid_halves, grid_halves, grid_halves),
+       b=st.tuples(grid, grid, grid), hb=st.tuples(grid_halves, grid_halves, grid_halves))
+def test_box_box_picks_the_axis_index_min_picks(a, ha, b, hb):
+    got = _box_box(*a, *ha, *b, *hb)
+    expected = reference_box_box(*a, *ha, *b, *hb)
+    assert got == expected
+    if got is not None:
+        assert [bits(v) for v in got[0]] == [bits(v) for v in expected[0]]
+
+
+# -- hand chains ---------------------------------------------------------------
+
+def reference_finger_centers(geom, wrist, finger, joint_angles, abd_angle):
+    """The chain as it was written before ``_qrotate`` was inlined."""
+    mcp, pip, dip = joint_angles
+    cum = (mcp, mcp + pip, mcp + pip + dip)
+    ca, sa = math.cos(abd_angle), math.sin(abd_angle)
+    curl = geom.curl_sign[finger]
+    px, py, pz = geom.finger_base(finger)
+    centers = []
+    for length, theta in zip(geom.phalange_lengths, cum):
+        dx = math.cos(theta)
+        dy = curl * math.sin(theta)
+        px += length * (dx * ca)
+        py += length * dy
+        pz += length * (-dx * sa)
+        centers.append(wrist.transform_point((px, py, pz)))
+    return centers
+
+
+quat_parts = st.floats(-1.0, 1.0, allow_nan=False)
+unit_quats = (st.tuples(quat_parts, quat_parts, quat_parts, quat_parts)
+              .filter(lambda q: math.hypot(*q) > 1e-3))
+translations = st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3)
+poses = st.builds(RigidTransform.from_quat, unit_quats, translations)
+unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wrist=poses, flex=st.tuples(*[unit_floats] * NUM_FINGERS),
+       abd=st.tuples(*[unit_floats] * NUM_FINGERS))
+def test_inlined_hand_chain_matches_transform_point_bits(wrist, flex, abd):
+    geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
+    angles = tuple(params.joint_angles(f) for f in flex)
+    expected = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
+    for k in range(NUM_FINGERS):
+        abd_angle = params.abduction_angle(abd[k])
+        centers = reference_finger_centers(geom, wrist, k, angles[k], abd_angle)
+        assert finger_sphere_centers(geom, wrist, k, angles[k], abd_angle) == centers
+        expected += [(name, c, geom.phalange_radius)
+                     for name, c in zip(PHALANGE_NAMES[k], centers)]
+    state = HandState(wrist_pose=wrist, flex=flex, abduction=abd, joint_angles=angles)
+    got = hand_collider_spheres(state, geom, params)
+    # Tuple equality treats 0.0 and -0.0 alike; compare the bits too.
+    assert got == expected
+    assert ([bits(v) for _, c, _ in got for v in c]
+            == [bits(v) for _, c, _ in expected for v in c])
+
+
+# -- force pairing -----------------------------------------------------------
+
+def reference_paired_magnitude(forces, angle_deg: float) -> float:
+    """The numpy form ``_paired_magnitude`` had before it moved to floats."""
+    cos_limit = math.cos(math.radians(angle_deg))
+    bodies = [body for body, _, _ in forces]
+    vecs = [np.array(f) for _, f, _ in forces]
+    used = [False] * len(forces)
+    paired = 0.0
+    for i in range(len(forces)):
+        if used[i]:
+            continue
+        body_i, fi = bodies[i], vecs[i]
+        ni = float(np.linalg.norm(fi))
+        if ni < 1e-12:
+            continue
+        for j in range(i + 1, len(forces)):
+            if used[j]:
+                continue
+            body_j, fj = bodies[j], vecs[j]
+            if body_j != body_i:
+                continue
+            nj = float(np.linalg.norm(fj))
+            if nj < 1e-12:
+                continue
+            if float(fi @ fj) / (ni * nj) <= -cos_limit:
+                paired += min(ni, nj)
+                used[i] = used[j] = True
+                break
+    return paired
+
+
+@st.composite
+def single_axis_forces(draw):
+    """Hand forces as ``route_forces`` builds them, ``-scale * normal``, on a
+    few bodies; half the time a force is followed by its opposite."""
+    forces = []
+    for _ in range(draw(st.integers(0, 8))):
+        body = draw(st.sampled_from(("can", "post", "desk")))
+        scale = draw(st.floats(0.0, 50.0, allow_nan=False))
+        n = draw(single_axis_normals())
+        force = tuple(-scale * c for c in n)
+        forces.append((body, force, (0.0, 0.0, 0.0)))
+        if draw(st.booleans()):
+            other = draw(st.floats(0.0, 50.0, allow_nan=False))
+            forces.append((body, tuple(other * c for c in n), (0.0, 0.0, 0.0)))
+    return forces
+
+
+@settings(max_examples=500, deadline=None)
+@given(forces=single_axis_forces(), angle=st.sampled_from((15.0, 0.0, 45.0, 90.0)))
+def test_float_pairing_matches_numpy_bits(forces, angle):
+    assert (bits(_paired_magnitude(forces, angle))
+            == bits(reference_paired_magnitude(forces, angle)))
+
+
+# -- rigid transforms --------------------------------------------------------
+
+# Worst quaternion component or translation (m) error allowed after a few
+# composes of unit rotations and translations within 2 m of the origin: a few
+# hundred ulps of the inputs. Quaternions are compared by component, as q and
+# -q; an angle from acos(w) near w = 1 would magnify one ulp to 1e-8 rad.
+FRAME_TOL = 1e-12
+
+
+def assert_same_pose(a: RigidTransform, b: RigidTransform) -> None:
+    same = max(abs(p - q) for p, q in zip(a.rotation, b.rotation))
+    flipped = max(abs(p + q) for p, q in zip(a.rotation, b.rotation))
+    assert min(same, flipped) < FRAME_TOL
+    assert a.translation_distance_to(b) < FRAME_TOL
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=poses)
+def test_compose_with_inverse_is_identity(a):
+    assert_same_pose(a.compose(a.inverse()), RigidTransform.identity())
+    assert_same_pose(a.inverse().compose(a), RigidTransform.identity())
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=poses)
+def test_inverse_of_inverse_is_original(a):
+    assert_same_pose(a.inverse().inverse(), a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=poses, b=poses, c=poses)
+def test_compose_is_associative(a, b, c):
+    assert_same_pose(a.compose(b).compose(c), a.compose(b.compose(c)))
 
 
 # -- dock lifecycle ----------------------------------------------------------
