@@ -370,18 +370,7 @@ def hand_collider_spheres(state: HandState,
                           ) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) for one state."""
     wrist = state.wrist_pose
-    # wrist.transform_point(geom.palm_center), written out as in
-    # finger_sphere_centers.
-    w, x, y, z = wrist.rotation
-    vx, vy, vz = geom.palm_center
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    ox, oy, oz = wrist.translation
-    palm = (ox + (vx + w * tx + (y * tz - z * ty)),
-            oy + (vy + w * ty + (z * tx - x * tz)),
-            oz + (vz + w * tz + (x * ty - y * tx)))
-    out = [("palm", palm, geom.palm_radius)]
+    out = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
     radius = geom.phalange_radius
     for k, names in enumerate(PHALANGE_NAMES):
         abd = params.abduction_angle(state.abduction[k])

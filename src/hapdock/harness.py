@@ -218,34 +218,20 @@ class Coordinator:
                            cfg.glove.hand_params)
 
     def _update_hand_colliders(self, hand: HandState) -> None:
-        """Build the colliders with their velocities and gather the extent
-        of their centers for the hand's bounding box, in one pass."""
         spheres = hand_collider_spheres(hand, self.cfg.glove.geometry,
                                         self.cfg.glove.hand_params)
-        # The spheres come in the same order every tick, so the previous
-        # collider at the same index is the same sphere.
         prev = self.world.hand
-        dt = self.dt
-        colliders = []
-        lx = ly = lz = math.inf
-        ux = uy = uz = -math.inf
-        r_max = 0.0
-        for i, (name, c, radius) in enumerate(spheres):
-            x, y, z = c
-            if prev:
-                p = prev[i].center
-                vel = ((x - p[0]) / dt, (y - p[1]) / dt, (z - p[2]) / dt)
-            else:
-                vel = ZERO3
-            colliders.append(HandCollider(name, c, radius, vel))
-            lx = x if x < lx else lx
-            ux = x if x > ux else ux
-            ly = y if y < ly else ly
-            uy = y if y > uy else uy
-            lz = z if z < lz else lz
-            uz = z if z > uz else uz
-            r_max = radius if radius > r_max else r_max
-        self.world.set_hand(colliders, (lx, ly, lz, ux, uy, uz, r_max))
+        if prev:
+            # The spheres come in the same order every tick, so the previous
+            # collider at the same index is the same sphere.
+            dt = self.dt
+            colliders = [
+                HandCollider(name, c, radius, ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt,
+                                               (c[2] - p[2]) / dt))
+                for (name, c, radius), (_, p, _, _) in zip(spheres, prev)]
+        else:
+            colliders = [HandCollider(name, c, radius, ZERO3) for name, c, radius in spheres]
+        self.world.set_hand(colliders)
 
     def _tracked_plate(self, plate: RigidTransform) -> RigidTransform:
         if self.noise_std <= 0.0:

@@ -126,25 +126,15 @@ class World:
                 return b
         raise KeyError(name)
 
-    def set_hand(self, colliders: list[HandCollider],
-                 extent: tuple[float, ...] | None = None) -> None:
-        """Replace the hand colliders and rebuild the hand's bounding box.
-
-        ``extent`` is (min x, min y, min z, max x, max y, max z, largest
-        radius) over the colliders' centers, for a caller that gathered it
-        while building them; without it the list is walked here.
-        """
+    def set_hand(self, colliders: list[HandCollider]) -> None:
         self.hand = hand = list(colliders)
         if not hand:
             self.hand_box = None
             return
-        if extent is None:
-            xs, ys, zs = zip(*(h.center for h in hand))
-            extent = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs),
-                      max(h.radius for h in hand))
-        lx, ly, lz, ux, uy, uz, radius = extent
-        r = radius + _HAND_BOX_MARGIN
-        self.hand_box = (lx - r, ly - r, lz - r, ux + r, uy + r, uz + r)
+        r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
+        xs, ys, zs = zip(*(h.center for h in hand))
+        self.hand_box = (min(xs) - r, min(ys) - r, min(zs) - r,
+                         max(xs) + r, max(ys) + r, max(zs) + r)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]
@@ -157,6 +147,9 @@ def _sphere_box(cx: float, cy: float, cz: float, radius: float,
 
     Returns (n_out, depth, point) with ``n_out`` the unit direction from the
     box surface toward the sphere center, or None when separated.
+
+    The x and y rejects are copied into ``_hand_hits``, which runs them before
+    each call; change them there with them.
     """
     rx = cx - bx
     if rx > hx + radius or rx < -hx - radius:
@@ -209,7 +202,11 @@ def sphere_box_signed_depth(center, radius: float, box_pos, box_half) -> float:
 
 def _box_box(ax: float, ay: float, az: float, hax: float, hay: float, haz: float,
              bx: float, by: float, bz: float, hbx: float, hby: float, hbz: float):
-    """Axis-aligned box pair. Returns (normal pushing B away from A, depth, point)."""
+    """Axis-aligned box pair. Returns (normal pushing B away from A, depth, point).
+
+    The three separating-axis rejects are copied into ``_collect_contacts``,
+    which runs them before each call; change them there with them.
+    """
     dx = bx - ax
     ox = hax + hbx - abs(dx)
     if ox <= 0.0:
