@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
 
@@ -17,8 +17,7 @@ import yaml
 
 from .devices import (ARM_CATALOG, GLOVE_CATALOG, GLOVE_PERIOD_TICKS, ArmSpec,
                       DEVICE_PERIOD_LIMIT_S, GloveSpec, HandCalibration,
-                      HandGeometry, HandModelParams, NUM_FINGERS, TICK_RATE_HZ,
-                      DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS)
+                      NUM_FINGERS, TICK_RATE_HZ)
 from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_CONTACT_RADIUS_M, DEFAULT_FRICTION_MU,
                       DEFAULT_POS_TOL_M, DockJointKind, JOINT_KIND_CATALOG)
@@ -102,6 +101,16 @@ def _string(value, path: str) -> str:
     return value
 
 
+def _defaults(cls) -> dict:
+    """Field name -> default of a dataclass: the loaders' value for a missing key."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _get(data: dict, key: str, cls):
+    """``data[key]``, or the default ``cls`` declares for its field ``key``."""
+    return data[key] if key in data else _defaults(cls)[key]
+
+
 @dataclass(frozen=True, slots=True)
 class ArmConfig:
     name: str
@@ -115,8 +124,6 @@ class GloveConfig:
     spec: GloveSpec
     calibration: HandCalibration
     spring_constant: float = 1.0
-    hand_params: HandModelParams = DEFAULT_HAND_PARAMS
-    geometry: HandGeometry = DEFAULT_HAND_GEOMETRY
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,7 +248,7 @@ def _arm_from_dict(data, path: str) -> ArmConfig:
                           f"unknown arm model {model!r}; known: {sorted(ARM_CATALOG)}")
     catalog = ARM_CATALOG[model]
     base_position = _vec(_require(data, "base_position", path), f"{path}.base_position", 3)
-    workspace_center = _vec(data.get("workspace_center", (0.0, 0.0, 0.0)),
+    workspace_center = _vec(_get(data, "workspace_center", ArmSpec),
                             f"{path}.workspace_center", 3)
     kwargs = dict(
         name=name,
@@ -264,7 +271,8 @@ def _arm_from_dict(data, path: str) -> ArmConfig:
                 f"{path}.park_position", 3)
     if not spec.workspace_box_world().contains(park):
         raise ConfigError(f"{path}.park_position", "park pose must lie inside the workspace")
-    speed = _number(data.get("pursuit_speed", 1.0), f"{path}.pursuit_speed", positive=True)
+    speed = _number(_get(data, "pursuit_speed", ArmConfig), f"{path}.pursuit_speed",
+                    positive=True)
     return ArmConfig(name=name, spec=spec, park_position=park, pursuit_speed=speed)
 
 
@@ -275,20 +283,14 @@ def _glove_from_dict(data, path: str) -> GloveConfig:
         raise ConfigError(f"{path}.model",
                           f"unknown glove model {model!r}; known: {sorted(GLOVE_CATALOG)}")
     spec = GLOVE_CATALOG[model]
-    spring = _number(data.get("spring_constant", 1.0), f"{path}.spring_constant", minimum=0.0)
+    spring = _number(_get(data, "spring_constant", GloveConfig), f"{path}.spring_constant",
+                     minimum=0.0)
     cal = _fields(data.get("calibration", {}), f"{path}.calibration",
                   "flex_min flex_max abd_min abd_max")
     try:
-        calibration = HandCalibration(
-            flex_min=_vec(cal.get("flex_min", (0.0,) * NUM_FINGERS),
-                          f"{path}.calibration.flex_min", NUM_FINGERS),
-            flex_max=_vec(cal.get("flex_max", (1.0,) * NUM_FINGERS),
-                          f"{path}.calibration.flex_max", NUM_FINGERS),
-            abd_min=_vec(cal.get("abd_min", (0.0,) * NUM_FINGERS),
-                         f"{path}.calibration.abd_min", NUM_FINGERS),
-            abd_max=_vec(cal.get("abd_max", (1.0,) * NUM_FINGERS),
-                         f"{path}.calibration.abd_max", NUM_FINGERS),
-        )
+        calibration = HandCalibration(**{
+            key: _vec(cal.get(key, default), f"{path}.calibration.{key}", NUM_FINGERS)
+            for key, default in _defaults(HandCalibration).items()})
     except ValueError as exc:
         raise ConfigError(f"{path}.calibration", str(exc)) from exc
     return GloveConfig(spec=spec, calibration=calibration, spring_constant=spring)
@@ -345,14 +347,14 @@ def _body_from_dict(data, path: str) -> BodyConfig:
     half_extents = _vec(_require(data, "half_extents", path), f"{path}.half_extents", 3)
     if any(h <= 0 for h in half_extents):
         raise ConfigError(f"{path}.half_extents", "must be strictly positive")
-    mass = _number(data.get("mass", 0.0), f"{path}.mass", minimum=0.0)
+    mass = _number(_get(data, "mass", BodyConfig), f"{path}.mass", minimum=0.0)
     if kind == "dynamic" and mass <= 0.0:
         raise ConfigError(f"{path}.mass", "dynamic bodies need a positive mass")
-    velocity = _vec(data.get("velocity", (0.0, 0.0, 0.0)), f"{path}.velocity", 3)
-    return BodyConfig(name=name, kind=kind, center=center,
-                      half_extents=half_extents, mass=mass, velocity=velocity,
-                      collide_with_hand=_boolean(data.get("collide_with_hand", True),
-                                                 f"{path}.collide_with_hand"))
+    velocity = _vec(_get(data, "velocity", BodyConfig), f"{path}.velocity", 3)
+    collide = _boolean(_get(data, "collide_with_hand", BodyConfig),
+                       f"{path}.collide_with_hand")
+    return BodyConfig(name=name, kind=kind, center=center, half_extents=half_extents,
+                      mass=mass, velocity=velocity, collide_with_hand=collide)
 
 
 def _scene_from_dict(data, path: str) -> SceneConfig:
@@ -365,13 +367,13 @@ def _scene_from_dict(data, path: str) -> SceneConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}.bodies", "body names must be unique")
     return SceneConfig(
-        gravity=_vec(data.get("gravity", (0.0, -9.81, 0.0)), f"{path}.gravity", 3),
+        gravity=_vec(_get(data, "gravity", SceneConfig), f"{path}.gravity", 3),
         bodies=parsed,
-        surface_stiffness=_number(data.get("surface_stiffness", 800.0),
+        surface_stiffness=_number(_get(data, "surface_stiffness", SceneConfig),
                                   f"{path}.surface_stiffness", positive=True),
-        solver_iterations=_integer(data.get("solver_iterations", 12),
+        solver_iterations=_integer(_get(data, "solver_iterations", SceneConfig),
                                    f"{path}.solver_iterations", minimum=1),
-        slop=_number(data.get("slop", 5.0e-4), f"{path}.slop", minimum=0.0),
+        slop=_number(_get(data, "slop", SceneConfig), f"{path}.slop", minimum=0.0),
     )
 
 
@@ -403,7 +405,7 @@ def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
             if any(not 0.0 <= v <= 1.0 for v in values):
                 raise ConfigError(f"{path}.{label}[{i}]",
                                   "normalized values must lie in [0, 1]")
-    rotation = _vec(data.get("wrist_rotation", (1.0, 0.0, 0.0, 0.0)),
+    rotation = _vec(_get(data, "wrist_rotation", TrajectoryConfig),
                     f"{path}.wrist_rotation", 4)
     # Stored as given: the per-tick ``from_quat`` normalizes it once, and a
     # normalized copy here could shift the logged bits.
@@ -433,13 +435,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                         "duration_s glove_period_ticks filter_cutoff_hz")
     duration = _number(_require(coord_raw, "duration_s", "$.coordinator"),
                        "$.coordinator.duration_s", positive=True)
-    glove_period = _integer(coord_raw.get("glove_period_ticks", GLOVE_PERIOD_TICKS),
+    glove_period = _integer(_get(coord_raw, "glove_period_ticks", CoordinatorConfig),
                             "$.coordinator.glove_period_ticks", minimum=1)
     if glove_period / TICK_RATE_HZ < DEVICE_PERIOD_LIMIT_S:
         raise ConfigError("$.coordinator.glove_period_ticks",
                           f"glove commands may not be issued more often than every "
                           f"{DEVICE_PERIOD_LIMIT_S * 1e3:.1f} ms")
-    cutoff = _number(coord_raw.get("filter_cutoff_hz", 20.0),
+    cutoff = _number(_get(coord_raw, "filter_cutoff_hz", CoordinatorConfig),
                      "$.coordinator.filter_cutoff_hz", minimum=0.0)
     coordinator = CoordinatorConfig(duration_s=duration, glove_period_ticks=glove_period,
                                     filter_cutoff_hz=cutoff)
@@ -473,9 +475,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     load_raw = data.get("injected_load", [])
     load = _track_from_list(load_raw, "$.injected_load", 6) if load_raw else ()
 
-    noise = _number(data.get("tracking_noise_std_m", 0.0),
+    noise = _number(_get(data, "tracking_noise_std_m", ScenarioConfig),
                     "$.tracking_noise_std_m", minimum=0.0)
-    floor = _number(data.get("oracle_noise_floor_n", 0.02),
+    floor = _number(_get(data, "oracle_noise_floor_n", ScenarioConfig),
                     "$.oracle_noise_floor_n", minimum=0.0)
 
     return ScenarioConfig(name=name, seed=seed, condition=condition,

@@ -155,7 +155,6 @@ class HandState:
     wrist_pose: RigidTransform
     flex: tuple[float, ...]
     abduction: tuple[float, ...]
-    joint_angles: tuple[tuple[float, float, float], ...]  # (mcp, pip, dip) rad
     resist_torques: tuple[float, ...] = (0.0,) * NUM_FINGERS
     clamp_flags: tuple[bool, ...] = (False,) * (2 * NUM_FINGERS)
 
@@ -196,8 +195,7 @@ class ArmState:
 
 
 def hand_forward_model(sensed, calibration: HandCalibration,
-                       wrist_pose: RigidTransform,
-                       params: HandModelParams = DEFAULT_HAND_PARAMS) -> HandState:
+                       wrist_pose: RigidTransform) -> HandState:
     """Map the raw sensor vector to a full hand pose.
 
     Sensor layout is five flex channels, five spread channels and one spare
@@ -217,14 +215,12 @@ def hand_forward_model(sensed, calibration: HandCalibration,
                                      calibration.abd_min[i], calibration.abd_max[i])
         abd.append(a)
         flags.append(c)
-    angles = tuple(params.joint_angles(f) for f in flex)
     return HandState(wrist_pose=wrist_pose, flex=tuple(flex), abduction=tuple(abd),
-                     joint_angles=angles, clamp_flags=tuple(flags))
+                     clamp_flags=tuple(flags))
 
 
 def glove_apply(cmd: GloveCommand, hand: HandState,
-                spec: GloveSpec = DEXMO_GLOVE,
-                params: HandModelParams = DEFAULT_HAND_PARAMS) -> HandState:
+                spec: GloveSpec = DEXMO_GLOVE) -> HandState:
     """Apply contact-drum stops: flex never exceeds the stop rotation.
 
     When the user pushes past a stop the glove resists with torque
@@ -237,10 +233,9 @@ def glove_apply(cmd: GloveCommand, hand: HandState,
         excess = f - stop
         torque = spring * excess if excess > 0.0 else 0.0
         torques.append(min(torque, spec.max_joint_torque))
-    angles = tuple(params.joint_angles(f) for f in new_flex)
     return HandState(wrist_pose=hand.wrist_pose, flex=tuple(new_flex),
-                     abduction=hand.abduction, joint_angles=angles,
-                     resist_torques=tuple(torques), clamp_flags=hand.clamp_flags)
+                     abduction=hand.abduction, resist_torques=tuple(torques),
+                     clamp_flags=hand.clamp_flags)
 
 
 def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmState:
@@ -332,15 +327,17 @@ class HandGeometry:
 DEFAULT_HAND_GEOMETRY = HandGeometry()
 
 
-def finger_sphere_centers(geom: HandGeometry, wrist: RigidTransform, finger: int,
+def finger_sphere_centers(wrist: RigidTransform, finger: int,
                           joint_angles: tuple[float, float, float],
                           abd_angle: float) -> list[Vec3]:
-    """Wrist-frame chain evaluated to world-space phalange sphere centers.
+    """The default hand's wrist-frame chain evaluated to world-space phalange
+    sphere centers; ``joint_angles`` is (mcp, pip, dip) in radians.
 
     Each center is ``wrist.transform_point`` of the chain point with
     ``_qrotate`` written out: the same expressions in the same order, so the
     same bits, without two calls and two tuples per sphere.
     """
+    geom = DEFAULT_HAND_GEOMETRY
     mcp, pip, dip = joint_angles
     l0, l1, l2 = geom.phalange_lengths
     ca, sa = math.cos(abd_angle), math.sin(abd_angle)
@@ -364,16 +361,15 @@ def finger_sphere_centers(geom: HandGeometry, wrist: RigidTransform, finger: int
     return centers
 
 
-def hand_collider_spheres(state: HandState,
-                          geom: HandGeometry = DEFAULT_HAND_GEOMETRY,
-                          params: HandModelParams = DEFAULT_HAND_PARAMS
-                          ) -> list[tuple[str, Vec3, float]]:
-    """All hand collider spheres (name, world center, radius) for one state."""
+def hand_collider_spheres(state: HandState) -> list[tuple[str, Vec3, float]]:
+    """All hand collider spheres (name, world center, radius) of the default
+    hand for one state."""
+    geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
     wrist = state.wrist_pose
     out = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
     radius = geom.phalange_radius
     for k, names in enumerate(PHALANGE_NAMES):
-        abd = params.abduction_angle(state.abduction[k])
-        centers = finger_sphere_centers(geom, wrist, k, state.joint_angles[k], abd)
+        centers = finger_sphere_centers(wrist, k, params.joint_angles(state.flex[k]),
+                                        params.abduction_angle(state.abduction[k]))
         out += [(name, c, radius) for name, c in zip(names, centers)]
     return out

@@ -89,8 +89,8 @@ class _ArmUnit:
     cooldown_until: float = 0.0
     # Set every tick by the dock lifecycle: whether the predicted plate is in
     # the trigger box, the wrench transmitted to the hand (world frame), the
-    # slip flag, and while docked ``(joint, local, clamped)`` from
-    # ``_follow``, which arm control reuses.
+    # slip flag, and while docked ``(local, clamped)`` from ``_follow``,
+    # which arm control reuses.
     trigger: bool = False
     transmitted: tuple[float, ...] = ZERO6
     slip: bool = False
@@ -196,7 +196,7 @@ class Coordinator:
         sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
                    for i in range(5)]
         sensed.append(0.0)  # spare wrist channel, unused by the forward model
-        intended = hand_forward_model(sensed, cal, wrist, cfg.glove.hand_params)
+        intended = hand_forward_model(sensed, cal, wrist)
 
         if tick % self.glove_period == 0:
             last = self._last_glove_tick
@@ -205,21 +205,15 @@ class Coordinator:
                     f"glove commanded at tick {tick}, {tick - last} ticks after the "
                     f"previous command; the contract needs {self.glove_period}")
             self._last_glove_tick = tick
-            stops = tuple(
-                contact_drum_param(intended, k, self.world,
-                                   geom=cfg.glove.geometry,
-                                   params=cfg.glove.hand_params)
-                for k in range(5))
+            stops = tuple(contact_drum_param(intended, k, self.world) for k in range(5))
             self.glove_cmd = GloveCommand(
                 stop_angle=stops,
                 spring_constant=(cfg.glove.spring_constant,) * 5)
             events.append("glove_cmd")
-        return glove_apply(self.glove_cmd, intended, cfg.glove.spec,
-                           cfg.glove.hand_params)
+        return glove_apply(self.glove_cmd, intended, cfg.glove.spec)
 
     def _update_hand_colliders(self, hand: HandState) -> None:
-        spheres = hand_collider_spheres(hand, self.cfg.glove.geometry,
-                                        self.cfg.glove.hand_params)
+        spheres = hand_collider_spheres(hand)
         prev = self.world.hand
         if prev:
             # The spheres come in the same order every tick, so the previous
@@ -296,7 +290,7 @@ class Coordinator:
 
             if u.dock_state is DockState.DOCKED and u.joint is not None:
                 local, clamped = self._follow(u, plate)
-                u.follow = (u.joint, local, clamped)
+                u.follow = (local, clamped)
                 violation = math.dist(local.translation, clamped)
                 if violation > dock.release_slack_m:
                     release_demanded = True
@@ -349,9 +343,8 @@ class Coordinator:
         for u in self.units:
             spec = u.cfg.spec
             if u.dock_state is DockState.DOCKED and u.joint is not None:
-                cached = u.follow
-                if cached is not None and cached[0] is u.joint:
-                    _, local, clamped_pos = cached
+                if u.follow is not None:
+                    local, clamped_pos = u.follow
                 else:  # attached this tick: no follow pose computed yet
                     local, clamped_pos = self._follow(u, plate)
                 pinned = spec.base_pose.compose(
@@ -406,8 +399,7 @@ class Coordinator:
         self._prev_plate = plate_pos
 
         docked = self._docked_unit()
-        routed = route_forces(impulses, hand, docked is not None, dt,
-                              reference_point=plate_pos)
+        routed = route_forces(impulses, docked is not None, dt, reference_point=plate_pos)
 
         # The magnet-on-plate dock cannot carry torque about its normal and the
         # hand is kept flat, so only the net force is rendered.

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandGeometry,
-                      HandModelParams, HandState, finger_sphere_centers)
+from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
+                      finger_sphere_centers)
 from .frames import RigidTransform, Vec3
-from .sim import ContactImpulse, World, sphere_box_signed_depth
+from .sim import ContactImpulse, World, _sphere_box
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
 
@@ -79,21 +79,18 @@ def _paired_magnitude(forces, angle_deg: float) -> float:
     return paired
 
 
-def route_forces(impulses: list[ContactImpulse], hand: HandState,
-                 docked: bool, dt: float, *, reference_point=None,
-                 pairing_angle_deg: float = PAIRING_ANGLE_DEG) -> RoutedForces:
+def route_forces(impulses: list[ContactImpulse], docked: bool, dt: float, *,
+                 reference_point: Vec3) -> RoutedForces:
     """Route one step's hand-contact impulses.
 
     The vector sum over all hand colliders is the net world-referenced force,
-    with its torque taken about ``reference_point`` (normally the attachment
-    plate). When docked the arm renders it; when not docked it is logged as
-    residual and discarded.
+    with its torque taken about ``reference_point`` (the attachment plate).
+    When docked the arm renders it; when not docked it is logged as residual
+    and discarded.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     forces = _hand_forces(impulses, dt)
-    if reference_point is None:
-        reference_point = hand.wrist_pose.translation
     rx, ry, rz = reference_point
 
     fx = fy = fz = tx = ty = tz = 0.0
@@ -110,58 +107,55 @@ def route_forces(impulses: list[ContactImpulse], hand: HandState,
 
     return RoutedForces(residual=(0.0,) * 6 if docked else net_force + net_torque,
                         net_force=net_force, net_torque=net_torque,
-                        paired_magnitude=_paired_magnitude(forces, pairing_angle_deg),
+                        paired_magnitude=_paired_magnitude(forces, PAIRING_ANGLE_DEG),
                         hand_contact_count=len(forces))
 
 
-def _finger_penetration(world: World, geom: HandGeometry, params: HandModelParams,
-                        wrist: RigidTransform, finger: int, abd_angle: float,
-                        flex: float) -> float:
+def _finger_penetration(world: World, wrist: RigidTransform, finger: int,
+                        abd_angle: float, flex: float) -> float:
     """Worst signed depth of the finger's phalange spheres at a given flex.
 
     Positive means penetrating, negative means clear; zero is exact touch.
     """
-    centers = finger_sphere_centers(geom, wrist, finger,
-                                    params.joint_angles(flex), abd_angle)
+    centers = finger_sphere_centers(wrist, finger, DEFAULT_HAND_PARAMS.joint_angles(flex),
+                                    abd_angle)
+    radius = DEFAULT_HAND_GEOMETRY.phalange_radius
     worst = -math.inf
     for body in world.bodies:
         if not body.collide_with_hand:
             continue
-        for c in centers:
-            depth = sphere_box_signed_depth(c, geom.phalange_radius,
-                                            body.position, body.half_extents)
+        px, py, pz = body.position
+        hx, hy, hz = body.half_extents
+        for cx, cy, cz in centers:
+            depth = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)[0]
             if depth > worst:
                 worst = depth
     return worst
 
 
-def contact_drum_param(hand: HandState, finger: int, world: World, *,
-                       geom: HandGeometry = DEFAULT_HAND_GEOMETRY,
-                       params: HandModelParams = DEFAULT_HAND_PARAMS,
-                       search_tol: float = 1e-4) -> float:
+def contact_drum_param(hand: HandState, finger: int, world: World) -> float:
     """Normalized stop rotation that would just resolve the finger's penetration.
 
     Evaluates the hypothetical de-penetration pose by moving the phalanges
-    (not the world) back along the flex interpolant and bisecting for the
-    first-contact flex. Returns 1.0 (unrestricted) when nothing touches and
-    the current flex when the finger is exactly at the surface.
+    (not the world) back along the flex interpolant and bisecting, to a
+    flex tolerance of 1e-4, for the first-contact flex. Returns 1.0
+    (unrestricted) when nothing touches and the current flex when the finger
+    is exactly at the surface.
     """
     flex_now = hand.flex[finger]
-    abd_angle = params.abduction_angle(hand.abduction[finger])
-    pen_now = _finger_penetration(world, geom, params, hand.wrist_pose,
-                                  finger, abd_angle, flex_now)
+    abd_angle = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
+    wrist = hand.wrist_pose
+    pen_now = _finger_penetration(world, wrist, finger, abd_angle, flex_now)
     if pen_now < 0.0:
         return 1.0
     if pen_now == 0.0:
         return flex_now
-    if _finger_penetration(world, geom, params, hand.wrist_pose,
-                           finger, abd_angle, 0.0) > 0.0:
+    if _finger_penetration(world, wrist, finger, abd_angle, 0.0) > 0.0:
         return 0.0
     lo, hi = 0.0, flex_now
-    while hi - lo > search_tol:
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if _finger_penetration(world, geom, params, hand.wrist_pose,
-                               finger, abd_angle, mid) > 0.0:
+        if _finger_penetration(world, wrist, finger, abd_angle, mid) > 0.0:
             hi = mid
         else:
             lo = mid

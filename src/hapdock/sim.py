@@ -143,23 +143,15 @@ class World:
 def _sphere_box(cx: float, cy: float, cz: float, radius: float,
                 bx: float, by: float, bz: float,
                 hx: float, hy: float, hz: float):
-    """Sphere vs axis-aligned box, plain floats for the per-tick hot path.
+    """Sphere vs axis-aligned box, plain floats: the one sphere-box rule.
 
-    Returns (n_out, depth, point) with ``n_out`` the unit direction from the
-    box surface toward the sphere center, or None when separated.
-
-    The x and y rejects are copied into ``_hand_hits``, which runs them before
-    each call; change them there with them.
+    Returns ``(depth, n_out, point)``. ``depth`` is signed: positive
+    penetration, negative clearance, zero at exact touch. ``n_out`` is the
+    unit direction from the box surface toward the sphere center and
+    ``point`` the contact point; both are None when ``depth <= 0``. The
+    radius is positive, so a center inside the box always penetrates.
     """
-    rx = cx - bx
-    if rx > hx + radius or rx < -hx - radius:
-        return None
-    ry = cy - by
-    if ry > hy + radius or ry < -hy - radius:
-        return None
-    rz = cz - bz
-    if rz > hz + radius or rz < -hz - radius:
-        return None
+    rx, ry, rz = cx - bx, cy - by, cz - bz
     qx = -hx if rx < -hx else (hx if rx > hx else rx)
     qy = -hy if ry < -hy else (hy if ry > hy else ry)
     qz = -hz if rz < -hz else (hz if rz > hz else rz)
@@ -169,9 +161,9 @@ def _sphere_box(cx: float, cy: float, cz: float, radius: float,
         dist = math.sqrt(d2)
         depth = radius - dist
         if depth <= 0.0:
-            return None
+            return depth, None, None
         inv = 1.0 / dist
-        return ((dx * inv, dy * inv, dz * inv), depth, (bx + qx, by + qy, bz + qz))
+        return depth, (dx * inv, dy * inv, dz * inv), (bx + qx, by + qy, bz + qz)
     # Center inside the box: push out through the nearest face.
     gaps = (hx - abs(rx), hy - abs(ry), hz - abs(rz))
     axis = gaps.index(min(gaps))
@@ -180,56 +172,7 @@ def _sphere_box(cx: float, cy: float, cz: float, radius: float,
     n_out = tuple(sign if i == axis else 0.0 for i in range(3))
     point = (cx - n_out[0] * gaps[axis], cy - n_out[1] * gaps[axis],
              cz - n_out[2] * gaps[axis])
-    return n_out, radius + gaps[axis], point
-
-
-def sphere_box_signed_depth(center, radius: float, box_pos, box_half) -> float:
-    """Signed depth: positive penetration, negative clearance, zero at touch."""
-    cx, cy, cz = (float(v) for v in center)
-    bx, by, bz = (float(v) for v in box_pos)
-    hx, hy, hz = (float(v) for v in box_half)
-    rx, ry, rz = cx - bx, cy - by, cz - bz
-    qx = -hx if rx < -hx else (hx if rx > hx else rx)
-    qy = -hy if ry < -hy else (hy if ry > hy else ry)
-    qz = -hz if rz < -hz else (hz if rz > hz else rz)
-    dx, dy, dz = rx - qx, ry - qy, rz - qz
-    d2 = dx * dx + dy * dy + dz * dz
-    if d2 > 0.0:
-        return radius - math.sqrt(d2)
-    gaps = (hx - abs(rx), hy - abs(ry), hz - abs(rz))
-    return radius + min(gaps)
-
-
-def _box_box(ax: float, ay: float, az: float, hax: float, hay: float, haz: float,
-             bx: float, by: float, bz: float, hbx: float, hby: float, hbz: float):
-    """Axis-aligned box pair. Returns (normal pushing B away from A, depth, point).
-
-    The three separating-axis rejects are copied into ``_collect_contacts``,
-    which runs them before each call; change them there with them.
-    """
-    dx = bx - ax
-    ox = hax + hbx - abs(dx)
-    if ox <= 0.0:
-        return None
-    dy = by - ay
-    oy = hay + hby - abs(dy)
-    if oy <= 0.0:
-        return None
-    dz = bz - az
-    oz = haz + hbz - abs(dz)
-    if oz <= 0.0:
-        return None
-    # The axis of least overlap; on a tie, the first such axis.
-    if ox <= oy and ox <= oz:
-        depth, normal = ox, (1.0 if dx >= 0.0 else -1.0, 0.0, 0.0)
-    elif oy <= oz:
-        depth, normal = oy, (0.0, 1.0 if dy >= 0.0 else -1.0, 0.0)
-    else:
-        depth, normal = oz, (0.0, 0.0, 1.0 if dz >= 0.0 else -1.0)
-    point = (0.5 * (max(ax - hax, bx - hbx) + min(ax + hax, bx + hbx)),
-             0.5 * (max(ay - hay, by - hby) + min(ay + hay, by + hby)),
-             0.5 * (max(az - haz, bz - hbz) + min(az + haz, bz + hbz)))
-    return normal, depth, point
+    return radius + gaps[axis], n_out, point
 
 
 class _Contact:
@@ -260,12 +203,12 @@ class _Contact:
 
 
 def _hand_hits(world: World, dynamic: bool):
-    """``(body, collider, _sphere_box hit)`` for every hand sphere touching a
-    box of the given kind that collides with the hand.
+    """``(body, collider, depth, n_out, point)`` for every hand sphere
+    penetrating a box of the given kind that collides with the hand.
 
     A box whose extent misses the hand's bounding box is skipped (the hand
-    broadphase). Per sphere, ``_sphere_box``'s x and y rejects run here with
-    its own expressions before the call; most spheres miss on one of them.
+    broadphase). Per sphere, the three separating-axis rejects run before
+    ``_sphere_box``; most spheres miss on one of them.
     """
     box = world.hand_box
     if box is None:
@@ -290,12 +233,21 @@ def _hand_hits(world: World, dynamic: bool):
             ry = cy - py
             if ry > hy + radius or ry < -hy - radius:
                 continue
-            hit = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)
-            if hit is not None:
-                yield body, h, hit
+            rz = cz - pz
+            if rz > hz + radius or rz < -hz - radius:
+                continue
+            depth, n_out, point = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)
+            if depth > 0.0:
+                yield body, h, depth, n_out, point
 
 
 def _collect_contacts(world: World) -> list[_Contact]:
+    """Box-box contacts in pair order, then hand contacts on dynamic bodies.
+
+    A box pair's contact normal is its axis of least overlap (on a tie, the
+    first such axis) and pushes the dynamic body away; the point is the
+    center of the overlap region.
+    """
     contacts: list[_Contact] = []
     bodies = world.bodies
     n = len(bodies)
@@ -312,21 +264,33 @@ def _collect_contacts(world: World) -> list[_Contact]:
                 continue
             bx, by, bz = b.position
             hbx, hby, hbz = b.half_extents
-            # _box_box's three separating-axis rejects, its own expressions.
-            if (hax + hbx - abs(bx - ax) <= 0.0 or hay + hby - abs(by - ay) <= 0.0
-                    or haz + hbz - abs(bz - az) <= 0.0):
+            dx = bx - ax
+            ox = hax + hbx - abs(dx)
+            if ox <= 0.0:
                 continue
-            hit = _box_box(ax, ay, az, hax, hay, haz, bx, by, bz, hbx, hby, hbz)
-            if hit is None:
+            dy = by - ay
+            oy = hay + hby - abs(dy)
+            if oy <= 0.0:
                 continue
-            normal, depth, point = hit
-            if not b_static:
-                contacts.append(_Contact(b, a, None, normal, depth, point))
+            dz = bz - az
+            oz = haz + hbz - abs(dz)
+            if oz <= 0.0:
+                continue
+            # (nx, ny, nz) pushes B away from A.
+            if ox <= oy and ox <= oz:
+                depth, nx, ny, nz = ox, (1.0 if dx >= 0.0 else -1.0), 0.0, 0.0
+            elif oy <= oz:
+                depth, nx, ny, nz = oy, 0.0, (1.0 if dy >= 0.0 else -1.0), 0.0
             else:
-                contacts.append(_Contact(a, b, None,
-                                         (-normal[0], -normal[1], -normal[2]),
-                                         depth, point))
-    for body, h, (n_out, depth, point) in _hand_hits(world, dynamic=True):
+                depth, nx, ny, nz = oz, 0.0, 0.0, (1.0 if dz >= 0.0 else -1.0)
+            point = (0.5 * (max(ax - hax, bx - hbx) + min(ax + hax, bx + hbx)),
+                     0.5 * (max(ay - hay, by - hby) + min(ay + hay, by + hby)),
+                     0.5 * (max(az - haz, bz - hbz) + min(az + haz, bz + hbz)))
+            if not b_static:
+                contacts.append(_Contact(b, a, None, (nx, ny, nz), depth, point))
+            else:
+                contacts.append(_Contact(a, b, None, (-nx, -ny, -nz), depth, point))
+    for body, h, depth, n_out, point in _hand_hits(world, dynamic=True):
         # Push the dynamic body away from the hand sphere.
         contacts.append(_Contact(body, None, h, (-n_out[0], -n_out[1], -n_out[2]),
                                  depth, point))
@@ -340,7 +304,7 @@ def _penalty_contacts(world: World, dt: float) -> list[ContactImpulse]:
     return [ContactImpulse(body_a="hand", body_b=body.name,
                            point=point, normal=(-n_out[0], -n_out[1], -n_out[2]),
                            magnitude=k * depth * dt, hand_collider=h.name)
-            for body, h, (n_out, depth, point) in _hand_hits(world, dynamic=False)]
+            for body, h, depth, n_out, point in _hand_hits(world, dynamic=False)]
 
 
 # A desk-scale body a million kilometers out is as diverged as a NaN.
@@ -458,7 +422,7 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
                 magnitude=c.accumulated, hand_collider=c.hand.name))
         else:
             report.append(ContactImpulse(
-                body_a=c.other.name if c.other is not None else "world",
+                body_a=c.other.name,
                 body_b=c.body.name,
                 point=c.point, normal=c.normal,
                 magnitude=c.accumulated, hand_collider=None))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -30,6 +31,30 @@ class TestValidation:
         cfg = scenario_from_dict(minimal_dict())
         assert cfg.name == "mini"
         assert cfg.coordinator.ticks == 100
+
+    def test_required_keys_alone_parse_to_the_declared_defaults(self):
+        # Besides the required keys, one body with only its required keys.
+        body = {"name": "post", "kind": "static", "center": [0.3, 0.0, 0.0],
+                "half_extents": [0.01, 0.01, 0.01]}
+        cfg = scenario_from_dict(minimal_dict(scene={"bodies": [body]}))
+        arm = cfg.arms[0]
+        parsed = (cfg, cfg.coordinator, arm, arm.spec, cfg.glove, cfg.glove.calibration,
+                  cfg.dock, cfg.scene, cfg.scene.bodies[0], cfg.trajectory)
+        checked = []
+        for obj in parsed:
+            for f in dataclasses.fields(obj):
+                if f.default is dataclasses.MISSING or (obj, f.name) == (cfg.scene, "bodies"):
+                    continue
+                name = f"{type(obj).__name__}.{f.name}"
+                assert getattr(obj, f.name) == f.default, name
+                checked.append(name)
+        assert {"SceneConfig.gravity", "SceneConfig.surface_stiffness",
+                "SceneConfig.solver_iterations", "SceneConfig.slop",
+                "CoordinatorConfig.filter_cutoff_hz", "ScenarioConfig.tracking_noise_std_m",
+                "ScenarioConfig.oracle_noise_floor_n", "GloveConfig.spring_constant",
+                "ArmConfig.pursuit_speed", "BodyConfig.mass", "BodyConfig.velocity",
+                "BodyConfig.collide_with_hand",
+                "TrajectoryConfig.wrist_rotation"} <= set(checked)
 
     def test_missing_schema_version(self):
         d = minimal_dict()

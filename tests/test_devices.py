@@ -20,19 +20,24 @@ def sensed(flex_raw, abd_raw=0.0):
     return [flex_raw] * 5 + [abd_raw] * 5 + [0.0]
 
 
+def joint_angles(hand):
+    """(mcp, pip, dip) per finger, as the collider chains evaluate them."""
+    return [DEFAULT_HAND_PARAMS.joint_angles(f) for f in hand.flex]
+
+
 class TestForwardModel:
     def test_calibration_minimum_gives_extension(self):
         hand = hand_forward_model(sensed(10.0), CAL, IDENTITY)
         assert hand.flex == (0.0,) * 5
         mcp = math.radians(DEFAULT_HAND_PARAMS.mcp_min_deg)
-        assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in hand.joint_angles)
+        assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in joint_angles(hand))
         assert not any(hand.clamp_flags)
 
     def test_calibration_maximum_gives_full_flex(self):
         hand = hand_forward_model(sensed(90.0), CAL, IDENTITY)
         assert hand.flex == (1.0,) * 5
         mcp = math.radians(DEFAULT_HAND_PARAMS.mcp_max_deg)
-        assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in hand.joint_angles)
+        assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in joint_angles(hand))
 
     def test_midpoint_and_fixed_ratios(self):
         # Oracle: direct interpolation of the pinned constants.
@@ -40,7 +45,7 @@ class TestForwardModel:
         assert hand.flex == pytest.approx((0.5,) * 5, abs=1e-12)
         p = DEFAULT_HAND_PARAMS
         expected_mcp = math.radians(p.mcp_min_deg + 0.5 * (p.mcp_max_deg - p.mcp_min_deg))
-        for mcp, pip, dip in hand.joint_angles:
+        for mcp, pip, dip in joint_angles(hand):
             assert mcp == pytest.approx(expected_mcp, rel=1e-12)
             assert pip == pytest.approx(p.pip_ratio * mcp, rel=1e-12)
             assert dip == pytest.approx(p.dip_ratio * mcp, rel=1e-12)

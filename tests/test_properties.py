@@ -8,11 +8,9 @@ import struct
 from dataclasses import fields
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hapdock import sim
 from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, NUM_FINGERS,
                              PHALANGE_NAMES, HandState, finger_sphere_centers,
@@ -22,8 +20,8 @@ from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              joint_transmit)
 from hapdock.frames import RigidTransform
 from hapdock.routing import _paired_magnitude
-from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _box_box,
-                         _collect_contacts, _penalty_contacts, _sphere_box)
+from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
+                         _penalty_contacts, _sphere_box)
 from shipped import NAMES, as_dict
 
 joints = st.builds(
@@ -106,6 +104,101 @@ halves = st.floats(0.005, 0.1, allow_nan=False)
 radii = st.floats(0.002, 0.06, allow_nan=False)
 
 
+def reference_sphere_box(cx, cy, cz, radius, bx, by, bz, hx, hy, hz):
+    """The solver's sphere-box test before the merge: ``(n_out, depth,
+    point)``, or None when separated, with its own separating-axis rejects."""
+    rx = cx - bx
+    if rx > hx + radius or rx < -hx - radius:
+        return None
+    ry = cy - by
+    if ry > hy + radius or ry < -hy - radius:
+        return None
+    rz = cz - bz
+    if rz > hz + radius or rz < -hz - radius:
+        return None
+    qx = -hx if rx < -hx else (hx if rx > hx else rx)
+    qy = -hy if ry < -hy else (hy if ry > hy else ry)
+    qz = -hz if rz < -hz else (hz if rz > hz else rz)
+    dx, dy, dz = rx - qx, ry - qy, rz - qz
+    d2 = dx * dx + dy * dy + dz * dz
+    if d2 > 0.0:
+        dist = math.sqrt(d2)
+        depth = radius - dist
+        if depth <= 0.0:
+            return None
+        inv = 1.0 / dist
+        return ((dx * inv, dy * inv, dz * inv), depth, (bx + qx, by + qy, bz + qz))
+    gaps = (hx - abs(rx), hy - abs(ry), hz - abs(rz))
+    axis = gaps.index(min(gaps))
+    rel = (rx, ry, rz)[axis]
+    sign = 1.0 if rel >= 0.0 else -1.0
+    n_out = tuple(sign if i == axis else 0.0 for i in range(3))
+    point = (cx - n_out[0] * gaps[axis], cy - n_out[1] * gaps[axis],
+             cz - n_out[2] * gaps[axis])
+    return n_out, radius + gaps[axis], point
+
+
+def reference_signed_depth(center, radius, box_pos, box_half) -> float:
+    """The contact-drum search's signed depth before the merge."""
+    cx, cy, cz = (float(v) for v in center)
+    bx, by, bz = (float(v) for v in box_pos)
+    hx, hy, hz = (float(v) for v in box_half)
+    rx, ry, rz = cx - bx, cy - by, cz - bz
+    qx = -hx if rx < -hx else (hx if rx > hx else rx)
+    qy = -hy if ry < -hy else (hy if ry > hy else ry)
+    qz = -hz if rz < -hz else (hz if rz > hz else rz)
+    dx, dy, dz = rx - qx, ry - qy, rz - qz
+    d2 = dx * dx + dy * dy + dz * dz
+    if d2 > 0.0:
+        return radius - math.sqrt(d2)
+    gaps = (hx - abs(rx), hy - abs(ry), hz - abs(rz))
+    return radius + min(gaps)
+
+
+# Per axis, where a sphere center sits relative to the box center, as a
+# function of the half extent h and the radius r: on the face, at exact
+# face touch and 1e-13 m either side of it, and at the per-axis offset of an
+# edge or corner touch.
+AXIS_OFFSETS = (lambda h, r: h, lambda h, r: h + r, lambda h, r: h + r + 1e-13,
+                lambda h, r: h + r - 1e-13, lambda h, r: h + r / math.sqrt(2.0),
+                lambda h, r: h + r / math.sqrt(3.0))
+
+
+@st.composite
+def sphere_box_cases(draw):
+    """A box and a sphere whose center is, per axis, inside the box, at one
+    of ``AXIS_OFFSETS`` on either side, or anywhere nearby."""
+    box = draw(st.tuples(coords, coords, coords))
+    half = draw(st.tuples(halves, halves, halves))
+    r = draw(radii)
+    center = []
+    for b, h in zip(box, half):
+        kind = draw(st.integers(0, len(AXIS_OFFSETS) + 1))
+        if kind < len(AXIS_OFFSETS):
+            side = draw(st.sampled_from((1.0, -1.0)))
+            center.append(b + side * AXIS_OFFSETS[kind](h, r))
+        elif kind == len(AXIS_OFFSETS):
+            center.append(b + draw(st.floats(-1.0, 1.0)) * h)
+        else:
+            center.append(b + draw(st.floats(-0.3, 0.3)))
+    return tuple(center), r, box, half
+
+
+@settings(max_examples=3000, deadline=None)
+@given(case=sphere_box_cases())
+def test_merged_sphere_box_matches_both_old_forms(case):
+    center, r, box, half = case
+    depth, n_out, point = _sphere_box(*center, r, *box, *half)
+    assert bits(depth) == bits(reference_signed_depth(center, r, box, half))
+    old = reference_sphere_box(*center, r, *box, *half)
+    if old is None:
+        assert depth <= 0.0 and n_out is None and point is None
+    else:
+        old_n, old_depth, old_point = old
+        assert bits(depth) == bits(old_depth)
+        assert [bits(v) for v in n_out + point] == [bits(v) for v in old_n + old_point]
+
+
 @st.composite
 def hand_worlds(draw):
     """Boxes of both kinds plus hand spheres, some placed exactly on a box
@@ -143,13 +236,15 @@ def hand_worlds(draw):
 
 
 def brute_force_hand_hits(world: World, dynamic: bool) -> list:
-    """Every hand sphere against every hand-colliding box of one kind."""
+    """Every hand sphere against every hand-colliding box of one kind, by the
+    pre-merge sphere-box test."""
     hits = []
     for body in world.bodies:
         if (body.kind is BodyKind.DYNAMIC) is not dynamic or not body.collide_with_hand:
             continue
         for h in world.hand:
-            hit = _sphere_box(*h.center, h.radius, *body.position, *body.half_extents)
+            hit = reference_sphere_box(*h.center, h.radius, *body.position,
+                                       *body.half_extents)
             if hit is not None:
                 n_out, depth, point = hit
                 hits.append((body.name, h.name, tuple(-c for c in n_out), depth, point))
@@ -200,14 +295,15 @@ def box_worlds(draw):
 
 
 def brute_force_box_hits(world: World) -> list:
-    """``_box_box`` on every pair with a dynamic body, in pair order."""
+    """``reference_box_box`` on every pair with a dynamic body, in pair order."""
     hits = []
     bodies = world.bodies
     for i, a in enumerate(bodies):
         for b in bodies[i + 1:]:
             if a.kind is not BodyKind.DYNAMIC and b.kind is not BodyKind.DYNAMIC:
                 continue
-            hit = _box_box(*a.position, *a.half_extents, *b.position, *b.half_extents)
+            hit = reference_box_box(*a.position, *a.half_extents,
+                                    *b.position, *b.half_extents)
             if hit is None:
                 continue
             normal, depth, point = hit
@@ -221,25 +317,14 @@ def brute_force_box_hits(world: World) -> list:
 @settings(max_examples=500, deadline=None)
 @given(world=box_worlds())
 def test_hoisted_box_reject_culls_exactly_the_misses(world):
-    calls = []
-
-    def recording(*args):
-        hit = _box_box(*args)
-        calls.append(hit)
-        return hit
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "_box_box", recording)
-        contacts = [(c.body.name, c.other.name, c.normal, c.depth, c.point)
-                    for c in _collect_contacts(world) if c.hand is None]
+    contacts = [(c.body.name, c.other.name, c.normal, c.depth, c.point)
+                for c in _collect_contacts(world) if c.hand is None]
     assert contacts == brute_force_box_hits(world)
-    # Every pair that passes the inlined reject is one _box_box reports.
-    assert None not in calls
-    assert len(calls) == len(contacts)
 
 
 def reference_box_box(ax, ay, az, hax, hay, haz, bx, by, bz, hbx, hby, hbz):
-    """``_box_box`` as it was written before its axis pick was unrolled."""
+    """The box-box test as it was written before its axis pick was unrolled:
+    (normal pushing B away from A, depth, point), or None."""
     dx, dy, dz = bx - ax, by - ay, bz - az
     overlaps = (hax + hbx - abs(dx), hay + hby - abs(dy), haz + hbz - abs(dz))
     if min(overlaps) <= 0.0:
@@ -262,7 +347,12 @@ grid_halves = st.sampled_from((0.01, 0.015, 0.02))
 @given(a=st.tuples(grid, grid, grid), ha=st.tuples(grid_halves, grid_halves, grid_halves),
        b=st.tuples(grid, grid, grid), hb=st.tuples(grid_halves, grid_halves, grid_halves))
 def test_box_box_picks_the_axis_index_min_picks(a, ha, b, hb):
-    got = _box_box(*a, *ha, *b, *hb)
+    world = World()
+    world.add_body(RigidBody(name="a", kind=BodyKind.STATIC, position=a, half_extents=ha))
+    world.add_body(RigidBody(name="b", kind=BodyKind.DYNAMIC, position=b, half_extents=hb,
+                             mass=1.0))
+    got = [(c.normal, c.depth, c.point) for c in _collect_contacts(world)]
+    got = got[0] if got else None
     expected = reference_box_box(*a, *ha, *b, *hb)
     assert got == expected
     if got is not None:
@@ -307,11 +397,11 @@ def test_inlined_hand_chain_matches_transform_point_bits(wrist, flex, abd):
     for k in range(NUM_FINGERS):
         abd_angle = params.abduction_angle(abd[k])
         centers = reference_finger_centers(geom, wrist, k, angles[k], abd_angle)
-        assert finger_sphere_centers(geom, wrist, k, angles[k], abd_angle) == centers
+        assert finger_sphere_centers(wrist, k, angles[k], abd_angle) == centers
         expected += [(name, c, geom.phalange_radius)
                      for name, c in zip(PHALANGE_NAMES[k], centers)]
-    state = HandState(wrist_pose=wrist, flex=flex, abduction=abd, joint_angles=angles)
-    got = hand_collider_spheres(state, geom, params)
+    state = HandState(wrist_pose=wrist, flex=flex, abduction=abd)
+    got = hand_collider_spheres(state)
     # Tuple equality treats 0.0 and -0.0 alike; compare the bits too.
     assert got == expected
     assert ([bits(v) for _, c, _ in got for v in c]

@@ -1,9 +1,13 @@
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import hapdock
+from hapdock import harness
+from shipped import build
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +41,41 @@ def test_runtime_path_leaves_numpy_unimported():
                if line.startswith("import time:")]
     assert "hapdock.cli" in modules
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+def _tracer_constant(name: str):
+    """A literal assigned at the top level of ``perfbench/tracer.py``, read
+    without importing or running the file."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py assigns no {name}")
+
+
+def test_perfbench_traced_calls_are_harness_attributes():
+    # The tracer rebinds these names on hapdock.harness; a missing one
+    # fails the benchmark's set-up, not a test.
+    calls = _tracer_constant("TICK_CALLS")
+    assert calls
+    assert [name for name in calls if not hasattr(harness, name)] == []
+    assert _tracer_constant("TICK_ENTRY") == "hand_forward_model"
+
+
+def test_hand_forward_model_marks_each_tick_once(monkeypatch):
+    # perfbench/ticks.py times a tick from one harness.hand_forward_model
+    # call to the next.
+    calls = []
+    original = harness.hand_forward_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hand_forward_model", counting)
+    cfg = build("single_lift_force_feedback")
+    cfg = dataclasses.replace(
+        cfg, coordinator=dataclasses.replace(cfg.coordinator, duration_s=0.2))
+    log = harness.run_scenario(cfg)
+    assert len(log.records) == cfg.coordinator.ticks == 200
+    assert len(calls) == 200

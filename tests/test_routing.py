@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS,
-                             HandCalibration, hand_forward_model)
+                             HandCalibration, finger_sphere_centers,
+                             hand_forward_model)
 from hapdock.frames import RigidTransform
-from hapdock.routing import (LowPassFilter, contact_drum_param, route_forces)
+from hapdock.routing import (LowPassFilter, _finger_penetration, contact_drum_param,
+                             route_forces)
 from hapdock.sim import (BodyKind, ContactImpulse, HandCollider, RigidBody,
                          World, step_world)
 
@@ -31,7 +33,7 @@ class TestRouteForces:
         # Equal-and-opposite pair on the same body: glove-only, zero net.
         imp = [impulse("index_2", "post", (0.0, -1.0, 0.0), 0.02 * DT),
                impulse("thumb_2", "post", (0.0, 1.0, 0.0), 0.02 * DT)]
-        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0, 0, 0))
+        routed = route_forces(imp, True, DT, reference_point=(0, 0, 0))
         assert routed.net_force == (0.0, 0.0, 0.0)
         assert routed.paired_magnitude == pytest.approx(0.02)
 
@@ -39,14 +41,14 @@ class TestRouteForces:
         # Hand statically supporting 0.3 kg: arm feels (0, -2.943, 0) N.
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT,
                        point=(0.0, 0.1, 0.0))]
-        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0.0, 0.1, 0.0))
+        routed = route_forces(imp, True, DT, reference_point=(0.0, 0.1, 0.0))
         assert routed.net_force == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
         assert routed.residual == (0.0,) * 6
         assert routed.paired_magnitude == 0.0
 
     def test_undocked_net_force_is_discarded_to_residual(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT)]
-        routed = route_forces(imp, hand_at(), False, DT)
+        routed = route_forces(imp, False, DT, reference_point=(0.0, 0.0, 0.0))
         assert routed.residual[:3] == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
         assert routed.residual == routed.net_force + routed.net_torque
 
@@ -63,7 +65,7 @@ class TestRouteForces:
                                 point=tuple(rng.uniform(-0.1, 0.1, 3))))
         total = -sum(np.asarray(i.normal) * i.magnitude / DT for i in imps)
         for docked in (True, False):
-            routed = route_forces(imps, hand_at(), docked, DT, reference_point=(0, 0, 0))
+            routed = route_forces(imps, docked, DT, reference_point=(0, 0, 0))
             assert routed.net_force == pytest.approx(total, abs=1e-12)
             assert routed.residual == ((0.0,) * 6 if docked
                                        else routed.net_force + routed.net_torque)
@@ -71,7 +73,7 @@ class TestRouteForces:
     def test_torque_about_reference_point(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 1.0 * DT,
                        point=(0.1, 0.0, 0.0))]
-        routed = route_forces(imp, hand_at(), True, DT, reference_point=(0.0, 0.0, 0.0))
+        routed = route_forces(imp, True, DT, reference_point=(0.0, 0.0, 0.0))
         # The hand feels the 1 N reaction downward at +10 cm x: -0.1 Nm about z.
         assert routed.net_torque == pytest.approx((0.0, 0.0, -0.1), abs=1e-12)
 
@@ -80,12 +82,12 @@ class TestRouteForces:
         n2 = (math.sin(math.radians(30)), math.cos(math.radians(30)), 0.0)
         imp = [impulse("a", "post", (0.0, -1.0, 0.0), 1e-3),
                impulse("b", "post", n2, 1e-3)]
-        routed = route_forces(imp, hand_at(), False, DT)
+        routed = route_forces(imp, False, DT, reference_point=(0.0, 0.0, 0.0))
         assert routed.paired_magnitude == 0.0
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            route_forces([], hand_at(), False, 0.0)
+            route_forces([], False, 0.0, reference_point=(0.0, 0.0, 0.0))
 
 
 def pinch_world() -> World:
@@ -98,14 +100,11 @@ def pinch_world() -> World:
 
 def first_contact_flex(world: World, finger: int, step=1e-4) -> float:
     """Grid-scan oracle for the flex where the finger first touches."""
-    from hapdock.routing import _finger_penetration
     hand = hand_at()
     abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
     f = 0.0
     while f <= 1.0:
-        pen = _finger_penetration(world, DEFAULT_HAND_GEOMETRY,
-                                  DEFAULT_HAND_PARAMS, hand.wrist_pose,
-                                  finger, abd, f)
+        pen = _finger_penetration(world, hand.wrist_pose, finger, abd, f)
         if pen > 0.0:
             return f
         f += step
@@ -123,10 +122,9 @@ class TestContactDrum:
     def test_exact_touch_returns_current_flex(self):
         # Build a plate whose face exactly touches the index distal sphere.
         hand = hand_at(flex=0.3)
-        from hapdock.devices import finger_sphere_centers
         abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[1])
-        tip = finger_sphere_centers(DEFAULT_HAND_GEOMETRY, hand.wrist_pose, 1,
-                                    hand.joint_angles[1], abd)[2]
+        tip = finger_sphere_centers(hand.wrist_pose, 1,
+                                    DEFAULT_HAND_PARAMS.joint_angles(hand.flex[1]), abd)[2]
         r = DEFAULT_HAND_GEOMETRY.phalange_radius
         w = World()
         w.add_body(RigidBody(name="plate", kind=BodyKind.STATIC,
@@ -143,11 +141,9 @@ class TestContactDrum:
         assert abs(stop - oracle) <= 1e-3
         # The returned stop always sits on the penetrating side of the
         # boundary so the glove holds a real (if tiny) contact.
-        from hapdock.routing import _finger_penetration
         hand = hand_at()
         abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[1])
-        assert _finger_penetration(w, DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS,
-                                   hand.wrist_pose, 1, abd, stop) > 0.0
+        assert _finger_penetration(w, hand.wrist_pose, 1, abd, stop) > 0.0
 
     def test_thumb_and_index_stops_identical_by_symmetry(self):
         w = pinch_world()
@@ -177,7 +173,7 @@ class TestContactDrum:
                                          radius=0.05,
                                          velocity=np.array([0.0, vy, 0.0]))])
                 _, impulses = step_world(w, DT)
-                routed = route_forces(impulses, hand_at(), True, DT,
+                routed = route_forces(impulses, True, DT,
                                       reference_point=(0.0, 0.0, 0.0))
                 if i > 700:
                     forces.append(-routed.net_force[1])

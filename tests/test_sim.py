@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
-                         World, _box_box, _sphere_box, sphere_box_signed_depth,
-                         step_world)
+                         World, _collect_contacts, _sphere_box, step_world)
 
 DT = 0.001
 G = 9.81
@@ -46,41 +45,57 @@ def world_with(*bodies) -> World:
     return w
 
 
+def box_pair_contact(a, ha, b, hb):
+    """(normal pushing B away from A, depth, point) of a static box A and a
+    dynamic box B, or None when they do not overlap."""
+    contacts = _collect_contacts(world_with(
+        RigidBody(name="a", kind=BodyKind.STATIC, position=a, half_extents=ha),
+        RigidBody(name="b", kind=BodyKind.DYNAMIC, position=b, half_extents=hb, mass=1.0)))
+    if not contacts:
+        return None
+    (c,) = contacts
+    return c.normal, c.depth, c.point
+
+
 class TestNarrowphase:
     def test_sphere_box_face_contact(self):
-        hit = _sphere_box(0.0, 0.06, 0.0, 0.02, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05)
-        assert hit is not None
-        n_out, depth, point = hit
+        depth, n_out, point = _sphere_box(0.0, 0.06, 0.0, 0.02,
+                                          0.0, 0.0, 0.0, 0.05, 0.05, 0.05)
         assert n_out == pytest.approx((0.0, 1.0, 0.0))
         assert depth == pytest.approx(0.01)
         assert point == pytest.approx((0.0, 0.05, 0.0))
 
     def test_sphere_box_separated(self):
-        assert _sphere_box(0.0, 0.08, 0.0, 0.02, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05) is None
+        depth, n_out, point = _sphere_box(0.0, 0.08, 0.0, 0.02,
+                                          0.0, 0.0, 0.0, 0.05, 0.05, 0.05)
+        assert depth == pytest.approx(-0.01)
+        assert n_out is None and point is None
 
     def test_sphere_center_inside_box(self):
-        hit = _sphere_box(0.0, 0.04, 0.0, 0.02, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05)
-        assert hit is not None
-        n_out, depth, _ = hit
+        depth, n_out, _ = _sphere_box(0.0, 0.04, 0.0, 0.02,
+                                      0.0, 0.0, 0.0, 0.05, 0.05, 0.05)
         assert n_out == (0.0, 1.0, 0.0)
         assert depth == pytest.approx(0.03)
 
     def test_signed_depth_sign_convention(self):
-        args = ((0.0, 0.0, 0.0), (0.05, 0.05, 0.05))
-        assert sphere_box_signed_depth((0.0, 0.08, 0.0), 0.02, *args) < 0.0
-        assert sphere_box_signed_depth((0.0, 0.07, 0.0), 0.02, *args) == pytest.approx(0.0)
-        assert sphere_box_signed_depth((0.0, 0.06, 0.0), 0.02, *args) == pytest.approx(0.01)
+        def depth(y):
+            return _sphere_box(0.0, y, 0.0, 0.02, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05)[0]
+
+        assert depth(0.08) < 0.0
+        assert depth(0.07) == pytest.approx(0.0)
+        assert depth(0.06) == pytest.approx(0.01)
 
     def test_box_box_min_axis(self):
-        hit = _box_box(0.0, 0.0, 0.0, 0.5, 0.05, 0.5, 0.0, 0.09, 0.0, 0.05, 0.05, 0.05)
+        hit = box_pair_contact([0.0, 0.0, 0.0], (0.5, 0.05, 0.5),
+                               [0.0, 0.09, 0.0], (0.05, 0.05, 0.05))
         assert hit is not None
         normal, depth, _ = hit
         assert normal == (0.0, 1.0, 0.0)
         assert depth == pytest.approx(0.01)
 
     def test_box_box_separated(self):
-        assert _box_box(0.0, 0.0, 0.0, 0.5, 0.05, 0.5,
-                        0.0, 0.2, 0.0, 0.05, 0.05, 0.05) is None
+        assert box_pair_contact([0.0, 0.0, 0.0], (0.5, 0.05, 0.5),
+                                [0.0, 0.2, 0.0], (0.05, 0.05, 0.05)) is None
 
 
 class TestDynamics:
