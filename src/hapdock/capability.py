@@ -3,7 +3,9 @@
 Composing grounded arms with a worn glove yields pose-dependent envelopes:
 inside an arm's reach the hybrid can render ground-referenced force, outside
 it degrades to the glove alone. Regions where two arms overlap stack their
-force contributions.
+force contributions. The force envelope is the largest such stack; a sweep
+over the reach boxes' lower corners finds it in O(n^4) for n arms (see
+``_max_force_over_cells``).
 
 A stacked force is a bound of the layout, not something a run renders: the
 coordinator docks one arm at a time (``slot_available`` in the harness's dock
@@ -54,6 +56,12 @@ class DockLink:
     kind: DockJointKind
     breaking_force: float = DEFAULT_BREAKING_FORCE_N
     friction_mu: float = DEFAULT_FRICTION_MU
+
+    def __post_init__(self):
+        if self.breaking_force <= 0.0:
+            raise CapabilityError("breaking_force must be strictly positive")
+        if self.friction_mu < 0.0:
+            raise CapabilityError("friction_mu must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +131,10 @@ def _arm_force_through_joint(spec: ArmSpec, link: DockLink) -> Vec3:
     return tuple(force)
 
 
-def _arm_torque_through_joint(spec: ArmSpec, name: str, link: DockLink
+def _arm_torque_through_joint(spec: ArmSpec, name: str, degraded: tuple[str, ...]
                               ) -> tuple[tuple[str, float], ...]:
-    out = []
-    for i, axis in enumerate(ROT_AXES):
-        if axis in link.kind.degraded_dofs():
-            continue
-        out.append((f"{name}:{axis}", spec.max_torque[i]))
-    return tuple(out)
+    return tuple((f"{name}:{axis}", spec.max_torque[i])
+                 for i, axis in enumerate(ROT_AXES) if axis not in degraded)
 
 
 def _glove_torques(glove: GloveSpec, name: str) -> tuple[tuple[str, float], ...]:
@@ -141,26 +145,33 @@ def _glove_torques(glove: GloveSpec, name: str) -> tuple[tuple[str, float], ...]
 def _max_force_over_cells(regions: Sequence[ForceRegion]) -> Vec3:
     """Per-axis maximum of summed contributions over the box arrangement.
 
-    Only subsets whose boxes share interior volume can stack force, so the
-    maximum is taken over all subsets with a non-degenerate intersection.
-    Adjacent (touching) boxes share no interior and do not stack.
+    Only boxes whose interiors overlap by more than 1e-12 m on every axis
+    stack their force; touching boxes do not. A set of boxes overlaps in this
+    sense exactly when, at its lower corner ``c`` (the per-axis max of its
+    lower bounds), every box has ``lo <= c`` and ``hi - c > 1e-12``. The sweep
+    therefore visits the corners whose x, y and z are lower bounds of some
+    box, one axis at a time, and sums in region order the forces of the
+    boxes live there. Every contribution is >= 0, so a live set's sum bounds
+    that of each of its subsets: the result is the maximum over all
+    overlapping subsets, and a set whose sum raises no axis of the best so
+    far is not swept further. O(n^4) in the worst case.
     """
-    if not regions:
-        return (0.0, 0.0, 0.0)
-    best = [0.0, 0.0, 0.0]
-    n = len(regions)
-    for mask in range(1, 1 << n):
-        chosen = [regions[i] for i in range(n) if mask & (1 << i)]
-        inter = chosen[0].box
-        for r in chosen[1:]:
-            inter = inter.intersection(r.box)
-            if inter is None:
-                break
-        if inter is None:
-            continue
-        for axis in range(3):
-            total = sum(r.force[axis] for r in chosen)
-            best[axis] = max(best[axis], total)
+    boxes = [(r.box.min_corner(), r.box.max_corner(), r.force) for r in regions]
+    # A lone box counts however thin it is: the 1e-12 rule only decides stacking.
+    best = [max(col) for col in zip((0.0, 0.0, 0.0), *(r.force for r in regions))]
+
+    def sweep(group, axis):
+        totals = [sum(col) for col in zip(*(f for _, _, f in group))]
+        if not any(t > m for t, m in zip(totals, best)):
+            return
+        if axis == 3:
+            best[:] = map(max, best, totals)
+            return
+        for c in {lo[axis] for lo, _, _ in group}:
+            sweep([b for b in group if b[0][axis] <= c and b[1][axis] - c > 1e-12],
+                  axis + 1)
+
+    sweep(boxes, 0)
     return tuple(best)
 
 
@@ -187,6 +198,7 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
     regions = []
     torques: list[tuple[str, float]] = []
     degraded: list[str] = []
+    degraded_axes = set()
     for i, link in active:
         spec = arms[i]
         name = arm_names[i]
@@ -195,9 +207,11 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
             arm_torque = tuple((f"{name}:{ax}", spec.max_torque[j])
                                for j, ax in enumerate(ROT_AXES))
         else:
+            dofs = link.kind.degraded_dofs()
             force = _arm_force_through_joint(spec, link)
-            arm_torque = _arm_torque_through_joint(spec, name, link)
-            degraded.extend(f"{name}:{d}" for d in link.kind.degraded_dofs())
+            arm_torque = _arm_torque_through_joint(spec, name, dofs)
+            degraded.extend(f"{name}:{d}" for d in dofs)
+            degraded_axes.update(d for d in dofs if d in ROT_AXES)
         regions.append(ForceRegion(arm_name=name, box=spec.workspace_box_world(),
                                    force=force, torque=arm_torque))
         torques.extend(arm_torque)
@@ -209,10 +223,6 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
 
     rotation: list = [UNBOUNDED, UNBOUNDED, UNBOUNDED]
     if active and arms:
-        degraded_axes = set()
-        for i, link in active:
-            if link is not None:
-                degraded_axes |= {d for d in link.kind.degraded_dofs() if d in ROT_AXES}
         for j, axis in enumerate(ROT_AXES):
             if axis in degraded_axes:
                 rotation[j] = UNBOUNDED
@@ -236,7 +246,13 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
 
 
 def capability_at(cap: HybridCapability, pose) -> PointCapability:
-    """Envelope available at a hand pose: sum of the arms that reach it."""
+    """Envelope available at a hand pose: sum of the arms that reach it.
+
+    Reach is a closed box, so a pose on a face two boxes share sums both
+    arms, although the boxes share no interior and ``force_envelope`` does
+    not stack them there. Away from every face the sum never exceeds the
+    envelope.
+    """
     if isinstance(pose, RigidTransform):
         point = pose.translation
     else:

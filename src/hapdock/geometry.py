@@ -28,10 +28,12 @@ class Box:
         return tuple(2.0 * h for h in self.half_extents)
 
     def min_corner(self) -> Vec3:
-        return tuple(c - h for c, h in zip(self.center, self.half_extents))
+        (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
+        return (cx - hx, cy - hy, cz - hz)
 
     def max_corner(self) -> Vec3:
-        return tuple(c + h for c, h in zip(self.center, self.half_extents))
+        (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
+        return (cx + hx, cy + hy, cz + hz)
 
     def contains(self, p, margin: float = 0.0) -> bool:
         return all(abs(p[i] - self.center[i]) <= self.half_extents[i] + margin
@@ -51,12 +53,3 @@ class Box:
     def translate(self, offset) -> "Box":
         return Box(tuple(c + float(o) for c, o in zip(self.center, offset)),
                    self.half_extents)
-
-    def intersection(self, other: "Box") -> "Box | None":
-        """Overlap box, or None when the interiors do not intersect."""
-        lo = [max(a, b) for a, b in zip(self.min_corner(), other.min_corner())]
-        hi = [min(a, b) for a, b in zip(self.max_corner(), other.max_corner())]
-        if any(h - l <= 1e-12 for l, h in zip(lo, hi)):
-            return None
-        return Box(tuple(0.5 * (l + h) for l, h in zip(lo, hi)),
-                   tuple(0.5 * (h - l) for l, h in zip(lo, hi)))

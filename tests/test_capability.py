@@ -170,3 +170,11 @@ class TestValidation:
             compose_capability([VIRTUOSE_6D], [DEXMO_GLOVE],
                                [DockLink(0, 0, PLATE_FRICTION),
                                 DockLink(0, 0, TOOTHED)])
+
+    @pytest.mark.parametrize("values", [{"breaking_force": 0.0},
+                                        {"breaking_force": -5.0},
+                                        {"friction_mu": -1.0}])
+    def test_bad_link_values_rejected(self, values):
+        # A negative friction cap would compose a negative force.
+        with pytest.raises(CapabilityError):
+            DockLink(0, 0, PLATE_SLIP, **values)

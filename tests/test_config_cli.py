@@ -234,6 +234,18 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["translation"]["boxes"][0]["extents_mm"] == [1330, 575, 1020]
 
+    def test_shared_face_point_sums_both_arms_but_the_envelope_does_not(
+            self, tmp_path, capsys):
+        # Handover reach boxes touch at x = 0.665 m: the closed boxes both hold
+        # the point, but they share no interior, so the envelope does not stack.
+        out = tmp_path / "cap.json"
+        code = main(["capability", str(shipped_path("handover_sweep")),
+                     "--at", "0.665", "0", "0", "--json", str(out)])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "force (19.0, 19.0, 19.0) N, grounded=True, arms=['arm_a', 'arm_b']" in text
+        assert json.loads(out.read_text())["force_envelope_n"] == [9.5, 9.5, 9.5]
+
     def test_oracle_command(self, tmp_path, capsys):
         log = tmp_path / "log.ndjson"
         assert main(["run", str(shipped_path("pursuit_static")), "--out", str(log)]) == 0

@@ -5,20 +5,23 @@ import copy
 import itertools
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hapdock.capability import DockLink, capability_at, compose_capability
 from hapdock.config import ConfigError, scenario_from_dict
-from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, NUM_FINGERS,
-                             PHALANGE_NAMES, HandState, finger_sphere_centers,
-                             hand_collider_spheres)
+from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
+                             NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, HandState,
+                             finger_sphere_centers, hand_collider_spheres)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
-                             DockContext, DockJoint, DockState, dock_step,
+                             PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
+                             TOOTHED, DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
 from hapdock.frames import RigidTransform
+from hapdock.geometry import Box
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box)
@@ -497,6 +500,105 @@ def test_inverse_of_inverse_is_original(a):
 @given(a=poses, b=poses, c=poses)
 def test_compose_is_associative(a, b, c):
     assert_same_pose(a.compose(b).compose(c), a.compose(b.compose(c)))
+
+
+# -- force envelope ----------------------------------------------------------
+
+def reference_intersection(a: Box, b: Box) -> Box | None:
+    """Overlap box, or None when the interiors do not intersect (the former
+    ``Box.intersection``)."""
+    lo = [max(p, q) for p, q in zip(a.min_corner(), b.min_corner())]
+    hi = [min(p, q) for p, q in zip(a.max_corner(), b.max_corner())]
+    if any(h - l <= 1e-12 for l, h in zip(lo, hi)):
+        return None
+    return Box(tuple(0.5 * (l + h) for l, h in zip(lo, hi)),
+               tuple(0.5 * (h - l) for l, h in zip(lo, hi)))
+
+
+def reference_force_envelope(regions):
+    """The 2^n subset enumeration the lower-corner sweep replaced."""
+    if not regions:
+        return (0.0, 0.0, 0.0)
+    best = [0.0, 0.0, 0.0]
+    n = len(regions)
+    for mask in range(1, 1 << n):
+        chosen = [regions[i] for i in range(n) if mask & (1 << i)]
+        inter = chosen[0].box
+        for r in chosen[1:]:
+            inter = reference_intersection(inter, r.box)
+            if inter is None:
+                break
+        if inter is None:
+            continue
+        for axis in range(3):
+            total = sum(r.force[axis] for r in chosen)
+            best[axis] = max(best[axis], total)
+    return tuple(best)
+
+
+# Reach faces on a 0.25 m grid, shifted by gaps around the 1e-12 m stacking
+# rule, so that faces touch, nearly touch or barely overlap.
+FACE_GAPS = (0.0, 1e-13, -1e-13, 2e-12, -2e-12)
+box_coords = st.builds(lambda g, e: g + e, st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+                       st.sampled_from(FACE_GAPS))
+reach_arms = st.tuples(
+    st.tuples(box_coords, box_coords, box_coords),               # box centre
+    st.tuples(*[st.sampled_from((0.5, 1.0, 1.5, 2.0))] * 3),     # extents
+    st.tuples(*[st.sampled_from((0.1, 2.5, 9.5, 40.0))] * 3),    # max force
+    st.sampled_from((PLATE_FRICTION, PLATE_SLIP, PRISMATIC, TOOTHED, PINNED_ROTARY)),
+    st.sampled_from((0.0, 0.4, 1.0)),                            # friction_mu
+    st.booleans())                                               # linked
+reach_layouts = st.lists(reach_arms, max_size=10)
+
+
+def compose_layout(layout):
+    """Arms whose world reach box is exactly the drawn centre and extents.
+    With no arm linked every arm renders its full force."""
+    arms = [replace(VIRTUOSE_6D, name=f"arm{k}", workspace_center=(0.0, 0.0, 0.0),
+                    workspace_extents=extents, max_force=force,
+                    base_pose=RigidTransform.from_translation(center))
+            for k, (center, extents, force, *_) in enumerate(layout)]
+    links = [DockLink(k, 0, kind, friction_mu=mu)
+             for k, (*_, kind, mu, linked) in enumerate(layout) if linked]
+    return compose_capability(arms, [DEXMO_GLOVE], links)
+
+
+def unit_arm(center, extents, force=(9.5, 9.5, 9.5)):
+    return (center, extents, force, PLATE_FRICTION, 0.4, True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(layout=reach_layouts)
+# Overlap of exactly 1e-12 m (exact in binary at these coordinates): no stack.
+@example(layout=[unit_arm((0.0, 0.0, 0.0), (2e-12, 1.0, 1.0)),
+                 unit_arm((0.5, 0.0, 0.0), (1.0, 1.0, 1.0))])
+# Overlap of 2e-12 m: the two arms stack.
+@example(layout=[unit_arm((0.0, 0.0, 0.0), (4e-12, 1.0, 1.0)),
+                 unit_arm((0.5, 0.0, 0.0), (1.0, 1.0, 1.0))])
+# A box thinner than the rule still counts on its own.
+@example(layout=[unit_arm((0.0, 0.0, 0.0), (1e-12, 1.0, 1.0), (40.0, 40.0, 40.0)),
+                 unit_arm((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
+def test_force_envelope_matches_subset_enumeration(layout):
+    cap = compose_layout(layout)
+    assert cap.force_envelope == reference_force_envelope(cap.force_regions)
+
+
+def test_force_envelope_of_forty_identical_arms():
+    # The enumeration would visit 2^40 subsets; finishing is the guard.
+    layout = [unit_arm((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))] * 40
+    assert compose_layout(layout).force_envelope == (380.0, 380.0, 380.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=reach_layouts,
+       point=st.tuples(*[st.floats(-2.5, 2.5, allow_nan=False)] * 3))
+def test_point_force_away_from_faces_within_envelope(layout, point):
+    # On a face two boxes share, the closed-box lookup may exceed the envelope.
+    cap = compose_layout(layout)
+    assume(all(abs(point[i] - face[i]) > 1e-9 for r in cap.force_regions
+               for face in (r.box.min_corner(), r.box.max_corner()) for i in range(3)))
+    force = capability_at(cap, point).force
+    assert all(f <= e for f, e in zip(force, cap.force_envelope))
 
 
 # -- dock lifecycle ----------------------------------------------------------
