@@ -8,8 +8,8 @@ over the reach boxes' lower corners finds it in O(n^4) for n arms (see
 ``_max_force_over_cells``).
 
 A stacked force is a bound of the layout, not something a run renders: the
-coordinator docks one arm at a time (``slot_available`` in the harness's dock
-lifecycle), so ``hapdock run`` renders at most one arm's force at any tick.
+coordinator docks one arm at a time (its one dock slot, ``Coordinator.docked``
+in the harness), so ``hapdock run`` renders at most one arm's force at any tick.
 """
 
 from __future__ import annotations
@@ -75,16 +75,13 @@ class ForceRegion:
 
 
 @dataclass(frozen=True, slots=True)
-class TranslationVolume:
-    boxes: tuple[Box, ...]
-    unbounded_outside: bool
-
-
-@dataclass(frozen=True, slots=True)
 class HybridCapability:
-    """Envelope description of a composed device set."""
+    """Envelope description of a composed device set.
 
-    translation_volume: TranslationVolume
+    Translation is enhanced inside the ``force_regions`` boxes and, with a
+    glove present, unbounded outside them.
+    """
+
     rotation_volume: tuple          # per base axis: degrees or UNBOUNDED
     force_envelope: Vec3            # per-axis max over the whole volume
     torque_envelope: tuple[tuple[str, float], ...]
@@ -232,9 +229,6 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
         rotation = [0.0, 0.0, 0.0]
 
     return HybridCapability(
-        translation_volume=TranslationVolume(
-            boxes=tuple(r.box for r in regions),
-            unbounded_outside=bool(gloves)),
         rotation_volume=tuple(rotation),
         force_envelope=_max_force_over_cells(regions),
         torque_envelope=tuple(torques),
@@ -296,7 +290,7 @@ def capability_to_dict(cap: HybridCapability) -> dict:
     return {
         "translation": {
             "boxes": boxes,
-            "unbounded_outside": cap.translation_volume.unbounded_outside,
+            "unbounded_outside": cap.glove_present,
         },
         "rotation_deg": [None if r is UNBOUNDED else r for r in cap.rotation_volume],
         "force_envelope_n": list(cap.force_envelope),
@@ -309,14 +303,12 @@ def capability_to_dict(cap: HybridCapability) -> dict:
 def capability_report(cap: HybridCapability) -> str:
     """Human-readable capability report."""
     lines = ["hybrid capability"]
-    tv = cap.translation_volume
-    if tv.boxes:
-        for region in cap.force_regions:
-            e = region.box.extents
-            lines.append(f"  reach[{region.arm_name}]: "
-                         f"{_fmt_mm(e[0])} x {_fmt_mm(e[1])} x {_fmt_mm(e[2])} mm "
-                         f"at {tuple(round(c, 4) for c in region.box.center)}")
-    if tv.unbounded_outside:
+    for region in cap.force_regions:
+        e = region.box.extents
+        lines.append(f"  reach[{region.arm_name}]: "
+                     f"{_fmt_mm(e[0])} x {_fmt_mm(e[1])} x {_fmt_mm(e[2])} mm "
+                     f"at {tuple(round(c, 4) for c in region.box.center)}")
+    if cap.glove_present:
         lines.append("  translation outside enhanced regions: unbounded (worn device only)")
     lines.append(f"  rotation: {_fmt_rotation(cap.rotation_volume)}")
     fx, fy, fz = cap.force_envelope

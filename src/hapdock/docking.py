@@ -5,7 +5,7 @@ attach/release behaviour, the interception controller and the dock lifecycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .devices import ArmCommand
@@ -129,8 +129,7 @@ def require_transition(old: DockState, new: DockState) -> None:
 def pursue(effector_pose: RigidTransform, target_pose: RigidTransform,
            max_speed: float, dt: float, *,
            base_pose: RigidTransform = RigidTransform.identity(),
-           tool_offset: RigidTransform = RigidTransform.identity(),
-           angular_speed: float = 3.0) -> ArmCommand:
+           tool_offset: RigidTransform = RigidTransform.identity()) -> ArmCommand:
     """Pure-pursuit command: chase the target's current pose directly.
 
     The command is expressed for the effector pivot in the arm base frame; the
@@ -145,20 +144,17 @@ def pursue(effector_pose: RigidTransform, target_pose: RigidTransform,
     effect_fwd = base_pose.inverse().compose(effector_pose)
     tool_w = effector_pose.compose(tool_offset)
     chain = correction_chain(base_pose, effector_pose, tool_w, target_pose, effect_fwd)
-    return ArmCommand(target=chain.effect_forward_new, speed_limit=max_speed,
-                      angular_speed_limit=angular_speed)
+    return ArmCommand(target=chain.effect_forward_new, speed_limit=max_speed)
 
 
 def try_attach(magnet_pose: RigidTransform, plate_pose: RigidTransform,
-               pos_tol: float, ang_tol: float, kind: DockJointKind, *,
-               breaking_force: float = DEFAULT_BREAKING_FORCE_N,
-               friction_mu: float = DEFAULT_FRICTION_MU,
-               contact_radius: float = DEFAULT_CONTACT_RADIUS_M) -> DockJoint | None:
-    """Form a joint if the energized magnet face is on the plate.
+               pos_tol: float, ang_tol: float, joint: DockJoint) -> DockJoint | None:
+    """Form ``joint`` if the energized magnet face is on the plate.
 
-    Docking is opportunistic: the joint records whatever relative transform
-    the faces actually met at, so the kinematic chain stays exact without a
-    pose snap. Returns None when the faces are too far apart or misaligned.
+    Docking is opportunistic: the formed joint is a copy of ``joint`` that
+    records whatever relative transform the faces actually met at, so the
+    kinematic chain stays exact without a pose snap. Returns None when the
+    faces are too far apart or misaligned.
     """
     gap = magnet_pose.translation_distance_to(plate_pose)
     if gap > pos_tol:
@@ -168,10 +164,7 @@ def try_attach(magnet_pose: RigidTransform, plate_pose: RigidTransform,
     dot = max(-1.0, min(1.0, mz[0] * pz[0] + mz[1] * pz[1] + mz[2] * pz[2]))
     if math.acos(dot) > ang_tol:
         return None
-    attach = plate_pose.inverse().compose(magnet_pose)
-    return DockJoint(kind=kind, breaking_force=breaking_force,
-                     friction_mu=friction_mu, contact_radius=contact_radius,
-                     attach_pose=attach)
+    return replace(joint, attach_pose=plate_pose.inverse().compose(magnet_pose))
 
 
 def joint_transmit(joint: DockJoint, wrench) -> tuple[tuple[float, ...], bool, bool]:
@@ -228,11 +221,10 @@ class DockContext:
 
     intercept_wanted: bool       # predicted hand position inside the inflated reach
     arbitration_winner: bool     # this arm won the nearest-effector tie-break
-    magnet_energized: bool
+    magnet_energized: bool       # after the channel latency; False ends RELEASING
     attach_candidate: bool       # faces within attach tolerance
-    slot_available: bool         # no other joint currently formed
-    release_demanded: bool       # over-force, peel, workspace exit or software
-    magnet_off_settled: bool     # de-energize latency elapsed
+    slot_available: bool         # no arm docked (the coordinator's one dock slot)
+    release_demanded: bool       # over-force, peel or workspace exit
 
 
 def dock_step(state: DockState, ctx: DockContext) -> tuple[DockState, tuple[str, ...]]:
@@ -257,7 +249,7 @@ def dock_step(state: DockState, ctx: DockContext) -> tuple[DockState, tuple[str,
             return DockState.RELEASING, ("release",)
         return state, ()
     if state is DockState.RELEASING:
-        if ctx.magnet_off_settled:
+        if not ctx.magnet_energized:
             require_transition(state, DockState.FREE)
             return DockState.FREE, ("demagnetized",)
         return state, ()

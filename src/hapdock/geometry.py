@@ -35,9 +35,9 @@ class Box:
         (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
         return (cx + hx, cy + hy, cz + hz)
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return all(abs(p[i] - self.center[i]) <= self.half_extents[i] + margin
-                   for i in range(3))
+    def contains(self, p) -> bool:
+        (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
+        return abs(p[0] - cx) <= hx and abs(p[1] - cy) <= hy and abs(p[2] - cz) <= hz
 
     def clamp_point(self, p) -> Vec3:
         out = []

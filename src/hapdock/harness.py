@@ -73,7 +73,6 @@ class GloveRateViolation(RuntimeError):
 class _ArmUnit:
     """One arm's mutable state plus the constants its per-tick work reads."""
 
-    index: int
     name: str
     cfg: object
     state: ArmState
@@ -84,17 +83,7 @@ class _ArmUnit:
     base_inv: RigidTransform
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
-    joint: DockJoint | None = None
-    clamped: bool = False
     cooldown_until: float = 0.0
-    # Set every tick by the dock lifecycle: whether the predicted plate is in
-    # the trigger box, the wrench transmitted to the hand (world frame), the
-    # slip flag, and while docked ``(local, clamped)`` from ``_follow``,
-    # which arm control reuses.
-    trigger: bool = False
-    transmitted: tuple[float, ...] = ZERO6
-    slip: bool = False
-    follow: tuple | None = None
     target: RigidTransform | None = None   # set by arm control, world frame
 
 
@@ -109,8 +98,20 @@ class Coordinator:
         self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz, self.dt, size=6)
         self.glove_cmd = GloveCommand(
             spring_constant=(cfg.glove.spring_constant,) * 5)
-        self.tool_inv = cfg.dock.tool_offset.inverse()
-        self.units = [self._unit(i, arm) for i, arm in enumerate(cfg.arms)]
+        dock = cfg.dock
+        self.tool_inv = dock.tool_offset.inverse()
+        self.unattached_joint = DockJoint(
+            kind=dock.joint_kind, breaking_force=dock.breaking_force,
+            friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
+        self.units = [self._unit(arm) for arm in cfg.arms]
+        # The one dock slot: ``docked`` and ``joint`` from attach to release,
+        # ``follow`` (from ``_follow``, reused by arm control) while docked,
+        # and this tick's wrench ``transmitted`` to the hand (world frame).
+        self.docked: _ArmUnit | None = None
+        self.joint: DockJoint | None = None
+        self.follow: tuple | None = None
+        self.transmitted = ZERO6
+        self.slip = False
         self.rng = random.Random(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
         # Without a body that collides with the hand nothing reads the
@@ -120,7 +121,7 @@ class Coordinator:
         self._last_glove_tick: int | None = None
         self.log = MetricLog(self._header())
 
-    def _unit(self, index: int, arm) -> _ArmUnit:
+    def _unit(self, arm) -> _ArmUnit:
         spec = arm.spec
         base_inv = spec.base_pose.inverse()
         park = RigidTransform.from_translation(arm.park_position)
@@ -129,7 +130,7 @@ class Coordinator:
             trigger_box = spec.workspace_box_world().inflate(
                 self.cfg.dock.workspace_inflation_m)
         return _ArmUnit(
-            index=index, name=arm.name, cfg=arm, state=ArmState(pose=park),
+            name=arm.name, cfg=arm, state=ArmState(pose=park),
             dock_state=DockState.FREE,
             magnet=MagnetChannel(latency_s=self.cfg.dock.magnet_latency_s),
             box_base=spec.workspace_box_base(), trigger_box=trigger_box,
@@ -234,16 +235,10 @@ class Coordinator:
         t = tuple(p + gauss(0.0, std) for p in plate.translation)
         return RigidTransform(plate.rotation, t)
 
-    def _docked_unit(self) -> _ArmUnit | None:
-        for u in self.units:
-            if u.dock_state is DockState.DOCKED and u.joint is not None:
-                return u
-        return None
-
     def _follow(self, u: _ArmUnit, plate: RigidTransform):
         """Base-frame effector pose that keeps the docked magnet on the plate,
         and its translation clamped to the workspace."""
-        follow = plate.compose(u.joint.attach_pose).compose(self.tool_inv)
+        follow = plate.compose(self.joint.attach_pose).compose(self.tool_inv)
         local = u.base_inv.compose(follow)
         return local, u.box_base.clamp_point(local.translation)
 
@@ -251,75 +246,70 @@ class Coordinator:
                          cmd_world: tuple[float, ...], events: list[str]):
         """Run the lifecycle for every arm.
 
-        Sets each unit's ``transmitted``, ``slip`` and ``follow`` for this
-        tick.
+        Sets ``transmitted`` and ``slip`` for this tick and, while an arm is
+        docked, ``follow``.
         """
         cfg = self.cfg
         dock = cfg.dock
         units = self.units
-        for u in units:
-            u.transmitted = ZERO6
-            u.slip = False
-            u.follow = None
+        self.transmitted = ZERO6
+        self.slip = False
         if cfg.condition is Condition.FREE:
             return
 
         predicted = predict_position(plate.translation, plate_vel,
                                      dock.interception_horizon_s)
-        for u in units:
-            u.trigger = u.trigger_box.contains(predicted)
+        triggers = [u.trigger_box.contains(predicted) for u in units]
 
         # Nearest effector among free arms whose trigger fires wins the
         # interception; ties break toward the lowest arm index.
         winner = None
         best = None
-        for u in units:
-            if u.dock_state is not DockState.FREE or not u.trigger:
+        for u, trigger in zip(units, triggers):
+            if u.dock_state is not DockState.FREE or not trigger:
                 continue
             if t < u.cooldown_until:
                 continue
             d = math.dist(u.state.pose.translation, predicted)
             if best is None or d < best - 1e-12:
-                best, winner = d, u.index
+                best, winner = d, u
 
-        for u in units:
+        for u, trigger in zip(units, triggers):
             release_demanded = False
             joint_candidate = None
             magnet_on = u.magnet.update(t)
-            slot_available = all(other.joint is None for other in units)
+            # Read at each arm's turn: a release frees the slot for a later
+            # arm in the same tick.
+            slot_available = self.docked is None
 
-            if u.dock_state is DockState.DOCKED and u.joint is not None:
-                local, clamped = self._follow(u, plate)
-                u.follow = (local, clamped)
-                violation = math.dist(local.translation, clamped)
-                if violation > dock.release_slack_m:
+            if u is self.docked:
+                self.follow = self._follow(u, plate)
+                local, clamped = self.follow
+                if math.dist(local.translation, clamped) > dock.release_slack_m:
                     release_demanded = True
                 plate_inv = plate.inverse()
                 cmd_plate = (plate_inv.rotate_vector(cmd_world[:3])
                              + plate_inv.rotate_vector(cmd_world[3:]))
-                out_plate, slip, released = joint_transmit(u.joint, cmd_plate)
+                out_plate, slip, released = joint_transmit(self.joint, cmd_plate)
                 if released:
                     release_demanded = True
                 if not release_demanded:
-                    u.transmitted = (plate.rotate_vector(out_plate[:3])
-                                     + plate.rotate_vector(out_plate[3:]))
-                    u.slip = slip
+                    self.transmitted = (plate.rotate_vector(out_plate[:3])
+                                        + plate.rotate_vector(out_plate[3:]))
+                    self.slip = slip
 
             if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
                 magnet_pose = u.state.pose.compose(dock.tool_offset)
-                joint_candidate = try_attach(
-                    magnet_pose, plate, dock.pos_tol, dock.ang_tol_rad,
-                    dock.joint_kind, breaking_force=dock.breaking_force,
-                    friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
+                joint_candidate = try_attach(magnet_pose, plate, dock.pos_tol,
+                                             dock.ang_tol_rad, self.unattached_joint)
 
             ctx = DockContext(
-                intercept_wanted=u.trigger,
-                arbitration_winner=(u.index == winner),
+                intercept_wanted=trigger,
+                arbitration_winner=u is winner,
                 magnet_energized=magnet_on,
                 attach_candidate=joint_candidate is not None,
                 slot_available=slot_available,
                 release_demanded=release_demanded,
-                magnet_off_settled=not magnet_on,
             )
             new_state, evs = dock_step(u.dock_state, ctx)
             for ev in evs:
@@ -327,30 +317,26 @@ class Coordinator:
                 if ev == "intercept":
                     u.magnet.command(True, t)
                 elif ev == "attach":
-                    u.joint = joint_candidate
+                    self.docked, self.joint = u, joint_candidate
+                    self.follow = self._follow(u, plate)
                 elif ev in ("release", "abort"):
-                    u.joint = None
                     u.magnet.command(False, t)
-                    u.transmitted = ZERO6
                     if ev == "release":
+                        self.docked = self.joint = None
                         u.cooldown_until = t + dock.reattach_cooldown_s
             u.dock_state = new_state
 
-    def _arm_control(self, t: float, plate: RigidTransform,
-                     cmd_world: tuple[float, ...], events: list[str]) -> None:
+    def _arm_control(self, plate: RigidTransform, cmd_world: tuple[float, ...],
+                     events: list[str]) -> None:
         """Step every arm and set its ``target`` for this tick."""
         dock = self.cfg.dock
         for u in self.units:
             spec = u.cfg.spec
-            if u.dock_state is DockState.DOCKED and u.joint is not None:
-                if u.follow is not None:
-                    local, clamped_pos = u.follow
-                else:  # attached this tick: no follow pose computed yet
-                    local, clamped_pos = self._follow(u, plate)
+            if u is self.docked:
+                local, clamped_pos = self.follow
                 pinned = spec.base_pose.compose(
                     RigidTransform(local.rotation, clamped_pos))
-                u.clamped = clamped_pos != local.translation
-                u.state = ArmState(pose=pinned, clamped=u.clamped)
+                u.state = ArmState(pose=pinned, clamped=clamped_pos != local.translation)
                 disp = impedance_displacement(cmd_world[:3], spec.stiffness)
                 target = RigidTransform(
                     pinned.rotation,
@@ -359,17 +345,15 @@ class Coordinator:
                 cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed, self.dt,
                              base_pose=spec.base_pose, tool_offset=dock.tool_offset)
                 u.state = arm_step(spec, u.state, cmd, self.dt)
-                u.clamped = u.state.clamped
                 target = spec.base_pose.compose(cmd.target)
             elif u.dock_state is DockState.RELEASING:
                 hold = u.base_inv.compose(u.state.pose)
                 cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
-                u.state = arm_step(spec, u.state, cmd, self.dt)
-                u.clamped = False
+                # A releasing arm reports no clamp.
+                u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
                 target = u.state.pose
             else:
                 u.state = arm_step(spec, u.state, u.park_cmd, self.dt)
-                u.clamped = u.state.clamped
                 target = u.park
             u.target = target
             events.append(f"arm_target:{u.name}")
@@ -398,7 +382,7 @@ class Coordinator:
                       (plate_pos[2] - prev[2]) / dt))
         self._prev_plate = plate_pos
 
-        docked = self._docked_unit()
+        docked = self.docked
         routed = route_forces(impulses, docked is not None, dt, reference_point=plate_pos)
 
         # The magnet-on-plate dock cannot carry torque about its normal and the
@@ -420,7 +404,7 @@ class Coordinator:
                               zip(cmd_world, cfg.sample_injected_load(t)))
 
         self._dock_management(t, plate, plate_vel, cmd_world, events)
-        self._arm_control(t, plate, cmd_world, events)
+        self._arm_control(plate, cmd_world, events)
 
         support = {}
         for body in self.world.bodies:
@@ -442,9 +426,9 @@ class Coordinator:
                 "pos": list(pose.translation),
                 "quat": list(pose.rotation),
                 "target": list(u.target.translation),
-                "rendered": list(u.transmitted),
-                "slip": u.slip,
-                "clamped": u.clamped,
+                "rendered": list(self.transmitted if u is self.docked else ZERO6),
+                "slip": u is self.docked and self.slip,
+                "clamped": u.state.clamped,
                 "tool_dist": pose.compose(tool_offset).translation_distance_to(plate_truth),
                 "magnet": u.magnet.effective,
             })

@@ -51,15 +51,15 @@ class TestPrototypeRow:
 class TestSingleDeviceRows:
     def test_glove_alone(self):
         cap = compose_capability([], [DEXMO_GLOVE], [])
-        assert cap.translation_volume.boxes == ()
-        assert cap.translation_volume.unbounded_outside is True
+        assert cap.force_regions == ()
+        assert cap.glove_present is True
         assert cap.force_envelope == (0.0, 0.0, 0.0)
         assert all(r is UNBOUNDED for r in cap.rotation_volume)
         assert [v for _, v in cap.torque_envelope] == [0.5] * 5
 
     def test_arm_alone(self):
         cap = compose_capability([VIRTUOSE_6D], [], [])
-        assert cap.translation_volume.unbounded_outside is False
+        assert cap.glove_present is False
         assert cap.force_envelope == (9.5, 9.5, 9.5)
         assert cap.rotation_volume == (330.0, 130.0, 270.0)
         assert [v for _, v in cap.torque_envelope] == [1.0, 1.0, 1.0]
@@ -72,8 +72,8 @@ class TestMultiArm:
         cap = compose_capability(arms, [DEXMO_GLOVE],
                                  [DockLink(0, 0, PLATE_FRICTION),
                                   DockLink(1, 0, PLATE_FRICTION)])
-        lo = min(b.min_corner()[0] for b in cap.translation_volume.boxes)
-        hi = max(b.max_corner()[0] for b in cap.translation_volume.boxes)
+        lo = min(r.box.min_corner()[0] for r in cap.force_regions)
+        hi = max(r.box.max_corner()[0] for r in cap.force_regions)
         assert hi - lo == pytest.approx(2 * 1.330, abs=1e-12)
         # Touching boxes share no interior: force does not stack.
         assert cap.force_envelope == (9.5, 9.5, 9.5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,20 +121,24 @@ class TestJointTransmit:
 class TestTryAttach:
     def test_coincident_aligned_gives_identity(self):
         pose = RigidTransform.from_translation((0.3, 0.1, 0.0))
-        joint = try_attach(pose, pose, 0.005, math.radians(5), PLATE_FRICTION)
+        unattached = DockJoint(kind=TOOTHED, breaking_force=10.0, friction_mu=0.2,
+                               contact_radius=0.01)
+        joint = try_attach(pose, pose, 0.005, math.radians(5), unattached)
         assert joint is not None
         assert joint.attach_pose.rotation_angle() <= 1e-9
         assert math.hypot(*joint.attach_pose.translation) <= 1e-9
+        # Everything but the attach pose comes from the joint passed in.
+        assert replace(joint, attach_pose=unattached.attach_pose) == unattached
 
     def test_gap_beyond_tolerance_refuses(self):
         plate = RigidTransform.identity()
         magnet = RigidTransform.from_translation((0.0, 0.0, 0.010))
-        assert try_attach(magnet, plate, 0.005, math.radians(5), PLATE_FRICTION) is None
+        assert try_attach(magnet, plate, 0.005, math.radians(5), plate_joint()) is None
 
     def test_misalignment_beyond_tolerance_refuses(self):
         plate = RigidTransform.identity()
         magnet = RigidTransform.from_axis_angle((1, 0, 0), math.radians(10))
-        assert try_attach(magnet, plate, 0.005, math.radians(5), PLATE_FRICTION) is None
+        assert try_attach(magnet, plate, 0.005, math.radians(5), plate_joint()) is None
 
     def test_offset_attach_records_measured_relative_pose(self):
         # Oracle: compose the relative transform independently and compare.
@@ -141,7 +146,7 @@ class TestTryAttach:
         offset = RigidTransform.from_axis_angle((0, 0, 1), math.radians(2.5),
                                                 (0.002, -0.001, 0.001))
         magnet = plate.compose(offset)
-        joint = try_attach(magnet, plate, 0.005, math.radians(5), PLATE_FRICTION)
+        joint = try_attach(magnet, plate, 0.005, math.radians(5), plate_joint())
         assert joint is not None
         assert joint.attach_pose.rotation_angle_to(offset) < 1e-9
         assert joint.attach_pose.translation_distance_to(offset) < 1e-9
@@ -207,8 +212,7 @@ class TestPursue:
 def ctx(**over) -> DockContext:
     base = dict(intercept_wanted=False, arbitration_winner=False,
                 magnet_energized=False, attach_candidate=False,
-                slot_available=True, release_demanded=False,
-                magnet_off_settled=True)
+                slot_available=True, release_demanded=False)
     base.update(over)
     return DockContext(**base)
 
@@ -229,7 +233,7 @@ class TestLifecycle:
         state, evs = dock_step(state, ctx(release_demanded=True))
         history.append(state)
         assert evs == ("release",)
-        state, evs = dock_step(state, ctx(magnet_off_settled=True))
+        state, evs = dock_step(state, ctx(magnet_energized=False))
         history.append(state)
         assert history == [DockState.FREE, DockState.INTERCEPTING,
                            DockState.DOCKED, DockState.RELEASING, DockState.FREE]

@@ -6,7 +6,7 @@ from hapdock import geometry, harness
 from hapdock.config import scenario_from_dict
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
-from shipped import as_dict, build
+from shipped import NAMES, as_dict, build, cached_run
 
 
 def synthetic_log(force_by_can: dict, ticks_per_window: int = 100) -> tuple:
@@ -197,10 +197,10 @@ class TestDockingPipeline:
         # reachable box by more than the integration tolerance.
         cfg = build("handover_sweep")
         log = run_scenario(cfg)
-        boxes = {a.name: a.spec.workspace_box_world() for a in cfg.arms}
+        boxes = {a.name: a.spec.workspace_box_world().inflate(1e-6) for a in cfg.arms}
         for rec in log.records:
             for arm in rec["arms"]:
-                assert boxes[arm["name"]].contains(arm["pos"], margin=1e-6)
+                assert boxes[arm["name"]].contains(arm["pos"])
 
     def test_sensor_clamp_telemetry(self):
         # Scripted trajectories stay in range; nothing should be flagged.
@@ -218,6 +218,26 @@ class TestDockingPipeline:
         cur = log.records[attach_tick]["arms"][0]["pos"]
         step = math.dist(prev, cur)
         assert step <= cfg.arms[0].pursuit_speed * 0.001 + 1e-9
+
+
+class TestDockSlot:
+    def test_handover_release_frees_the_slot_for_a_later_arm_in_the_same_tick(self):
+        ticks = [r["events"] for r in cached_run("handover_sweep").records
+                 if "attach:arm_b" in r["events"]]
+        assert ticks
+        events = ticks[0]
+        assert "release:arm_a" in events
+        assert events.index("release:arm_a") < events.index("attach:arm_b")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_at_most_one_docked_arm_and_only_it_renders(self, name):
+        for rec in cached_run(name).records:
+            docked = [a["name"] for a in rec["arms"] if a["state"] == "docked"]
+            assert len(docked) <= 1
+            for arm in rec["arms"]:
+                if arm["name"] not in docked:
+                    assert arm["rendered"] == [0.0] * 6
+                    assert arm["slip"] is False
 
 
 def _short(name: str, duration_s: float, **over):

@@ -605,7 +605,7 @@ def test_point_force_away_from_faces_within_envelope(layout, point):
 
 def test_dock_step_only_takes_legal_transitions():
     flags = [f.name for f in fields(DockContext)]
-    assert len(flags) == 7
+    assert len(flags) == 6
     seen = set()
     for state in DockState:
         for bits in itertools.product((False, True), repeat=len(flags)):
