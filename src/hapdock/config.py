@@ -407,8 +407,8 @@ def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
                                   "normalized values must lie in [0, 1]")
     rotation = _vec(_get(data, "wrist_rotation", TrajectoryConfig),
                     f"{path}.wrist_rotation", 4)
-    # Stored as given: the per-tick ``from_quat`` normalizes it once, and a
-    # normalized copy here could shift the logged bits.
+    # Stored as given: ``Coordinator.__init__`` normalizes it once with
+    # ``from_quat``, and a normalized copy here could shift the logged bits.
     if math.hypot(*rotation) < 1e-12:
         raise ConfigError(f"{path}.wrist_rotation", "must be a nonzero quaternion")
     return TrajectoryConfig(wrist=wrist, flex=flex, abduction=abduction,

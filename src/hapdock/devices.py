@@ -7,10 +7,12 @@ spring constants. Both are modeled at the API level, not the motor level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .frames import RigidTransform, euler_xyz_from_quat, quat_from_euler_xyz, slerp
+from .frames import (RigidTransform, _qrotate, euler_xyz_from_quat, quat_from_euler_xyz,
+                     slerp)
 from .geometry import Box, Vec3
 
 # Scheduler rate contract: the coordinator ticks at 1 kHz; the glove must not
@@ -327,15 +329,15 @@ class HandGeometry:
 DEFAULT_HAND_GEOMETRY = HandGeometry()
 
 
-def finger_sphere_centers(wrist: RigidTransform, finger: int,
-                          joint_angles: tuple[float, float, float],
-                          abd_angle: float) -> list[Vec3]:
-    """The default hand's wrist-frame chain evaluated to world-space phalange
-    sphere centers; ``joint_angles`` is (mcp, pip, dip) in radians.
+def _finger_offsets(rotation, finger: int, joint_angles: tuple[float, float, float],
+                    abd_angle: float) -> list[Vec3]:
+    """The default hand's wrist-frame chain, rotated by ``rotation``: each
+    phalange center's offset from the wrist, ``joint_angles`` being (mcp, pip,
+    dip) in radians.
 
-    Each center is ``wrist.transform_point`` of the chain point with
-    ``_qrotate`` written out: the same expressions in the same order, so the
-    same bits, without two calls and two tuples per sphere.
+    Each offset is ``_qrotate(rotation, chain point)`` written out: the same
+    expressions in the same order, so the same bits, without a call and a
+    tuple per sphere.
     """
     geom = DEFAULT_HAND_GEOMETRY
     mcp, pip, dip = joint_angles
@@ -343,9 +345,8 @@ def finger_sphere_centers(wrist: RigidTransform, finger: int,
     ca, sa = math.cos(abd_angle), math.sin(abd_angle)
     curl = geom.curl_sign[finger]
     px, py, pz = geom.finger_base(finger)
-    w, x, y, z = wrist.rotation
-    ox, oy, oz = wrist.translation
-    centers = []
+    w, x, y, z = rotation
+    offsets = []
     for length, theta in ((l0, mcp), (l1, mcp + pip), (l2, mcp + pip + dip)):
         dx = math.cos(theta)
         dy = curl * math.sin(theta)
@@ -355,21 +356,53 @@ def finger_sphere_centers(wrist: RigidTransform, finger: int,
         tx = 2.0 * (y * pz - z * py)
         ty = 2.0 * (z * px - x * pz)
         tz = 2.0 * (x * py - y * px)
-        centers.append((ox + (px + w * tx + (y * tz - z * ty)),
-                        oy + (py + w * ty + (z * tx - x * tz)),
-                        oz + (pz + w * tz + (x * ty - y * tx))))
-    return centers
+        offsets.append((px + w * tx + (y * tz - z * ty),
+                        py + w * ty + (z * tx - x * tz),
+                        pz + w * tz + (x * ty - y * tx)))
+    return offsets
+
+
+def finger_sphere_centers(wrist: RigidTransform, finger: int,
+                          joint_angles: tuple[float, float, float],
+                          abd_angle: float) -> list[Vec3]:
+    """World-space phalange sphere centers of one default-hand finger: each is
+    ``wrist.transform_point`` of its chain point, bit for bit."""
+    ox, oy, oz = wrist.translation
+    return [(ox + a, oy + b, oz + c)
+            for a, b, c in _finger_offsets(wrist.rotation, finger, joint_angles, abd_angle)]
+
+
+@functools.lru_cache(maxsize=1)
+def _hand_offsets(rotation, flex: tuple[float, ...],
+                  abduction: tuple[float, ...]) -> tuple[Vec3, ...]:
+    """Every default-hand sphere center's rotated offset from the wrist, palm
+    first, then each finger proximal to distal.
+
+    Pure, so memoized on its last key: a tick whose rotation and fingers
+    match the previous tick's evaluates no chain. Keys that differ only in
+    the sign of a zero compare equal and give the same bits: a signed zero
+    only flips the sign of zero intermediates, and each offset coordinate is
+    a sum whose first term, the chain point's coordinate, is nonzero or +0.0.
+    """
+    geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
+    offsets = [_qrotate(rotation, geom.palm_center)]
+    for k in range(NUM_FINGERS):
+        offsets += _finger_offsets(rotation, k, params.joint_angles(flex[k]),
+                                   params.abduction_angle(abduction[k]))
+    return tuple(offsets)
+
+
+# (name, radius) of every hand sphere, in ``_hand_offsets`` order.
+_HAND_SPHERES = (("palm", DEFAULT_HAND_GEOMETRY.palm_radius),) + tuple(
+    (name, DEFAULT_HAND_GEOMETRY.phalange_radius) for names in PHALANGE_NAMES
+    for name in names)
 
 
 def hand_collider_spheres(state: HandState) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) of the default
-    hand for one state."""
-    geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
+    hand for one state: the memoized offsets translated to the wrist."""
     wrist = state.wrist_pose
-    out = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
-    radius = geom.phalange_radius
-    for k, names in enumerate(PHALANGE_NAMES):
-        centers = finger_sphere_centers(wrist, k, params.joint_angles(state.flex[k]),
-                                        params.abduction_angle(state.abduction[k]))
-        out += [(name, c, radius) for name, c in zip(names, centers)]
-    return out
+    ox, oy, oz = wrist.translation
+    offsets = _hand_offsets(wrist.rotation, state.flex, state.abduction)
+    return [(name, (ox + a, oy + b, oz + c), radius)
+            for (name, radius), (a, b, c) in zip(_HAND_SPHERES, offsets)]

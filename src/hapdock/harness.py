@@ -104,6 +104,8 @@ class Coordinator:
             kind=dock.joint_kind, breaking_force=dock.breaking_force,
             friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
         self.units = [self._unit(arm) for arm in cfg.arms]
+        # Normalized once; ``sample_track`` already returns float tuples.
+        self.wrist_rotation = RigidTransform.from_quat(cfg.trajectory.wrist_rotation).rotation
         # The one dock slot: ``docked`` and ``joint`` from attach to release,
         # ``follow`` (from ``_follow``, reused by arm control) while docked,
         # and this tick's wrench ``transmitted`` to the hand (world frame).
@@ -190,7 +192,7 @@ class Coordinator:
     def _hand_for_tick(self, t: float, events: list[str], tick: int) -> HandState:
         cfg = self.cfg
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
-        wrist = RigidTransform.from_quat(cfg.trajectory.wrist_rotation, wrist_pos)
+        wrist = RigidTransform(self.wrist_rotation, wrist_pos)
         cal = cfg.glove.calibration
         sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
                   for i in range(5)]
@@ -215,18 +217,13 @@ class Coordinator:
 
     def _update_hand_colliders(self, hand: HandState) -> None:
         spheres = hand_collider_spheres(hand)
-        prev = self.world.hand
-        if prev:
-            # The spheres come in the same order every tick, so the previous
-            # collider at the same index is the same sphere.
-            dt = self.dt
-            colliders = [
-                HandCollider(name, c, radius, ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt,
-                                               (c[2] - p[2]) / dt))
-                for (name, c, radius), (_, p, _, _) in zip(spheres, prev)]
+        world = self.world
+        if world.hand:
+            # The spheres come in the same order every tick.
+            world.move_hand([c for _, c, _ in spheres], self.dt)
         else:
-            colliders = [HandCollider(name, c, radius, ZERO3) for name, c, radius in spheres]
-        self.world.set_hand(colliders)
+            world.set_hand([HandCollider(name, c, radius, ZERO3)
+                            for name, c, radius in spheres])
 
     def _tracked_plate(self, plate: RigidTransform) -> RigidTransform:
         if self.noise_std <= 0.0:
@@ -359,6 +356,15 @@ class Coordinator:
             events.append(f"arm_target:{u.name}")
 
     def _tick(self, tick: int) -> None:
+        """Run one tick and log its record.
+
+        A record reads two instants. ``docked_arm`` is the arm docked when the
+        tick starts: it picks the force route and ``cmd_wrench``. ``arms[]``
+        is read after the dock lifecycle and arm control. So the attach tick
+        logs ``docked_arm: null`` with the arm ``docked`` (handover_sweep
+        tick 199), and a handover tick names the releasing arm while the
+        next one is ``docked`` (tick 4134).
+        """
         cfg = self.cfg
         dt = self.dt
         t = tick * dt

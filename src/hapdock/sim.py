@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 Vec3 = tuple[float, float, float]
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -65,8 +64,12 @@ class RigidBody:
             raise ValueError(f"{self.name}: dynamic bodies need positive mass")
 
 
-class HandCollider(NamedTuple):
-    """Kinematic sphere driven by the hand model; never receives impulses."""
+@dataclass(slots=True)
+class HandCollider:
+    """Kinematic sphere driven by the hand model; never receives impulses.
+
+    Built once by ``World.set_hand``; ``World.move_hand`` moves it in place.
+    """
 
     name: str
     center: Vec3
@@ -100,14 +103,24 @@ class SolverParams:
 _HAND_BOX_MARGIN = 1.0e-9
 
 
+def _hand_box(hand: list[HandCollider]) -> tuple[float, ...] | None:
+    """(min x, min y, min z, max x, max y, max z) around every hand sphere,
+    or None without a hand."""
+    if not hand:
+        return None
+    r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
+    xs, ys, zs = zip(*[h.center for h in hand])
+    return (min(xs) - r, min(ys) - r, min(zs) - r,
+            max(xs) + r, max(ys) + r, max(zs) + r)
+
+
 @dataclass(slots=True)
 class World:
     gravity: Vec3 = (0.0, -9.81, 0.0)
     params: SolverParams = field(default_factory=SolverParams)
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
-    # (min x, min y, min z, max x, max y, max z) around every hand sphere,
-    # or None without a hand; set by ``set_hand``.
+    # ``_hand_box`` of ``hand``, kept by ``set_hand`` and ``move_hand``.
     hand_box: tuple[float, ...] | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -127,14 +140,20 @@ class World:
         raise KeyError(name)
 
     def set_hand(self, colliders: list[HandCollider]) -> None:
-        self.hand = hand = list(colliders)
-        if not hand:
-            self.hand_box = None
-            return
-        r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
-        xs, ys, zs = zip(*(h.center for h in hand))
-        self.hand_box = (min(xs) - r, min(ys) - r, min(zs) - r,
-                         max(xs) + r, max(ys) + r, max(zs) + r)
+        self.hand = list(colliders)
+        self.hand_box = _hand_box(self.hand)
+
+    def move_hand(self, centers: list[Vec3], dt: float) -> None:
+        """Move the colliders in place to ``centers``, given in ``set_hand``
+        order; each velocity is the move over ``dt``."""
+        hand = self.hand
+        if len(centers) != len(hand):
+            raise ValueError(f"expected {len(hand)} hand centers, got {len(centers)}")
+        for h, c in zip(hand, centers):
+            p = h.center
+            h.velocity = ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt)
+            h.center = c
+        self.hand_box = _hand_box(hand)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]

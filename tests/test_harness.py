@@ -239,6 +239,18 @@ class TestDockSlot:
                     assert arm["rendered"] == [0.0] * 6
                     assert arm["slip"] is False
 
+    @pytest.mark.parametrize("tick, docked_arm, states", [
+        (199, None, ["docked", "free"]),
+        (4134, "arm_a", ["releasing", "docked"]),
+    ])
+    def test_docked_arm_is_read_before_the_lifecycle_and_states_after(
+            self, tick, docked_arm, states):
+        # ``docked_arm`` is the arm docked when the tick starts; the arm
+        # states are read after the tick's dock lifecycle ran.
+        rec = cached_run("handover_sweep").records[tick]
+        assert rec["docked_arm"] == docked_arm
+        assert [a["state"] for a in rec["arms"]] == states
+
 
 def _short(name: str, duration_s: float, **over):
     raw = as_dict(name)
@@ -293,6 +305,7 @@ class TestHotPath:
         assert coord.world.hand == []
 
     def test_lift_tick_builds_sixteen_colliders(self, monkeypatch):
+        # Built on the first tick, then moved in place.
         built = []
         original = harness.HandCollider
 
@@ -301,16 +314,27 @@ class TestHotPath:
             return original(*args)
 
         monkeypatch.setattr(harness, "HandCollider", counting)
-        coord = Coordinator(_short("single_lift_force_feedback", 0.01))
+        # The lift scene with the wrist rising and the fingers closing from
+        # t = 0, so tick 1 moves every sphere.
+        trajectory = {**as_dict("single_lift_force_feedback")["trajectory"],
+                      "wrist": [[0.0, -0.05, -0.08, 0.0], [0.5, -0.05, 0.055, 0.0]],
+                      "flex": [[0.0] + [0.0] * 5, [0.5] + [0.8] * 5]}
+        coord = Coordinator(_short("single_lift_force_feedback", 0.01,
+                                   trajectory=trajectory))
         coord._tick(0)
         assert len(built) == 16
-        assert [h.velocity for h in coord.world.hand] == [(0.0, 0.0, 0.0)] * 16
+        hand = list(coord.world.hand)
+        assert [h.velocity for h in hand] == [(0.0, 0.0, 0.0)] * 16
+        prev = [h.center for h in hand]
         coord._tick(1)
-        assert len(built) == 32
+        assert len(built) == 16
+        assert len(coord.world.hand) == 16
+        assert all(h is old for h, old in zip(coord.world.hand, hand))
         # Velocities come from the same sphere one tick earlier.
-        for (name, center, _, velocity), prev in zip(built[16:], built[:16]):
-            assert name == prev[0]
-            assert velocity == tuple((c - p) / coord.dt for c, p in zip(center, prev[1]))
+        for h, p in zip(coord.world.hand, prev):
+            assert h.center != p
+            expected = tuple((c - q) / coord.dt for c, q in zip(h.center, p))
+            assert [v.hex() for v in h.velocity] == [v.hex() for v in expected]
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every

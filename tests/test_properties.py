@@ -15,7 +15,8 @@ from hapdock.capability import DockLink, capability_at, compose_capability
 from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
                              NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, HandState,
-                             finger_sphere_centers, hand_collider_spheres)
+                             _hand_offsets, finger_sphere_centers,
+                             hand_collider_spheres)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
@@ -205,7 +206,8 @@ def test_merged_sphere_box_matches_both_old_forms(case):
 @st.composite
 def hand_worlds(draw):
     """Boxes of both kinds plus hand spheres, some placed exactly on a box
-    face or within 1e-12 m of it."""
+    face or within 1e-12 m of it. Half the hands are built elsewhere by
+    ``set_hand`` and brought to these centers by ``move_hand``."""
     world = World()
     n_boxes = draw(st.integers(1, 4))
     for i in range(n_boxes):
@@ -234,7 +236,14 @@ def hand_worlds(draw):
                 else:
                     center.append(p + draw(st.floats(-1.0, 1.0)) * h)
         spheres.append(HandCollider(f"s{j}", tuple(center), r, (0.0, 0.0, 0.0)))
-    world.set_hand(spheres)
+    if draw(st.booleans()):
+        centers = [h.center for h in spheres]
+        for h in spheres:
+            h.center = draw(st.tuples(coords, coords, coords))
+        world.set_hand(spheres)
+        world.move_hand(centers, 0.001)
+    else:
+        world.set_hand(spheres)
     return world
 
 
@@ -266,6 +275,25 @@ def test_hand_broadphase_culls_no_contact(world):
                for imp in _penalty_contacts(world, dt)]
     assert penalty == [(b, h, n, k * depth * dt, p)
                        for b, h, n, depth, p in brute_force_hand_hits(world, dynamic=False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=hand_worlds(), data=st.data())
+def test_moved_hand_matches_a_hand_set_there(world, data):
+    dt = 0.001
+    before = [h.center for h in world.hand]
+    objects = list(world.hand)
+    centers = [data.draw(st.tuples(coords, coords, coords)) for _ in before]
+    world.move_hand(centers, dt)
+    assert all(h is o for h, o in zip(world.hand, objects))
+    for h, c, p in zip(world.hand, centers, before):
+        assert h.center == c
+        assert ([bits(v) for v in h.velocity]
+                == [bits((a - b) / dt) for a, b in zip(c, p)])
+    fresh = World()
+    fresh.set_hand([HandCollider(h.name, c, h.radius, (0.0, 0.0, 0.0))
+                    for h, c in zip(world.hand, centers)])
+    assert [bits(v) for v in world.hand_box] == [bits(v) for v in fresh.hand_box]
 
 
 @st.composite
@@ -390,25 +418,70 @@ poses = st.builds(RigidTransform.from_quat, unit_quats, translations)
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
 
 
+def reference_hand_spheres(state: HandState) -> list:
+    """Every hand sphere through the unmemoized reference chain."""
+    geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
+    wrist = state.wrist_pose
+    out = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
+    for k in range(NUM_FINGERS):
+        centers = reference_finger_centers(
+            geom, wrist, k, params.joint_angles(state.flex[k]),
+            params.abduction_angle(state.abduction[k]))
+        out += [(name, c, geom.phalange_radius)
+                for name, c in zip(PHALANGE_NAMES[k], centers)]
+    return out
+
+
+def assert_same_spheres(got, expected) -> None:
+    # Tuple equality treats 0.0 and -0.0 alike; compare the bits too.
+    assert got == expected
+    assert ([bits(v) for _, c, _ in got for v in c]
+            == [bits(v) for _, c, _ in expected for v in c])
+
+
 @settings(max_examples=500, deadline=None)
 @given(wrist=poses, flex=st.tuples(*[unit_floats] * NUM_FINGERS),
        abd=st.tuples(*[unit_floats] * NUM_FINGERS))
 def test_inlined_hand_chain_matches_transform_point_bits(wrist, flex, abd):
     geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
-    angles = tuple(params.joint_angles(f) for f in flex)
-    expected = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
     for k in range(NUM_FINGERS):
+        angles = params.joint_angles(flex[k])
         abd_angle = params.abduction_angle(abd[k])
-        centers = reference_finger_centers(geom, wrist, k, angles[k], abd_angle)
-        assert finger_sphere_centers(wrist, k, angles[k], abd_angle) == centers
-        expected += [(name, c, geom.phalange_radius)
-                     for name, c in zip(PHALANGE_NAMES[k], centers)]
+        centers = finger_sphere_centers(wrist, k, angles, abd_angle)
+        expected = reference_finger_centers(geom, wrist, k, angles, abd_angle)
+        assert [bits(v) for c in centers for v in c] == [bits(v) for c in expected for v in c]
     state = HandState(wrist_pose=wrist, flex=flex, abduction=abd)
-    got = hand_collider_spheres(state)
-    # Tuple equality treats 0.0 and -0.0 alike; compare the bits too.
-    assert got == expected
-    assert ([bits(v) for _, c, _ in got for v in c]
-            == [bits(v) for _, c, _ in expected for v in c])
+    assert_same_spheres(hand_collider_spheres(state), reference_hand_spheres(state))
+
+
+IDENTITY = RigidTransform()
+
+
+@settings(max_examples=500, deadline=None)
+# Keys that differ only in the sign of a zero are equal memo keys, so the
+# second call of each example below is a memo hit.
+@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=1, value=-0.0)
+@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=4, value=-0.0)
+@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=9, value=-0.0)
+@example(wrist=RigidTransform((0.0, 0.0, 1.0, 0.0), (-0.0, -0.0, -0.0)),
+         flex=(0.5,) * 5, abd=(0.5,) * 5, which=0, value=-0.0)
+@given(wrist=poses, flex=st.tuples(*[unit_floats] * NUM_FINGERS),
+       abd=st.tuples(*[unit_floats] * NUM_FINGERS), which=st.integers(0, 13),
+       value=st.one_of(unit_floats, st.just(-0.0)))
+def test_hand_memo_returns_no_stale_entry(wrist, flex, abd, which, value):
+    # Two states in a row that differ in one rotation (0-3), flex (4-8) or
+    # abduction (9-13) component.
+    key = list(wrist.rotation + flex + abd)
+    key[which] = value
+    moved = HandState(wrist_pose=RigidTransform(tuple(key[:4]), wrist.translation),
+                      flex=tuple(key[4:9]), abduction=tuple(key[9:]))
+    first = HandState(wrist_pose=wrist, flex=flex, abduction=abd)
+    for state in (first, moved):
+        hits = _hand_offsets.cache_info().hits
+        assert_same_spheres(hand_collider_spheres(state), reference_hand_spheres(state))
+    same_key = (first.wrist_pose.rotation, first.flex, first.abduction) == (
+        moved.wrist_pose.rotation, moved.flex, moved.abduction)
+    assert _hand_offsets.cache_info().hits == hits + same_key
 
 
 # -- force pairing -----------------------------------------------------------

@@ -3,11 +3,12 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hapdock
 from hapdock import harness
-from shipped import build
+from shipped import as_dict, build
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,3 +80,33 @@ def test_hand_forward_model_marks_each_tick_once(monkeypatch):
     log = harness.run_scenario(cfg)
     assert len(log.records) == cfg.coordinator.ticks == 200
     assert len(calls) == 200
+
+
+def test_perfbench_hooks_see_every_tick_call(monkeypatch):
+    # The tracer wraps each TICK_CALLS name on hapdock.harness, so the
+    # coordinator must look each one up through the module when it calls it.
+    calls = _tracer_constant("TICK_CALLS")
+    entered: list[str] = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    seen = set()
+    for scene, duration, colliders_per_tick in (("single_lift_force_feedback", 0.05, 1),
+                                                ("handover_sweep", 0.5, 0)):
+        raw = as_dict(scene)
+        raw["coordinator"] = {**raw["coordinator"], "duration_s": duration}
+        coord = harness.Coordinator(hapdock.config.scenario_from_dict(raw))
+        for tick in range(coord.cfg.coordinator.ticks):
+            entered.clear()
+            coord._tick(tick)
+            counts = Counter(entered)
+            assert counts["hand_forward_model"] == 1, (scene, tick)
+            assert counts["hand_collider_spheres"] == colliders_per_tick, (scene, tick)
+            seen.update(counts)
+    assert sorted(set(calls) - seen) == []

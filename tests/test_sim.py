@@ -144,6 +144,15 @@ class TestDynamics:
         step_world(w, DT)
         assert np.array_equal(w.hand[0].center, before)
 
+    def test_move_hand_takes_one_center_per_collider(self):
+        w = world_with(desk(), can())
+        w.set_hand([HandCollider(name="palm", center=(0.0, 0.2, 0.0), radius=0.05,
+                                 velocity=(0.0, 0.0, 0.0))])
+        box = w.hand_box
+        with pytest.raises(ValueError):
+            w.move_hand([(0.0, 0.3, 0.0), (0.0, 0.4, 0.0)], DT)
+        assert w.hand[0].center == (0.0, 0.2, 0.0) and w.hand_box == box
+
     def test_supported_can_rides_rising_palm(self):
         w = world_with(desk(), can())
         y_palm = -0.06
