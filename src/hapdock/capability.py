@@ -250,7 +250,8 @@ def capability_at(cap: HybridCapability, pose) -> PointCapability:
     if isinstance(pose, RigidTransform):
         point = pose.translation
     else:
-        point = tuple(float(c) for c in pose)
+        x, y, z = pose
+        point = (float(x), float(y), float(z))
     force = [0.0, 0.0, 0.0]
     torque: list[tuple[str, float]] = []
     reachable = []

@@ -44,6 +44,8 @@ class ArmSpec:
     max_angular_speed: float = 6.0   # rad/s hardware cap
     track_tau_s: float = 0.010       # first-order tracking time constant
     _box: Box = field(init=False, repr=False, compare=False)
+    _half_range: Vec3 = field(init=False, repr=False, compare=False)
+    _base_inv: RigidTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, vals in (("workspace_extents", self.workspace_extents),
@@ -54,9 +56,12 @@ class ArmSpec:
                 raise ValueError(f"{self.name}: {label} must be strictly positive")
         if self.stiffness <= 0.0 or self.max_speed <= 0.0 or self.track_tau_s <= 0.0:
             raise ValueError(f"{self.name}: stiffness, max_speed and track_tau_s must be positive")
-        # Built once: arm_step clamps against it on every control tick.
+        # Built once: arm_step reads them on every control tick.
         object.__setattr__(self, "_box",
                            Box.from_extents(self.workspace_center, self.workspace_extents))
+        object.__setattr__(self, "_half_range",
+                           tuple(math.radians(r) * 0.5 for r in self.rot_range_deg))
+        object.__setattr__(self, "_base_inv", self.base_pose.inverse())
 
     def workspace_box_base(self) -> Box:
         return self._box
@@ -255,7 +260,7 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
     clamped_pos = box.clamp_point(target_pos)
     clamped = clamped_pos != tuple(target_pos)
 
-    half_range = tuple(math.radians(r) * 0.5 for r in spec.rot_range_deg)
+    half_range = spec._half_range
     rx, ry, rz = euler_xyz_from_quat(cmd.target.rotation)
     crx = max(-half_range[0], min(half_range[0], rx))
     cry = max(-half_range[1], min(half_range[1], ry))
@@ -287,8 +292,7 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
         new_rot = slerp(cur.rotation, target_world.rotation, frac)
 
     # Safety net: the effector itself must never leave the reachable box.
-    base_inv = spec.base_pose.inverse()
-    local = base_inv.compose(RigidTransform(new_rot, new_pos))
+    local = spec._base_inv.compose(RigidTransform(new_rot, new_pos))
     safe_local_pos = box.clamp_point(local.translation)
     pose = spec.base_pose.compose(RigidTransform(local.rotation, safe_local_pos))
     return ArmState(pose=pose, clamped=clamped)

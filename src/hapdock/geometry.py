@@ -40,12 +40,10 @@ class Box:
         return abs(p[0] - cx) <= hx and abs(p[1] - cy) <= hy and abs(p[2] - cz) <= hz
 
     def clamp_point(self, p) -> Vec3:
-        out = []
-        for i in range(3):
-            lo = self.center[i] - self.half_extents[i]
-            hi = self.center[i] + self.half_extents[i]
-            out.append(min(hi, max(lo, float(p[i]))))
-        return tuple(out)
+        (cx, cy, cz), (hx, hy, hz) = self.center, self.half_extents
+        return (min(cx + hx, max(cx - hx, float(p[0]))),
+                min(cy + hy, max(cy - hy, float(p[1]))),
+                min(cz + hz, max(cz - hz, float(p[2]))))
 
     def inflate(self, margin: float) -> "Box":
         return Box(self.center, tuple(h + margin for h in self.half_extents))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .config import Condition, ScenarioConfig
@@ -65,6 +66,18 @@ ZERO3 = (0.0, 0.0, 0.0)
 ZERO6 = (0.0,) * 6
 
 
+_POSE_BITS = struct.Struct("<7d")
+
+
+def _same_bits(a: ArmState, b: ArmState) -> bool:
+    """Whether two arm states are equal bit for bit: ``==`` would also match
+    0.0 with -0.0, which the log tells apart."""
+    pa, pb = a.pose, b.pose
+    return (a.clamped is b.clamped
+            and _POSE_BITS.pack(*pa.rotation, *pa.translation)
+            == _POSE_BITS.pack(*pb.rotation, *pb.translation))
+
+
 class GloveRateViolation(RuntimeError):
     """A glove command was due sooner than the contracted glove period allows."""
 
@@ -85,6 +98,11 @@ class _ArmUnit:
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
     target: RigidTransform | None = None   # set by arm control, world frame
+    # A state that parking returns bit for bit: parking ``state`` while it
+    # is this object needs no step, as ``arm_step`` is pure.
+    parked: ArmState | None = None
+    # (pose, pose.compose(tool_offset)) of the last record.
+    tool_pose: tuple[RigidTransform, RigidTransform] | None = None
 
 
 class Coordinator:
@@ -350,7 +368,12 @@ class Coordinator:
                 u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
                 target = u.state.pose
             else:
-                u.state = arm_step(spec, u.state, u.park_cmd, self.dt)
+                if u.state is not u.parked:
+                    state = arm_step(spec, u.state, u.park_cmd, self.dt)
+                    if _same_bits(state, u.state):
+                        u.parked = u.state
+                    else:
+                        u.state = state
                 target = u.park
             u.target = target
             events.append(f"arm_target:{u.name}")
@@ -426,6 +449,8 @@ class Coordinator:
         arms_rec = []
         for u in self.units:
             pose = u.state.pose
+            if u.tool_pose is None or u.tool_pose[0] is not pose:
+                u.tool_pose = (pose, pose.compose(tool_offset))
             arms_rec.append({
                 "name": u.name,
                 "state": u.dock_state.value,
@@ -435,7 +460,7 @@ class Coordinator:
                 "rendered": list(self.transmitted if u is self.docked else ZERO6),
                 "slip": u is self.docked and self.slip,
                 "clamped": u.state.clamped,
-                "tool_dist": pose.compose(tool_offset).translation_distance_to(plate_truth),
+                "tool_dist": u.tool_pose[1].translation_distance_to(plate_truth),
                 "magnet": u.magnet.effective,
             })
 

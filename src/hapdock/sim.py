@@ -103,15 +103,27 @@ class SolverParams:
 _HAND_BOX_MARGIN = 1.0e-9
 
 
-def _hand_box(hand: list[HandCollider]) -> tuple[float, ...] | None:
-    """(min x, min y, min z, max x, max y, max z) around every hand sphere,
-    or None without a hand."""
-    if not hand:
-        return None
-    r = max(h.radius for h in hand) + _HAND_BOX_MARGIN
-    xs, ys, zs = zip(*[h.center for h in hand])
-    return (min(xs) - r, min(ys) - r, min(zs) - r,
-            max(xs) + r, max(ys) + r, max(zs) + r)
+def _hand_box(centers: list[Vec3], reach: float) -> tuple[float, ...]:
+    """(min x, min y, min z, max x, max y, max z) around spheres at ``centers``
+    of radius at most ``reach``.
+
+    Each axis keeps its first extreme value, as ``min`` and ``max`` do.
+    """
+    x0, y0, z0 = x1, y1, z1 = centers[0]
+    for x, y, z in centers:
+        if x < x0:
+            x0 = x
+        elif x > x1:
+            x1 = x
+        if y < y0:
+            y0 = y
+        elif y > y1:
+            y1 = y
+        if z < z0:
+            z0 = z
+        elif z > z1:
+            z1 = z
+    return (x0 - reach, y0 - reach, z0 - reach, x1 + reach, y1 + reach, z1 + reach)
 
 
 @dataclass(slots=True)
@@ -120,8 +132,11 @@ class World:
     params: SolverParams = field(default_factory=SolverParams)
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
-    # ``_hand_box`` of ``hand``, kept by ``set_hand`` and ``move_hand``.
+    # ``_hand_box`` of ``hand`` (None without a hand), kept by ``set_hand``
+    # and ``move_hand``; a move keeps every radius, so ``set_hand`` fixes the
+    # box's reach beyond the centers.
     hand_box: tuple[float, ...] | None = field(default=None, init=False)
+    hand_reach: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self.gravity = tuple(float(g) for g in self.gravity)
@@ -141,7 +156,10 @@ class World:
 
     def set_hand(self, colliders: list[HandCollider]) -> None:
         self.hand = list(colliders)
-        self.hand_box = _hand_box(self.hand)
+        self.hand_box = None
+        if self.hand:
+            self.hand_reach = max(h.radius for h in self.hand) + _HAND_BOX_MARGIN
+            self.hand_box = _hand_box([h.center for h in self.hand], self.hand_reach)
 
     def move_hand(self, centers: list[Vec3], dt: float) -> None:
         """Move the colliders in place to ``centers``, given in ``set_hand``
@@ -153,7 +171,8 @@ class World:
             p = h.center
             h.velocity = ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt)
             h.center = c
-        self.hand_box = _hand_box(hand)
+        if hand:
+            self.hand_box = _hand_box(centers, self.hand_reach)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]

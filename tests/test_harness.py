@@ -1,12 +1,17 @@
+import hashlib
 import math
 
 import pytest
 
 from hapdock import geometry, harness
 from hapdock.config import scenario_from_dict
+from hapdock.devices import ArmState
+from hapdock.docking import DockState
+from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
 from shipped import NAMES, as_dict, build, cached_run
+from test_golden import GOLDEN_SHA256
 
 
 def synthetic_log(force_by_can: dict, ticks_per_window: int = 100) -> tuple:
@@ -335,6 +340,64 @@ class TestHotPath:
             assert h.center != p
             expected = tuple((c - q) / coord.dt for c, q in zip(h.center, p))
             assert [v.hex() for v in h.velocity] == [v.hex() for v in expected]
+
+    def test_handover_steps_no_parked_arm_and_keeps_its_bytes(self, monkeypatch):
+        entered = set()
+        tick = 0
+        original = harness.arm_step
+
+        def counting(*args):
+            entered.add(tick)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "arm_step", counting)
+        coord = Coordinator(build("handover_sweep"))
+        ticks = coord.cfg.coordinator.ticks
+        for tick in range(ticks):
+            coord._tick(tick)
+        assert ticks == 8000
+        # Each arm parks until its interception and after its release.
+        assert 0 < len(entered) < 2100
+        digest = hashlib.sha256(coord.log.to_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256["handover_sweep"]
+
+    def test_signed_zero_twin_of_a_parked_state_is_stepped(self, monkeypatch):
+        coord = Coordinator(_short("handover_sweep", 0.5))
+        arm_b = coord.units[1]
+        tick = 0
+        while arm_b.parked is None:
+            coord._tick(tick)
+            tick += 1
+        assert arm_b.state is arm_b.parked and arm_b.dock_state is DockState.FREE
+        parked = arm_b.state
+        values = parked.pose.rotation + parked.pose.translation
+        zero = values.index(0.0)
+        flipped = values[:zero] + (-values[zero],) + values[zero + 1:]
+        twin = ArmState(RigidTransform(flipped[:4], flipped[4:]), parked.clamped)
+        assert twin == parked
+
+        stepped = []
+        original = harness.arm_step
+
+        def counting(spec, *args):
+            stepped.append(spec.name)
+            return original(spec, *args)
+
+        monkeypatch.setattr(harness, "arm_step", counting)
+        arm_b.state = twin
+        plate = RigidTransform.identity()
+        coord._arm_control(plate, (0.0,) * 6, [])
+        # Stepped, and the step's bits replace the twin's.
+        assert stepped.count("arm_b") == 1
+        assert arm_b.state is not twin and arm_b.parked is not twin
+        assert [v.hex() for v in arm_b.state.pose.rotation + arm_b.state.pose.translation
+                ] == [v.hex() for v in values]
+        # The stepped state is the fixed point again: one more step finds
+        # it, and then parking skips the call.
+        coord._arm_control(plate, (0.0,) * 6, [])
+        assert stepped.count("arm_b") == 2 and arm_b.parked is arm_b.state
+        coord._arm_control(plate, (0.0,) * 6, [])
+        assert stepped.count("arm_b") == 2
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from hapdock.capability import DockLink, capability_at, compose_capability
 from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
-                             NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, HandState,
-                             _hand_offsets, finger_sphere_centers,
-                             hand_collider_spheres)
+                             NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, ArmCommand,
+                             ArmSpec, ArmState, HandState, _hand_offsets, arm_step,
+                             finger_sphere_centers, hand_collider_spheres)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
 from hapdock.frames import RigidTransform
 from hapdock.geometry import Box
+from hapdock.harness import _same_bits
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box)
@@ -294,6 +295,17 @@ def test_moved_hand_matches_a_hand_set_there(world, data):
     fresh.set_hand([HandCollider(h.name, c, h.radius, (0.0, 0.0, 0.0))
                     for h, c in zip(world.hand, centers)])
     assert [bits(v) for v in world.hand_box] == [bits(v) for v in fresh.hand_box]
+    assert ([bits(v) for v in world.hand_box]
+            == [bits(v) for v in reference_hand_box(world.hand)])
+
+
+def reference_hand_box(hand: list) -> tuple:
+    """The hand box as it was computed on every move: the largest radius and
+    each axis's ``min``/``max`` over the centers."""
+    r = max(h.radius for h in hand) + 1.0e-9
+    xs, ys, zs = zip(*[h.center for h in hand])
+    return (min(xs) - r, min(ys) - r, min(zs) - r,
+            max(xs) + r, max(ys) + r, max(zs) + r)
 
 
 @st.composite
@@ -573,6 +585,142 @@ def test_inverse_of_inverse_is_original(a):
 @given(a=poses, b=poses, c=poses)
 def test_compose_is_associative(a, b, c):
     assert_same_pose(a.compose(b).compose(c), a.compose(b.compose(c)))
+
+
+# -- workspace clamp and parked arm ------------------------------------------
+
+def reference_clamp_point(box: Box, p) -> tuple:
+    """``Box.clamp_point`` as the loop it was written as."""
+    out = []
+    for i in range(3):
+        lo = box.center[i] - box.half_extents[i]
+        hi = box.center[i] + box.half_extents[i]
+        out.append(min(hi, max(lo, float(p[i]))))
+    return tuple(out)
+
+
+def typed_bits(values) -> list:
+    return [(type(v), bits(float(v))) for v in values]
+
+
+@st.composite
+def clamp_cases(draw):
+    """A box, int-valued or not, and a point, tuple or list, whose coordinates
+    lie inside, on a face, just past one, far out, or are signed zeros, ints,
+    infinities or NaN."""
+    if draw(st.booleans()):
+        center = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        half = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    else:
+        center = draw(st.tuples(*[st.one_of(st.sampled_from((0.0, -0.0)),
+                                            st.floats(-5.0, 5.0))] * 3))
+        half = draw(st.tuples(*[st.floats(1e-9, 5.0)] * 3))
+    box = Box(center, half)
+    point = []
+    for c, h in zip(center, half):
+        lo, hi = c - h, c + h
+        point.append(draw(st.one_of(
+            st.sampled_from((lo, hi, c, 0.0, -0.0, math.nextafter(lo, -math.inf),
+                             math.nextafter(hi, math.inf), math.inf, -math.inf, math.nan)),
+            st.floats(min(lo, hi), max(lo, hi)),
+            st.floats(-1e6, 1e6),
+            st.integers(-10, 10))))
+    return box, draw(st.sampled_from((tuple, list)))(point)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=clamp_cases())
+@example(case=(Box((0.0, -0.0, 1.0), (1.0, 1.0, 1.0)), (-0.0, 0.0, 2)))
+@example(case=(Box((0, 0, 0), (1, 1, 1)), [5, -0.0, 0]))
+@example(case=(Box((0.0, 0.5, -1.0), (1.0, 2.0, 0.25)), (math.nan, math.nan, math.nan)))
+@example(case=(Box((0.0, 0.5, -1.0), (1.0, 2.0, 0.25)), [math.inf, -math.inf, -0.75]))
+def test_unrolled_clamp_matches_the_loop_bits(case):
+    box, point = case
+    assert typed_bits(box.clamp_point(point)) == typed_bits(reference_clamp_point(box, point))
+
+
+def state_bits(state: ArmState) -> list:
+    pose = state.pose
+    return [bits(v) for v in pose.rotation + pose.translation] + [state.clamped]
+
+
+PARK_DT = 0.001
+PARK_STEPS = 3000
+BASE_ROTATIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0),
+                  (math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0), (0.9, 0.1, -0.3, 0.2))
+
+
+@st.composite
+def park_cases(draw):
+    """An arm spec, its park command (target inside or outside the
+    workspace, base frame) and a start pose near the target."""
+    spec = ArmSpec(
+        name="arm",
+        workspace_extents=draw(st.tuples(*[st.floats(0.2, 2.0)] * 3)),
+        rot_range_deg=draw(st.tuples(*[st.floats(20.0, 360.0)] * 3)),
+        max_force=(9.5, 9.5, 9.5), max_torque=(1.0, 1.0, 1.0), stiffness=1000.0,
+        base_pose=RigidTransform.from_quat(draw(st.sampled_from(BASE_ROTATIONS)),
+                                           draw(translations)),
+        workspace_center=draw(st.tuples(*[st.sampled_from((0.0, 0.25, -0.5))] * 3)),
+        max_speed=draw(st.floats(0.5, 3.0)),
+        track_tau_s=draw(st.sampled_from((0.005, 0.010, 0.020))))
+    target = spec.workspace_box_base().center
+    if draw(st.booleans()):
+        target = tuple(t + draw(st.floats(-1.5, 1.5)) for t in target)
+    park = RigidTransform.from_quat(draw(st.sampled_from(BASE_ROTATIONS[:2]) | unit_quats),
+                                    target)
+    cmd = ArmCommand(target=park, speed_limit=draw(st.floats(0.5, 3.0)))
+    world = spec.base_pose.compose(park)
+    start = RigidTransform.from_quat(
+        draw(st.sampled_from((world.rotation,)) | unit_quats),
+        tuple(w + draw(st.floats(-0.2, 0.2)) for w in world.translation))
+    return spec, cmd, ArmState(pose=start)
+
+
+def signed_zero_twins(state: ArmState) -> list:
+    """``state`` with the sign of one zero pose component flipped, for each
+    zero component: equal under ``==``, different in bits."""
+    values = state.pose.rotation + state.pose.translation
+    twins = []
+    for i, v in enumerate(values):
+        if v == 0.0:
+            flipped = values[:i] + (-v,) + values[i + 1:]
+            twins.append(ArmState(RigidTransform(flipped[:4], flipped[4:]), state.clamped))
+    return twins
+
+
+# The identity-base catalog arm parked at (0.0, 0.1, -0.2), started at that
+# fixed point with the zero components' signs flipped: the first step returns
+# a state equal to its input under ``==`` but not in bits.
+TWIN_START = ArmState(RigidTransform((1.0, -0.0, -0.0, -0.0), (-0.0, 0.1, -0.2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=park_cases())
+@example(case=(VIRTUOSE_6D,
+               ArmCommand(RigidTransform.from_translation((0.0, 0.1, -0.2)), 0.5),
+               TWIN_START))
+def test_parked_arm_stays_at_its_fixed_point(case):
+    spec, cmd, state = case
+    for _ in range(PARK_STEPS):
+        out = arm_step(spec, state, cmd, PARK_DT)
+        fixed = state_bits(out) == state_bits(state)
+        # The coordinator's test is bits, never ``==``.
+        assert _same_bits(out, state) is fixed
+        if fixed:
+            break
+        state = out
+    else:
+        # Never settles bit for bit: the coordinator steps it every tick.
+        return
+    # ``arm_step`` is pure: the kept input and the equal output both stay put.
+    for kept in (state, out):
+        for _ in range(5):
+            assert state_bits(arm_step(spec, kept, cmd, PARK_DT)) == state_bits(state)
+    for twin in signed_zero_twins(state):
+        stepped = arm_step(spec, twin, cmd, PARK_DT)
+        assert stepped == twin and state_bits(stepped) == state_bits(state)
+        assert not _same_bits(stepped, twin)
 
 
 # -- force envelope ----------------------------------------------------------
