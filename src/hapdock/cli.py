@@ -11,11 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .capability import (DockLink, capability_at, capability_report,
                          capability_to_dict, compose_capability)
-from .config import ConfigError, ScenarioConfig, _vec, load_scenario
+from .config import (ConfigError, ScenarioConfig, lift_windows, load_scenario,
+                     read_yaml, scenario_field)
 from .harness import MetricLog, run_scenario, summarize, weight_oracle
 from .sim import SimulationDiverged
 
@@ -76,16 +75,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    noise_floor = scenario_field("oracle_noise_floor_n", args.noise_floor, "--noise-floor")
     log = MetricLog.read(args.log)
-    with open(args.windows, "r", encoding="utf-8") as fh:
-        try:
-            windows_raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("$", f"invalid YAML: {exc}") from exc
-    if not isinstance(windows_raw, dict):
-        raise ConfigError("$", "windows file must map body name -> [t0, t1]")
-    windows = {k: _vec(v, f"$.{k}", 2) for k, v in windows_raw.items()}
-    result = weight_oracle(log, windows, noise_floor_n=args.noise_floor)
+    windows = lift_windows(read_yaml(args.windows), "$")
+    result = weight_oracle(log, windows, noise_floor_n=noise_floor)
     print(json.dumps({
         "verdict": result.verdict,
         "order": list(result.order),

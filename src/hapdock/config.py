@@ -3,15 +3,24 @@
 Configs are human-editable YAML with a mandatory ``schema_version``. All
 validation failures carry the offending field path so a bad file is easy to
 fix from the CLI error alone.
+
+Each YAML section is one ``_Table`` of ``_Row``s: YAML key, kind (a parser),
+bound, dataclass field, required or default, and converter. ``_Table.walk``
+reads every section: unknown keys first, then the rows in table order, so a
+file's first fault is the one reported. A missing key takes the default its
+dataclass declares (an arm's ``ArmSpec`` fields: its ``ARM_CATALOG`` model
+row); a row states a default, in YAML, only where the dataclass has none.
+Rules that span fields sit between the rows, where their inputs are read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -39,76 +48,6 @@ class Condition(Enum):
     FREE = "free"
     DOCKED = "docked"
     FORCE_FEEDBACK = "force_feedback"
-
-
-def _fields(data, path: str, known: str) -> dict:
-    """``data`` as a mapping whose keys are all among the space-separated ``known``."""
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected a mapping")
-    allowed = known.split()
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}",
-                              f"unknown field; known: {', '.join(allowed)}")
-    return data
-
-
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return data[key]
-
-
-def _number(value, path: str, *, minimum=None, positive=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        v = float(value)
-    except OverflowError:               # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(path, "must be strictly positive")
-    if minimum is not None and v < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return v
-
-
-def _integer(value, path: str, *, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
-    if value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {type(value).__name__}")
-    return value
-
-
-def _vec(value, path: str, n: int) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ConfigError(path, f"expected a sequence of {n} numbers")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(path, "expected a non-empty string")
-    return value
-
-
-def _defaults(cls) -> dict:
-    """Field name -> default of a dataclass: the loaders' value for a missing key."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-def _get(data: dict, key: str, cls):
-    """``data[key]``, or the default ``cls`` declares for its field ``key``."""
-    return data[key] if key in data else _defaults(cls)[key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,262 +177,331 @@ class ScenarioConfig:
         return sample_track(self.injected_load, t)
 
 
-def _arm_from_dict(data, path: str) -> ArmConfig:
-    _fields(data, path, "name model base_position workspace_center workspace_extents "
-            "rot_range_deg max_force max_torque stiffness park_position pursuit_speed")
-    name = _string(_require(data, "name", path), f"{path}.name")
-    model = _string(data.get("model", "virtuose_6d"), f"{path}.model")
-    if model not in ARM_CATALOG:
-        raise ConfigError(f"{path}.model",
-                          f"unknown arm model {model!r}; known: {sorted(ARM_CATALOG)}")
-    catalog = ARM_CATALOG[model]
-    base_position = _vec(_require(data, "base_position", path), f"{path}.base_position", 3)
-    workspace_center = _vec(_get(data, "workspace_center", ArmSpec),
-                            f"{path}.workspace_center", 3)
-    kwargs = dict(
-        name=name,
-        workspace_extents=_vec(data.get("workspace_extents", catalog.workspace_extents),
-                               f"{path}.workspace_extents", 3),
-        rot_range_deg=_vec(data.get("rot_range_deg", catalog.rot_range_deg),
-                           f"{path}.rot_range_deg", 3),
-        max_force=_vec(data.get("max_force", catalog.max_force), f"{path}.max_force", 3),
-        max_torque=_vec(data.get("max_torque", catalog.max_torque), f"{path}.max_torque", 3),
-        stiffness=_number(data.get("stiffness", catalog.stiffness),
-                          f"{path}.stiffness", positive=True),
-        base_pose=RigidTransform.from_translation(base_position),
-        workspace_center=workspace_center,
-    )
+# -- kinds: parse(value, path) returns the value read or raises ConfigError ----
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
     try:
-        spec = ArmSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    park = _vec(data.get("park_position", spec.workspace_box_world().center),
-                f"{path}.park_position", 3)
-    if not spec.workspace_box_world().contains(park):
-        raise ConfigError(f"{path}.park_position", "park pose must lie inside the workspace")
-    speed = _number(_get(data, "pursuit_speed", ArmConfig), f"{path}.pursuit_speed",
-                    positive=True)
-    return ArmConfig(name=name, spec=spec, park_position=park, pursuit_speed=speed)
+        v = float(value)
+    except OverflowError:               # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(path, "must be finite")
+    return v
 
 
-def _glove_from_dict(data, path: str) -> GloveConfig:
-    _fields(data, path, "model spring_constant calibration")
-    model = _string(data.get("model", "dexmo"), f"{path}.model")
-    if model not in GLOVE_CATALOG:
-        raise ConfigError(f"{path}.model",
-                          f"unknown glove model {model!r}; known: {sorted(GLOVE_CATALOG)}")
-    spec = GLOVE_CATALOG[model]
-    spring = _number(_get(data, "spring_constant", GloveConfig), f"{path}.spring_constant",
-                     minimum=0.0)
-    cal = _fields(data.get("calibration", {}), f"{path}.calibration",
-                  "flex_min flex_max abd_min abd_max")
-    try:
-        calibration = HandCalibration(**{
-            key: _vec(cal.get(key, default), f"{path}.calibration.{key}", NUM_FINGERS)
-            for key, default in _defaults(HandCalibration).items()})
-    except ValueError as exc:
-        raise ConfigError(f"{path}.calibration", str(exc)) from exc
-    return GloveConfig(spec=spec, calibration=calibration, spring_constant=spring)
+def _typed(ok, message: str):
+    """A value ``ok`` accepts, as given; ``message`` may name ``{value!r}``, ``{type}``."""
+    def parse(value, path: str):
+        if not ok(value):
+            raise ConfigError(path, message.format(value=value, type=type(value).__name__))
+        return value
+    return parse
 
 
-def _dock_from_dict(data, path: str) -> DockSettings:
-    _fields(data, path, "joint_kind breaking_force_n friction_mu contact_radius_m "
-            "pos_tol_m ang_tol_deg magnet_latency_s interception_horizon_s "
-            "workspace_inflation_m release_slack_m handover_gap_bound_s "
-            "reattach_cooldown_s")
-    kind_name = _string(data.get("joint_kind", "plate_friction"), f"{path}.joint_kind")
-    if kind_name not in JOINT_KIND_CATALOG:
-        raise ConfigError(f"{path}.joint_kind",
-                          f"unknown joint kind {kind_name!r}; known: {sorted(JOINT_KIND_CATALOG)}")
-    defaults = DockSettings(joint_kind=JOINT_KIND_CATALOG[kind_name])
-    return DockSettings(
-        joint_kind=JOINT_KIND_CATALOG[kind_name],
-        breaking_force=_number(data.get("breaking_force_n", defaults.breaking_force),
-                               f"{path}.breaking_force_n", positive=True),
-        friction_mu=_number(data.get("friction_mu", defaults.friction_mu),
-                            f"{path}.friction_mu", minimum=0.0),
-        contact_radius=_number(data.get("contact_radius_m", defaults.contact_radius),
-                               f"{path}.contact_radius_m", positive=True),
-        pos_tol=_number(data.get("pos_tol_m", defaults.pos_tol),
-                        f"{path}.pos_tol_m", positive=True),
-        ang_tol_rad=math.radians(_number(data.get("ang_tol_deg", math.degrees(defaults.ang_tol_rad)),
-                                         f"{path}.ang_tol_deg", positive=True)),
-        magnet_latency_s=_number(data.get("magnet_latency_s", defaults.magnet_latency_s),
-                                 f"{path}.magnet_latency_s", minimum=0.0),
-        interception_horizon_s=_number(
-            data.get("interception_horizon_s", defaults.interception_horizon_s),
-            f"{path}.interception_horizon_s", minimum=0.0),
-        workspace_inflation_m=_number(
-            data.get("workspace_inflation_m", defaults.workspace_inflation_m),
-            f"{path}.workspace_inflation_m", minimum=0.0),
-        release_slack_m=_number(data.get("release_slack_m", defaults.release_slack_m),
-                                f"{path}.release_slack_m", positive=True),
-        handover_gap_bound_s=_number(
-            data.get("handover_gap_bound_s", defaults.handover_gap_bound_s),
-            f"{path}.handover_gap_bound_s", positive=True),
-        reattach_cooldown_s=_number(
-            data.get("reattach_cooldown_s", defaults.reattach_cooldown_s),
-            f"{path}.reattach_cooldown_s", minimum=0.0),
-    )
+_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  "expected an integer, got {type}")
+_boolean = _typed(lambda v: isinstance(v, bool), "expected true or false, got {type}")
+_string = _typed(lambda v: isinstance(v, str) and v != "", "expected a non-empty string")
+_schema_version = _typed(lambda v: type(v) is int and v == SCHEMA_VERSION,
+                         "unsupported schema version {value!r}")
 
 
-def _body_from_dict(data, path: str) -> BodyConfig:
-    _fields(data, path, "name kind center half_extents mass velocity collide_with_hand")
-    name = _string(_require(data, "name", path), f"{path}.name")
-    kind = _string(_require(data, "kind", path), f"{path}.kind")
-    if kind not in ("dynamic", "static"):
-        raise ConfigError(f"{path}.kind", "must be dynamic or static")
-    center = _vec(_require(data, "center", path), f"{path}.center", 3)
-    half_extents = _vec(_require(data, "half_extents", path), f"{path}.half_extents", 3)
-    if any(h <= 0 for h in half_extents):
-        raise ConfigError(f"{path}.half_extents", "must be strictly positive")
-    mass = _number(_get(data, "mass", BodyConfig), f"{path}.mass", minimum=0.0)
-    if kind == "dynamic" and mass <= 0.0:
-        raise ConfigError(f"{path}.mass", "dynamic bodies need a positive mass")
-    velocity = _vec(_get(data, "velocity", BodyConfig), f"{path}.velocity", 3)
-    collide = _boolean(_get(data, "collide_with_hand", BodyConfig),
-                       f"{path}.collide_with_hand")
-    return BodyConfig(name=name, kind=kind, center=center, half_extents=half_extents,
-                      mass=mass, velocity=velocity, collide_with_hand=collide)
+def _vec(n: int):
+    def parse(value, path: str) -> tuple[float, ...]:
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ConfigError(path, f"expected a sequence of {n} numbers")
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return parse
 
 
-def _scene_from_dict(data, path: str) -> SceneConfig:
-    _fields(data, path, "gravity bodies surface_stiffness solver_iterations slop")
-    bodies = data.get("bodies", [])
-    if not isinstance(bodies, list):
-        raise ConfigError(f"{path}.bodies", "expected a list")
-    parsed = tuple(_body_from_dict(b, f"{path}.bodies[{i}]") for i, b in enumerate(bodies))
-    names = [b.name for b in parsed]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}.bodies", "body names must be unique")
-    return SceneConfig(
-        gravity=_vec(_get(data, "gravity", SceneConfig), f"{path}.gravity", 3),
-        bodies=parsed,
-        surface_stiffness=_number(_get(data, "surface_stiffness", SceneConfig),
-                                  f"{path}.surface_stiffness", positive=True),
-        solver_iterations=_integer(_get(data, "solver_iterations", SceneConfig),
-                                   f"{path}.solver_iterations", minimum=1),
-        slop=_number(_get(data, "slop", SceneConfig), f"{path}.slop", minimum=0.0),
-    )
+def _one_of(table: dict, unknown):
+    """A key of ``table``, read as its value; other strings fail with ``unknown(name)``."""
+    def parse(value, path: str):
+        if _string(value, path) not in table:
+            raise ConfigError(path, unknown(value))
+        return table[value]
+    return parse
 
 
-def _track_from_list(data, path: str, width: int):
-    if not isinstance(data, list) or not data:
-        raise ConfigError(path, "expected a non-empty list of [t, values...] rows")
-    track = []
-    last_t = None
-    for i, row in enumerate(data):
-        if not isinstance(row, (list, tuple)) or len(row) != width + 1:
-            raise ConfigError(f"{path}[{i}]", f"expected [t, {width} values]")
-        t = _number(row[0], f"{path}[{i}][0]", minimum=0.0)
-        if last_t is not None and t <= last_t:
-            raise ConfigError(f"{path}[{i}][0]", "timestamps must be strictly increasing")
-        last_t = t
-        values = tuple(_number(v, f"{path}[{i}][{j + 1}]") for j, v in enumerate(row[1:]))
-        track.append((t, values))
-    return tuple(track)
+def _catalog(table: dict, noun: str):
+    return _one_of(table, lambda name: f"unknown {noun} {name!r}; known: {sorted(table)}")
 
 
-def _trajectory_from_dict(data, path: str) -> TrajectoryConfig:
-    _fields(data, path, "wrist flex abduction wrist_rotation")
-    wrist = _track_from_list(_require(data, "wrist", path), f"{path}.wrist", 3)
-    flex = _track_from_list(_require(data, "flex", path), f"{path}.flex", NUM_FINGERS)
-    abduction = _track_from_list(data.get("abduction", [[0.0] + [0.5] * NUM_FINGERS]),
-                                 f"{path}.abduction", NUM_FINGERS)
-    for label, track in (("flex", flex), ("abduction", abduction)):
-        for i, (_, values) in enumerate(track):
-            if any(not 0.0 <= v <= 1.0 for v in values):
-                raise ConfigError(f"{path}.{label}[{i}]",
-                                  "normalized values must lie in [0, 1]")
-    rotation = _vec(_get(data, "wrist_rotation", TrajectoryConfig),
-                    f"{path}.wrist_rotation", 4)
+def _track(width: int):
+    """``[[t, v_1 .. v_width], ...]`` rows with ``t`` strictly increasing."""
+    def parse(value, path: str):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty list of [t, values...] rows")
+        track = []
+        for i, row in enumerate(value):
+            if not isinstance(row, (list, tuple)) or len(row) != width + 1:
+                raise ConfigError(f"{path}[{i}]", f"expected [t, {width} values]")
+            t = _TIME.read(row[0], f"{path}[{i}][0]")
+            if track and t <= track[-1][0]:
+                raise ConfigError(f"{path}[{i}][0]", "timestamps must be strictly increasing")
+            track.append((t, tuple(_number(v, f"{path}[{i}][{j}]")
+                                   for j, v in enumerate(row[1:], 1))))
+        return tuple(track)
+    return parse
+
+
+def _named(section, noun: str, *, empty_ok: bool):
+    """A list of ``section`` mappings with unique names."""
+    def parse(value, path: str):
+        if not isinstance(value, list) or not (value or empty_ok):
+            raise ConfigError(path, "expected a list" if empty_ok else "expected a non-empty list")
+        parsed = tuple(section(v, f"{path}[{i}]") for i, v in enumerate(value))
+        if len({p.name for p in parsed}) != len(parsed):
+            raise ConfigError(path, f"{noun} names must be unique")
+        return parsed
+    return parse
+
+
+# -- rows and tables -----------------------------------------------------------
+
+_POSITIVE = "> 0"    # any other bound is a minimum in its field's type: "must be >= 1"
+
+
+class _Row(NamedTuple):
+    key: str                            # YAML name
+    kind: Callable                      # parse(value, path)
+    bound: object = None                # None, _POSITIVE or a minimum
+    field: str | None = None            # dataclass field, if it is not ``key``
+    required: bool = False
+    default: object = MISSING           # YAML, only where the dataclass has none
+    convert: Callable | None = None
+
+    def read(self, value, path: str):
+        value = self.kind(value, path)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if self.bound is _POSITIVE and any(x <= 0.0 for x in numbers):
+            raise ConfigError(path, "must be strictly positive")
+        if self.bound not in (None, _POSITIVE) and any(x < self.bound for x in numbers):
+            raise ConfigError(path, f"must be >= {self.bound}")
+        return self.convert(value) if self.convert else value
+
+
+_TIME = _Row("t", _number, 0.0)         # a track row's timestamp
+
+
+class _Table(NamedTuple):
+    """A section: its rows, and the rules between them, read into ``cls``."""
+
+    cls: type
+    rows: tuple
+    known: tuple = ()                   # unknown-key message order, if not the rows'
+
+    def walk(self, data, path: str) -> dict:
+        """``cls``'s fields read from the mapping ``data`` row by row; a rule
+        gets the fields read so far and may rewrite them."""
+        if not isinstance(data, dict):
+            raise ConfigError(path, "expected a mapping")
+        known = self.known or [row.key for row in self.rows if isinstance(row, _Row)]
+        for key in data:
+            if key not in known:
+                raise ConfigError(f"{path}.{key}", f"unknown field; known: {', '.join(known)}")
+        declared = {f.name: f.default for f in fields(self.cls) if f.default is not MISSING}
+        values = {}
+        for row in self.rows:
+            if not isinstance(row, _Row):
+                row(values, path)
+                continue
+            name, rpath = row.field or row.key, f"{path}.{row.key}"
+            if row.key in data or row.default is not MISSING:
+                values[name] = row.read(data.get(row.key, row.default), rpath)
+            elif row.required:
+                raise ConfigError(rpath, "missing required field")
+            elif name in declared:
+                values[name] = declared[name]
+        return values
+
+    def __call__(self, data, path: str):
+        # A plain ValueError from ``cls`` or a rule is reported at the section.
+        try:
+            return self.cls(**self.walk(data, path))
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+
+
+# -- rules that span fields ----------------------------------------------------
+
+def _check(key: str, fails, message: str):
+    def rule(v: dict, path: str) -> None:
+        if fails(v):
+            raise ConfigError(f"{path}.{key}", message)
+    return rule
+
+
+def _arm_spec(v: dict, path: str) -> None:
+    # Every field read so far but ``spec``, the model's catalog row, overrides
+    # that row. The arm parks at the workspace center unless a park is given.
+    spec = replace(v.pop("spec"), **v)
+    v.clear()
+    v.update(name=spec.name, spec=spec, park_position=spec.workspace_box_world().center)
+
+
+def _normalized(v: dict, path: str) -> None:
+    for label in ("flex", "abduction"):
+        for i, (_, values) in enumerate(v[label]):
+            if any(not 0.0 <= x <= 1.0 for x in values):
+                raise ConfigError(f"{path}.{label}[{i}]", "normalized values must lie in [0, 1]")
+
+
+def _windows_of_bodies(v: dict, path: str) -> None:
+    v["lift_windows"] = lift_windows(v["lift_windows"], f"{path}.lift_windows",
+                                     bodies={b.name for b in v["scene"].bodies})
+
+
+# -- the tables ----------------------------------------------------------------
+
+_COORDINATOR = _Table(CoordinatorConfig, (
+    _Row("duration_s", _number, _POSITIVE, required=True),
+    _Row("glove_period_ticks", _integer, 1),
+    _check("glove_period_ticks",
+           lambda v: v["glove_period_ticks"] < DEVICE_PERIOD_LIMIT_S * TICK_RATE_HZ,
+           f"glove commands may not be issued more often than every "
+           f"{DEVICE_PERIOD_LIMIT_S * 1e3:.1f} ms"),
+    _Row("filter_cutoff_hz", _number, 0.0),
+))
+
+_ARM = _Table(ArmConfig, (
+    _Row("name", _string, required=True),
+    _Row("model", _catalog(ARM_CATALOG, "arm model"), field="spec", default="virtuose_6d"),
+    _Row("base_position", _vec(3), field="base_pose", required=True,
+         convert=RigidTransform.from_translation),
+    *(_Row(key, _vec(3)) for key in ("workspace_center", "workspace_extents",
+                                     "rot_range_deg", "max_force", "max_torque")),
+    _Row("stiffness", _number, _POSITIVE),
+    _arm_spec,
+    _Row("park_position", _vec(3)),
+    _check("park_position",
+           lambda v: not v["spec"].workspace_box_world().contains(v["park_position"]),
+           "park pose must lie inside the workspace"),
+    _Row("pursuit_speed", _number, _POSITIVE),
+))
+
+_GLOVE = _Table(GloveConfig, (
+    _Row("model", _catalog(GLOVE_CATALOG, "glove model"), field="spec", default="dexmo"),
+    _Row("spring_constant", _number, 0.0),
+    _Row("calibration", _Table(HandCalibration, tuple(
+        _Row(f.name, _vec(NUM_FINGERS)) for f in fields(HandCalibration))), default={}),
+))
+
+_DOCK = _Table(DockSettings, (
+    _Row("joint_kind", _catalog(JOINT_KIND_CATALOG, "joint kind"), default="plate_friction"),
+    _Row("breaking_force_n", _number, _POSITIVE, field="breaking_force"),
+    _Row("friction_mu", _number, 0.0),
+    _Row("contact_radius_m", _number, _POSITIVE, field="contact_radius"),
+    _Row("pos_tol_m", _number, _POSITIVE, field="pos_tol"),
+    _Row("ang_tol_deg", _number, _POSITIVE, field="ang_tol_rad", convert=math.radians),
+    _Row("magnet_latency_s", _number, 0.0),
+    _Row("interception_horizon_s", _number, 0.0),
+    _Row("workspace_inflation_m", _number, 0.0),
+    _Row("release_slack_m", _number, _POSITIVE),
+    _Row("handover_gap_bound_s", _number, _POSITIVE),
+    _Row("reattach_cooldown_s", _number, 0.0),
+))
+
+_BODY = _Table(BodyConfig, (
+    _Row("name", _string, required=True),
+    _Row("kind", _one_of({"dynamic": "dynamic", "static": "static"},
+                         lambda _: "must be dynamic or static"), required=True),
+    _Row("center", _vec(3), required=True),
+    _Row("half_extents", _vec(3), _POSITIVE, required=True),
+    _Row("mass", _number, 0.0),
+    _check("mass", lambda v: v["kind"] == "dynamic" and v["mass"] <= 0.0,
+           "dynamic bodies need a positive mass"),
+    _Row("velocity", _vec(3)),
+    _Row("collide_with_hand", _boolean),
+))
+
+# Bodies are read before gravity; an unknown-key message lists the fields' order.
+_SCENE = _Table(SceneConfig, (
+    _Row("bodies", _named(_BODY, "body", empty_ok=True)),
+    _Row("gravity", _vec(3)),
+    _Row("surface_stiffness", _number, _POSITIVE),
+    _Row("solver_iterations", _integer, 1),
+    _Row("slop", _number, 0.0),
+), known=tuple(f.name for f in fields(SceneConfig)))
+
+_TRAJECTORY = _Table(TrajectoryConfig, (
+    _Row("wrist", _track(3), required=True),
+    _Row("flex", _track(NUM_FINGERS), required=True),
+    _Row("abduction", _track(NUM_FINGERS), default=[[0.0] + [0.5] * NUM_FINGERS]),
+    _normalized,
     # Stored as given: ``Coordinator.__init__`` normalizes it once with
     # ``from_quat``, and a normalized copy here could shift the logged bits.
-    if math.hypot(*rotation) < 1e-12:
-        raise ConfigError(f"{path}.wrist_rotation", "must be a nonzero quaternion")
-    return TrajectoryConfig(wrist=wrist, flex=flex, abduction=abduction,
-                            wrist_rotation=rotation)
+    _Row("wrist_rotation", _vec(4)),
+    _check("wrist_rotation", lambda v: math.hypot(*v["wrist_rotation"]) < 1e-12,
+           "must be a nonzero quaternion"),
+))
+
+_SCENARIO = _Table(ScenarioConfig, (
+    _Row("schema_version", _schema_version, required=True),
+    _Row("name", _string, required=True),
+    _Row("seed", _integer, 0, default=0),
+    _Row("condition", _one_of({c.value: c for c in Condition},
+                              lambda _: f"must be one of {[c.value for c in Condition]}"),
+         required=True),
+    _Row("coordinator", _COORDINATOR, default={}),
+    _Row("arms", _named(_ARM, "arm", empty_ok=False), required=True),
+    _Row("glove", _GLOVE, default={}),
+    _Row("dock", _DOCK, default={}),
+    _Row("scene", _SCENE, default={}),
+    _Row("trajectory", _TRAJECTORY, required=True),
+    _Row("lift_windows", lambda value, path: value, default={}),    # read by the next rule
+    _windows_of_bodies,
+    _Row("injected_load", lambda value, path: _track(6)(value, path) if value else ()),
+    _Row("tracking_noise_std_m", _number, 0.0),
+    _Row("oracle_noise_floor_n", _number, 0.0),
+))
+
+
+def lift_windows(data, path: str, *, bodies=None) -> dict:
+    """``data`` as ``{name: (t0, t1)}`` with non-empty string names and
+    ``t0 < t1``: a scenario's lift windows or ``hapdock oracle``'s windows
+    file. With ``bodies``, a name outside them fails before its window."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected a mapping of body -> [t0, t1]")
+    windows = {}
+    for key, value in data.items():
+        wpath = f"{path}.{key}"
+        if bodies is not None and key not in bodies:
+            raise ConfigError(wpath, f"unknown body {key!r}")
+        _string(key, wpath)
+        t0, t1 = windows[key] = _vec(2)(value, wpath)
+        if not t0 < t1:
+            raise ConfigError(wpath, "window must satisfy t0 < t1")
+    return windows
+
+
+def scenario_field(key: str, value, path: str):
+    """``value`` read as the top-level scenario field ``key``, errors at ``path``."""
+    row, = (r for r in _SCENARIO.rows if isinstance(r, _Row) and r.key == key)
+    return row.read(value, path)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    _fields(data, "$", "schema_version name seed condition coordinator arms glove "
-            "dock scene trajectory lift_windows injected_load tracking_noise_std_m "
-            "oracle_noise_floor_n")
-    version = _require(data, "schema_version", "$")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError("$.schema_version", f"unsupported schema version {version!r}")
-    name = _string(_require(data, "name", "$"), "$.name")
-    seed = _integer(data.get("seed", 0), "$.seed", minimum=0)
-    cond_raw = _string(_require(data, "condition", "$"), "$.condition")
-    try:
-        condition = Condition(cond_raw)
-    except ValueError:
-        raise ConfigError("$.condition",
-                          f"must be one of {[c.value for c in Condition]}") from None
+    values = _SCENARIO.walk(data, "$")
+    del values["schema_version"]        # checked, not kept
+    return ScenarioConfig(**values)
 
-    coord_raw = _fields(data.get("coordinator", {}), "$.coordinator",
-                        "duration_s glove_period_ticks filter_cutoff_hz")
-    duration = _number(_require(coord_raw, "duration_s", "$.coordinator"),
-                       "$.coordinator.duration_s", positive=True)
-    glove_period = _integer(_get(coord_raw, "glove_period_ticks", CoordinatorConfig),
-                            "$.coordinator.glove_period_ticks", minimum=1)
-    if glove_period / TICK_RATE_HZ < DEVICE_PERIOD_LIMIT_S:
-        raise ConfigError("$.coordinator.glove_period_ticks",
-                          f"glove commands may not be issued more often than every "
-                          f"{DEVICE_PERIOD_LIMIT_S * 1e3:.1f} ms")
-    cutoff = _number(_get(coord_raw, "filter_cutoff_hz", CoordinatorConfig),
-                     "$.coordinator.filter_cutoff_hz", minimum=0.0)
-    coordinator = CoordinatorConfig(duration_s=duration, glove_period_ticks=glove_period,
-                                    filter_cutoff_hz=cutoff)
 
-    arms_raw = _require(data, "arms", "$")
-    if not isinstance(arms_raw, list) or not arms_raw:
-        raise ConfigError("$.arms", "expected a non-empty list")
-    arms = tuple(_arm_from_dict(a, f"$.arms[{i}]") for i, a in enumerate(arms_raw))
-    if len({a.name for a in arms}) != len(arms):
-        raise ConfigError("$.arms", "arm names must be unique")
-
-    glove = _glove_from_dict(data.get("glove", {}), "$.glove")
-    dock = _dock_from_dict(data.get("dock", {}), "$.dock")
-    scene = _scene_from_dict(data.get("scene", {}), "$.scene")
-    trajectory = _trajectory_from_dict(_require(data, "trajectory", "$"), "$.trajectory")
-
-    windows_raw = data.get("lift_windows", {})
-    if not isinstance(windows_raw, dict):
-        raise ConfigError("$.lift_windows", "expected a mapping of body -> [t0, t1]")
-    windows = {}
-    body_names = {b.name for b in scene.bodies}
-    for key, win in windows_raw.items():
-        wpath = f"$.lift_windows.{key}"
-        if key not in body_names:
-            raise ConfigError(wpath, f"unknown body {key!r}")
-        t0, t1 = _vec(win, wpath, 2)
-        if not t0 < t1:
-            raise ConfigError(wpath, "window must satisfy t0 < t1")
-        windows[key] = (t0, t1)
-
-    load_raw = data.get("injected_load", [])
-    load = _track_from_list(load_raw, "$.injected_load", 6) if load_raw else ()
-
-    noise = _number(_get(data, "tracking_noise_std_m", ScenarioConfig),
-                    "$.tracking_noise_std_m", minimum=0.0)
-    floor = _number(_get(data, "oracle_noise_floor_n", ScenarioConfig),
-                    "$.oracle_noise_floor_n", minimum=0.0)
-
-    return ScenarioConfig(name=name, seed=seed, condition=condition,
-                          coordinator=coordinator, arms=arms, glove=glove,
-                          dock=dock, scene=scene, trajectory=trajectory,
-                          lift_windows=windows, oracle_noise_floor_n=floor,
-                          injected_load=load, tracking_noise_std_m=noise)
+def read_yaml(path):
+    """The YAML document in the file ``path``; invalid YAML fails at ``$``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError("$", f"invalid YAML: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("$", f"invalid YAML: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_yaml(path))
 
 
 def dump_scenario_yaml(data: dict, path) -> None:

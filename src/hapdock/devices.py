@@ -45,7 +45,7 @@ class ArmSpec:
     track_tau_s: float = 0.010       # first-order tracking time constant
     _box: Box = field(init=False, repr=False, compare=False)
     _half_range: Vec3 = field(init=False, repr=False, compare=False)
-    _base_inv: RigidTransform = field(init=False, repr=False, compare=False)
+    base_inv: RigidTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, vals in (("workspace_extents", self.workspace_extents),
@@ -61,7 +61,7 @@ class ArmSpec:
                            Box.from_extents(self.workspace_center, self.workspace_extents))
         object.__setattr__(self, "_half_range",
                            tuple(math.radians(r) * 0.5 for r in self.rot_range_deg))
-        object.__setattr__(self, "_base_inv", self.base_pose.inverse())
+        object.__setattr__(self, "base_inv", self.base_pose.inverse())
 
     def workspace_box_base(self) -> Box:
         return self._box
@@ -292,7 +292,7 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
         new_rot = slerp(cur.rotation, target_world.rotation, frac)
 
     # Safety net: the effector itself must never leave the reachable box.
-    local = spec._base_inv.compose(RigidTransform(new_rot, new_pos))
+    local = spec.base_inv.compose(RigidTransform(new_rot, new_pos))
     safe_local_pos = box.clamp_point(local.translation)
     pose = spec.base_pose.compose(RigidTransform(local.rotation, safe_local_pos))
     return ArmState(pose=pose, clamped=clamped)

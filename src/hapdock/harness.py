@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .config import Condition, ScenarioConfig
+from .config import ArmConfig, Condition, ScenarioConfig
 from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandState,
                       arm_step, glove_apply, hand_collider_spheres,
                       hand_forward_model, impedance_displacement)
@@ -87,13 +87,11 @@ class _ArmUnit:
     """One arm's mutable state plus the constants its per-tick work reads."""
 
     name: str
-    cfg: object
+    cfg: ArmConfig
     state: ArmState
     dock_state: DockState
     magnet: MagnetChannel
-    box_base: Box                      # workspace box, base frame
     trigger_box: Box | None            # inflated world box; None when never docking
-    base_inv: RigidTransform
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
@@ -141,9 +139,8 @@ class Coordinator:
         self._last_glove_tick: int | None = None
         self.log = MetricLog(self._header())
 
-    def _unit(self, arm) -> _ArmUnit:
+    def _unit(self, arm: ArmConfig) -> _ArmUnit:
         spec = arm.spec
-        base_inv = spec.base_pose.inverse()
         park = RigidTransform.from_translation(arm.park_position)
         trigger_box = None
         if self.cfg.condition is not Condition.FREE:
@@ -153,9 +150,8 @@ class Coordinator:
             name=arm.name, cfg=arm, state=ArmState(pose=park),
             dock_state=DockState.FREE,
             magnet=MagnetChannel(latency_s=self.cfg.dock.magnet_latency_s),
-            box_base=spec.workspace_box_base(), trigger_box=trigger_box,
-            base_inv=base_inv, park=park,
-            park_cmd=ArmCommand(target=base_inv.compose(park),
+            trigger_box=trigger_box, park=park,
+            park_cmd=ArmCommand(target=spec.base_inv.compose(park),
                                 speed_limit=arm.pursuit_speed))
 
     def _header(self) -> dict:
@@ -254,8 +250,9 @@ class Coordinator:
         """Base-frame effector pose that keeps the docked magnet on the plate,
         and its translation clamped to the workspace."""
         follow = plate.compose(self.joint.attach_pose).compose(self.tool_inv)
-        local = u.base_inv.compose(follow)
-        return local, u.box_base.clamp_point(local.translation)
+        spec = u.cfg.spec
+        local = spec.base_inv.compose(follow)
+        return local, spec.workspace_box_base().clamp_point(local.translation)
 
     def _dock_management(self, t: float, plate: RigidTransform, plate_vel: Vec3,
                          cmd_world: tuple[float, ...], events: list[str]):
@@ -362,7 +359,7 @@ class Coordinator:
                 u.state = arm_step(spec, u.state, cmd, self.dt)
                 target = spec.base_pose.compose(cmd.target)
             elif u.dock_state is DockState.RELEASING:
-                hold = u.base_inv.compose(u.state.pose)
+                hold = spec.base_inv.compose(u.state.pose)
                 cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
                 # A releasing arm reports no clamp.
                 u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
@@ -509,7 +506,8 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
     Confidence is the smallest pairwise relative force gap between adjacent
     ranks. When every mean sits below the noise floor the cans cannot be told
     apart; adjacent means closer than the floor are reported as ties rather
-    than forced into an order.
+    than forced into an order. Any other verdict ranks, so it needs at least
+    two windows.
     """
     if not lift_windows:
         raise ValueError("lift_windows must contain at least one window")
@@ -535,6 +533,8 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
     if all(abs(means[n]) < noise_floor_n for n in order):
         return OracleResult(verdict="indistinguishable", order=order,
                             mean_force=means, confidence=0.0)
+    if len(order) < 2:
+        raise ValueError("ranking needs at least two lift windows")
 
     ties = []
     group = [order[0]]

@@ -6,6 +6,8 @@ import yaml
 
 from hapdock.cli import main
 from hapdock.config import ConfigError, scenario_from_dict
+from hapdock.devices import GLOVE_CATALOG, VIRTUOSE_6D
+from hapdock.docking import DEFAULT_ANG_TOL_RAD, JOINT_KIND_CATALOG
 from hapdock.harness import MetricLog
 from shipped import path as shipped_path
 
@@ -55,6 +57,21 @@ class TestValidation:
                 "ArmConfig.pursuit_speed", "BodyConfig.mass", "BodyConfig.velocity",
                 "BodyConfig.collide_with_hand",
                 "TrajectoryConfig.wrist_rotation"} <= set(checked)
+
+        # The defaults no dataclass declares: the arm model's catalog row, the
+        # workspace center as park pose, and the catalog names' own defaults.
+        for name in ("workspace_center", "workspace_extents", "rot_range_deg", "max_force",
+                     "max_torque", "stiffness", "max_speed", "max_angular_speed",
+                     "track_tau_s"):
+            assert getattr(arm.spec, name) == getattr(VIRTUOSE_6D, name), name
+        assert arm.spec.name == "arm"
+        assert arm.park_position == arm.spec.workspace_box_world().center
+        assert cfg.dock.joint_kind is JOINT_KIND_CATALOG["plate_friction"]
+        assert cfg.dock.ang_tol_rad == DEFAULT_ANG_TOL_RAD
+        assert cfg.trajectory.abduction == ((0.0, (0.5,) * 5),)
+        assert cfg.glove.spec is GLOVE_CATALOG["dexmo"]
+        assert cfg.seed == 0
+        assert cfg.lift_windows == {} and cfg.injected_load == ()
 
     def test_missing_schema_version(self):
         d = minimal_dict()
@@ -150,6 +167,8 @@ class TestValidation:
         (("glove",), "model", ["dexmo"]),
         (("arms", 0), "model", {"name": "virtuose_6d"}),
         (("dock",), "joint_kind", ["plate_friction"]),
+        # A calibration vector's own fault is reported at its own path.
+        (("glove", "calibration"), "flex_min", [0.0] * 4),
     ])
     def test_loose_types_rejected_with_path(self, tmp_path, capsys, where, key, value):
         d, path = every_level_dict(where, key, value)
@@ -161,12 +180,58 @@ class TestValidation:
         assert main(["validate", str(bad)]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
 
+    # Every bounded field, each with a value just past its bound.
+    @pytest.mark.parametrize("where, key, value, message", [
+        ((), "seed", -1, "must be >= 0"),
+        (("coordinator",), "duration_s", 0, "must be strictly positive"),
+        (("coordinator",), "glove_period_ticks", 0, "must be >= 1"),
+        (("coordinator",), "filter_cutoff_hz", -0.5, "must be >= 0.0"),
+        (("arms", 0), "stiffness", 0.0, "must be strictly positive"),
+        (("arms", 0), "pursuit_speed", -1.0, "must be strictly positive"),
+        (("glove",), "spring_constant", -0.1, "must be >= 0.0"),
+        (("dock",), "breaking_force_n", 0, "must be strictly positive"),
+        (("dock",), "friction_mu", -0.1, "must be >= 0.0"),
+        (("dock",), "contact_radius_m", 0.0, "must be strictly positive"),
+        (("dock",), "pos_tol_m", 0.0, "must be strictly positive"),
+        (("dock",), "ang_tol_deg", 0.0, "must be strictly positive"),
+        (("dock",), "magnet_latency_s", -0.001, "must be >= 0.0"),
+        (("dock",), "interception_horizon_s", -0.001, "must be >= 0.0"),
+        (("dock",), "workspace_inflation_m", -0.001, "must be >= 0.0"),
+        (("dock",), "release_slack_m", 0, "must be strictly positive"),
+        (("dock",), "handover_gap_bound_s", 0.0, "must be strictly positive"),
+        (("dock",), "reattach_cooldown_s", -1.0, "must be >= 0.0"),
+        (("scene",), "surface_stiffness", 0.0, "must be strictly positive"),
+        (("scene",), "solver_iterations", 0, "must be >= 1"),
+        (("scene",), "slop", -1e-4, "must be >= 0.0"),
+        (("scene", "bodies", 0), "mass", -1.0, "must be >= 0.0"),
+        (("scene", "bodies", 0), "half_extents", [0.1, 0.0, 0.1], "must be strictly positive"),
+        ((), "tracking_noise_std_m", -0.001, "must be >= 0.0"),
+        ((), "oracle_noise_floor_n", -0.02, "must be >= 0.0"),
+    ])
+    def test_bound_rejected_with_path_and_message(self, where, key, value, message):
+        d, path = every_level_dict(where, key, value)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(d)
+        assert (err.value.path, err.value.message) == (path, message)
+
+    def test_track_timestamps_bounded_below_by_zero(self):
+        d = minimal_dict()
+        d["trajectory"]["wrist"] = [[-0.1, 0.0, 0.0, 0.0]]
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(d)
+        assert (err.value.path, err.value.message) == ("$.trajectory.wrist[0][0]",
+                                                       "must be >= 0.0")
+
     def test_zero_wrist_rotation_rejected(self):
         d = minimal_dict()
         d["trajectory"]["wrist_rotation"] = [0.0, 0.0, 0.0, 0.0]
         with pytest.raises(ConfigError) as err:
             scenario_from_dict(d)
         assert err.value.path == "$.trajectory.wrist_rotation"
+
+    def test_glove_period_beyond_float_range_is_compared_exactly(self):
+        d = minimal_dict(coordinator={"duration_s": 0.1, "glove_period_ticks": 10**400})
+        assert scenario_from_dict(d).coordinator.glove_period_ticks == 10**400
 
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -262,6 +327,8 @@ class TestCli:
         ("can_a: [1]\n", "$.can_a"),
         ("can_a: [a, b]\n", "$.can_a[0]"),
         ("can_a: [0.0, 1.0\n", "$"),
+        ("can_a: [1.0, 0.5]\n", "$.can_a"),
+        ("1: [0.0, 0.5]\n", "$.1"),
     ])
     def test_oracle_malformed_windows_exit_2(self, tmp_path, capsys, text, path):
         log = tmp_path / "log.ndjson"
@@ -277,6 +344,9 @@ class TestCli:
         ([{"t": 0.0, "arms": []}, {"t": 0.001}], "log record 1 has no field 'arms'"),
         ([{"t": 0.0, "arms": [{"name": "a"}]}], "log record 0 has no field 'rendered'"),
         ([{"t": 0.0, "arms": [{"rendered": [0.0]}]}], "log record 0 is malformed"),
+        # One window above the noise floor has nothing to rank against.
+        ([{"t": 0.0, "arms": [{"rendered": [0.0, -1.0, 0.0, 0.0, 0.0, 0.0]}]}],
+         "ranking needs at least two lift windows"),
     ])
     def test_oracle_malformed_log_exit_2(self, tmp_path, capsys, records, message):
         log = MetricLog({"record": "header", "scenario": "s", "condition": "free"})
@@ -288,3 +358,17 @@ class TestCli:
         windows.write_text("can_a: [0.0, 1.0]\n")
         assert main(["oracle", str(path), str(windows)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("floor, message", [
+        ("-1", "must be >= 0.0"),
+        ("nan", "must be finite"),
+        ("inf", "must be finite"),
+    ])
+    def test_oracle_noise_floor_checked_like_the_scenario_field(
+            self, tmp_path, capsys, floor, message):
+        log = tmp_path / "log.ndjson"
+        MetricLog({"record": "header", "scenario": "s", "condition": "free"}).write(log)
+        windows = tmp_path / "win.yaml"
+        windows.write_text("can_a: [0.0, 1.0]\ncan_b: [1.0, 2.0]\n")
+        assert main(["oracle", str(log), str(windows), "--noise-floor", floor]) == 2
+        assert capsys.readouterr().err == f"config error: --noise-floor: {message}\n"

@@ -62,6 +62,8 @@ class TestWeightOracle:
             weight_oracle(log, {"a": (5.0, 6.0)})  # no records in range
         with pytest.raises(ValueError):
             weight_oracle(log, {"a": (1.0, 0.5)})
+        with pytest.raises(ValueError, match="at least two lift windows"):
+            weight_oracle(log, {"a": (0.0, 0.05)}, noise_floor_n=0.0)  # nothing to rank
 
 
 class TestMetricLog:
