@@ -86,7 +86,6 @@ class GloveRateViolation(RuntimeError):
 class _ArmUnit:
     """One arm's mutable state plus the constants its per-tick work reads."""
 
-    name: str
     cfg: ArmConfig
     state: ArmState
     dock_state: DockState
@@ -147,7 +146,7 @@ class Coordinator:
             trigger_box = spec.workspace_box_world().inflate(
                 self.cfg.dock.workspace_inflation_m)
         return _ArmUnit(
-            name=arm.name, cfg=arm, state=ArmState(pose=park),
+            cfg=arm, state=ArmState(pose=park),
             dock_state=DockState.FREE,
             magnet=MagnetChannel(latency_s=self.cfg.dock.magnet_latency_s),
             trigger_box=trigger_box, park=park,
@@ -325,7 +324,7 @@ class Coordinator:
             )
             new_state, evs = dock_step(u.dock_state, ctx)
             for ev in evs:
-                events.append(f"{ev}:{u.name}")
+                events.append(f"{ev}:{u.cfg.name}")
                 if ev == "intercept":
                     u.magnet.command(True, t)
                 elif ev == "attach":
@@ -373,7 +372,7 @@ class Coordinator:
                         u.state = state
                 target = u.park
             u.target = target
-            events.append(f"arm_target:{u.name}")
+            events.append(f"arm_target:{u.cfg.name}")
 
     def _tick(self, tick: int) -> None:
         """Run one tick and log its record.
@@ -449,7 +448,7 @@ class Coordinator:
             if u.tool_pose is None or u.tool_pose[0] is not pose:
                 u.tool_pose = (pose, pose.compose(tool_offset))
             arms_rec.append({
-                "name": u.name,
+                "name": u.cfg.name,
                 "state": u.dock_state.value,
                 "pos": list(pose.translation),
                 "quat": list(pose.rotation),
@@ -478,7 +477,7 @@ class Coordinator:
             "paired": routed.paired_magnitude,
             "contacts": routed.hand_contact_count,
             "support": support,
-            "docked_arm": docked.name if docked else None,
+            "docked_arm": docked.cfg.name if docked else None,
             "arms": arms_rec,
         })
 
@@ -505,9 +504,10 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
 
     Confidence is the smallest pairwise relative force gap between adjacent
     ranks. When every mean sits below the noise floor the cans cannot be told
-    apart; adjacent means closer than the floor are reported as ties rather
-    than forced into an order. Any other verdict ranks, so it needs at least
-    two windows.
+    apart; adjacent means closer than the floor, or equal, are reported as
+    ties rather than forced into an order. Any other verdict ranks, so it
+    needs at least two windows, and each gap is relative to the heavier
+    window's mean, which must be positive.
     """
     if not lift_windows:
         raise ValueError("lift_windows must contain at least one window")
@@ -539,7 +539,8 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
     ties = []
     group = [order[0]]
     for prev, cur in zip(order, order[1:]):
-        if means[cur] - means[prev] < noise_floor_n:
+        gap = means[cur] - means[prev]
+        if gap < noise_floor_n or gap == 0.0:
             group.append(cur)
         else:
             if len(group) > 1:
@@ -551,6 +552,10 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
         return OracleResult(verdict="tie", order=order, mean_force=means,
                             confidence=0.0, ties=tuple(ties))
 
+    for hi in order[1:]:
+        if means[hi] <= 0.0:
+            raise ValueError(f"window for {hi!r} ranks above another but its mean "
+                             f"support force {means[hi]!r} N is not positive")
     confidence = min((means[hi] - means[lo]) / means[hi]
                      for lo, hi in zip(order, order[1:]))
     return OracleResult(verdict="ordered", order=order, mean_force=means,

@@ -16,11 +16,22 @@ box-box normal and every hand sphere-box face normal is of that kind. A hand
 sphere-box edge or corner contact (normal with several nonzero components)
 would round differently, as numpy's own result there already depends on
 whether the CPU has FMA.
+
+A world at its fixed point skips the step. A step reads only the bodies'
+positions and velocities, the hand colliders' centers and velocities, ``dt``,
+``params``, ``gravity`` and fields no step changes (extents, masses, kinds,
+names and radii; the hand box follows from the centers and radii). So when a
+step hands every body back bit for bit, a later step from an input with the
+same bits gives the same bodies and the same report again, and
+``step_world`` returns that report without collecting contacts, solving or
+projecting. Bits are compared, not floats: ``==`` would match -0.0 with 0.0,
+which a step does not treat alike.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -126,6 +137,16 @@ def _hand_box(centers: list[Vec3], reach: float) -> tuple[float, ...]:
     return (x0 - reach, y0 - reach, z0 - reach, x1 + reach, y1 + reach, z1 + reach)
 
 
+_SIX = struct.Struct("<6d")
+
+
+def _bits(pairs) -> bytes:
+    """The bits of ``(a, b)`` 3-vector pairs, as packed doubles: equal bytes
+    are equal bits, where ``==`` would also match -0.0 with 0.0."""
+    pack = _SIX.pack
+    return b"".join([pack(a[0], a[1], a[2], b[0], b[1], b[2]) for a, b in pairs])
+
+
 @dataclass(slots=True)
 class World:
     gravity: Vec3 = (0.0, -9.81, 0.0)
@@ -137,6 +158,11 @@ class World:
     # box's reach beyond the centers.
     hand_box: tuple[float, ...] | None = field(default=None, init=False)
     hand_reach: float = field(default=0.0, init=False)
+    # The last step that handed its input back bit for bit, as
+    # ``(body bits, hand bits, dt, params, gravity, report)``; see
+    # ``step_world``. ``set_hand`` clears it.
+    fixed_point: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.gravity = tuple(float(g) for g in self.gravity)
@@ -157,6 +183,7 @@ class World:
     def set_hand(self, colliders: list[HandCollider]) -> None:
         self.hand = list(colliders)
         self.hand_box = None
+        self.fixed_point = None
         if self.hand:
             self.hand_reach = max(h.radius for h in self.hand) + _HAND_BOX_MARGIN
             self.hand_box = _hand_box([h.center for h in self.hand], self.hand_reach)
@@ -368,9 +395,28 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
 
     The returned world is the input advanced in place; it is returned so the
     call reads as a state transition.
+
+    A step that hands every body's position and velocity back bit for bit is
+    a fixed point: ``world.fixed_point`` keeps the bits of its input (every
+    body's position and velocity, every hand collider's center and
+    velocity), ``dt``, the ``params`` and ``gravity`` objects and the report.
+    A later call with the same bits, the same ``dt`` and the same two objects
+    returns a new list of that report and changes nothing; that input passed
+    the divergence check at the end of the step that recorded it. ``params``
+    and ``gravity`` are immutable and keyed by identity, so replacing either
+    misses even with an equal value. ``add_body`` lengthens the key and
+    ``set_hand`` clears the record, as radii are not in the key; extents,
+    masses and kinds are not to be edited between steps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    bodies = _bits([(b.position, b.velocity) for b in world.bodies])
+    hand = _bits([(h.center, h.velocity) for h in world.hand])
+    fixed = world.fixed_point
+    if (fixed is not None and fixed[0] == bodies and fixed[1] == hand
+            and fixed[2] == dt and fixed[3] is world.params
+            and fixed[4] is world.gravity):
+        return world, list(fixed[5])
     _check_finite(world)
 
     contacts = _collect_contacts(world)
@@ -465,4 +511,8 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
                 point=c.point, normal=c.normal,
                 magnitude=c.accumulated, hand_collider=None))
     report.extend(penalty)
+    world.fixed_point = None
+    if _bits([(b.position, b.velocity) for b in world.bodies]) == bodies:
+        world.fixed_point = (bodies, hand, dt, world.params, world.gravity,
+                             tuple(report))
     return world, report

@@ -359,6 +359,25 @@ class TestCli:
         assert main(["oracle", str(path), str(windows)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("forces, floor, code, out, err", [
+        ((0.0, -0.5), "0.02", 2, "",
+         "error: window for 'can_a' ranks above another but its mean support "
+         "force 0.0 N is not positive\n"),
+        ((0.0, 0.0), "0", 0, '"verdict": "tie"', ""),
+    ])
+    def test_oracle_top_mean_at_zero(self, tmp_path, capsys, forces, floor, code,
+                                     out, err):
+        log = MetricLog({"record": "header", "scenario": "s", "condition": "free"})
+        for t, force in zip((0.5, 1.5), forces):
+            log.append({"t": t, "arms": [{"rendered": [0.0, -force, 0.0, 0.0, 0.0, 0.0]}]})
+        path = tmp_path / "log.ndjson"
+        log.write(path)
+        windows = tmp_path / "win.yaml"
+        windows.write_text("can_a: [0.0, 1.0]\ncan_b: [1.0, 2.0]\n")
+        assert main(["oracle", str(path), str(windows), "--noise-floor", floor]) == code
+        captured = capsys.readouterr()
+        assert out in captured.out and captured.err == err
+
     @pytest.mark.parametrize("floor, message", [
         ("-1", "must be >= 0.0"),
         ("nan", "must be finite"),

@@ -10,7 +10,7 @@ from hapdock.docking import DockState
 from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
-from shipped import NAMES, as_dict, build, cached_run
+from shipped import FULL_STEPS, NAMES, as_dict, build, cached_run
 from test_golden import GOLDEN_SHA256
 
 
@@ -64,6 +64,24 @@ class TestWeightOracle:
             weight_oracle(log, {"a": (1.0, 0.5)})
         with pytest.raises(ValueError, match="at least two lift windows"):
             weight_oracle(log, {"a": (0.0, 0.05)}, noise_floor_n=0.0)  # nothing to rank
+
+    def test_equal_means_are_a_tie_at_a_zero_floor(self):
+        for force in (0.0, 1.4715):
+            log, windows = synthetic_log({"a": force, "b": force})
+            res = weight_oracle(log, windows, noise_floor_n=0.0)
+            assert res.verdict == "tie"
+            assert res.ties == (("a", "b"),)
+
+    @pytest.mark.parametrize("forces, window", [
+        ({"a": 0.0, "b": -0.5}, "a"),
+        ({"a": -1.0, "b": -0.5}, "b"),
+        # A zero mean below a positive top would still divide by zero.
+        ({"a": -1.0, "b": 0.0, "c": 1.0}, "b"),
+    ])
+    def test_ranking_above_a_non_positive_mean_rejected(self, forces, window):
+        log, windows = synthetic_log(forces)
+        with pytest.raises(ValueError, match=f"window for '{window}' ranks above"):
+            weight_oracle(log, windows)
 
 
 class TestMetricLog:
@@ -292,7 +310,7 @@ class TestHotPath:
         original = Coordinator._follow
 
         def counting(self, u, plate):
-            calls.append(u.name)
+            calls.append(u.cfg.name)
             return original(self, u, plate)
 
         monkeypatch.setattr(Coordinator, "_follow", counting)
@@ -400,6 +418,16 @@ class TestHotPath:
         assert stepped.count("arm_b") == 2 and arm_b.parked is arm_b.state
         coord._arm_control(plate, (0.0,) * 6, [])
         assert stepped.count("arm_b") == 2
+
+    @pytest.mark.parametrize("name, ticks, full", [
+        ("single_lift_force_feedback", 9300, 3977),
+        ("squeeze_cancellation", 4000, 252),
+        # No bodies and no hand: the first step is already a fixed point.
+        ("handover_sweep", 8000, 1),
+    ])
+    def test_physics_steps_only_off_its_fixed_point(self, name, ticks, full):
+        assert len(cached_run(name).records) == ticks
+        assert FULL_STEPS[name] == full
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every

@@ -26,8 +26,9 @@ from hapdock.geometry import Box
 from hapdock.harness import _same_bits
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
-                         _penalty_contacts, _sphere_box)
+                         _penalty_contacts, _sphere_box, step_world)
 from shipped import NAMES, as_dict
+from test_sim import fresh_copy, step_bits
 
 joints = st.builds(
     DockJoint,
@@ -400,6 +401,65 @@ def test_box_box_picks_the_axis_index_min_picks(a, ha, b, hb):
     assert got == expected
     if got is not None:
         assert [bits(v) for v in got[0]] == [bits(v) for v in expected[0]]
+
+
+# -- fixed-point step ----------------------------------------------------------
+
+@st.composite
+def still_hand_runs(draw):
+    """A desk, 1-3 dynamic boxes resting on it, dropped onto it or sunk into
+    it, 0-16 hand spheres around them, and the hand's centers for each tick:
+    stretches where the hand stands still between stretches where it moves.
+    Half the runs give the centers as numpy arrays."""
+    world = World()
+    world.add_body(RigidBody("desk", BodyKind.STATIC, [0.0, -0.03, 0.0], (0.5, 0.03, 0.5),
+                             collide_with_hand=draw(st.booleans())))
+    for i in range(draw(st.integers(1, 3))):
+        half = draw(st.tuples(halves, halves, halves))
+        drop = draw(st.sampled_from((0.0, 1e-4, -1e-4)) | st.floats(-1e-3, 1e-3))
+        world.add_body(RigidBody(f"box{i}", BodyKind.DYNAMIC,
+                                 [draw(coords), half[1] + drop, draw(coords)], half,
+                                 mass=draw(st.floats(0.01, 1.0))))
+    spheres = []
+    for j in range(draw(st.integers(0, 16))):
+        r = draw(radii)
+        body = world.bodies[draw(st.integers(1, len(world.bodies) - 1))]
+        # Anywhere around the box, or on a face: up to 1 mm off it or sunk
+        # less than the solver's slop.
+        axis = draw(st.integers(-1, 2))
+        side = draw(st.sampled_from((1.0, -1.0)))
+        center = tuple(p + side * (h + r - draw(st.floats(-1e-3, 4e-4))) if k == axis
+                       else p + draw(st.floats(-1.0, 1.0)) * (h + r * (axis < 0))
+                       for k, (p, h) in enumerate(zip(body.position, body.half_extents)))
+        spheres.append(HandCollider(f"s{j}", center, r, (0.0, 0.0, 0.0)))
+    world.set_hand(spheres)
+    as_array = np.array if draw(st.booleans()) else tuple
+    centers = [h.center for h in spheres]
+    frames = []
+    for k in range(draw(st.integers(1, 4))):
+        # The first stretch is still, the others move or stand still.
+        step = (0.0, 0.0, 0.0)
+        if k and draw(st.booleans()):
+            step = draw(st.tuples(*[st.floats(-5e-4, 5e-4)] * 3))
+        for _ in range(draw(st.integers(1, 12))):
+            centers = [tuple(c + d for c, d in zip(center, step)) for center in centers]
+            frames.append([as_array(c) for c in centers])
+    return world, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=still_hand_runs())
+def test_fixed_point_step_matches_a_fresh_world(run):
+    # The reference world is a new copy every tick, so it never has a
+    # fixed point to repeat.
+    world, frames = run
+    reference = fresh_copy(world)
+    for centers in frames:
+        world.move_hand(centers, 0.001)
+        reference.move_hand(centers, 0.001)
+        reference = fresh_copy(reference)
+        report = step_world(world, 0.001)[1]
+        assert step_bits(world, report) == step_bits(reference, step_world(reference, 0.001)[1])
 
 
 # -- hand chains ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hapdock import sim
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                          World, _collect_contacts, _sphere_box, step_world)
 
@@ -32,9 +35,9 @@ def desk() -> RigidBody:
                      collide_with_hand=False)
 
 
-def can(name="can", mass=0.3, y=0.055) -> RigidBody:
+def can(name="can", mass=0.3, y=0.055, x=0.0) -> RigidBody:
     return RigidBody(name=name, kind=BodyKind.DYNAMIC,
-                     position=[0.0, y, 0.0], half_extents=[0.033, 0.055, 0.033],
+                     position=[x, y, 0.0], half_extents=[0.033, 0.055, 0.033],
                      mass=mass)
 
 
@@ -218,6 +221,99 @@ class TestDynamics:
         first = run()
         assert all(type(v) is float for v in first)
         assert first == run()
+
+
+def fresh_copy(world: World) -> World:
+    """A new world in the same state, without the original's fixed-point
+    record."""
+    return World(
+        gravity=world.gravity, params=world.params,
+        bodies=[RigidBody(b.name, b.kind, list(b.position), b.half_extents,
+                          list(b.velocity), b.mass, b.collide_with_hand)
+                for b in world.bodies],
+        hand=[HandCollider(h.name, h.center, h.radius, h.velocity) for h in world.hand])
+
+
+def _pack(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def step_bits(world: World, report) -> tuple:
+    """Every body's position and velocity and every impulse, as bits."""
+    return ([_pack(*b.position, *b.velocity) for b in world.bodies],
+            [(i.body_a, i.body_b, i.hand_collider, _pack(*i.point, *i.normal, i.magnitude))
+             for i in report])
+
+
+def settle(world: World, limit: int = 2000) -> tuple:
+    """Step until a step hands its input back; return the world's record."""
+    for _ in range(limit):
+        step_world(world, DT)
+        if world.fixed_point is not None:
+            return world.fixed_point
+    raise AssertionError("the world never reached a fixed point")
+
+
+@pytest.fixture
+def collects(monkeypatch) -> list:
+    """One entry per ``_collect_contacts`` call."""
+    calls = []
+    original = sim._collect_contacts
+
+    def counting(world):
+        calls.append(world)
+        return original(world)
+
+    monkeypatch.setattr(sim, "_collect_contacts", counting)
+    return calls
+
+
+def held_can() -> World:
+    """A can held still on a palm sphere, 9 cm above the desk."""
+    w = world_with(desk(), can(y=0.2))
+    w.set_hand([HandCollider("palm", (0.0, 0.145 - 0.02 + 1e-4, 0.0), 0.02,
+                             (0.0, 0.0, 0.0))])
+    return w
+
+
+class TestFixedPoint:
+    def test_repeat_returns_the_report_without_a_step(self, collects):
+        w = held_can()
+        record = settle(w)
+        before = step_bits(w, record[5])
+        collects.clear()
+        reports = [step_world(w, DT)[1] for _ in range(3)]
+        assert collects == []
+        assert w.fixed_point is record
+        assert reports[0] is not reports[1] and list(record[5]) == reports[0]
+        assert any(i.hand_collider == "palm" for i in reports[0])
+        for report in reports:
+            assert step_bits(w, report) == before
+
+    @pytest.mark.parametrize("change", [
+        "signed_zero", "radius", "add_body", "position", "params", "gravity"])
+    def test_changed_input_misses(self, collects, change):
+        w = held_can()
+        settle(w)
+        position = w.body("can").position
+        if change == "signed_zero":
+            assert position[0] == 0.0 and math.copysign(1.0, position[0]) == 1.0
+            position[0] = -0.0
+        elif change == "radius":
+            w.set_hand([HandCollider("palm", w.hand[0].center, 0.03, (0.0, 0.0, 0.0))])
+        elif change == "add_body":
+            w.add_body(can(name="dropped", y=0.3, x=0.3))
+        elif change == "position":
+            w.body("can").position = [position[0], position[1] + 1e-3, position[2]]
+        elif change == "params":
+            w.params = replace(w.params)   # an equal, new object
+        else:
+            w.gravity = tuple(list(w.gravity))
+        copy = fresh_copy(w)
+        collects.clear()
+        report = step_world(w, DT)[1]
+        assert collects and collects[0] is w
+        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
 
 
 class TestDivergence:
