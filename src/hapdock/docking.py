@@ -37,6 +37,11 @@ class DockJointKind:
     constrained: frozenset
     friction_limited: frozenset = frozenset()
     free: frozenset = field(init=False, repr=False, compare=False)
+    # Indices into DOF_LABELS: the free DOFs, the friction-limited ones of
+    # tx and ty, and whether rz is friction-limited.
+    free_axes: tuple = field(init=False, repr=False, compare=False)
+    tangential_axes: tuple = field(init=False, repr=False, compare=False)
+    rz_limited: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = (self.constrained | self.friction_limited) - set(DOF_LABELS)
@@ -44,9 +49,14 @@ class DockJointKind:
             raise ValueError(f"unknown DOF labels: {sorted(bad)}")
         if self.constrained & self.friction_limited:
             raise ValueError("a DOF cannot be both constrained and friction-limited")
-        # Built once: joint_transmit reads it on every docked tick.
-        object.__setattr__(self, "free", frozenset(DOF_LABELS) - self.constrained
-                           - self.friction_limited)
+        # Built once: joint_transmit reads them on every docked tick.
+        free = frozenset(DOF_LABELS) - self.constrained - self.friction_limited
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "free_axes",
+                           tuple(i for i, l in enumerate(DOF_LABELS) if l in free))
+        object.__setattr__(self, "tangential_axes",
+                           tuple(i for i in (0, 1) if DOF_LABELS[i] in self.friction_limited))
+        object.__setattr__(self, "rz_limited", "rz" in self.friction_limited)
 
     def degraded_dofs(self) -> tuple[str, ...]:
         """DOFs the hybrid device cannot rely on through this joint."""
@@ -190,15 +200,13 @@ def joint_transmit(joint: DockJoint, wrench) -> tuple[tuple[float, ...], bool, b
     if peel > joint.peel_torque:
         return (0.0,) * 6, False, True
 
-    free = joint.kind.free
-    for i, label in enumerate(DOF_LABELS):
-        if label in free:
-            out[i] = 0.0
+    kind = joint.kind
+    for i in kind.free_axes:
+        out[i] = 0.0
 
     slip = False
     preload = joint.breaking_force + max(0.0, -tension)
-    fl = joint.kind.friction_limited
-    tang_axes = [i for i in (0, 1) if DOF_LABELS[i] in fl]
+    tang_axes = kind.tangential_axes
     if tang_axes:
         tang = math.sqrt(sum(out[i] ** 2 for i in tang_axes))
         cap = joint.friction_mu * preload
@@ -207,7 +215,7 @@ def joint_transmit(joint: DockJoint, wrench) -> tuple[tuple[float, ...], bool, b
             for i in tang_axes:
                 out[i] *= scale
             slip = True
-    if "rz" in fl:
+    if kind.rz_limited:
         cap = joint.friction_mu * preload * joint.contact_radius
         if abs(out[5]) > cap:
             out[5] = math.copysign(cap, out[5])

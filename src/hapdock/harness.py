@@ -21,7 +21,7 @@ from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandStat
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
-from .frames import RigidTransform
+from .frames import RigidTransform, _qmul, _qnormalize, _qrotate
 from .geometry import Box, Vec3
 from .routing import LowPassFilter, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
@@ -120,12 +120,29 @@ class Coordinator:
             friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
         self.units = [self._unit(arm) for arm in cfg.arms]
         # Normalized once; ``sample_track`` already returns float tuples.
-        self.wrist_rotation = RigidTransform.from_quat(cfg.trajectory.wrist_rotation).rotation
-        # The one dock slot: ``docked`` and ``joint`` from attach to release,
-        # ``follow`` (from ``_follow``, reused by arm control) while docked,
-        # and this tick's wrench ``transmitted`` to the hand (world frame).
+        wrist_rotation = RigidTransform.from_quat(cfg.trajectory.wrist_rotation).rotation
+        self.wrist_rotation = wrist_rotation
+        # The plate's rotation is a scenario constant: the wrist rotation is
+        # one and ``_tracked_plate`` adds noise to the translation only. So
+        # ``wrist_pose.compose(plate_offset)`` is the tick's wrist position
+        # plus ``plate_shift`` with the rotation ``plate_rotation``, and
+        # ``plate.inverse()`` rotates by ``plate_rotation_inv``: the same
+        # float operations as ``compose`` and ``inverse``, done once.
+        offset = dock.plate_offset
+        self.plate_rotation = _qnormalize(_qmul(wrist_rotation, offset.rotation))
+        self.plate_rotation_inv = RigidTransform(self.plate_rotation).inverse().rotation
+        self.plate_shift = _qrotate(wrist_rotation, offset.translation)
+        # The one dock slot: ``docked``, ``joint`` and ``chain`` (the follow
+        # chain's constants) from attach to release, ``follow`` (from
+        # ``_follow``, reused by arm control) while docked, and this tick's
+        # wrench ``transmitted`` to the hand (world frame). The wrist
+        # rotation is a scenario constant, tracking noise moves the plate's
+        # translation only, and the joint's ``attach_pose``, the arm's base
+        # and the tool offset are fixed from attach to release, so
+        # ``_attach`` builds every rotation of the docked chain once.
         self.docked: _ArmUnit | None = None
         self.joint: DockJoint | None = None
+        self.chain: tuple | None = None
         self.follow: tuple | None = None
         self.transmitted = ZERO6
         self.slip = False
@@ -245,13 +262,56 @@ class Coordinator:
         t = tuple(p + gauss(0.0, std) for p in plate.translation)
         return RigidTransform(plate.rotation, t)
 
+    def _plate_truth(self, wrist: Vec3) -> RigidTransform:
+        """The plate's true pose for the wrist position ``wrist``: equal bit
+        for bit to ``wrist_pose.compose(plate_offset)``."""
+        sx, sy, sz = self.plate_shift
+        return RigidTransform(self.plate_rotation,
+                              (wrist[0] + sx, wrist[1] + sy, wrist[2] + sz))
+
+    def _attach(self, u: _ArmUnit, joint: DockJoint, plate: RigidTransform) -> None:
+        """Give the dock slot to ``u`` with ``joint`` and build the follow
+        chain's constants.
+
+        The chain is ``plate.compose(attach_pose).compose(tool_inv)``, its
+        local pose ``base_inv.compose(...)``, the pinned pose
+        ``base_pose.compose`` of the clamped local pose and the tool pose
+        ``pinned.compose(tool_offset)``. ``compose`` is ``N(qmul(a.r, b.r))``
+        and ``a.t + qrotate(a.r, b.t)``, so with every rotation constant
+        ``chain`` holds ``(c1, c2, pinned rotation, tool rotation, tool
+        vector)``: the follow translation is ``(p + c1) + c2`` for the plate
+        position ``p``, and the tool position is the pinned position plus
+        the tool vector, the same float operations in the same order.
+        """
+        spec, attach = u.cfg.spec, joint.attach_pose
+        rp, tool_inv = self.plate_rotation, self.tool_inv
+        tool = self.cfg.dock.tool_offset
+        q1 = _qnormalize(_qmul(rp, attach.rotation))
+        q2 = _qnormalize(_qmul(q1, tool_inv.rotation))
+        q3 = _qnormalize(_qmul(spec.base_inv.rotation, q2))
+        q4 = _qnormalize(_qmul(spec.base_pose.rotation, q3))
+        self.docked, self.joint = u, joint
+        self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation),
+                      q4, _qnormalize(_qmul(q4, tool.rotation)),
+                      _qrotate(q4, tool.translation))
+        self.follow = self._follow(u, plate)
+
     def _follow(self, u: _ArmUnit, plate: RigidTransform):
-        """Base-frame effector pose that keeps the docked magnet on the plate,
-        and its translation clamped to the workspace."""
-        follow = plate.compose(self.joint.attach_pose).compose(self.tool_inv)
+        """Base-frame effector translation that keeps the docked magnet on
+        the plate, and that translation clamped to the workspace.
+
+        Only the plate's translation moves from attach to release (the wrist
+        rotation is a scenario constant, tracking noise moves the translation
+        only, and the joint is fixed), so the rotations come from ``chain``
+        and a tick does three additions per component and one rotation.
+        """
+        c1, c2 = self.chain[:2]
+        p = plate.translation
         spec = u.cfg.spec
-        local = spec.base_inv.compose(follow)
-        return local, spec.workspace_box_base().clamp_point(local.translation)
+        local = spec.base_inv.transform_point(((p[0] + c1[0]) + c2[0],
+                                               (p[1] + c1[1]) + c2[1],
+                                               (p[2] + c1[2]) + c2[2]))
+        return local, spec.workspace_box_base().clamp_point(local)
 
     def _dock_management(self, t: float, plate: RigidTransform, plate_vel: Vec3,
                          cmd_world: tuple[float, ...], events: list[str]):
@@ -296,17 +356,16 @@ class Coordinator:
             if u is self.docked:
                 self.follow = self._follow(u, plate)
                 local, clamped = self.follow
-                if math.dist(local.translation, clamped) > dock.release_slack_m:
+                if math.dist(local, clamped) > dock.release_slack_m:
                     release_demanded = True
-                plate_inv = plate.inverse()
-                cmd_plate = (plate_inv.rotate_vector(cmd_world[:3])
-                             + plate_inv.rotate_vector(cmd_world[3:]))
+                inv = self.plate_rotation_inv
+                cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
                 out_plate, slip, released = joint_transmit(self.joint, cmd_plate)
                 if released:
                     release_demanded = True
                 if not release_demanded:
-                    self.transmitted = (plate.rotate_vector(out_plate[:3])
-                                        + plate.rotate_vector(out_plate[3:]))
+                    rp = self.plate_rotation
+                    self.transmitted = _qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:])
                     self.slip = slip
 
             if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
@@ -328,12 +387,11 @@ class Coordinator:
                 if ev == "intercept":
                     u.magnet.command(True, t)
                 elif ev == "attach":
-                    self.docked, self.joint = u, joint_candidate
-                    self.follow = self._follow(u, plate)
+                    self._attach(u, joint_candidate, plate)
                 elif ev in ("release", "abort"):
                     u.magnet.command(False, t)
                     if ev == "release":
-                        self.docked = self.joint = None
+                        self.docked = self.joint = self.chain = None
                         u.cooldown_until = t + dock.reattach_cooldown_s
             u.dock_state = new_state
 
@@ -345,13 +403,15 @@ class Coordinator:
             spec = u.cfg.spec
             if u is self.docked:
                 local, clamped_pos = self.follow
-                pinned = spec.base_pose.compose(
-                    RigidTransform(local.rotation, clamped_pos))
-                u.state = ArmState(pose=pinned, clamped=clamped_pos != local.translation)
+                _, _, q_pinned, q_tool, tool_vec = self.chain
+                pos = spec.base_pose.transform_point(clamped_pos)
+                pinned = RigidTransform(q_pinned, pos)
+                u.state = ArmState(pose=pinned, clamped=clamped_pos != local)
+                u.tool_pose = (pinned, RigidTransform(
+                    q_tool, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
+                             pos[2] + tool_vec[2])))
                 disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                target = RigidTransform(
-                    pinned.rotation,
-                    tuple(p + d for p, d in zip(pinned.translation, disp)))
+                target = RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
             elif u.dock_state is DockState.INTERCEPTING:
                 cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed, self.dt,
                              base_pose=spec.base_pose, tool_offset=dock.tool_offset)
@@ -398,7 +458,7 @@ class Coordinator:
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
-        plate_truth = hand.wrist_pose.compose(cfg.dock.plate_offset)
+        plate_truth = self._plate_truth(hand.wrist_pose.translation)
         plate = self._tracked_plate(plate_truth)
         plate_pos = plate.translation
         prev = self._prev_plate

@@ -407,16 +407,22 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     misses even with an equal value. ``add_body`` lengthens the key and
     ``set_hand`` clears the record, as radii are not in the key; extents,
     masses and kinds are not to be edited between steps.
+
+    The hand is packed only when its bits can decide something: when the
+    body bits equal the record's, or when this step records a new fixed
+    point. The step never writes a hand collider, so after the step they
+    are still the input's bits.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     bodies = _bits([(b.position, b.velocity) for b in world.bodies])
-    hand = _bits([(h.center, h.velocity) for h in world.hand])
+    hand = None
     fixed = world.fixed_point
-    if (fixed is not None and fixed[0] == bodies and fixed[1] == hand
-            and fixed[2] == dt and fixed[3] is world.params
-            and fixed[4] is world.gravity):
-        return world, list(fixed[5])
+    if (fixed is not None and fixed[0] == bodies and fixed[2] == dt
+            and fixed[3] is world.params and fixed[4] is world.gravity):
+        hand = _bits([(h.center, h.velocity) for h in world.hand])
+        if fixed[1] == hand:
+            return world, list(fixed[5])
     _check_finite(world)
 
     contacts = _collect_contacts(world)
@@ -513,6 +519,8 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     report.extend(penalty)
     world.fixed_point = None
     if _bits([(b.position, b.velocity) for b in world.bodies]) == bodies:
+        if hand is None:
+            hand = _bits([(h.center, h.velocity) for h in world.hand])
         world.fixed_point = (bodies, hand, dt, world.params, world.gravity,
                              tuple(report))
     return world, report

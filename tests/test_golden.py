@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
-from shipped import NAMES, cached_run
+from hapdock.config import scenario_from_dict
+from hapdock.harness import run_scenario
+from shipped import NAMES, as_dict, cached_run
 
 GOLDEN_SHA256 = {
     "decouple_sweep": "04380943cd9f9effbf92ed5b66c973ce13902b0e310028ce93cfe8fa3baa045b",
@@ -33,3 +35,26 @@ def test_every_shipped_scenario_is_pinned():
 def test_log_bytes_match_golden(name):
     blob = cached_run(name).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
+
+
+# No shipped scene rotates the wrist or adds tracking noise, so these variants
+# pin the docked chain's plate rotation and its noisy translation:
+# ``(scene, wrist_rotation, tracking_noise_std_m, SHA-256 of the log)``.
+VARIANT_SHA256 = (
+    ("handover_sweep", (0.9659258, 0.0, 0.258819, 0.0), 0.0005,
+     "439c309012d205f9b48c70d8fe143c23b545bfb071ca2f38039e3b90356da9a2"),
+    ("single_lift_force_feedback", (0.98, 0.1, 0.0, 0.17), 0.0,
+     "0c7860d12457b38c56c0d69fd21b7d7f0ce8243c0e58428bb7a82e642d590a7b"),
+    ("squeeze_cancellation", (1.0, 0.0, 0.0, 0.0), 0.0003,
+     "fa1a5a8c7a23c67e162568c6b184e4d493a9407fdb677e66a07d7cabdf3f6cd2"),
+)
+
+
+@pytest.mark.parametrize("name, wrist_rotation, noise, digest", VARIANT_SHA256)
+def test_rotated_and_noisy_variant_matches_golden(name, wrist_rotation, noise, digest):
+    raw = as_dict(name)
+    raw["trajectory"]["wrist_rotation"] = list(wrist_rotation)
+    raw["tracking_noise_std_m"] = noise
+    log = run_scenario(scenario_from_dict(raw))
+    assert any(r["docked_arm"] for r in log.records)
+    assert hashlib.sha256(log.to_bytes()).hexdigest() == digest

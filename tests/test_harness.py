@@ -319,6 +319,36 @@ class TestHotPath:
         assert docked > 0
         assert len(calls) == docked
 
+    def test_docked_tick_beside_a_parked_arm_composes_nothing(self, monkeypatch):
+        # The dock chain's rotations are built at attach; a docked tick whose
+        # other arm is parked at its fixed point composes and inverts nothing.
+        calls = []
+        for name in ("compose", "inverse"):
+            original = getattr(RigidTransform, name)
+
+            def counting(*args, _original=original):
+                calls.append(True)
+                return _original(*args)
+
+            monkeypatch.setattr(RigidTransform, name, counting)
+        coord = Coordinator(_short("handover_sweep", 5.0))
+        quiet = attach = 0
+        for tick in range(coord.cfg.coordinator.ticks):
+            parked = [u for u in coord.units if u.state is u.parked]
+            calls.clear()
+            coord._tick(tick)
+            rec = coord.log.records[-1]
+            states = sorted(a["state"] for a in rec["arms"])
+            if any(e.startswith("attach:") for e in rec["events"]):
+                attach += 1
+                assert 0 < len(calls) <= 12
+            elif (states == ["docked", "free"] and rec["docked_arm"] is not None
+                  and len(parked) == 1 and parked[0] is not coord.docked):
+                quiet += 1
+                assert calls == [], tick
+        # Both arms attach once; arm_a docks beside parked arm_b for about 3 s.
+        assert attach == 2 and quiet > 3000
+
     def test_no_hand_colliders_without_hand_bodies(self, monkeypatch):
         # No handover body collides with the hand, so nothing reads colliders.
         calls = []

@@ -8,22 +8,25 @@ import struct
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hapdock.capability import DockLink, capability_at, compose_capability
 from hapdock.config import ConfigError, scenario_from_dict
+from hapdock import harness
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
                              NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, ArmCommand,
                              ArmSpec, ArmState, HandState, _hand_offsets, arm_step,
-                             finger_sphere_centers, hand_collider_spheres)
+                             finger_sphere_centers, hand_collider_spheres,
+                             impedance_displacement)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
 from hapdock.frames import RigidTransform
 from hapdock.geometry import Box
-from hapdock.harness import _same_bits
+from hapdock.harness import Coordinator, _same_bits
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box, step_world)
@@ -59,6 +62,72 @@ def test_joint_transmit_invariants(joint, wrench):
         assert abs(out[i]) <= abs(wrench[i])
         if label in joint.kind.free:
             assert out[i] == 0.0
+
+
+def reference_joint_transmit(joint: DockJoint, wrench):
+    """``joint_transmit`` as it scanned ``DOF_LABELS`` on every call."""
+    out = [float(v) for v in wrench]
+    tension = out[2]
+    if tension > joint.breaking_force:
+        return (0.0,) * 6, False, True
+    peel = math.hypot(out[3], out[4])
+    if peel > joint.peel_torque:
+        return (0.0,) * 6, False, True
+    free = joint.kind.free
+    for i, label in enumerate(DOF_LABELS):
+        if label in free:
+            out[i] = 0.0
+    slip = False
+    preload = joint.breaking_force + max(0.0, -tension)
+    fl = joint.kind.friction_limited
+    tang_axes = [i for i in (0, 1) if DOF_LABELS[i] in fl]
+    if tang_axes:
+        tang = math.sqrt(sum(out[i] ** 2 for i in tang_axes))
+        cap = joint.friction_mu * preload
+        if tang > cap:
+            scale = cap / tang
+            for i in tang_axes:
+                out[i] *= scale
+            slip = True
+    if "rz" in fl:
+        cap = joint.friction_mu * preload * joint.contact_radius
+        if abs(out[5]) > cap:
+            out[5] = math.copysign(cap, out[5])
+            slip = True
+    return tuple(out), slip, False
+
+
+signed_components = st.one_of(st.sampled_from((0.0, -0.0)), components,
+                              st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(joint=joints, wrench=st.lists(signed_components, min_size=6, max_size=6))
+@example(joint=DockJoint(PLATE_SLIP), wrench=[-0.0, 0.0, -0.0, -0.0, 0.0, -0.0])
+@example(joint=DockJoint(PLATE_SLIP, friction_mu=0.0), wrench=[3.0, -4.0, 0.0, 0.0, 0.0, -1.0])
+def test_joint_transmit_matches_the_scanning_body(joint, wrench):
+    out, slip, released = joint_transmit(joint, wrench)
+    ref, ref_slip, ref_released = reference_joint_transmit(joint, wrench)
+    assert [bits(v) for v in out] == [bits(v) for v in ref]
+    assert (slip, released) == (ref_slip, ref_released)
+
+
+def test_joint_kind_axes_cover_the_catalog():
+    seen = {}
+    for kind in JOINT_KIND_CATALOG.values():
+        assert kind.free_axes == tuple(i for i, l in enumerate(DOF_LABELS) if l in kind.free)
+        assert kind.tangential_axes == tuple(i for i in (0, 1)
+                                             if DOF_LABELS[i] in kind.friction_limited)
+        assert kind.rz_limited == ("rz" in kind.friction_limited)
+        seen[kind.name] = (kind.free_axes, kind.tangential_axes, kind.rz_limited)
+    # Every branch of joint_transmit is taken by some catalog kind.
+    assert seen == {
+        "plate_slip": ((), (0, 1), True),
+        "plate_friction": ((), (), True),
+        "pinned_rotary": ((5,), (), False),
+        "toothed": ((), (), False),
+        "prismatic": ((0,), (), False),
+    }
 
 
 # -- contact path ------------------------------------------------------------
@@ -781,6 +850,110 @@ def test_parked_arm_stays_at_its_fixed_point(case):
         stepped = arm_step(spec, twin, cmd, PARK_DT)
         assert stepped == twin and state_bits(stepped) == state_bits(state)
         assert not _same_bits(stepped, twin)
+
+
+# -- docked chain ------------------------------------------------------------
+
+def pose_bits(pose: RigidTransform) -> list:
+    return [bits(v) for v in pose.rotation + pose.translation]
+
+
+def reference_docked_chain(wrist_rotation, wrist, noise, dock, spec, joint, cmd_world):
+    """The docked tick as the compose chain it was written as."""
+    truth = RigidTransform(wrist_rotation, wrist).compose(dock.plate_offset)
+    plate = RigidTransform(truth.rotation,
+                           tuple(p + n for p, n in zip(truth.translation, noise)))
+    follow = plate.compose(joint.attach_pose).compose(dock.tool_offset.inverse())
+    local = spec.base_inv.compose(follow)
+    clamped = spec.workspace_box_base().clamp_point(local.translation)
+    pinned = spec.base_pose.compose(RigidTransform(local.rotation, clamped))
+    disp = impedance_displacement(cmd_world[:3], spec.stiffness)
+    target = RigidTransform(pinned.rotation,
+                            tuple(p + d for p, d in zip(pinned.translation, disp)))
+    plate_inv = plate.inverse()
+    cmd_plate = plate_inv.rotate_vector(cmd_world[:3]) + plate_inv.rotate_vector(cmd_world[3:])
+    out, slip, released = joint_transmit(joint, cmd_plate)
+    release = released or math.dist(local.translation, clamped) > dock.release_slack_m
+    transmitted = ((0.0,) * 6 if release else
+                   plate.rotate_vector(out[:3]) + plate.rotate_vector(out[3:]))
+    return {"plate_truth": truth, "plate": plate, "local": local.translation,
+            "clamped": clamped, "pinned": pinned, "clamp_flag": clamped != local.translation,
+            "target": target, "tool_pose": pinned.compose(dock.tool_offset),
+            "cmd_plate": cmd_plate, "transmitted": transmitted,
+            "slip": slip and not release}
+
+
+def signed_vecs(reach: float):
+    """3-vectors within ``reach`` whose components are often signed zeros."""
+    part = st.one_of(st.sampled_from((0.0, -0.0)),
+                     st.floats(-reach, reach, allow_nan=False))
+    return st.tuples(part, part, part)
+
+
+signed_quats = (st.tuples(*[st.one_of(st.sampled_from((0.0, -0.0, 1.0)), quat_parts)] * 4)
+                .filter(lambda q: math.hypot(*q) > 1e-3))
+# Offsets of a few centimetres, as on the wrist mount and the magnet holder,
+# so that the follow pose often lies inside the workspace and transmits.
+offset_poses = st.builds(RigidTransform.from_quat, signed_quats, signed_vecs(0.1))
+# Forces up to 20 N and torques around the peel threshold (0.3 Nm).
+commands = st.tuples(*[signed_vecs(20.0), signed_vecs(0.5)]).map(lambda fm: fm[0] + fm[1])
+HANDOVER = scenario_from_dict({**as_dict("handover_sweep"),
+                               "coordinator": {"duration_s": 0.01}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrist_rotation=signed_quats, plate_offset=offset_poses, tool_offset=offset_poses,
+       base=st.builds(RigidTransform.from_quat, signed_quats, signed_vecs(0.3)),
+       attach=offset_poses, wrist=signed_vecs(0.4), noise=signed_vecs(0.001),
+       kind=st.sampled_from(sorted(JOINT_KIND_CATALOG.values(), key=lambda k: k.name)),
+       cmd_world=commands)
+def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, tool_offset,
+                                                base, attach, wrist, noise, kind, cmd_world):
+    """The constants built at attach plus a tick's additions give the bits of
+    the old compose chain: plate, follow, clamp, pinned pose, target, tool
+    pose, plate-frame command and transmitted wrench."""
+    cfg = replace(HANDOVER,
+                  trajectory=replace(HANDOVER.trajectory, wrist_rotation=wrist_rotation),
+                  dock=replace(HANDOVER.dock, plate_offset=plate_offset,
+                               tool_offset=tool_offset, joint_kind=kind))
+    coord = Coordinator(cfg)
+    u = coord.units[0]
+    # A rotated base: the coordinator builds its trigger box from the
+    # shipped, axis-aligned one, and a docked arm never reads it.
+    u.cfg = replace(u.cfg, spec=replace(u.cfg.spec, base_pose=base))
+    spec = u.cfg.spec
+    joint = replace(coord.unattached_joint, attach_pose=attach)
+    ref = reference_docked_chain(coord.wrist_rotation, wrist, noise, cfg.dock, spec,
+                                 joint, cmd_world)
+
+    truth = coord._plate_truth(wrist)
+    assert pose_bits(truth) == pose_bits(ref["plate_truth"])
+    plate = RigidTransform(truth.rotation,
+                           tuple(p + n for p, n in zip(truth.translation, noise)))
+    assert pose_bits(plate) == pose_bits(ref["plate"])
+
+    coord._attach(u, joint, plate)
+    u.dock_state = DockState.DOCKED
+    local, clamped = coord.follow
+    assert [bits(v) for v in local] == [bits(v) for v in ref["local"]]
+    assert [bits(v) for v in clamped] == [bits(v) for v in ref["clamped"]]
+
+    coord._arm_control(plate, cmd_world, [])
+    assert pose_bits(u.state.pose) == pose_bits(ref["pinned"])
+    assert u.state.clamped == ref["clamp_flag"]
+    assert pose_bits(u.target) == pose_bits(ref["target"])
+    assert u.tool_pose[0] is u.state.pose
+    assert pose_bits(u.tool_pose[1]) == pose_bits(ref["tool_pose"])
+
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "joint_transmit",
+                   lambda j, w: sent.append(w) or joint_transmit(j, w))
+        coord._dock_management(0.5, plate, (0.0, 0.0, 0.0), cmd_world, [])
+    assert [bits(v) for v in sent[0]] == [bits(v) for v in ref["cmd_plate"]]
+    assert [bits(v) for v in coord.transmitted] == [bits(v) for v in ref["transmitted"]]
+    assert coord.slip == ref["slip"]
+    assert coord.follow[0] == local and coord.follow[1] == clamped
 
 
 # -- force envelope ----------------------------------------------------------
