@@ -116,24 +116,8 @@ class DockState(Enum):
     RELEASING = "releasing"
 
 
-LEGAL_TRANSITIONS = frozenset({
-    (DockState.FREE, DockState.INTERCEPTING),
-    (DockState.INTERCEPTING, DockState.DOCKED),
-    (DockState.INTERCEPTING, DockState.FREE),
-    (DockState.DOCKED, DockState.RELEASING),
-    (DockState.RELEASING, DockState.FREE),
-})
-
-
 class IllegalDockTransition(RuntimeError):
     """A dock lifecycle transition outside the legal graph was requested."""
-
-
-def require_transition(old: DockState, new: DockState) -> None:
-    if old is new:
-        return
-    if (old, new) not in LEGAL_TRANSITIONS:
-        raise IllegalDockTransition(f"{old.value} -> {new.value} is not a legal dock transition")
 
 
 def pursue(effector_pose: RigidTransform, target_pose: RigidTransform,
@@ -235,33 +219,48 @@ class DockContext:
     release_demanded: bool       # over-force, peel or workspace exit
 
 
+# The dock protocol: for each state, its exits in priority order as
+# (condition on the DockContext, next state, events). ``dock_step`` takes the
+# first exit whose condition holds; an intercepting arm whose trigger stops
+# aborts even if it could attach.
+DOCK_PROTOCOL = {
+    DockState.FREE: (
+        (lambda c: c.intercept_wanted and c.arbitration_winner,
+         DockState.INTERCEPTING, ("intercept",)),
+    ),
+    DockState.INTERCEPTING: (
+        (lambda c: not c.intercept_wanted, DockState.FREE, ("abort",)),
+        (lambda c: c.magnet_energized and c.attach_candidate and c.slot_available,
+         DockState.DOCKED, ("attach",)),
+    ),
+    DockState.DOCKED: (
+        (lambda c: c.release_demanded, DockState.RELEASING, ("release",)),
+    ),
+    DockState.RELEASING: (
+        (lambda c: not c.magnet_energized, DockState.FREE, ("demagnetized",)),
+    ),
+}
+
+LEGAL_TRANSITIONS = frozenset((state, new) for state, exits in DOCK_PROTOCOL.items()
+                              for _, new, _ in exits)
+
+
+def require_transition(old: DockState, new: DockState) -> None:
+    if old is new:
+        return
+    if (old, new) not in LEGAL_TRANSITIONS:
+        raise IllegalDockTransition(f"{old.value} -> {new.value} is not a legal dock transition")
+
+
 def dock_step(state: DockState, ctx: DockContext) -> tuple[DockState, tuple[str, ...]]:
     """One lifecycle tick. Returns the new state and the emitted events."""
-    if state is DockState.FREE:
-        if ctx.intercept_wanted and ctx.arbitration_winner:
-            new = DockState.INTERCEPTING
-            require_transition(state, new)
-            return new, ("intercept",)
-        return state, ()
-    if state is DockState.INTERCEPTING:
-        if not ctx.intercept_wanted:
-            require_transition(state, DockState.FREE)
-            return DockState.FREE, ("abort",)
-        if ctx.magnet_energized and ctx.attach_candidate and ctx.slot_available:
-            require_transition(state, DockState.DOCKED)
-            return DockState.DOCKED, ("attach",)
-        return state, ()
-    if state is DockState.DOCKED:
-        if ctx.release_demanded:
-            require_transition(state, DockState.RELEASING)
-            return DockState.RELEASING, ("release",)
-        return state, ()
-    if state is DockState.RELEASING:
-        if not ctx.magnet_energized:
-            require_transition(state, DockState.FREE)
-            return DockState.FREE, ("demagnetized",)
-        return state, ()
-    raise IllegalDockTransition(f"unknown dock state {state!r}")
+    exits = DOCK_PROTOCOL.get(state)
+    if exits is None:
+        raise IllegalDockTransition(f"unknown dock state {state!r}")
+    for condition, new, events in exits:
+        if condition(ctx):
+            return new, events
+    return state, ()
 
 
 def predict_position(position: Vec3, velocity, horizon_s: float) -> Vec3:

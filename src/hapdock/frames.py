@@ -160,8 +160,6 @@ def quat_from_euler_xyz(rx: float, ry: float, rz: float) -> Quat:
 class CorrectionChain:
     """Intermediate products of the docking frame-correction pipeline."""
 
-    effect_local: RigidTransform
-    target_local: RigidTransform
     effector_to_tool: RigidTransform
     effect_local_new: RigidTransform
     correction: RigidTransform
@@ -188,5 +186,5 @@ def correction_chain(base_w: RigidTransform, effect_w: RigidTransform,
     effect_local_new = target_local.compose(tool_to_effector)
     correction = effect_local_inv.compose(effect_local_new)
     effect_forward_new = effect_fwd.compose(correction)
-    return CorrectionChain(effect_local, target_local, effector_to_tool,
-                           effect_local_new, correction, effect_forward_new)
+    return CorrectionChain(effector_to_tool, effect_local_new, correction,
+                           effect_forward_new)

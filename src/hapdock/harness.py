@@ -1,9 +1,9 @@
 """Scenario runner: fixed-rate coordinator, telemetry log and the weight oracle.
 
-One coordinator tick is 1 ms. Every tick runs physics, force routing, the
-dock lifecycle and the arm admittance callback; glove commands are issued at
-their slower contracted rate. Everything is single-threaded and seeded, so a
-scenario replays byte-identically.
+One coordinator tick is 1 ms. Every tick runs physics, force routing and,
+arm by arm, the dock lifecycle and the arm admittance callback; glove
+commands are issued at their slower contracted rate. Everything is
+single-threaded and seeded, so a scenario replays byte-identically.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class _ArmUnit:
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
-    target: RigidTransform | None = None   # set by arm control, world frame
     # A state that parking returns bit for bit: parking ``state`` while it
     # is this object needs no step, as ``arm_step`` is pure.
     parked: ArmState | None = None
@@ -119,6 +118,8 @@ class Coordinator:
             kind=dock.joint_kind, breaking_force=dock.breaking_force,
             friction_mu=dock.friction_mu, contact_radius=dock.contact_radius)
         self.units = [self._unit(arm) for arm in cfg.arms]
+        # Appended after the arms' turns, in arm order.
+        self.arm_target_events = [f"arm_target:{arm.name}" for arm in cfg.arms]
         # Normalized once; ``sample_track`` already returns float tuples.
         wrist_rotation = RigidTransform.from_quat(cfg.trajectory.wrist_rotation).rotation
         self.wrist_rotation = wrist_rotation
@@ -133,19 +134,14 @@ class Coordinator:
         self.plate_rotation_inv = RigidTransform(self.plate_rotation).inverse().rotation
         self.plate_shift = _qrotate(wrist_rotation, offset.translation)
         # The one dock slot: ``docked``, ``joint`` and ``chain`` (the follow
-        # chain's constants) from attach to release, ``follow`` (from
-        # ``_follow``, reused by arm control) while docked, and this tick's
-        # wrench ``transmitted`` to the hand (world frame). The wrist
-        # rotation is a scenario constant, tracking noise moves the plate's
-        # translation only, and the joint's ``attach_pose``, the arm's base
-        # and the tool offset are fixed from attach to release, so
-        # ``_attach`` builds every rotation of the docked chain once.
+        # chain's constants) from attach to release. The wrist rotation is a
+        # scenario constant, tracking noise moves the plate's translation
+        # only, and the joint's ``attach_pose``, the arm's base and the tool
+        # offset are fixed from attach to release, so ``_attach`` builds
+        # every rotation of the docked chain once.
         self.docked: _ArmUnit | None = None
         self.joint: DockJoint | None = None
         self.chain: tuple | None = None
-        self.follow: tuple | None = None
-        self.transmitted = ZERO6
-        self.slip = False
         self.rng = random.Random(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
         # Without a body that collides with the hand nothing reads the
@@ -269,9 +265,9 @@ class Coordinator:
         return RigidTransform(self.plate_rotation,
                               (wrist[0] + sx, wrist[1] + sy, wrist[2] + sz))
 
-    def _attach(self, u: _ArmUnit, joint: DockJoint, plate: RigidTransform) -> None:
-        """Give the dock slot to ``u`` with ``joint`` and build the follow
-        chain's constants.
+    def _attach(self, u: _ArmUnit, joint: DockJoint, plate: RigidTransform):
+        """Give the dock slot to ``u`` with ``joint``, build the follow
+        chain's constants and return ``_follow``'s result for ``plate``.
 
         The chain is ``plate.compose(attach_pose).compose(tool_inv)``, its
         local pose ``base_inv.compose(...)``, the pinned pose
@@ -294,7 +290,7 @@ class Coordinator:
         self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation),
                       q4, _qnormalize(_qmul(q4, tool.rotation)),
                       _qrotate(q4, tool.translation))
-        self.follow = self._follow(u, plate)
+        return self._follow(u, plate)
 
     def _follow(self, u: _ArmUnit, plate: RigidTransform):
         """Base-frame effector translation that keeps the docked magnet on
@@ -313,30 +309,12 @@ class Coordinator:
                                                (p[2] + c1[2]) + c2[2]))
         return local, spec.workspace_box_base().clamp_point(local)
 
-    def _dock_management(self, t: float, plate: RigidTransform, plate_vel: Vec3,
-                         cmd_world: tuple[float, ...], events: list[str]):
-        """Run the lifecycle for every arm.
-
-        Sets ``transmitted`` and ``slip`` for this tick and, while an arm is
-        docked, ``follow``.
-        """
-        cfg = self.cfg
-        dock = cfg.dock
-        units = self.units
-        self.transmitted = ZERO6
-        self.slip = False
-        if cfg.condition is Condition.FREE:
-            return
-
-        predicted = predict_position(plate.translation, plate_vel,
-                                     dock.interception_horizon_s)
-        triggers = [u.trigger_box.contains(predicted) for u in units]
-
-        # Nearest effector among free arms whose trigger fires wins the
-        # interception; ties break toward the lowest arm index.
+    def _winner(self, t: float, predicted: Vec3, triggers: list[bool]) -> _ArmUnit | None:
+        """The nearest effector among free arms whose trigger fires and whose
+        cooldown is over; ties break toward the lowest arm index."""
         winner = None
         best = None
-        for u, trigger in zip(units, triggers):
+        for u, trigger in zip(self.units, triggers):
             if u.dock_state is not DockState.FREE or not trigger:
                 continue
             if t < u.cooldown_until:
@@ -344,105 +322,124 @@ class Coordinator:
             d = math.dist(u.state.pose.translation, predicted)
             if best is None or d < best - 1e-12:
                 best, winner = d, u
+        return winner
 
-        for u, trigger in zip(units, triggers):
-            release_demanded = False
-            joint_candidate = None
-            magnet_on = u.magnet.update(t)
-            # Read at each arm's turn: a release frees the slot for a later
-            # arm in the same tick.
-            slot_available = self.docked is None
+    def _lifecycle(self, u: _ArmUnit, trigger: bool, won: bool, t: float,
+                   plate: RigidTransform, cmd_world: tuple[float, ...],
+                   events: list[str]):
+        """Run ``u``'s dock lifecycle for this tick.
 
-            if u is self.docked:
-                self.follow = self._follow(u, plate)
-                local, clamped = self.follow
-                if math.dist(local, clamped) > dock.release_slack_m:
-                    release_demanded = True
-                inv = self.plate_rotation_inv
-                cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
-                out_plate, slip, released = joint_transmit(self.joint, cmd_plate)
-                if released:
-                    release_demanded = True
-                if not release_demanded:
-                    rp = self.plate_rotation
-                    self.transmitted = _qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:])
-                    self.slip = slip
-
-            if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
-                magnet_pose = u.state.pose.compose(dock.tool_offset)
-                joint_candidate = try_attach(magnet_pose, plate, dock.pos_tol,
-                                             dock.ang_tol_rad, self.unattached_joint)
-
-            ctx = DockContext(
-                intercept_wanted=trigger,
-                arbitration_winner=u is winner,
-                magnet_energized=magnet_on,
-                attach_candidate=joint_candidate is not None,
-                slot_available=slot_available,
-                release_demanded=release_demanded,
-            )
-            new_state, evs = dock_step(u.dock_state, ctx)
-            for ev in evs:
-                events.append(f"{ev}:{u.cfg.name}")
-                if ev == "intercept":
-                    u.magnet.command(True, t)
-                elif ev == "attach":
-                    self._attach(u, joint_candidate, plate)
-                elif ev in ("release", "abort"):
-                    u.magnet.command(False, t)
-                    if ev == "release":
-                        self.docked = self.joint = self.chain = None
-                        u.cooldown_until = t + dock.reattach_cooldown_s
-            u.dock_state = new_state
-
-    def _arm_control(self, plate: RigidTransform, cmd_world: tuple[float, ...],
-                     events: list[str]) -> None:
-        """Step every arm and set its ``target`` for this tick."""
+        Returns ``(transmitted, slip, follow)``: the wrench transmitted to the
+        hand (world frame) and the slip flag, zero unless ``u`` was docked and
+        stays docked, and ``_follow``'s result for ``u`` this tick (None when
+        ``u`` neither was docked nor attached).
+        """
         dock = self.cfg.dock
-        for u in self.units:
-            spec = u.cfg.spec
-            if u is self.docked:
-                local, clamped_pos = self.follow
-                _, _, q_pinned, q_tool, tool_vec = self.chain
-                pos = spec.base_pose.transform_point(clamped_pos)
-                pinned = RigidTransform(q_pinned, pos)
-                u.state = ArmState(pose=pinned, clamped=clamped_pos != local)
-                u.tool_pose = (pinned, RigidTransform(
-                    q_tool, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
-                             pos[2] + tool_vec[2])))
-                disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                target = RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
-            elif u.dock_state is DockState.INTERCEPTING:
-                cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed, self.dt,
-                             base_pose=spec.base_pose, tool_offset=dock.tool_offset)
-                u.state = arm_step(spec, u.state, cmd, self.dt)
-                target = spec.base_pose.compose(cmd.target)
-            elif u.dock_state is DockState.RELEASING:
-                hold = spec.base_inv.compose(u.state.pose)
-                cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
-                # A releasing arm reports no clamp.
-                u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
-                target = u.state.pose
+        transmitted, slip, follow = ZERO6, False, None
+        release_demanded = False
+        joint_candidate = None
+        magnet_on = u.magnet.update(t)
+        # Read at each arm's turn: a release frees the slot for a later arm
+        # in the same tick.
+        slot_available = self.docked is None
+
+        if u is self.docked:
+            follow = self._follow(u, plate)
+            local, clamped = follow
+            if math.dist(local, clamped) > dock.release_slack_m:
+                release_demanded = True
+            inv = self.plate_rotation_inv
+            cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
+            out_plate, out_slip, released = joint_transmit(self.joint, cmd_plate)
+            if released:
+                release_demanded = True
+            if not release_demanded:
+                rp = self.plate_rotation
+                transmitted = _qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:])
+                slip = out_slip
+
+        if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
+            magnet_pose = u.state.pose.compose(dock.tool_offset)
+            joint_candidate = try_attach(magnet_pose, plate, dock.pos_tol,
+                                         dock.ang_tol_rad, self.unattached_joint)
+
+        ctx = DockContext(
+            intercept_wanted=trigger,
+            arbitration_winner=won,
+            magnet_energized=magnet_on,
+            attach_candidate=joint_candidate is not None,
+            slot_available=slot_available,
+            release_demanded=release_demanded,
+        )
+        new_state, evs = dock_step(u.dock_state, ctx)
+        for ev in evs:
+            events.append(f"{ev}:{u.cfg.name}")
+            if ev == "intercept":
+                u.magnet.command(True, t)
+            elif ev == "attach":
+                follow = self._attach(u, joint_candidate, plate)
+            elif ev in ("release", "abort"):
+                u.magnet.command(False, t)
+                if ev == "release":
+                    self.docked = self.joint = self.chain = None
+                    u.cooldown_until = t + dock.reattach_cooldown_s
+        u.dock_state = new_state
+        return transmitted, slip, follow
+
+    def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
+                 cmd_world: tuple[float, ...]) -> RigidTransform:
+        """Step ``u``'s arm for this tick and return its target, world frame.
+        ``follow`` is the lifecycle's, read only while ``u`` is docked."""
+        spec = u.cfg.spec
+        if u is self.docked:
+            local, clamped_pos = follow
+            _, _, q_pinned, q_tool, tool_vec = self.chain
+            pos = spec.base_pose.transform_point(clamped_pos)
+            pinned = RigidTransform(q_pinned, pos)
+            u.state = ArmState(pose=pinned, clamped=clamped_pos != local)
+            u.tool_pose = (pinned, RigidTransform(
+                q_tool, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
+                         pos[2] + tool_vec[2])))
+            disp = impedance_displacement(cmd_world[:3], spec.stiffness)
+            return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
+        if u.dock_state is DockState.INTERCEPTING:
+            cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed, self.dt,
+                         base_pose=spec.base_pose, tool_offset=self.cfg.dock.tool_offset)
+            u.state = arm_step(spec, u.state, cmd, self.dt)
+            return spec.base_pose.compose(cmd.target)
+        if u.dock_state is DockState.RELEASING:
+            hold = spec.base_inv.compose(u.state.pose)
+            cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
+            # A releasing arm reports no clamp.
+            u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
+            return u.state.pose
+        if u.state is not u.parked:
+            state = arm_step(spec, u.state, u.park_cmd, self.dt)
+            if _same_bits(state, u.state):
+                u.parked = u.state
             else:
-                if u.state is not u.parked:
-                    state = arm_step(spec, u.state, u.park_cmd, self.dt)
-                    if _same_bits(state, u.state):
-                        u.parked = u.state
-                    else:
-                        u.state = state
-                target = u.park
-            u.target = target
-            events.append(f"arm_target:{u.cfg.name}")
+                u.state = state
+        return u.park
 
     def _tick(self, tick: int) -> None:
         """Run one tick and log its record.
 
+        Each arm in turn runs its dock lifecycle, then its control, then its
+        ``arms[]`` entry; no turn reads another arm's control or entry, and
+        the lifecycles share the one dock slot in arm order, so a release
+        frees it for a later arm in the same tick.
+
         A record reads two instants. ``docked_arm`` is the arm docked when the
         tick starts: it picks the force route and ``cmd_wrench``. ``arms[]``
-        is read after the dock lifecycle and arm control. So the attach tick
-        logs ``docked_arm: null`` with the arm ``docked`` (handover_sweep
-        tick 199), and a handover tick names the releasing arm while the
-        next one is ``docked`` (tick 4134).
+        is read after each arm's turn. So the attach tick logs
+        ``docked_arm: null`` with the arm ``docked`` (handover_sweep tick
+        199), and a handover tick names the releasing arm while the next one
+        is ``docked`` (tick 4134).
+
+        Tracking noise is a position error of the tracker: the interception
+        extrapolates the tracked plate with the true plate's velocity, so the
+        noise is not differenced into a velocity (which would scale it by
+        1/dt). Without noise the two plates are one.
         """
         cfg = self.cfg
         dt = self.dt
@@ -461,11 +458,12 @@ class Coordinator:
         plate_truth = self._plate_truth(hand.wrist_pose.translation)
         plate = self._tracked_plate(plate_truth)
         plate_pos = plate.translation
+        truth_pos = plate_truth.translation
         prev = self._prev_plate
         plate_vel = (ZERO3 if prev is None else
-                     ((plate_pos[0] - prev[0]) / dt, (plate_pos[1] - prev[1]) / dt,
-                      (plate_pos[2] - prev[2]) / dt))
-        self._prev_plate = plate_pos
+                     ((truth_pos[0] - prev[0]) / dt, (truth_pos[1] - prev[1]) / dt,
+                      (truth_pos[2] - prev[2]) / dt))
+        self._prev_plate = truth_pos
 
         docked = self.docked
         routed = route_forces(impulses, docked is not None, dt, reference_point=plate_pos)
@@ -488,9 +486,6 @@ class Coordinator:
             cmd_world = tuple(c + l for c, l in
                               zip(cmd_world, cfg.sample_injected_load(t)))
 
-        self._dock_management(t, plate, plate_vel, cmd_world, events)
-        self._arm_control(plate, cmd_world, events)
-
         support = {}
         for body in self.world.bodies:
             if body.kind is not BodyKind.DYNAMIC:
@@ -501,9 +496,20 @@ class Coordinator:
                     total += imp.magnitude / dt * imp.normal[1]
             support[body.name] = float(total)
 
+        lifecycle = cfg.condition is not Condition.FREE
+        if lifecycle:
+            predicted = predict_position(plate_pos, plate_vel,
+                                         cfg.dock.interception_horizon_s)
+            triggers = [u.trigger_box.contains(predicted) for u in self.units]
+            winner = self._winner(t, predicted, triggers)
         tool_offset = cfg.dock.tool_offset
         arms_rec = []
-        for u in self.units:
+        for i, u in enumerate(self.units):
+            transmitted, slip, follow = ZERO6, False, None
+            if lifecycle:
+                transmitted, slip, follow = self._lifecycle(
+                    u, triggers[i], u is winner, t, plate, cmd_world, events)
+            target = self._control(u, follow, plate, cmd_world)
             pose = u.state.pose
             if u.tool_pose is None or u.tool_pose[0] is not pose:
                 u.tool_pose = (pose, pose.compose(tool_offset))
@@ -512,13 +518,14 @@ class Coordinator:
                 "state": u.dock_state.value,
                 "pos": list(pose.translation),
                 "quat": list(pose.rotation),
-                "target": list(u.target.translation),
-                "rendered": list(self.transmitted if u is self.docked else ZERO6),
-                "slip": u is self.docked and self.slip,
+                "target": list(target.translation),
+                "rendered": list(transmitted),
+                "slip": slip,
                 "clamped": u.state.clamped,
                 "tool_dist": u.tool_pose[1].translation_distance_to(plate_truth),
                 "magnet": u.magnet.effective,
             })
+        events.extend(self.arm_target_events)
 
         self.log.append({
             "tick": tick,

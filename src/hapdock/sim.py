@@ -4,7 +4,8 @@ Deliberately small: axis-aligned box bodies, sphere hand colliders, zero
 restitution, no friction, sequential impulses plus positional projection.
 Bodies carry no rotational state (the experiment constrained the cans'
 rotation), so only linear dynamics are integrated; penetration is always
-resolved by moving dynamic bodies, never the hand.
+resolved by moving dynamic bodies, never the hand. Each hand sphere meets each
+box that collides with the hand; three per-axis rejects cull most pairs.
 
 Positions and velocities are lists of three Python floats updated in place.
 Every update is element-wise, so it rounds exactly as the equivalent numpy
@@ -20,12 +21,11 @@ whether the CPU has FMA.
 A world at its fixed point skips the step. A step reads only the bodies'
 positions and velocities, the hand colliders' centers and velocities, ``dt``,
 ``params``, ``gravity`` and fields no step changes (extents, masses, kinds,
-names and radii; the hand box follows from the centers and radii). So when a
-step hands every body back bit for bit, a later step from an input with the
-same bits gives the same bodies and the same report again, and
-``step_world`` returns that report without collecting contacts, solving or
-projecting. Bits are compared, not floats: ``==`` would match -0.0 with 0.0,
-which a step does not treat alike.
+names and radii). So when a step hands every body back bit for bit, a later
+step from an input with the same bits gives the same bodies and the same
+report again, and ``step_world`` returns that report without collecting
+contacts, solving or projecting. Bits are compared, not floats: ``==`` would
+match -0.0 with 0.0, which a step does not treat alike.
 """
 
 from __future__ import annotations
@@ -109,34 +109,6 @@ class SolverParams:
     surface_stiffness: float = 800.0    # N/m, hand-vs-immovable penalty
 
 
-# Widens the hand's bounding box so rounding in the box test can never cull
-# a sphere-box pair the narrowphase would report.
-_HAND_BOX_MARGIN = 1.0e-9
-
-
-def _hand_box(centers: list[Vec3], reach: float) -> tuple[float, ...]:
-    """(min x, min y, min z, max x, max y, max z) around spheres at ``centers``
-    of radius at most ``reach``.
-
-    Each axis keeps its first extreme value, as ``min`` and ``max`` do.
-    """
-    x0, y0, z0 = x1, y1, z1 = centers[0]
-    for x, y, z in centers:
-        if x < x0:
-            x0 = x
-        elif x > x1:
-            x1 = x
-        if y < y0:
-            y0 = y
-        elif y > y1:
-            y1 = y
-        if z < z0:
-            z0 = z
-        elif z > z1:
-            z1 = z
-    return (x0 - reach, y0 - reach, z0 - reach, x1 + reach, y1 + reach, z1 + reach)
-
-
 _SIX = struct.Struct("<6d")
 
 
@@ -153,11 +125,6 @@ class World:
     params: SolverParams = field(default_factory=SolverParams)
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
-    # ``_hand_box`` of ``hand`` (None without a hand), kept by ``set_hand``
-    # and ``move_hand``; a move keeps every radius, so ``set_hand`` fixes the
-    # box's reach beyond the centers.
-    hand_box: tuple[float, ...] | None = field(default=None, init=False)
-    hand_reach: float = field(default=0.0, init=False)
     # The last step that handed its input back bit for bit, as
     # ``(body bits, hand bits, dt, params, gravity, report)``; see
     # ``step_world``. ``set_hand`` clears it.
@@ -182,11 +149,7 @@ class World:
 
     def set_hand(self, colliders: list[HandCollider]) -> None:
         self.hand = list(colliders)
-        self.hand_box = None
         self.fixed_point = None
-        if self.hand:
-            self.hand_reach = max(h.radius for h in self.hand) + _HAND_BOX_MARGIN
-            self.hand_box = _hand_box([h.center for h in self.hand], self.hand_reach)
 
     def move_hand(self, centers: list[Vec3], dt: float) -> None:
         """Move the colliders in place to ``centers``, given in ``set_hand``
@@ -198,8 +161,6 @@ class World:
             p = h.center
             h.velocity = ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt)
             h.center = c
-        if hand:
-            self.hand_box = _hand_box(centers, self.hand_reach)
 
     def dynamic_bodies(self) -> list[RigidBody]:
         return [b for b in self.bodies if b.kind is BodyKind.DYNAMIC]
@@ -271,14 +232,9 @@ def _hand_hits(world: World, dynamic: bool):
     """``(body, collider, depth, n_out, point)`` for every hand sphere
     penetrating a box of the given kind that collides with the hand.
 
-    A box whose extent misses the hand's bounding box is skipped (the hand
-    broadphase). Per sphere, the three separating-axis rejects run before
-    ``_sphere_box``; most spheres miss on one of them.
+    Per sphere, the three separating-axis rejects run before ``_sphere_box``;
+    most spheres miss on one of them.
     """
-    box = world.hand_box
-    if box is None:
-        return
-    lx, ly, lz, ux, uy, uz = box
     hand = world.hand
     for body in world.bodies:
         if ((body.kind is BodyKind.DYNAMIC) is not dynamic
@@ -286,9 +242,6 @@ def _hand_hits(world: World, dynamic: bool):
             continue
         px, py, pz = body.position
         hx, hy, hz = body.half_extents
-        if (px + hx < lx or px - hx > ux or py + hy < ly or py - hy > uy
-                or pz + hz < lz or pz - hz > uz):
-            continue
         for h in hand:
             cx, cy, cz = h.center
             radius = h.radius

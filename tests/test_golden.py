@@ -42,11 +42,11 @@ def test_log_bytes_match_golden(name):
 # ``(scene, wrist_rotation, tracking_noise_std_m, SHA-256 of the log)``.
 VARIANT_SHA256 = (
     ("handover_sweep", (0.9659258, 0.0, 0.258819, 0.0), 0.0005,
-     "439c309012d205f9b48c70d8fe143c23b545bfb071ca2f38039e3b90356da9a2"),
+     "99b9366c3e04fbc1d70062da4967b9c44c5e14ab51e1e4ae7c04409a81371225"),
     ("single_lift_force_feedback", (0.98, 0.1, 0.0, 0.17), 0.0,
      "0c7860d12457b38c56c0d69fd21b7d7f0ce8243c0e58428bb7a82e642d590a7b"),
     ("squeeze_cancellation", (1.0, 0.0, 0.0, 0.0), 0.0003,
-     "fa1a5a8c7a23c67e162568c6b184e4d493a9407fdb677e66a07d7cabdf3f6cd2"),
+     "92d7b963a9d0fa2cf371a32c4ce39e3a6763e852370f91a5dc1b79abdb1cd81a"),
 )
 
 
@@ -58,3 +58,15 @@ def test_rotated_and_noisy_variant_matches_golden(name, wrist_rotation, noise, d
     log = run_scenario(scenario_from_dict(raw))
     assert any(r["docked_arm"] for r in log.records)
     assert hashlib.sha256(log.to_bytes()).hexdigest() == digest
+
+
+def test_reversed_arm_order_matches_golden():
+    """handover_sweep with arm_b's turn first: arm_a's release no longer frees
+    the slot for arm_b in the same tick, so arm_b attaches one tick later."""
+    raw = as_dict("handover_sweep")
+    raw["arms"] = raw["arms"][::-1]
+    log = run_scenario(scenario_from_dict(raw))
+    assert "release:arm_a" in log.records[4134]["events"]
+    assert "attach:arm_b" in log.records[4135]["events"]
+    assert (hashlib.sha256(log.to_bytes()).hexdigest()
+            == "3fa486bc103d292cf94154a84570e534b816f0d079fad002c7759d2236d976d0")

@@ -142,6 +142,15 @@ class TestCoordinator:
         b = run_scenario(scenario_from_dict(raw)).to_bytes()
         assert a == b
 
+    def test_tracking_noise_does_not_make_the_free_arm_flicker(self):
+        # Differencing the tracked plate would scale 0.5 mm of noise by
+        # 1/dt into the interception's velocity estimate.
+        raw = as_dict("handover_sweep")
+        raw["tracking_noise_std_m"] = 0.0005
+        events = [e for r in run_scenario(scenario_from_dict(raw)).records
+                  for e in r["events"]]
+        assert sum(e.startswith("intercept:") for e in events) <= 10
+
     def test_summary_fields(self):
         log = run_scenario(build("pursuit_static"))
         s = summarize(log)
@@ -436,7 +445,7 @@ class TestHotPath:
         monkeypatch.setattr(harness, "arm_step", counting)
         arm_b.state = twin
         plate = RigidTransform.identity()
-        coord._arm_control(plate, (0.0,) * 6, [])
+        coord._control(arm_b, None, plate, (0.0,) * 6)
         # Stepped, and the step's bits replace the twin's.
         assert stepped.count("arm_b") == 1
         assert arm_b.state is not twin and arm_b.parked is not twin
@@ -444,9 +453,9 @@ class TestHotPath:
                 ] == [v.hex() for v in values]
         # The stepped state is the fixed point again: one more step finds
         # it, and then parking skips the call.
-        coord._arm_control(plate, (0.0,) * 6, [])
+        coord._control(arm_b, None, plate, (0.0,) * 6)
         assert stepped.count("arm_b") == 2 and arm_b.parked is arm_b.state
-        coord._arm_control(plate, (0.0,) * 6, [])
+        coord._control(arm_b, None, plate, (0.0,) * 6)
         assert stepped.count("arm_b") == 2
 
     @pytest.mark.parametrize("name, ticks, full", [

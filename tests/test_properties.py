@@ -361,21 +361,6 @@ def test_moved_hand_matches_a_hand_set_there(world, data):
         assert h.center == c
         assert ([bits(v) for v in h.velocity]
                 == [bits((a - b) / dt) for a, b in zip(c, p)])
-    fresh = World()
-    fresh.set_hand([HandCollider(h.name, c, h.radius, (0.0, 0.0, 0.0))
-                    for h, c in zip(world.hand, centers)])
-    assert [bits(v) for v in world.hand_box] == [bits(v) for v in fresh.hand_box]
-    assert ([bits(v) for v in world.hand_box]
-            == [bits(v) for v in reference_hand_box(world.hand)])
-
-
-def reference_hand_box(hand: list) -> tuple:
-    """The hand box as it was computed on every move: the largest radius and
-    each axis's ``min``/``max`` over the centers."""
-    r = max(h.radius for h in hand) + 1.0e-9
-    xs, ys, zs = zip(*[h.center for h in hand])
-    return (min(xs) - r, min(ys) - r, min(zs) - r,
-            max(xs) + r, max(ys) + r, max(zs) + r)
 
 
 @st.composite
@@ -932,16 +917,16 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
                            tuple(p + n for p, n in zip(truth.translation, noise)))
     assert pose_bits(plate) == pose_bits(ref["plate"])
 
-    coord._attach(u, joint, plate)
+    follow = coord._attach(u, joint, plate)
+    local, clamped = follow
     u.dock_state = DockState.DOCKED
-    local, clamped = coord.follow
     assert [bits(v) for v in local] == [bits(v) for v in ref["local"]]
     assert [bits(v) for v in clamped] == [bits(v) for v in ref["clamped"]]
 
-    coord._arm_control(plate, cmd_world, [])
+    target = coord._control(u, follow, plate, cmd_world)
     assert pose_bits(u.state.pose) == pose_bits(ref["pinned"])
     assert u.state.clamped == ref["clamp_flag"]
-    assert pose_bits(u.target) == pose_bits(ref["target"])
+    assert pose_bits(target) == pose_bits(ref["target"])
     assert u.tool_pose[0] is u.state.pose
     assert pose_bits(u.tool_pose[1]) == pose_bits(ref["tool_pose"])
 
@@ -949,11 +934,12 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "joint_transmit",
                    lambda j, w: sent.append(w) or joint_transmit(j, w))
-        coord._dock_management(0.5, plate, (0.0, 0.0, 0.0), cmd_world, [])
+        transmitted, slip, follow = coord._lifecycle(u, True, False, 0.5, plate,
+                                                     cmd_world, [])
     assert [bits(v) for v in sent[0]] == [bits(v) for v in ref["cmd_plate"]]
-    assert [bits(v) for v in coord.transmitted] == [bits(v) for v in ref["transmitted"]]
-    assert coord.slip == ref["slip"]
-    assert coord.follow[0] == local and coord.follow[1] == clamped
+    assert [bits(v) for v in transmitted] == [bits(v) for v in ref["transmitted"]]
+    assert slip == ref["slip"]
+    assert follow[0] == local and follow[1] == clamped
 
 
 # -- force envelope ----------------------------------------------------------
