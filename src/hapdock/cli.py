@@ -14,7 +14,7 @@ from pathlib import Path
 from .capability import (DockLink, capability_at, capability_report,
                          capability_to_dict, compose_capability)
 from .config import (ConfigError, ScenarioConfig, lift_windows, load_scenario,
-                     read_yaml, scenario_field)
+                     number_arg, read_yaml, scenario_field)
 from .harness import MetricLog, run_scenario, summarize, weight_oracle
 from .sim import SimulationDiverged
 
@@ -51,11 +51,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_capability(args) -> int:
+    point = None
+    if args.at is not None:
+        point = tuple(number_arg(v, f"--at[{i}]") for i, v in enumerate(args.at))
     cfg = _load(args.config)
     cap = _capability_of(cfg)
     print(capability_report(cap))
-    if args.at:
-        point = tuple(float(v) for v in args.at)
+    if point is not None:
         pc = capability_at(cap, point)
         print(f"at {point}: force {pc.force} N, grounded={pc.grounded}, "
               f"arms={list(pc.reachable_by)}")

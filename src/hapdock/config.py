@@ -485,6 +485,16 @@ def scenario_field(key: str, value, path: str):
     return row.read(value, path)
 
 
+def number_arg(text: str, path: str) -> float:
+    """A command-line number: ``text`` read as a float and checked like a
+    scenario number, errors at ``path``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(path, f"expected a number, got {text!r}") from None
+    return _number(value, path)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     values = _SCENARIO.walk(data, "$")
     del values["schema_version"]        # checked, not kept

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .frames import (RigidTransform, _qrotate, euler_xyz_from_quat, quat_from_euler_xyz,
@@ -201,6 +202,14 @@ class ArmState:
     clamped: bool = False
 
 
+# The last ``hand_forward_model`` evaluation, as ``(calibration, bits of the
+# sensed values and the wrist pose, HandState)``; the sensed values are the
+# key's first 88 bytes.
+_SENSED_BITS = struct.Struct("<18d")
+_SENSED_BYTES = 11 * 8
+_last_forward: tuple | None = None
+
+
 def hand_forward_model(sensed, calibration: HandCalibration,
                        wrist_pose: RigidTransform) -> HandState:
     """Map the raw sensor vector to a full hand pose.
@@ -208,22 +217,43 @@ def hand_forward_model(sensed, calibration: HandCalibration,
     Sensor layout is five flex channels, five spread channels and one spare
     wrist channel that the simplified model ignores. Values outside the
     calibrated range are clamped and flagged.
+
+    Pure, so memoized on its last key: the calibration object's identity and
+    the packed bits of the sensed values and the wrist pose (bits, as ``==``
+    would match -0.0 with 0.0). A call whose key matches the previous call's
+    returns the same ``HandState`` object, which is what lets the glove and
+    the hand colliders tell a still hand by identity. A call whose sensed
+    bits alone match, as when only the wrist moves, takes the fingers from
+    the previous state. Identity, not equality, keys the calibration: two
+    equal calibrations may differ in the sign of a zero.
     """
+    global _last_forward
     if len(sensed) != 11:
         raise ValueError(f"expected 11 sensed values, got {len(sensed)}")
-    flex, abd, flags = [], [], []
-    for i in range(NUM_FINGERS):
-        f, c = calibration.normalize(float(sensed[i]),
-                                     calibration.flex_min[i], calibration.flex_max[i])
-        flex.append(f)
-        flags.append(c)
-    for i in range(NUM_FINGERS):
-        a, c = calibration.normalize(float(sensed[NUM_FINGERS + i]),
-                                     calibration.abd_min[i], calibration.abd_max[i])
-        abd.append(a)
-        flags.append(c)
-    return HandState(wrist_pose=wrist_pose, flex=tuple(flex), abduction=tuple(abd),
-                     clamp_flags=tuple(flags))
+    key = _SENSED_BITS.pack(*sensed, *wrist_pose.rotation, *wrist_pose.translation)
+    last = _last_forward
+    same_calibration = last is not None and last[0] is calibration
+    if same_calibration and last[1] == key:
+        return last[2]
+    if same_calibration and last[1][:_SENSED_BYTES] == key[:_SENSED_BYTES]:
+        prev = last[2]
+        flex, abd, flags = prev.flex, prev.abduction, prev.clamp_flags
+    else:
+        flex, abd, flags = [], [], []
+        for i in range(NUM_FINGERS):
+            f, c = calibration.normalize(float(sensed[i]),
+                                         calibration.flex_min[i], calibration.flex_max[i])
+            flex.append(f)
+            flags.append(c)
+        for i in range(NUM_FINGERS):
+            a, c = calibration.normalize(float(sensed[NUM_FINGERS + i]),
+                                         calibration.abd_min[i], calibration.abd_max[i])
+            abd.append(a)
+            flags.append(c)
+        flex, abd, flags = tuple(flex), tuple(abd), tuple(flags)
+    state = HandState(wrist_pose=wrist_pose, flex=flex, abduction=abd, clamp_flags=flags)
+    _last_forward = (calibration, key, state)
+    return state
 
 
 def glove_apply(cmd: GloveCommand, hand: HandState,

@@ -49,16 +49,27 @@ class MetricLog:
 
     @classmethod
     def read(cls, path) -> "MetricLog":
+        """The log in the file ``path``. A line that is not a JSON object
+        raises ``ValueError`` naming ``path:line``; blank lines are skipped."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line]
+            lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), 1)
+                     if line]
         if not lines:
             raise ValueError(f"{path}: empty log")
-        header = json.loads(lines[0])
-        if header.get("record") != "header":
-            raise ValueError(f"{path}: first record is not a header")
-        log = cls(header)
-        for line in lines[1:]:
-            log.records.append(json.loads(line))
+        objects = []
+        for n, line in lines:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{n}: expected a JSON object, "
+                                 f"got {type(obj).__name__}")
+            objects.append(obj)
+        if objects[0].get("record") != "header":
+            raise ValueError(f"{path}:{lines[0][0]}: first record is not a header")
+        log = cls(objects[0])
+        log.records = objects[1:]
         return log
 
 
@@ -67,6 +78,10 @@ ZERO6 = (0.0,) * 6
 
 
 _POSE_BITS = struct.Struct("<7d")
+# A trajectory sample: wrist position (the first 24 bytes), five flexes,
+# five abductions.
+_SAMPLE_BITS = struct.Struct("<13d")
+_WRIST_BYTES = 3 * 8
 
 
 def _same_bits(a: ArmState, b: ArmState) -> bool:
@@ -149,6 +164,12 @@ class Coordinator:
         self.hand_contacts = any(b.collide_with_hand for b in self.world.bodies)
         self._prev_plate: Vec3 | None = None
         self._last_glove_tick: int | None = None
+        # The hand layer's last inputs and outputs, so that a still hand is
+        # not recomputed; see ``_hand_for_tick`` and ``_update_hand_colliders``.
+        self._sample: tuple = (None, None, None)      # (bits, sensed, wrist)
+        self._applied: tuple = (None, None, None)     # (intended, command, hand)
+        self._collider_hand: HandState | None = None  # last moved to
+        self._resting_hand: HandState | None = None   # moved to twice in a row
         self.log = MetricLog(self._header())
 
     def _unit(self, arm: ArmConfig) -> _ArmUnit:
@@ -216,15 +237,33 @@ class Coordinator:
         return self.log
 
     def _hand_for_tick(self, t: float, events: list[str], tick: int) -> HandState:
+        """The hand after the glove's stops for tick ``tick`` at time ``t``,
+        issuing the glove command when one is due.
+
+        A still hand costs only its keys. A trajectory sample whose packed
+        bits match last tick's (bits, not ``==``, so a zero's sign counts)
+        reuses last tick's sensed values and wrist pose, and one whose
+        finger bits alone match reuses the sensed values. ``hand_forward_model``
+        is still called once per tick, first in the tick: perfbench's tick
+        hook counts those calls. Its memo hands back last tick's
+        ``HandState`` object for the same bits, and ``glove_apply`` is pure,
+        so its result is kept while both that object and the glove command
+        object are last tick's; a new command every glove period breaks it.
+        """
         cfg = self.cfg
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
-        wrist = RigidTransform(self.wrist_rotation, wrist_pos)
         cal = cfg.glove.calibration
-        sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
-                  for i in range(5)]
-        sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
-                   for i in range(5)]
-        sensed.append(0.0)  # spare wrist channel, unused by the forward model
+        key = _SAMPLE_BITS.pack(*wrist_pos, *flex_int, *abd)
+        last_key, sensed, wrist = self._sample
+        if key != last_key:
+            wrist = RigidTransform(self.wrist_rotation, wrist_pos)
+            if last_key is None or key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]:
+                sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
+                          for i in range(5)]
+                sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
+                           for i in range(5)]
+                sensed.append(0.0)  # spare wrist channel, unused by the forward model
+            self._sample = (key, sensed, wrist)
         intended = hand_forward_model(sensed, cal, wrist)
 
         if tick % self.glove_period == 0:
@@ -239,9 +278,25 @@ class Coordinator:
                 stop_angle=stops,
                 spring_constant=(cfg.glove.spring_constant,) * 5)
             events.append("glove_cmd")
-        return glove_apply(self.glove_cmd, intended, cfg.glove.spec)
+        last_intended, last_cmd, applied = self._applied
+        if intended is not last_intended or self.glove_cmd is not last_cmd:
+            applied = glove_apply(self.glove_cmd, intended, cfg.glove.spec)
+            self._applied = (intended, self.glove_cmd, applied)
+        return applied
 
     def _update_hand_colliders(self, hand: HandState) -> None:
+        """Move the hand colliders to ``hand``'s spheres.
+
+        Moving to the same ``HandState`` object twice in a row gives every
+        collider a +0.0 velocity at the same center; a third move would
+        change no bit, so a hand at rest is not moved again.
+        """
+        if hand is not self._collider_hand:
+            self._collider_hand, self._resting_hand = hand, None
+        elif hand is self._resting_hand:
+            return
+        else:
+            self._resting_hand = hand
         spheres = hand_collider_spheres(hand)
         world = self.world
         if world.hand:

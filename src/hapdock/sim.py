@@ -25,7 +25,9 @@ names and radii). So when a step hands every body back bit for bit, a later
 step from an input with the same bits gives the same bodies and the same
 report again, and ``step_world`` returns that report without collecting
 contacts, solving or projecting. Bits are compared, not floats: ``==`` would
-match -0.0 with 0.0, which a step does not treat alike.
+match -0.0 with 0.0, which a step does not treat alike. A fixed point that
+the hand did not touch is kept without the hand, so a hand that moves
+without touching anything still finds it (see ``step_world``).
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ class World:
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
     # The last step that handed its input back bit for bit, as
-    # ``(body bits, hand bits, dt, params, gravity, report)``; see
-    # ``step_world``. ``set_hand`` clears it.
+    # ``(body bits, hand bits, dt, params, gravity, report)``, the hand bits
+    # None when the step was hand-free; see ``step_world``. ``set_hand``
+    # clears it.
     fixed_point: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -259,6 +262,12 @@ def _hand_hits(world: World, dynamic: bool):
                 yield body, h, depth, n_out, point
 
 
+def _hand_touches(world: World) -> bool:
+    """Whether any hand sphere penetrates any box that collides with the hand."""
+    return (next(_hand_hits(world, True), None) is not None
+            or next(_hand_hits(world, False), None) is not None)
+
+
 def _collect_contacts(world: World) -> list[_Contact]:
     """Box-box contacts in pair order, then hand contacts on dynamic bodies.
 
@@ -361,10 +370,26 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     ``set_hand`` clears the record, as radii are not in the key; extents,
     masses and kinds are not to be edited between steps.
 
-    The hand is packed only when its bits can decide something: when the
-    body bits equal the record's, or when this step records a new fixed
-    point. The step never writes a hand collider, so after the step they
-    are still the input's bits.
+    A fixed point is *hand-free* when no hand sphere met a box in it: no
+    collected contact is a hand contact, no penalty contact was made, and
+    no projection pass moved a body. Its record keeps None for the hand
+    bits, and a later call with the same body bits, ``dt``, ``params`` and
+    ``gravity`` returns its report when ``_hand_touches`` finds no hit at
+    the input, whatever the hand's bits. This is exact. Without a
+    projection move the step collects contacts at two places only: its
+    input, and the integrated positions, which are its output and so its
+    input again. The current hand meets nothing there, as the recorded hand
+    did, so the contacts are the recorded ones; none of them reads a hand
+    velocity, and the solve, integration, projection and report repeat bit
+    for bit. A step whose projection moved a body collects at positions
+    other than its input, where a hand that misses the input may hit, so
+    such a step records the hand's bits.
+
+    Otherwise the hand is packed only when its bits can decide something:
+    when the body bits equal a record that holds hand bits, or when this
+    step records a new fixed point that is not hand-free. The step never
+    writes a hand collider, so after the step they are still the input's
+    bits.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -373,9 +398,13 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     fixed = world.fixed_point
     if (fixed is not None and fixed[0] == bodies and fixed[2] == dt
             and fixed[3] is world.params and fixed[4] is world.gravity):
-        hand = _bits([(h.center, h.velocity) for h in world.hand])
-        if fixed[1] == hand:
-            return world, list(fixed[5])
+        if fixed[1] is None:
+            if not _hand_touches(world):
+                return world, list(fixed[5])
+        else:
+            hand = _bits([(h.center, h.velocity) for h in world.hand])
+            if fixed[1] == hand:
+                return world, list(fixed[5])
     _check_finite(world)
 
     contacts = _collect_contacts(world)
@@ -426,6 +455,7 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     # Positional projection: remove residual penetration without injecting
     # momentum, moving dynamic bodies only.
     slop = world.params.slop
+    projected = False
     for _ in range(2):
         moved = False
         for c in _collect_contacts(world):
@@ -451,6 +481,7 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
             p[2] += s * nz
         if not moved:
             break
+        projected = True
 
     _check_finite(world)
 
@@ -472,7 +503,9 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     report.extend(penalty)
     world.fixed_point = None
     if _bits([(b.position, b.velocity) for b in world.bodies]) == bodies:
-        if hand is None:
+        if not (penalty or projected) and all(c.hand is None for c in contacts):
+            hand = None
+        elif hand is None:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
         world.fixed_point = (bodies, hand, dt, world.params, world.gravity,
                              tuple(report))

@@ -1,6 +1,7 @@
 """The shipped scenes: `scenarios/*.yaml` is their only definition."""
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import yaml
@@ -34,13 +35,25 @@ RUNTIME: dict[str, float] = {}   # seconds the cached run took
 # Physics steps of the cached run that collected contacts, i.e. that were
 # not a repeat of the world's last fixed point.
 FULL_STEPS: dict[str, int] = {}
+# Hand-layer work of the cached run: calls of ``glove_apply``,
+# ``hand_collider_spheres`` and ``World.move_hand``, and calls of
+# ``hand_forward_model`` and its memo misses (the calls that returned
+# another ``HandState`` object than the call before).
+HAND_CALLS: dict[str, Counter] = {}
 
 
 def cached_run(name: str) -> MetricLog:
     if name not in _CACHE:
-        collect, step = sim._collect_contacts, harness.step_world
         reached = []
         full = 0
+        calls = Counter()
+        forward = [None]
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
 
         def counting_collect(world):
             reached.append(True)
@@ -53,12 +66,30 @@ def cached_run(name: str) -> MetricLog:
             full += bool(reached)
             return out
 
-        sim._collect_contacts, harness.step_world = counting_collect, counting_step
+        def counting_forward(*args):
+            hand = model(*args)
+            calls["hand_forward_model"] += 1
+            calls["forward_model_misses"] += hand is not forward[0]
+            forward[0] = hand
+            return hand
+
+        collect, step, model = sim._collect_contacts, harness.step_world, harness.hand_forward_model
+        patches = [(sim, "_collect_contacts", counting_collect),
+                   (harness, "step_world", counting_step),
+                   (harness, "hand_forward_model", counting_forward),
+                   (sim.World, "move_hand", counting("move_hand", sim.World.move_hand))]
+        patches += [(harness, key, counting(key, getattr(harness, key)))
+                    for key in ("glove_apply", "hand_collider_spheres")]
+        originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]
+        for owner, key, wrapper in patches:
+            setattr(owner, key, wrapper)
         try:
             t0 = time.perf_counter()
             _CACHE[name] = run_scenario(build(name))
             RUNTIME[name] = time.perf_counter() - t0
         finally:
-            sim._collect_contacts, harness.step_world = collect, step
+            for owner, key, original in originals:
+                setattr(owner, key, original)
         FULL_STEPS[name] = full
+        HAND_CALLS[name] = calls
     return _CACHE[name]

@@ -311,6 +311,19 @@ class TestCli:
         assert "force (19.0, 19.0, 19.0) N, grounded=True, arms=['arm_a', 'arm_b']" in text
         assert json.loads(out.read_text())["force_envelope_n"] == [9.5, 9.5, 9.5]
 
+    @pytest.mark.parametrize("at, message", [
+        (("nan", "0", "0"), "--at[0]: must be finite"),
+        (("0", "inf", "0"), "--at[1]: must be finite"),
+        (("0", "0", "1e999"), "--at[2]: must be finite"),
+        (("abc", "0", "0"), "--at[0]: expected a number, got 'abc'"),
+    ])
+    def test_capability_at_checked_like_a_scenario_field(self, capsys, at, message):
+        code = main(["capability", str(shipped_path("handover_sweep")), "--at", *at])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_oracle_command(self, tmp_path, capsys):
         log = tmp_path / "log.ndjson"
         assert main(["run", str(shipped_path("pursuit_static")), "--out", str(log)]) == 0
@@ -358,6 +371,23 @@ class TestCli:
         windows.write_text("can_a: [0.0, 1.0]\n")
         assert main(["oracle", str(path), str(windows)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("5\n", "1: expected a JSON object, got int"),
+        ("[1]\n", "1: expected a JSON object, got list"),
+        ('{"record": "header"}\n{"t": 0.0, "arms"\n',
+         "2: Expecting ':' delimiter: line 1 column 18 (char 17)"),
+        # The blank line still counts.
+        ('{"record": "header"}\n\n"tick"\n', "3: expected a JSON object, got str"),
+        ('{"record": "tick"}\n', "1: first record is not a header"),
+    ])
+    def test_oracle_unreadable_log_names_its_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "log.ndjson"
+        path.write_text(text)
+        windows = tmp_path / "win.yaml"
+        windows.write_text("can_a: [0.0, 1.0]\n")
+        assert main(["oracle", str(path), str(windows)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
     @pytest.mark.parametrize("forces, floor, code, out, err", [
         ((0.0, -0.5), "0.02", 2, "",

@@ -10,7 +10,7 @@ from hapdock.docking import DockState
 from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
-from shipped import FULL_STEPS, NAMES, as_dict, build, cached_run
+from shipped import FULL_STEPS, HAND_CALLS, NAMES, as_dict, build, cached_run
 from test_golden import GOLDEN_SHA256
 
 
@@ -459,14 +459,32 @@ class TestHotPath:
         assert stepped.count("arm_b") == 2
 
     @pytest.mark.parametrize("name, ticks, full", [
-        ("single_lift_force_feedback", 9300, 3977),
-        ("squeeze_cancellation", 4000, 252),
+        # A hand-free fixed point repeats while the hand touches nothing.
+        ("single_lift_force_feedback", 9300, 2513),
+        ("squeeze_cancellation", 4000, 62),
         # No bodies and no hand: the first step is already a fixed point.
         ("handover_sweep", 8000, 1),
     ])
     def test_physics_steps_only_off_its_fixed_point(self, name, ticks, full):
         assert len(cached_run(name).records) == ticks
         assert FULL_STEPS[name] == full
+
+    @pytest.mark.parametrize("name, ticks, misses, glove, spheres, moves", [
+        ("single_lift_force_feedback", 9300, 3803, 3964, 4130, 4129),
+        ("squeeze_cancellation", 4000, 901, 992, 1085, 1084),
+        # No body collides with the hand, so no collider is built.
+        ("handover_sweep", 8000, 6668, 6707, 0, 0),
+    ])
+    def test_still_hand_skips_its_work(self, name, ticks, misses, glove, spheres, moves):
+        # The forward model is called once per tick and misses its memo only
+        # when the trajectory sample's bits moved. The glove reruns on those
+        # ticks and on a new glove command; the colliders move once more
+        # after the hand stops (tick 0 builds them instead).
+        cached_run(name)
+        calls = HAND_CALLS[name]
+        assert [calls[key] for key in ("hand_forward_model", "forward_model_misses",
+                                       "glove_apply", "hand_collider_spheres",
+                                       "move_hand")] == [ticks, misses, glove, spheres, moves]
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every

@@ -17,9 +17,9 @@ from hapdock.config import ConfigError, scenario_from_dict
 from hapdock import harness
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
                              NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, ArmCommand,
-                             ArmSpec, ArmState, HandState, _hand_offsets, arm_step,
-                             finger_sphere_centers, hand_collider_spheres,
-                             impedance_displacement)
+                             ArmSpec, ArmState, HandCalibration, HandState, _hand_offsets,
+                             arm_step, finger_sphere_centers, hand_collider_spheres,
+                             hand_forward_model, impedance_displacement)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
@@ -516,6 +516,59 @@ def test_fixed_point_step_matches_a_fresh_world(run):
         assert step_bits(world, report) == step_bits(reference, step_world(reference, 0.001)[1])
 
 
+@st.composite
+def clear_hand_runs(draw):
+    """A desk, 1-3 dynamic boxes side by side resting on it, dropped onto it
+    or sunk into it, 1-16 hand spheres above them, and the hand's centers
+    for each tick: every sphere moves on every tick and never comes down,
+    so none ever touches a box. Half the runs give the centers as numpy
+    arrays."""
+    world = World()
+    world.add_body(RigidBody("desk", BodyKind.STATIC, [0.0, -0.03, 0.0], (0.5, 0.03, 0.5),
+                             collide_with_hand=draw(st.booleans())))
+    for i in range(draw(st.integers(1, 3))):
+        half = draw(st.tuples(halves, halves, halves))
+        drop = draw(st.sampled_from((0.0, 1e-4, -1e-4)) | st.floats(-1e-3, 1e-3))
+        world.add_body(RigidBody(f"box{i}", BodyKind.DYNAMIC,
+                                 [0.25 * (i - 1), half[1] + drop, draw(coords)], half,
+                                 mass=draw(st.floats(0.01, 1.0))))
+    # A box settles less than 1 mm above where it starts.
+    floor = max(b.position[1] + b.half_extents[1] for b in world.bodies) + 1e-3
+    spheres = []
+    for j in range(draw(st.integers(1, 16))):
+        r = draw(radii)
+        center = (draw(st.floats(-0.4, 0.4)), floor + r + draw(st.floats(0.0, 1e-3)),
+                  draw(coords))
+        spheres.append(HandCollider(f"s{j}", center, r, (0.0, 0.0, 0.0)))
+    world.set_hand(spheres)
+    as_array = np.array if draw(st.booleans()) else tuple
+    centers = [h.center for h in spheres]
+    frames = []
+    for _ in range(draw(st.integers(1, 40))):
+        step = draw(st.tuples(st.floats(-5e-4, 5e-4), st.floats(1e-6, 5e-4),
+                              st.floats(-5e-4, 5e-4)))
+        centers = [tuple(c + d for c, d in zip(center, step)) for center in centers]
+        frames.append([as_array(c) for c in centers])
+    return world, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=clear_hand_runs())
+def test_hand_free_fixed_point_step_matches_a_fresh_world(run):
+    # The hand moves on every tick, so only a hand-free record can repeat.
+    world, frames = run
+    reference = fresh_copy(world)
+    for centers in frames:
+        world.move_hand(centers, 0.001)
+        reference.move_hand(centers, 0.001)
+        reference = fresh_copy(reference)
+        record = world.fixed_point
+        report = step_world(world, 0.001)[1]
+        assert step_bits(world, report) == step_bits(reference, step_world(reference, 0.001)[1])
+        if record is not None and record[1] is None:
+            assert world.fixed_point is record
+
+
 # -- hand chains ---------------------------------------------------------------
 
 def reference_finger_centers(geom, wrist, finger, joint_angles, abd_angle):
@@ -608,6 +661,88 @@ def test_hand_memo_returns_no_stale_entry(wrist, flex, abd, which, value):
     same_key = (first.wrist_pose.rotation, first.flex, first.abduction) == (
         moved.wrist_pose.rotation, moved.flex, moved.abduction)
     assert _hand_offsets.cache_info().hits == hits + same_key
+
+
+# -- still hand --------------------------------------------------------------
+
+def hand_state_bits(state: HandState) -> tuple:
+    pose = state.wrist_pose
+    return ([bits(v) for v in pose.rotation + pose.translation + state.flex
+             + state.abduction + state.resist_torques], state.clamp_flags)
+
+
+sensor_values = st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats(-0.5, 1.5))
+calibrations = st.builds(
+    lambda lo, width: HandCalibration(flex_min=lo[:5], flex_max=tuple(
+        a + w for a, w in zip(lo[:5], width[:5])), abd_min=lo[5:], abd_max=tuple(
+        a + w for a, w in zip(lo[5:], width[5:]))),
+    st.tuples(*[st.one_of(st.just(0.0), st.floats(-0.5, 0.5))] * 10),
+    st.tuples(*[st.one_of(st.just(1.0), st.floats(0.1, 2.0))] * 10))
+
+
+@settings(max_examples=150, deadline=None)
+@example(sensed=[0.0] * 11, cal=HandCalibration(), wrist=IDENTITY)
+@example(sensed=[-0.0] * 11, cal=HandCalibration(), wrist=IDENTITY)
+@given(sensed=st.lists(sensor_values, min_size=11, max_size=11), cal=calibrations,
+       wrist=poses)
+def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal, wrist):
+    first = hand_forward_model(list(sensed), cal, wrist)
+    # The same bits in new objects hit the memo.
+    again = hand_forward_model(list(sensed), cal,
+                               RigidTransform(wrist.rotation, wrist.translation))
+    assert again is first
+    # An equal calibration in another object misses, and evaluates afresh.
+    twin = replace(cal)
+    fresh = hand_forward_model(sensed, twin, wrist)
+    assert fresh is not first
+    assert hand_state_bits(fresh) == hand_state_bits(first)
+    # So does a sensed value whose zero changed its sign, after a call with
+    # the other sign.
+    for i, v in enumerate(sensed):
+        if v == 0.0:
+            flipped = sensed[:i] + [-v] + sensed[i + 1:]
+            got = hand_forward_model(flipped, twin, wrist)
+            assert got is not fresh
+            assert hand_state_bits(got) == hand_state_bits(
+                hand_forward_model(flipped, replace(cal), wrist))
+            fresh = hand_forward_model(sensed, twin, wrist)
+    # A moved wrist with the same sensed bits takes the fingers from the
+    # memo; they are the fingers a fresh evaluation gives.
+    moved = RigidTransform(wrist.rotation, tuple(c + 0.5 for c in wrist.translation))
+    got = hand_forward_model(sensed, twin, moved)
+    assert got is not fresh and got.flex is fresh.flex
+    assert hand_state_bits(got) == hand_state_bits(hand_forward_model(sensed, cal, moved))
+
+
+@pytest.mark.parametrize("which", range(13))
+@pytest.mark.parametrize("zero, then", [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.5)])
+def test_changed_sample_is_recomputed(which, zero, then):
+    # A trajectory whose sample at tick 1 differs from tick 0's only at
+    # ``which`` (wrist 0-2, flex 3-7, abduction 8-12), if only in a zero's
+    # sign, gives the hand of a run held at tick 1's sample from the start.
+    def config(first):
+        values = [0.0, 0.3, 0.0] + [0.25] * 10
+        held = values[:which] + [then] + values[which + 1:]
+        values[which] = first
+        raw = as_dict("single_lift_force_feedback")
+        raw["coordinator"] = {**raw["coordinator"], "duration_s": 0.002}
+        raw["trajectory"] = {**raw["trajectory"], **{
+            key: [[0.0, *values[lo:hi]], [0.001, *held[lo:hi]]]
+            for key, lo, hi in (("wrist", 0, 3), ("flex", 3, 8), ("abduction", 8, 13))}}
+        return scenario_from_dict(raw)
+
+    changed, held = Coordinator(config(zero)), Coordinator(config(then))
+    for coord in (changed, held):
+        coord._tick(0)
+    sample = changed._sample
+    for coord in (changed, held):
+        coord._tick(1)
+    assert changed._sample is not sample
+    got, want = changed.log.records[1], held.log.records[1]
+    for key in ("wrist", "flex", "resist"):
+        assert [bits(v) for v in got[key]] == [bits(v) for v in want[key]]
+    assert ([bits(v) for h in changed.world.hand for v in h.center]
+            == [bits(v) for h in held.world.hand for v in h.center])
 
 
 # -- force pairing -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -97,16 +98,24 @@ def test_perfbench_hooks_see_every_tick_call(monkeypatch):
     for name in calls:
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
     seen = set()
-    for scene, duration, colliders_per_tick in (("single_lift_force_feedback", 0.05, 1),
-                                                ("handover_sweep", 0.5, 0)):
+    for scene, duration, hand_bodies in (("single_lift_force_feedback", 0.05, True),
+                                         ("handover_sweep", 0.5, False)):
         raw = as_dict(scene)
         raw["coordinator"] = {**raw["coordinator"], "duration_s": duration}
         coord = harness.Coordinator(hapdock.config.scenario_from_dict(raw))
+        hand_bits = None
         for tick in range(coord.cfg.coordinator.ticks):
             entered.clear()
             coord._tick(tick)
             counts = Counter(entered)
             assert counts["hand_forward_model"] == 1, (scene, tick)
-            assert counts["hand_collider_spheres"] == colliders_per_tick, (scene, tick)
+            # A still hand is not moved again; a hand whose logged wrist or
+            # flex bits changed is.
+            rec = coord.log.records[-1]
+            bits = struct.pack("<8d", *rec["wrist"], *rec["flex"])
+            moved = hand_bodies and bits != hand_bits
+            assert counts["hand_collider_spheres"] <= hand_bodies, (scene, tick)
+            assert counts["hand_collider_spheres"] >= moved, (scene, tick)
+            hand_bits = bits
             seen.update(counts)
     assert sorted(set(calls) - seen) == []

@@ -315,6 +315,67 @@ class TestFixedPoint:
         assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
 
 
+def sandwich() -> World:
+    """A weightless box held between two static slabs that both sink 62.5 mm
+    into it, and one palm sphere 0.5 m away. Each projection pass pushes the
+    box up and back down by the same excess, which returns its exact bits."""
+    w = World(gravity=(0.0, 0.0, 0.0))
+    w.add_body(RigidBody("floor", BodyKind.STATIC, [0.0, -1.0, 0.0], (0.5625, 0.5625, 0.5625)))
+    w.add_body(RigidBody("box", BodyKind.DYNAMIC, [0.0, 0.0, 0.0], (0.5, 0.5, 0.5), mass=1.0))
+    w.add_body(RigidBody("lid", BodyKind.STATIC, [0.0, 1.0, 0.0], (0.5625, 0.5625, 0.5625)))
+    w.set_hand([HandCollider("palm", (1.5, 0.0, 0.0), 0.02, (0.0, 0.0, 0.0))])
+    return w
+
+
+class TestHandFreeFixedPoint:
+    def test_record_repeats_while_the_hand_moves_clear(self, collects):
+        # The can rests on the desk; the palm passes above it, never touching.
+        w = world_with(desk(), can())
+        w.set_hand([HandCollider("palm", (0.0, 0.2, 0.0), 0.02, (0.0, 0.0, 0.0))])
+        record = settle(w)
+        assert record[1] is None
+        for k in range(1, 4):
+            w.move_hand([(0.01 * k, 0.2 - 0.001 * k, 0.0)], DT)
+            copy = fresh_copy(w)
+            collects.clear()
+            report = step_world(w, DT)[1]
+            assert collects == [] and w.fixed_point is record
+            assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+
+    def test_a_touching_hand_steps(self, collects):
+        w = world_with(desk(), can())
+        w.set_hand([HandCollider("palm", (0.0, 0.2, 0.0), 0.02, (0.0, 0.0, 0.0))])
+        record = settle(w)
+        collects.clear()
+        # Resting on the can's top face, 0.1 mm deep.
+        w.move_hand([(0.0, 0.11 + 0.02 - 1e-4, 0.0)], DT)
+        copy = fresh_copy(w)
+        report = step_world(w, DT)[1]
+        assert collects and w.fixed_point is not record
+        assert any(i.hand_collider == "palm" for i in report)
+        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+
+    def test_projected_fixed_point_keeps_the_hand_bits(self, collects):
+        w = sandwich()
+        box = w.body("box")
+        step_world(w, DT)
+        # Both passes moved the box, and the step handed it back.
+        assert len(collects) == 3
+        assert box.position == [0.0, 0.0, 0.0] and box.velocity == [0.0, 0.0, 0.0]
+        record = w.fixed_point
+        assert record is not None and record[1] is not None
+        # The same hand repeats the record; a moved hand, touching nothing,
+        # does not.
+        collects.clear()
+        step_world(w, DT)
+        assert collects == [] and w.fixed_point is record
+        w.move_hand([(1.5, 0.001, 0.0)], DT)
+        copy = fresh_copy(w)
+        report = step_world(w, DT)[1]
+        assert len(collects) == 3
+        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+
+
 class TestDivergence:
     def test_nonfinite_state_halts(self):
         w = world_with(can())
