@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .capability import (DockLink, capability_at, capability_report,
                          capability_to_dict, compose_capability)
-from .config import (ConfigError, ScenarioConfig, lift_windows, load_scenario,
-                     number_arg, read_yaml, scenario_field)
+from .config import (ORACLE_NOISE_FLOOR_N, ConfigError, ScenarioConfig, lift_windows,
+                     load_scenario, number_arg, read_yaml, scenario_field)
 from .harness import MetricLog, run_scenario, summarize, weight_oracle
 from .sim import SimulationDiverged
 
@@ -77,7 +77,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    noise_floor = scenario_field("oracle_noise_floor_n", args.noise_floor, "--noise-floor")
+    noise_floor = scenario_field("oracle_noise_floor_n",
+                                 number_arg(args.noise_floor, "--noise-floor"), "--noise-floor")
     log = MetricLog.read(args.log)
     windows = lift_windows(read_yaml(args.windows), "$")
     result = weight_oracle(log, windows, noise_floor_n=noise_floor)
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="rank lifted weights from a metric log")
     p_orc.add_argument("log", help="metric log (ndjson)")
     p_orc.add_argument("windows", help="YAML/JSON file mapping body -> [t0, t1]")
-    p_orc.add_argument("--noise-floor", type=float, default=0.02,
+    p_orc.add_argument("--noise-floor", default=ORACLE_NOISE_FLOOR_N,
                        help="force gap below which cans are indistinguishable (N)")
     p_orc.set_defaults(func=_cmd_oracle)
     return parser

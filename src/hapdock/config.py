@@ -33,6 +33,9 @@ from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
 from .frames import RigidTransform, quat_from_euler_xyz
 
 SCHEMA_VERSION = 1
+# Support-force gap, N, below which the weight oracle cannot tell two cans
+# apart: the scenario field's, ``weight_oracle``'s and ``--noise-floor``'s default.
+ORACLE_NOISE_FLOOR_N = 0.02
 
 
 class ConfigError(ValueError):
@@ -167,7 +170,7 @@ class ScenarioConfig:
     scene: SceneConfig
     trajectory: TrajectoryConfig
     lift_windows: dict = field(default_factory=dict)
-    oracle_noise_floor_n: float = 0.02
+    oracle_noise_floor_n: float = ORACLE_NOISE_FLOOR_N
     injected_load: tuple[tuple[float, tuple[float, ...]], ...] = ()
     tracking_noise_std_m: float = 0.0
 

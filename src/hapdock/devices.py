@@ -158,9 +158,9 @@ class HandCalibration:
 
 @dataclass(frozen=True, slots=True)
 class HandState:
-    """Kinematic hand state: wrist pose plus normalized finger parameters."""
+    """Normalized finger parameters of the hand; the tracked wrist pose is
+    the coordinator's, passed to the readers that place the hand."""
 
-    wrist_pose: RigidTransform
     flex: tuple[float, ...]
     abduction: tuple[float, ...]
     resist_torques: tuple[float, ...] = (0.0,) * NUM_FINGERS
@@ -203,55 +203,45 @@ class ArmState:
 
 
 # The last ``hand_forward_model`` evaluation, as ``(calibration, bits of the
-# sensed values and the wrist pose, HandState)``; the sensed values are the
-# key's first 88 bytes.
-_SENSED_BITS = struct.Struct("<18d")
-_SENSED_BYTES = 11 * 8
+# sensed values, HandState)``.
+_SENSED_BITS = struct.Struct("<11d")
 _last_forward: tuple | None = None
 
 
-def hand_forward_model(sensed, calibration: HandCalibration,
-                       wrist_pose: RigidTransform) -> HandState:
-    """Map the raw sensor vector to a full hand pose.
+def hand_forward_model(sensed, calibration: HandCalibration) -> HandState:
+    """Map the raw sensor vector to the normalized finger parameters.
 
     Sensor layout is five flex channels, five spread channels and one spare
     wrist channel that the simplified model ignores. Values outside the
     calibrated range are clamped and flagged.
 
     Pure, so memoized on its last key: the calibration object's identity and
-    the packed bits of the sensed values and the wrist pose (bits, as ``==``
-    would match -0.0 with 0.0). A call whose key matches the previous call's
-    returns the same ``HandState`` object, which is what lets the glove and
-    the hand colliders tell a still hand by identity. A call whose sensed
-    bits alone match, as when only the wrist moves, takes the fingers from
-    the previous state. Identity, not equality, keys the calibration: two
-    equal calibrations may differ in the sign of a zero.
+    the packed bits of the sensed values (bits, as ``==`` would match -0.0
+    with 0.0). A call whose key matches the previous call's returns the same
+    ``HandState`` object, so a wrist that moves under still fingers keeps
+    it, and the glove and the hand colliders tell still fingers by identity.
+    Identity, not equality, keys the calibration: two equal calibrations may
+    differ in the sign of a zero.
     """
     global _last_forward
     if len(sensed) != 11:
         raise ValueError(f"expected 11 sensed values, got {len(sensed)}")
-    key = _SENSED_BITS.pack(*sensed, *wrist_pose.rotation, *wrist_pose.translation)
+    key = _SENSED_BITS.pack(*sensed)
     last = _last_forward
-    same_calibration = last is not None and last[0] is calibration
-    if same_calibration and last[1] == key:
+    if last is not None and last[0] is calibration and last[1] == key:
         return last[2]
-    if same_calibration and last[1][:_SENSED_BYTES] == key[:_SENSED_BYTES]:
-        prev = last[2]
-        flex, abd, flags = prev.flex, prev.abduction, prev.clamp_flags
-    else:
-        flex, abd, flags = [], [], []
-        for i in range(NUM_FINGERS):
-            f, c = calibration.normalize(float(sensed[i]),
-                                         calibration.flex_min[i], calibration.flex_max[i])
-            flex.append(f)
-            flags.append(c)
-        for i in range(NUM_FINGERS):
-            a, c = calibration.normalize(float(sensed[NUM_FINGERS + i]),
-                                         calibration.abd_min[i], calibration.abd_max[i])
-            abd.append(a)
-            flags.append(c)
-        flex, abd, flags = tuple(flex), tuple(abd), tuple(flags)
-    state = HandState(wrist_pose=wrist_pose, flex=flex, abduction=abd, clamp_flags=flags)
+    flex, abd, flags = [], [], []
+    for i in range(NUM_FINGERS):
+        f, c = calibration.normalize(float(sensed[i]),
+                                     calibration.flex_min[i], calibration.flex_max[i])
+        flex.append(f)
+        flags.append(c)
+    for i in range(NUM_FINGERS):
+        a, c = calibration.normalize(float(sensed[NUM_FINGERS + i]),
+                                     calibration.abd_min[i], calibration.abd_max[i])
+        abd.append(a)
+        flags.append(c)
+    state = HandState(flex=tuple(flex), abduction=tuple(abd), clamp_flags=tuple(flags))
     _last_forward = (calibration, key, state)
     return state
 
@@ -270,9 +260,8 @@ def glove_apply(cmd: GloveCommand, hand: HandState,
         excess = f - stop
         torque = spring * excess if excess > 0.0 else 0.0
         torques.append(min(torque, spec.max_joint_torque))
-    return HandState(wrist_pose=hand.wrist_pose, flex=tuple(new_flex),
-                     abduction=hand.abduction, resist_torques=tuple(torques),
-                     clamp_flags=hand.clamp_flags)
+    return HandState(flex=tuple(new_flex), abduction=hand.abduction,
+                     resist_torques=tuple(torques), clamp_flags=hand.clamp_flags)
 
 
 def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmState:
@@ -399,8 +388,9 @@ def _finger_offsets(rotation, finger: int, joint_angles: tuple[float, float, flo
 def finger_sphere_centers(wrist: RigidTransform, finger: int,
                           joint_angles: tuple[float, float, float],
                           abd_angle: float) -> list[Vec3]:
-    """World-space phalange sphere centers of one default-hand finger: each is
-    ``wrist.transform_point`` of its chain point, bit for bit."""
+    """World-space phalange sphere centers of one default-hand finger at the
+    wrist pose ``wrist``: each is ``wrist.transform_point`` of its chain
+    point, bit for bit."""
     ox, oy, oz = wrist.translation
     return [(ox + a, oy + b, oz + c)
             for a, b, c in _finger_offsets(wrist.rotation, finger, joint_angles, abd_angle)]
@@ -432,11 +422,11 @@ _HAND_SPHERES = (("palm", DEFAULT_HAND_GEOMETRY.palm_radius),) + tuple(
     for name in names)
 
 
-def hand_collider_spheres(state: HandState) -> list[tuple[str, Vec3, float]]:
+def hand_collider_spheres(wrist: RigidTransform,
+                          hand: HandState) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) of the default
-    hand for one state: the memoized offsets translated to the wrist."""
-    wrist = state.wrist_pose
+    hand at the wrist pose ``wrist``: the memoized offsets translated to it."""
     ox, oy, oz = wrist.translation
-    offsets = _hand_offsets(wrist.rotation, state.flex, state.abduction)
+    offsets = _hand_offsets(wrist.rotation, hand.flex, hand.abduction)
     return [(name, (ox + a, oy + b, oz + c), radius)
             for (name, radius), (a, b, c) in zip(_HAND_SPHERES, offsets)]

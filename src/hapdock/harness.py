@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .config import ArmConfig, Condition, ScenarioConfig
+from .config import ORACLE_NOISE_FLOOR_N, ArmConfig, Condition, ScenarioConfig
 from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandState,
                       arm_step, glove_apply, hand_collider_spheres,
                       hand_forward_model, impedance_displacement)
@@ -140,7 +140,7 @@ class Coordinator:
         self.wrist_rotation = wrist_rotation
         # The plate's rotation is a scenario constant: the wrist rotation is
         # one and ``_tracked_plate`` adds noise to the translation only. So
-        # ``wrist_pose.compose(plate_offset)`` is the tick's wrist position
+        # ``wrist.compose(plate_offset)`` is the tick's wrist position
         # plus ``plate_shift`` with the rotation ``plate_rotation``, and
         # ``plate.inverse()`` rotates by ``plate_rotation_inv``: the same
         # float operations as ``compose`` and ``inverse``, done once.
@@ -168,8 +168,8 @@ class Coordinator:
         # not recomputed; see ``_hand_for_tick`` and ``_update_hand_colliders``.
         self._sample: tuple = (None, None, None)      # (bits, sensed, wrist)
         self._applied: tuple = (None, None, None)     # (intended, command, hand)
-        self._collider_hand: HandState | None = None  # last moved to
-        self._resting_hand: HandState | None = None   # moved to twice in a row
+        # (hand, wrist) last moved to, and whether it was moved to twice in a row.
+        self._collider: tuple = (None, None, False)
         self.log = MetricLog(self._header())
 
     def _unit(self, arm: ArmConfig) -> _ArmUnit:
@@ -236,19 +236,21 @@ class Coordinator:
             self._tick(tick)
         return self.log
 
-    def _hand_for_tick(self, t: float, events: list[str], tick: int) -> HandState:
-        """The hand after the glove's stops for tick ``tick`` at time ``t``,
-        issuing the glove command when one is due.
+    def _hand_for_tick(self, t: float, events: list[str],
+                       tick: int) -> tuple[HandState, RigidTransform]:
+        """The hand after the glove's stops and the wrist pose for tick
+        ``tick`` at time ``t``, issuing the glove command when one is due.
 
-        A still hand costs only its keys. A trajectory sample whose packed
+        Still fingers cost only their keys. A trajectory sample whose packed
         bits match last tick's (bits, not ``==``, so a zero's sign counts)
-        reuses last tick's sensed values and wrist pose, and one whose
-        finger bits alone match reuses the sensed values. ``hand_forward_model``
-        is still called once per tick, first in the tick: perfbench's tick
-        hook counts those calls. Its memo hands back last tick's
-        ``HandState`` object for the same bits, and ``glove_apply`` is pure,
-        so its result is kept while both that object and the glove command
-        object are last tick's; a new command every glove period breaks it.
+        reuses last tick's sensed values and wrist pose, and one whose wrist
+        alone moved reuses the sensed values. ``hand_forward_model`` is
+        still called once per tick, first in the tick: perfbench's tick hook
+        counts those calls. Its memo hands back last tick's ``HandState``
+        object for the same sensed bits, however the wrist moved, and
+        ``glove_apply`` is pure, so its result is kept while both that object
+        and the glove command object are last tick's; a new command every
+        glove period breaks it.
         """
         cfg = self.cfg
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
@@ -264,7 +266,7 @@ class Coordinator:
                            for i in range(5)]
                 sensed.append(0.0)  # spare wrist channel, unused by the forward model
             self._sample = (key, sensed, wrist)
-        intended = hand_forward_model(sensed, cal, wrist)
+        intended = hand_forward_model(sensed, cal)
 
         if tick % self.glove_period == 0:
             last = self._last_glove_tick
@@ -273,7 +275,8 @@ class Coordinator:
                     f"glove commanded at tick {tick}, {tick - last} ticks after the "
                     f"previous command; the contract needs {self.glove_period}")
             self._last_glove_tick = tick
-            stops = tuple(contact_drum_param(intended, k, self.world) for k in range(5))
+            stops = tuple(contact_drum_param(wrist, intended, k, self.world)
+                          for k in range(5))
             self.glove_cmd = GloveCommand(
                 stop_angle=stops,
                 spring_constant=(cfg.glove.spring_constant,) * 5)
@@ -282,22 +285,21 @@ class Coordinator:
         if intended is not last_intended or self.glove_cmd is not last_cmd:
             applied = glove_apply(self.glove_cmd, intended, cfg.glove.spec)
             self._applied = (intended, self.glove_cmd, applied)
-        return applied
+        return applied, wrist
 
-    def _update_hand_colliders(self, hand: HandState) -> None:
-        """Move the hand colliders to ``hand``'s spheres.
+    def _update_hand_colliders(self, hand: HandState, wrist: RigidTransform) -> None:
+        """Move the hand colliders to the spheres of ``hand`` at ``wrist``.
 
-        Moving to the same ``HandState`` object twice in a row gives every
-        collider a +0.0 velocity at the same center; a third move would
-        change no bit, so a hand at rest is not moved again.
+        Moving to the same (``HandState``, wrist) pair of objects twice in a
+        row gives every collider a +0.0 velocity at the same center; a third
+        move would change no bit, so a hand at rest is not moved again.
         """
-        if hand is not self._collider_hand:
-            self._collider_hand, self._resting_hand = hand, None
-        elif hand is self._resting_hand:
+        last_hand, last_wrist, resting = self._collider
+        same = hand is last_hand and wrist is last_wrist
+        if same and resting:
             return
-        else:
-            self._resting_hand = hand
-        spheres = hand_collider_spheres(hand)
+        self._collider = (hand, wrist, same)
+        spheres = hand_collider_spheres(wrist, hand)
         world = self.world
         if world.hand:
             # The spheres come in the same order every tick.
@@ -315,7 +317,7 @@ class Coordinator:
 
     def _plate_truth(self, wrist: Vec3) -> RigidTransform:
         """The plate's true pose for the wrist position ``wrist``: equal bit
-        for bit to ``wrist_pose.compose(plate_offset)``."""
+        for bit to the wrist pose there ``.compose(plate_offset)``."""
         sx, sy, sz = self.plate_shift
         return RigidTransform(self.plate_rotation,
                               (wrist[0] + sx, wrist[1] + sy, wrist[2] + sz))
@@ -501,16 +503,16 @@ class Coordinator:
         t = tick * dt
         events: list[str] = []
 
-        hand = self._hand_for_tick(t, events, tick)
+        hand, wrist = self._hand_for_tick(t, events, tick)
         if self.hand_contacts:
-            self._update_hand_colliders(hand)
+            self._update_hand_colliders(hand, wrist)
 
         try:
             _, impulses = step_world(self.world, dt)
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
-        plate_truth = self._plate_truth(hand.wrist_pose.translation)
+        plate_truth = self._plate_truth(wrist.translation)
         plate = self._tracked_plate(plate_truth)
         plate_pos = plate.translation
         truth_pos = plate_truth.translation
@@ -587,7 +589,7 @@ class Coordinator:
             "t": t,
             "dt": dt,
             "events": events,
-            "wrist": list(hand.wrist_pose.translation),
+            "wrist": list(wrist.translation),
             "flex": list(hand.flex),
             "stops": list(self.glove_cmd.stop_angle),
             "resist": list(hand.resist_torques),
@@ -621,7 +623,7 @@ class OracleResult:
 
 
 def weight_oracle(log: MetricLog, lift_windows: dict,
-                  noise_floor_n: float = 0.02) -> OracleResult:
+                  noise_floor_n: float = ORACLE_NOISE_FLOOR_N) -> OracleResult:
     """Rank bodies by time-averaged rendered support force over their windows.
 
     Confidence is the smallest pairwise relative force gap between adjacent

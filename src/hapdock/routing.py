@@ -133,8 +133,10 @@ def _finger_penetration(world: World, wrist: RigidTransform, finger: int,
     return worst
 
 
-def contact_drum_param(hand: HandState, finger: int, world: World) -> float:
-    """Normalized stop rotation that would just resolve the finger's penetration.
+def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
+                       world: World) -> float:
+    """Normalized stop rotation that would just resolve the penetration of
+    the finger of ``hand`` at the wrist pose ``wrist``.
 
     Evaluates the hypothetical de-penetration pose by moving the phalanges
     (not the world) back along the flex interpolant and bisecting, to a
@@ -144,7 +146,6 @@ def contact_drum_param(hand: HandState, finger: int, world: World) -> float:
     """
     flex_now = hand.flex[finger]
     abd_angle = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
-    wrist = hand.wrist_pose
     pen_now = _finger_penetration(world, wrist, finger, abd_angle, flex_now)
     if pen_now < 0.0:
         return 1.0

@@ -38,7 +38,8 @@ FULL_STEPS: dict[str, int] = {}
 # Hand-layer work of the cached run: calls of ``glove_apply``,
 # ``hand_collider_spheres`` and ``World.move_hand``, and calls of
 # ``hand_forward_model`` and its memo misses (the calls that returned
-# another ``HandState`` object than the call before).
+# another ``HandState`` object than the call before: the sensed fingers
+# moved; a wrist that moves alone is no miss).
 HAND_CALLS: dict[str, Counter] = {}
 
 

@@ -412,6 +412,7 @@ class TestCli:
         ("-1", "must be >= 0.0"),
         ("nan", "must be finite"),
         ("inf", "must be finite"),
+        ("abc", "expected a number, got 'abc'"),
     ])
     def test_oracle_noise_floor_checked_like_the_scenario_field(
             self, tmp_path, capsys, floor, message):

@@ -27,21 +27,21 @@ def joint_angles(hand):
 
 class TestForwardModel:
     def test_calibration_minimum_gives_extension(self):
-        hand = hand_forward_model(sensed(10.0), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(10.0), CAL)
         assert hand.flex == (0.0,) * 5
         mcp = math.radians(DEFAULT_HAND_PARAMS.mcp_min_deg)
         assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in joint_angles(hand))
         assert not any(hand.clamp_flags)
 
     def test_calibration_maximum_gives_full_flex(self):
-        hand = hand_forward_model(sensed(90.0), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(90.0), CAL)
         assert hand.flex == (1.0,) * 5
         mcp = math.radians(DEFAULT_HAND_PARAMS.mcp_max_deg)
         assert all(j[0] == pytest.approx(mcp, abs=1e-12) for j in joint_angles(hand))
 
     def test_midpoint_and_fixed_ratios(self):
         # Oracle: direct interpolation of the pinned constants.
-        hand = hand_forward_model(sensed(50.0), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(50.0), CAL)
         assert hand.flex == pytest.approx((0.5,) * 5, abs=1e-12)
         p = DEFAULT_HAND_PARAMS
         expected_mcp = math.radians(p.mcp_min_deg + 0.5 * (p.mcp_max_deg - p.mcp_min_deg))
@@ -51,19 +51,19 @@ class TestForwardModel:
             assert dip == pytest.approx(p.dip_ratio * mcp, rel=1e-12)
 
     def test_out_of_range_clamps_and_flags(self):
-        hand = hand_forward_model(sensed(200.0), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(200.0), CAL)
         assert hand.flex == (1.0,) * 5
         assert all(hand.clamp_flags[:5])
-        hand = hand_forward_model(sensed(-5.0), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(-5.0), CAL)
         assert hand.flex == (0.0,) * 5
 
     def test_abduction_passthrough(self):
-        hand = hand_forward_model(sensed(50.0, abd_raw=0.5), CAL, IDENTITY)
+        hand = hand_forward_model(sensed(50.0, abd_raw=0.5), CAL)
         assert hand.abduction == pytest.approx((0.75,) * 5, abs=1e-12)
 
     def test_wrong_sensor_count_rejected(self):
         with pytest.raises(ValueError):
-            hand_forward_model([0.0] * 10, CAL, IDENTITY)
+            hand_forward_model([0.0] * 10, CAL)
 
     def test_bad_calibration_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestForwardModel:
 
 class TestGloveApply:
     def _hand(self, flex):
-        return hand_forward_model(sensed(10.0 + 80.0 * flex), CAL, IDENTITY)
+        return hand_forward_model(sensed(10.0 + 80.0 * flex), CAL)
 
     def test_full_stop_is_noop(self):
         hand = self._hand(0.7)
@@ -231,8 +231,8 @@ class TestSpecsAndRates:
             GloveSpec(actuated_dofs=12, sensed_dofs=11)
 
     def test_hand_colliders_layout(self):
-        hand = hand_forward_model(sensed(10.0), CAL, IDENTITY)
-        spheres = hand_collider_spheres(hand)
+        hand = hand_forward_model(sensed(10.0), CAL)
+        spheres = hand_collider_spheres(IDENTITY, hand)
         names = [s[0] for s in spheres]
         assert names[0] == "palm"
         assert len(spheres) == 16

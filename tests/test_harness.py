@@ -470,21 +470,44 @@ class TestHotPath:
         assert FULL_STEPS[name] == full
 
     @pytest.mark.parametrize("name, ticks, misses, glove, spheres, moves", [
-        ("single_lift_force_feedback", 9300, 3803, 3964, 4130, 4129),
+        # Lift's and handover's fingers never move; only their wrists do.
+        ("single_lift_force_feedback", 9300, 1, 274, 4130, 4129),
         ("squeeze_cancellation", 4000, 901, 992, 1085, 1084),
         # No body collides with the hand, so no collider is built.
-        ("handover_sweep", 8000, 6668, 6707, 0, 0),
+        ("handover_sweep", 8000, 1, 236, 0, 0),
     ])
     def test_still_hand_skips_its_work(self, name, ticks, misses, glove, spheres, moves):
         # The forward model is called once per tick and misses its memo only
-        # when the trajectory sample's bits moved. The glove reruns on those
-        # ticks and on a new glove command; the colliders move once more
+        # when the sensed bits moved, not when the wrist alone moved. The
+        # glove reruns on those ticks and on a new glove command; the
+        # colliders move when the fingers or the wrist moved, and once more
         # after the hand stops (tick 0 builds them instead).
         cached_run(name)
         calls = HAND_CALLS[name]
         assert [calls[key] for key in ("hand_forward_model", "forward_model_misses",
                                        "glove_apply", "hand_collider_spheres",
                                        "move_hand")] == [ticks, misses, glove, spheres, moves]
+
+    def test_wrist_sweep_enters_the_glove_only_on_its_commands(self, monkeypatch):
+        # Handover's wrist sweeps under still fingers: the glove step reruns
+        # only for a new glove command, tick 0's included.
+        entered = []
+        tick = 0
+        original = harness.glove_apply
+
+        def counting(*args):
+            entered.append(tick)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "glove_apply", counting)
+        coord = Coordinator(build("handover_sweep"))
+        for tick in range(coord.cfg.coordinator.ticks):
+            coord._tick(tick)
+        commands = [r["tick"] for r in coord.log.records if "glove_cmd" in r["events"]]
+        assert entered == commands
+        assert entered[0] == 0 and len(entered) == 236
+        wrists = {tuple(r["wrist"]) for r in coord.log.records}
+        assert len(wrists) > 6000
 
     def test_records_hold_only_plain_values(self):
         # Docked force feedback with hand contacts and tracking noise: every

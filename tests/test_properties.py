@@ -597,10 +597,9 @@ poses = st.builds(RigidTransform.from_quat, unit_quats, translations)
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def reference_hand_spheres(state: HandState) -> list:
-    """Every hand sphere through the unmemoized reference chain."""
+def reference_hand_spheres(wrist: RigidTransform, state: HandState) -> list:
+    """Every hand sphere at ``wrist`` through the unmemoized reference chain."""
     geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
-    wrist = state.wrist_pose
     out = [("palm", wrist.transform_point(geom.palm_center), geom.palm_radius)]
     for k in range(NUM_FINGERS):
         centers = reference_finger_centers(
@@ -629,8 +628,9 @@ def test_inlined_hand_chain_matches_transform_point_bits(wrist, flex, abd):
         centers = finger_sphere_centers(wrist, k, angles, abd_angle)
         expected = reference_finger_centers(geom, wrist, k, angles, abd_angle)
         assert [bits(v) for c in centers for v in c] == [bits(v) for c in expected for v in c]
-    state = HandState(wrist_pose=wrist, flex=flex, abduction=abd)
-    assert_same_spheres(hand_collider_spheres(state), reference_hand_spheres(state))
+    state = HandState(flex=flex, abduction=abd)
+    assert_same_spheres(hand_collider_spheres(wrist, state),
+                        reference_hand_spheres(wrist, state))
 
 
 IDENTITY = RigidTransform()
@@ -652,23 +652,23 @@ def test_hand_memo_returns_no_stale_entry(wrist, flex, abd, which, value):
     # abduction (9-13) component.
     key = list(wrist.rotation + flex + abd)
     key[which] = value
-    moved = HandState(wrist_pose=RigidTransform(tuple(key[:4]), wrist.translation),
-                      flex=tuple(key[4:9]), abduction=tuple(key[9:]))
-    first = HandState(wrist_pose=wrist, flex=flex, abduction=abd)
-    for state in (first, moved):
+    moved_wrist = RigidTransform(tuple(key[:4]), wrist.translation)
+    moved = HandState(flex=tuple(key[4:9]), abduction=tuple(key[9:]))
+    first = HandState(flex=flex, abduction=abd)
+    for pose, state in ((wrist, first), (moved_wrist, moved)):
         hits = _hand_offsets.cache_info().hits
-        assert_same_spheres(hand_collider_spheres(state), reference_hand_spheres(state))
-    same_key = (first.wrist_pose.rotation, first.flex, first.abduction) == (
-        moved.wrist_pose.rotation, moved.flex, moved.abduction)
+        assert_same_spheres(hand_collider_spheres(pose, state),
+                            reference_hand_spheres(pose, state))
+    same_key = (wrist.rotation, first.flex, first.abduction) == (
+        moved_wrist.rotation, moved.flex, moved.abduction)
     assert _hand_offsets.cache_info().hits == hits + same_key
 
 
 # -- still hand --------------------------------------------------------------
 
 def hand_state_bits(state: HandState) -> tuple:
-    pose = state.wrist_pose
-    return ([bits(v) for v in pose.rotation + pose.translation + state.flex
-             + state.abduction + state.resist_torques], state.clamp_flags)
+    return ([bits(v) for v in state.flex + state.abduction + state.resist_torques],
+            state.clamp_flags)
 
 
 sensor_values = st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats(-0.5, 1.5))
@@ -681,19 +681,16 @@ calibrations = st.builds(
 
 
 @settings(max_examples=150, deadline=None)
-@example(sensed=[0.0] * 11, cal=HandCalibration(), wrist=IDENTITY)
-@example(sensed=[-0.0] * 11, cal=HandCalibration(), wrist=IDENTITY)
-@given(sensed=st.lists(sensor_values, min_size=11, max_size=11), cal=calibrations,
-       wrist=poses)
-def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal, wrist):
-    first = hand_forward_model(list(sensed), cal, wrist)
-    # The same bits in new objects hit the memo.
-    again = hand_forward_model(list(sensed), cal,
-                               RigidTransform(wrist.rotation, wrist.translation))
-    assert again is first
+@example(sensed=[0.0] * 11, cal=HandCalibration())
+@example(sensed=[-0.0] * 11, cal=HandCalibration())
+@given(sensed=st.lists(sensor_values, min_size=11, max_size=11), cal=calibrations)
+def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal):
+    first = hand_forward_model(list(sensed), cal)
+    # The same bits in a new list hit the memo.
+    assert hand_forward_model(list(sensed), cal) is first
     # An equal calibration in another object misses, and evaluates afresh.
     twin = replace(cal)
-    fresh = hand_forward_model(sensed, twin, wrist)
+    fresh = hand_forward_model(sensed, twin)
     assert fresh is not first
     assert hand_state_bits(fresh) == hand_state_bits(first)
     # So does a sensed value whose zero changed its sign, after a call with
@@ -701,17 +698,11 @@ def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal, wrist):
     for i, v in enumerate(sensed):
         if v == 0.0:
             flipped = sensed[:i] + [-v] + sensed[i + 1:]
-            got = hand_forward_model(flipped, twin, wrist)
+            got = hand_forward_model(flipped, twin)
             assert got is not fresh
             assert hand_state_bits(got) == hand_state_bits(
-                hand_forward_model(flipped, replace(cal), wrist))
-            fresh = hand_forward_model(sensed, twin, wrist)
-    # A moved wrist with the same sensed bits takes the fingers from the
-    # memo; they are the fingers a fresh evaluation gives.
-    moved = RigidTransform(wrist.rotation, tuple(c + 0.5 for c in wrist.translation))
-    got = hand_forward_model(sensed, twin, moved)
-    assert got is not fresh and got.flex is fresh.flex
-    assert hand_state_bits(got) == hand_state_bits(hand_forward_model(sensed, cal, moved))
+                hand_forward_model(flipped, replace(cal)))
+            fresh = hand_forward_model(sensed, twin)
 
 
 @pytest.mark.parametrize("which", range(13))

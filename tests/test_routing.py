@@ -17,9 +17,9 @@ CAL = HandCalibration()
 IDENTITY = RigidTransform.identity()
 
 
-def hand_at(wrist=IDENTITY, flex=0.0):
+def hand_at(flex=0.0):
     sensed = [flex] * 5 + [0.5] * 5 + [0.0]
-    return hand_forward_model(sensed, CAL, wrist)
+    return hand_forward_model(sensed, CAL)
 
 
 def impulse(collider, body, normal, magnitude, point=(0.0, 0.0, 0.0)):
@@ -104,7 +104,7 @@ def first_contact_flex(world: World, finger: int, step=1e-4) -> float:
     abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
     f = 0.0
     while f <= 1.0:
-        pen = _finger_penetration(world, hand.wrist_pose, finger, abd, f)
+        pen = _finger_penetration(world, IDENTITY, finger, abd, f)
         if pen > 0.0:
             return f
         f += step
@@ -114,41 +114,42 @@ def first_contact_flex(world: World, finger: int, step=1e-4) -> float:
 class TestContactDrum:
     def test_no_contact_returns_unrestricted(self):
         w = World()  # empty scene
-        assert contact_drum_param(hand_at(flex=0.5), 1, w) == 1.0
+        assert contact_drum_param(IDENTITY, hand_at(flex=0.5), 1, w) == 1.0
 
     def test_far_finger_unrestricted(self):
-        assert contact_drum_param(hand_at(flex=0.5), 4, pinch_world()) == 1.0
+        assert contact_drum_param(IDENTITY, hand_at(flex=0.5), 4, pinch_world()) == 1.0
 
     def test_exact_touch_returns_current_flex(self):
         # Build a plate whose face exactly touches the index distal sphere.
         hand = hand_at(flex=0.3)
         abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[1])
-        tip = finger_sphere_centers(hand.wrist_pose, 1,
+        tip = finger_sphere_centers(IDENTITY, 1,
                                     DEFAULT_HAND_PARAMS.joint_angles(hand.flex[1]), abd)[2]
         r = DEFAULT_HAND_GEOMETRY.phalange_radius
         w = World()
         w.add_body(RigidBody(name="plate", kind=BodyKind.STATIC,
                              position=[tip[0], tip[1] - r - 0.004, tip[2]],
                              half_extents=[0.05, 0.004, 0.05]))
-        assert contact_drum_param(hand, 1, w) == pytest.approx(0.3, abs=1e-12)
+        assert contact_drum_param(IDENTITY, hand, 1, w) == pytest.approx(0.3, abs=1e-12)
 
     def test_past_contact_recovers_first_contact_flex(self):
         # Driven well past first touch: the stop must come back to the
         # first-contact flex within the search tolerance.
         w = pinch_world()
         oracle = first_contact_flex(w, 1)
-        stop = contact_drum_param(hand_at(flex=oracle + 0.1), 1, w)
+        stop = contact_drum_param(IDENTITY, hand_at(flex=oracle + 0.1), 1, w)
         assert abs(stop - oracle) <= 1e-3
         # The returned stop always sits on the penetrating side of the
         # boundary so the glove holds a real (if tiny) contact.
         hand = hand_at()
         abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[1])
-        assert _finger_penetration(w, hand.wrist_pose, 1, abd, stop) > 0.0
+        assert _finger_penetration(w, IDENTITY, 1, abd, stop) > 0.0
 
     def test_thumb_and_index_stops_identical_by_symmetry(self):
         w = pinch_world()
         hand = hand_at(flex=0.4)
-        assert contact_drum_param(hand, 0, w) == contact_drum_param(hand, 1, w)
+        assert (contact_drum_param(IDENTITY, hand, 0, w)
+                == contact_drum_param(IDENTITY, hand, 1, w))
 
     def test_full_ride_through_supported_mass(self):
         # Closed-loop sanity: a palm-supported can routes ~m*g while two
