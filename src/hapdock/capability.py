@@ -20,7 +20,6 @@ from typing import Sequence
 from .devices import ArmSpec, GloveSpec
 from .docking import (DEFAULT_BREAKING_FORCE_N, DEFAULT_FRICTION_MU,
                       DockJointKind)
-from .frames import RigidTransform
 from .geometry import Box, Vec3
 
 
@@ -134,8 +133,8 @@ def _arm_torque_through_joint(spec: ArmSpec, name: str, degraded: tuple[str, ...
                  for i, axis in enumerate(ROT_AXES) if axis not in degraded)
 
 
-def _glove_torques(glove: GloveSpec, name: str) -> tuple[tuple[str, float], ...]:
-    return tuple((f"{name}:finger{i}", glove.max_joint_torque)
+def _glove_torques(glove: GloveSpec) -> tuple[tuple[str, float], ...]:
+    return tuple((f"{glove.name}:finger{i}", glove.max_joint_torque)
                  for i in range(glove.actuated_dofs))
 
 
@@ -174,8 +173,7 @@ def _max_force_over_cells(regions: Sequence[ForceRegion]) -> Vec3:
 
 def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
                        links: Sequence[DockLink],
-                       arm_names: Sequence[str] | None = None,
-                       glove_names: Sequence[str] | None = None) -> HybridCapability:
+                       arm_names: Sequence[str] | None = None) -> HybridCapability:
     """Compose device specs and dock links into the hybrid envelope.
 
     Link the same glove to several arms to describe multi-arm layouts: arms
@@ -184,7 +182,6 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
     """
     _validate_topology(arms, gloves, links)
     arm_names = list(arm_names or (a.name for a in arms))
-    glove_names = list(glove_names or (g.name for g in gloves))
 
     linked_arms = sorted({l.arm_index for l in links})
     if links:
@@ -214,8 +211,8 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
         torques.extend(arm_torque)
 
     glove_torques: list[tuple[str, float]] = []
-    for g, name in zip(gloves, glove_names):
-        glove_torques.extend(_glove_torques(g, name))
+    for g in gloves:
+        glove_torques.extend(_glove_torques(g))
     torques.extend(glove_torques)
 
     rotation: list = [UNBOUNDED, UNBOUNDED, UNBOUNDED]
@@ -239,19 +236,17 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
     )
 
 
-def capability_at(cap: HybridCapability, pose) -> PointCapability:
-    """Envelope available at a hand pose: sum of the arms that reach it.
+def capability_at(cap: HybridCapability, point) -> PointCapability:
+    """Envelope available at a world point (three numbers): sum of the arms
+    that reach it.
 
-    Reach is a closed box, so a pose on a face two boxes share sums both
+    Reach is a closed box, so a point on a face two boxes share sums both
     arms, although the boxes share no interior and ``force_envelope`` does
     not stack them there. Away from every face the sum never exceeds the
     envelope.
     """
-    if isinstance(pose, RigidTransform):
-        point = pose.translation
-    else:
-        x, y, z = pose
-        point = (float(x), float(y), float(z))
+    x, y, z = point
+    point = (float(x), float(y), float(z))
     force = [0.0, 0.0, 0.0]
     torque: list[tuple[str, float]] = []
     reachable = []

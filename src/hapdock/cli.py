@@ -23,12 +23,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _load(path: str) -> ScenarioConfig:
-    if not Path(path).exists():
-        raise ConfigError("$", f"no such config file: {path}")
-    return load_scenario(path)
-
-
 def _capability_of(cfg: ScenarioConfig):
     arms = [a.spec for a in cfg.arms]
     links = [DockLink(arm_index=i, glove_index=0, kind=cfg.dock.joint_kind,
@@ -40,7 +34,7 @@ def _capability_of(cfg: ScenarioConfig):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_scenario(args.config)
     log = run_scenario(cfg)
     out = Path(args.out) if args.out else Path(f"{cfg.name}.log.ndjson")
     log.write(out)
@@ -54,7 +48,7 @@ def _cmd_capability(args) -> int:
     point = None
     if args.at is not None:
         point = tuple(number_arg(v, f"--at[{i}]") for i, v in enumerate(args.at))
-    cfg = _load(args.config)
+    cfg = load_scenario(args.config)
     cap = _capability_of(cfg)
     print(capability_report(cap))
     if point is not None:
@@ -69,7 +63,7 @@ def _cmd_capability(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_scenario(args.config)
     print(f"OK: {args.config} is a valid scenario "
           f"({cfg.name}, condition={cfg.condition.value}, "
           f"{cfg.coordinator.ticks} ticks)")

@@ -505,12 +505,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def read_yaml(path):
-    """The YAML document in the file ``path``; invalid YAML fails at ``$``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The YAML document in the file ``path``. A file that cannot be read
+    or is not UTF-8, and invalid YAML, fail at ``$``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("$", f"invalid YAML: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError("$", f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("$", f"{path}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError("$", f"invalid YAML: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

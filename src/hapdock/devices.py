@@ -22,6 +22,8 @@ from .geometry import Box, Vec3
 TICK_RATE_HZ = 1000.0
 DEVICE_PERIOD_LIMIT_S = 1.0 / 30.0
 GLOVE_PERIOD_TICKS = 34  # 34 ms >= 33.3 ms minimum spacing
+# Bound on the effector's angular speed while it tracks a target, rad/s.
+ANGULAR_SPEED_BOUND = 3.0
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 NUM_FINGERS = 5
@@ -42,7 +44,6 @@ class ArmSpec:
     base_pose: RigidTransform = RigidTransform.identity()
     workspace_center: Vec3 = (0.0, 0.0, 0.0)  # box center, base frame
     max_speed: float = 1.5           # m/s hardware cap
-    max_angular_speed: float = 6.0   # rad/s hardware cap
     track_tau_s: float = 0.010       # first-order tracking time constant
     _box: Box = field(init=False, repr=False, compare=False)
     _half_range: Vec3 = field(init=False, repr=False, compare=False)
@@ -76,19 +77,15 @@ class ArmSpec:
 
 @dataclass(frozen=True, slots=True)
 class GloveSpec:
-    """Hand exoskeleton capabilities: actuated/sensed DOF counts and limits."""
+    """Hand exoskeleton capabilities: actuated DOF count and torque limit."""
 
     name: str = "glove"
     actuated_dofs: int = 5
-    joint_range_deg: float = 165.0
     max_joint_torque: float = 0.5    # Nm per actuated DOF
-    sensed_dofs: int = 11
 
     def __post_init__(self):
-        if self.actuated_dofs > self.sensed_dofs:
-            raise ValueError("glove cannot actuate more DOFs than it senses")
-        if self.joint_range_deg <= 0.0 or self.max_joint_torque <= 0.0:
-            raise ValueError("glove ranges and torque limits must be positive")
+        if self.max_joint_torque <= 0.0:
+            raise ValueError("glove torque limit must be positive")
 
 
 # Catalog rows for the two devices the default scenarios are built from.
@@ -187,11 +184,10 @@ class ArmCommand:
 
     target: RigidTransform
     speed_limit: float               # m/s
-    angular_speed_limit: float = 3.0  # rad/s
 
     def __post_init__(self):
-        if self.speed_limit <= 0.0 or self.angular_speed_limit <= 0.0:
-            raise ValueError("command speed limits must be positive")
+        if self.speed_limit <= 0.0:
+            raise ValueError("command speed limit must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,8 +301,7 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
     if angle < 1e-12:
         new_rot = target_world.rotation
     else:
-        omega = min(cmd.angular_speed_limit, spec.max_angular_speed,
-                    angle / spec.track_tau_s)
+        omega = min(ANGULAR_SPEED_BOUND, angle / spec.track_tau_s)
         frac = min(1.0, omega * dt / angle)
         new_rot = slerp(cur.rotation, target_world.rotation, frac)
 

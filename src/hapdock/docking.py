@@ -245,13 +245,6 @@ LEGAL_TRANSITIONS = frozenset((state, new) for state, exits in DOCK_PROTOCOL.ite
                               for _, new, _ in exits)
 
 
-def require_transition(old: DockState, new: DockState) -> None:
-    if old is new:
-        return
-    if (old, new) not in LEGAL_TRANSITIONS:
-        raise IllegalDockTransition(f"{old.value} -> {new.value} is not a legal dock transition")
-
-
 def dock_step(state: DockState, ctx: DockContext) -> tuple[DockState, tuple[str, ...]]:
     """One lifecycle tick. Returns the new state and the emitted events."""
     exits = DOCK_PROTOCOL.get(state)

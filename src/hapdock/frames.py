@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import Vec3
+
 Quat = tuple[float, float, float, float]  # (w, x, y, z)
-Vec3 = tuple[float, float, float]
 
 
 def _qmul(a: Quat, b: Quat) -> Quat:

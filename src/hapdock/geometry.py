@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 Vec3 = tuple[float, float, float]
+ZERO3: Vec3 = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

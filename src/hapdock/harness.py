@@ -22,7 +22,7 @@ from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
 from .frames import RigidTransform, _qmul, _qnormalize, _qrotate
-from .geometry import Box, Vec3
+from .geometry import ZERO3, Box, Vec3
 from .routing import LowPassFilter, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                   SolverParams, World, step_world)
@@ -49,11 +49,17 @@ class MetricLog:
 
     @classmethod
     def read(cls, path) -> "MetricLog":
-        """The log in the file ``path``. A line that is not a JSON object
-        raises ``ValueError`` naming ``path:line``; blank lines are skipped."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), 1)
-                     if line]
+        """The log in the file ``path``. A file that cannot be read or is not
+        UTF-8 raises ``ValueError`` naming ``path``, and a line that is not a
+        JSON object one naming ``path:line``; blank lines are skipped."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
         if not lines:
             raise ValueError(f"{path}: empty log")
         objects = []
@@ -73,7 +79,6 @@ class MetricLog:
         return log
 
 
-ZERO3 = (0.0, 0.0, 0.0)
 ZERO6 = (0.0,) * 6
 
 
@@ -82,6 +87,14 @@ _POSE_BITS = struct.Struct("<7d")
 # five abductions.
 _SAMPLE_BITS = struct.Struct("<13d")
 _WRIST_BYTES = 3 * 8
+
+
+def _point_distance(a: Vec3, b: Vec3) -> float:
+    """``RigidTransform.translation_distance_to`` of two points: its
+    expression, so its bits (``math.dist`` rounds differently)."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
 
 
 def _same_bits(a: ArmState, b: ArmState) -> bool:
@@ -112,8 +125,9 @@ class _ArmUnit:
     # A state that parking returns bit for bit: parking ``state`` while it
     # is this object needs no step, as ``arm_step`` is pure.
     parked: ArmState | None = None
-    # (pose, pose.compose(tool_offset)) of the last record.
-    tool_pose: tuple[RigidTransform, RigidTransform] | None = None
+    # (pose, the tool point of ``pose``) of the last record, the tool point
+    # being ``pose.compose(tool_offset).translation``.
+    tool_point: tuple[RigidTransform, Vec3] | None = None
 
 
 class Coordinator:
@@ -124,7 +138,7 @@ class Coordinator:
         self.dt = cfg.coordinator.dt
         self.glove_period = cfg.coordinator.glove_period_ticks
         self.world = self._build_world()
-        self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz, self.dt, size=6)
+        self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz, self.dt)
         self.glove_cmd = GloveCommand(
             spring_constant=(cfg.glove.spring_constant,) * 5)
         dock = cfg.dock
@@ -328,13 +342,14 @@ class Coordinator:
 
         The chain is ``plate.compose(attach_pose).compose(tool_inv)``, its
         local pose ``base_inv.compose(...)``, the pinned pose
-        ``base_pose.compose`` of the clamped local pose and the tool pose
-        ``pinned.compose(tool_offset)``. ``compose`` is ``N(qmul(a.r, b.r))``
-        and ``a.t + qrotate(a.r, b.t)``, so with every rotation constant
-        ``chain`` holds ``(c1, c2, pinned rotation, tool rotation, tool
-        vector)``: the follow translation is ``(p + c1) + c2`` for the plate
-        position ``p``, and the tool position is the pinned position plus
-        the tool vector, the same float operations in the same order.
+        ``base_pose.compose`` of the clamped local pose and the tool point
+        ``pinned.transform_point(tool_offset.translation)``.
+        ``compose`` is ``N(qmul(a.r, b.r))`` and ``a.t + qrotate(a.r, b.t)``,
+        so with every rotation constant ``chain`` holds ``(c1, c2, pinned
+        rotation, tool vector)``: the follow translation is ``(p + c1) + c2``
+        for the plate position ``p``, and the tool point is the pinned
+        position plus the tool vector, the same float operations in the same
+        order.
         """
         spec, attach = u.cfg.spec, joint.attach_pose
         rp, tool_inv = self.plate_rotation, self.tool_inv
@@ -345,8 +360,7 @@ class Coordinator:
         q4 = _qnormalize(_qmul(spec.base_pose.rotation, q3))
         self.docked, self.joint = u, joint
         self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation),
-                      q4, _qnormalize(_qmul(q4, tool.rotation)),
-                      _qrotate(q4, tool.translation))
+                      q4, _qrotate(q4, tool.translation))
         return self._follow(u, plate)
 
     def _follow(self, u: _ArmUnit, plate: RigidTransform):
@@ -450,13 +464,12 @@ class Coordinator:
         spec = u.cfg.spec
         if u is self.docked:
             local, clamped_pos = follow
-            _, _, q_pinned, q_tool, tool_vec = self.chain
+            _, _, q_pinned, tool_vec = self.chain
             pos = spec.base_pose.transform_point(clamped_pos)
             pinned = RigidTransform(q_pinned, pos)
             u.state = ArmState(pose=pinned, clamped=clamped_pos != local)
-            u.tool_pose = (pinned, RigidTransform(
-                q_tool, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
-                         pos[2] + tool_vec[2])))
+            u.tool_point = (pinned, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
+                                     pos[2] + tool_vec[2]))
             disp = impedance_displacement(cmd_world[:3], spec.stiffness)
             return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
         if u.dock_state is DockState.INTERCEPTING:
@@ -559,7 +572,7 @@ class Coordinator:
                                          cfg.dock.interception_horizon_s)
             triggers = [u.trigger_box.contains(predicted) for u in self.units]
             winner = self._winner(t, predicted, triggers)
-        tool_offset = cfg.dock.tool_offset
+        tool_local = cfg.dock.tool_offset.translation    # effector frame
         arms_rec = []
         for i, u in enumerate(self.units):
             transmitted, slip, follow = ZERO6, False, None
@@ -568,8 +581,8 @@ class Coordinator:
                     u, triggers[i], u is winner, t, plate, cmd_world, events)
             target = self._control(u, follow, plate, cmd_world)
             pose = u.state.pose
-            if u.tool_pose is None or u.tool_pose[0] is not pose:
-                u.tool_pose = (pose, pose.compose(tool_offset))
+            if u.tool_point is None or u.tool_point[0] is not pose:
+                u.tool_point = (pose, pose.transform_point(tool_local))
             arms_rec.append({
                 "name": u.cfg.name,
                 "state": u.dock_state.value,
@@ -579,7 +592,7 @@ class Coordinator:
                 "rendered": list(transmitted),
                 "slip": slip,
                 "clamped": u.state.clamped,
-                "tool_dist": u.tool_pose[1].translation_distance_to(plate_truth),
+                "tool_dist": _point_distance(u.tool_point[1], truth_pos),
                 "magnet": u.magnet.effective,
             })
         events.extend(self.arm_target_events)

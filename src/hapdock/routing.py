@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
                       finger_sphere_centers)
-from .frames import RigidTransform, Vec3
+from .frames import RigidTransform
+from .geometry import Vec3
 from .sim import ContactImpulse, World, _sphere_box
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
@@ -164,14 +165,15 @@ def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
 
 
 class LowPassFilter:
-    """First-order low-pass on a fixed-rate vector signal, held as a float tuple."""
+    """First-order low-pass on a fixed-rate wrench (six numbers), held as a
+    float tuple."""
 
-    def __init__(self, cutoff_hz: float, dt: float, size: int = 6):
+    def __init__(self, cutoff_hz: float, dt: float):
         if cutoff_hz < 0.0:
             raise ValueError("cutoff must be nonnegative")
         self.enabled = cutoff_hz > 0.0
         self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt) if self.enabled else 1.0
-        self.state = (0.0,) * size
+        self.state = (0.0,) * 6
 
     def update(self, x) -> tuple[float, ...]:
         x = tuple(float(v) for v in x)

@@ -37,8 +37,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-Vec3 = tuple[float, float, float]
-_ZERO3 = (0.0, 0.0, 0.0)
+from .geometry import ZERO3, Vec3
 
 
 class BodyKind(Enum):
@@ -227,7 +226,7 @@ class _Contact:
         elif dyn is not None:
             self.other_vel = dyn.velocity
         else:
-            self.other_vel = _ZERO3
+            self.other_vel = ZERO3
         self.inv_mass = 1.0 / body.mass + (1.0 / dyn.mass if dyn is not None else 0.0)
 
 

@@ -61,8 +61,7 @@ class TestValidation:
         # The defaults no dataclass declares: the arm model's catalog row, the
         # workspace center as park pose, and the catalog names' own defaults.
         for name in ("workspace_center", "workspace_extents", "rot_range_deg", "max_force",
-                     "max_torque", "stiffness", "max_speed", "max_angular_speed",
-                     "track_tau_s"):
+                     "max_torque", "stiffness", "max_speed", "track_tau_s"):
             assert getattr(arm.spec, name) == getattr(VIRTUOSE_6D, name), name
         assert arm.spec.name == "arm"
         assert arm.park_position == arm.spec.workspace_box_world().center
@@ -264,6 +263,31 @@ class TestCli:
     def test_validate_missing_file_exit_2(self, capsys):
         assert main(["validate", "/nonexistent.yaml"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, culprit, prefix", [
+        (("run", "dir"), "dir", "config error: $: "),
+        (("run", "latin1"), "latin1", "config error: $: "),
+        (("validate", "missing"), "missing", "config error: $: "),
+        (("oracle", "missing", "windows"), "missing", "error: "),
+        (("oracle", "latin1", "windows"), "latin1", "error: "),
+        (("oracle", "log", "dir"), "dir", "config error: $: "),
+    ], ids=["run-directory", "run-not-utf8", "validate-missing", "oracle-missing-log",
+            "oracle-not-utf8-log", "oracle-directory-windows"])
+    def test_unreadable_input_file_exit_2(self, tmp_path, capsys, argv, culprit, prefix):
+        # A file that cannot be opened or decoded is reported at ``$`` (a
+        # scenario or windows file) or as the log's path, never as a traceback.
+        files = {name: tmp_path / name for name in ("dir", "latin1", "missing", "log",
+                                                     "windows")}
+        files["dir"].mkdir()
+        files["latin1"].write_bytes("name: caf\xe9\n".encode("latin-1"))
+        MetricLog({"record": "header", "scenario": "s", "condition": "free"}).write(
+            files["log"])
+        files["windows"].write_text("can_a: [0.0, 1.0]\n")
+        assert main([argv[0], *(str(files[name]) for name in argv[1:])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{prefix}{files[culprit]}: ")
+        assert captured.err.count("\n") == 1
 
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -182,7 +182,7 @@ class TestArmStep:
         spec = small_arm(rot_range_deg=(40.0, 40.0, 40.0))
         state = ArmState(pose=IDENTITY)
         cmd = ArmCommand(target=RigidTransform.from_axis_angle((0, 0, 1), 1.0),
-                         speed_limit=1.0, angular_speed_limit=10.0)
+                         speed_limit=1.0)
         for _ in range(2000):
             state = arm_step(spec, state, cmd, 0.001)
         assert state.pose.rotation_angle() == pytest.approx(math.radians(20.0), abs=1e-6)
@@ -217,8 +217,6 @@ class TestSpecsAndRates:
         assert VIRTUOSE_6D.max_force == (9.5, 9.5, 9.5)
         assert VIRTUOSE_6D.max_torque == (1.0, 1.0, 1.0)
         assert DEXMO_GLOVE.actuated_dofs == 5
-        assert DEXMO_GLOVE.sensed_dofs == 11
-        assert DEXMO_GLOVE.joint_range_deg == 165.0
         assert DEXMO_GLOVE.max_joint_torque == 0.5
 
     def test_glove_rate_respects_device_limit(self):
@@ -228,7 +226,7 @@ class TestSpecsAndRates:
         with pytest.raises(ValueError):
             small_arm(workspace_extents=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
-            GloveSpec(actuated_dofs=12, sensed_dofs=11)
+            GloveSpec(max_joint_torque=0.0)
 
     def test_hand_colliders_layout(self):
         hand = hand_forward_model(sensed(10.0), CAL)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import pytest
 
@@ -293,6 +294,11 @@ def _short(name: str, duration_s: float, **over):
     return scenario_from_dict(raw)
 
 
+# Test ids of the scenes whose pinned counts are parametrized: named, so that a
+# re-pinned count does not rename a test.
+HOT_PATH_SCENES = ["single_lift_force_feedback", "squeeze_cancellation", "handover_sweep"]
+
+
 class TestHotPath:
     def test_glove_rate_contract_raises(self):
         coord = Coordinator(build("pursuit_static"))
@@ -357,6 +363,22 @@ class TestHotPath:
                 assert calls == [], tick
         # Both arms attach once; arm_a docks beside parked arm_b for about 3 s.
         assert attach == 2 and quiet > 3000
+
+    def test_records_compose_no_tool_pose(self, monkeypatch):
+        # A record's tool distance reads the tool point, not a composed tool
+        # pose: the tick itself composes nothing, its callees still do.
+        callers = []
+        original = RigidTransform.compose
+
+        def counting(self, other):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(self, other)
+
+        monkeypatch.setattr(RigidTransform, "compose", counting)
+        log = run_scenario(_short("handover_sweep", 0.5))
+        assert {a["state"] for r in log.records for a in r["arms"]} >= {
+            "free", "intercepting", "docked"}
+        assert "_tick" not in callers and "pursue" in callers
 
     def test_no_hand_colliders_without_hand_bodies(self, monkeypatch):
         # No handover body collides with the hand, so nothing reads colliders.
@@ -464,7 +486,7 @@ class TestHotPath:
         ("squeeze_cancellation", 4000, 62),
         # No bodies and no hand: the first step is already a fixed point.
         ("handover_sweep", 8000, 1),
-    ])
+    ], ids=HOT_PATH_SCENES)
     def test_physics_steps_only_off_its_fixed_point(self, name, ticks, full):
         assert len(cached_run(name).records) == ticks
         assert FULL_STEPS[name] == full
@@ -475,7 +497,7 @@ class TestHotPath:
         ("squeeze_cancellation", 4000, 901, 992, 1085, 1084),
         # No body collides with the hand, so no collider is built.
         ("handover_sweep", 8000, 1, 236, 0, 0),
-    ])
+    ], ids=HOT_PATH_SCENES)
     def test_still_hand_skips_its_work(self, name, ticks, misses, glove, spheres, moves):
         # The forward model is called once per tick and misses its memo only
         # when the sensed bits moved, not when the wrist alone moved. The

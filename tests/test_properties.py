@@ -26,7 +26,7 @@ from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              joint_transmit)
 from hapdock.frames import RigidTransform
 from hapdock.geometry import Box
-from hapdock.harness import Coordinator, _same_bits
+from hapdock.harness import Coordinator, _point_distance, _same_bits
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box, step_world)
@@ -989,7 +989,7 @@ def reference_docked_chain(wrist_rotation, wrist, noise, dock, spec, joint, cmd_
                    plate.rotate_vector(out[:3]) + plate.rotate_vector(out[3:]))
     return {"plate_truth": truth, "plate": plate, "local": local.translation,
             "clamped": clamped, "pinned": pinned, "clamp_flag": clamped != local.translation,
-            "target": target, "tool_pose": pinned.compose(dock.tool_offset),
+            "target": target, "tool_point": pinned.compose(dock.tool_offset).translation,
             "cmd_plate": cmd_plate, "transmitted": transmitted,
             "slip": slip and not release}
 
@@ -1022,7 +1022,7 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
                                                 base, attach, wrist, noise, kind, cmd_world):
     """The constants built at attach plus a tick's additions give the bits of
     the old compose chain: plate, follow, clamp, pinned pose, target, tool
-    pose, plate-frame command and transmitted wrench."""
+    point, plate-frame command and transmitted wrench."""
     cfg = replace(HANDOVER,
                   trajectory=replace(HANDOVER.trajectory, wrist_rotation=wrist_rotation),
                   dock=replace(HANDOVER.dock, plate_offset=plate_offset,
@@ -1053,8 +1053,8 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     assert pose_bits(u.state.pose) == pose_bits(ref["pinned"])
     assert u.state.clamped == ref["clamp_flag"]
     assert pose_bits(target) == pose_bits(ref["target"])
-    assert u.tool_pose[0] is u.state.pose
-    assert pose_bits(u.tool_pose[1]) == pose_bits(ref["tool_pose"])
+    assert u.tool_point[0] is u.state.pose
+    assert [bits(v) for v in u.tool_point[1]] == [bits(v) for v in ref["tool_point"]]
 
     sent = []
     with pytest.MonkeyPatch.context() as mp:
@@ -1066,6 +1066,25 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     assert [bits(v) for v in transmitted] == [bits(v) for v in ref["transmitted"]]
     assert slip == ref["slip"]
     assert follow[0] == local and follow[1] == clamped
+
+
+@settings(max_examples=200, deadline=None)
+@given(pose=st.builds(RigidTransform.from_quat, signed_quats, signed_vecs(1.0)),
+       tool_offset=offset_poses, plate=signed_vecs(1.0))
+@example(pose=RigidTransform((1.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0)),
+         tool_offset=RigidTransform((1.0, 0.0, -0.0, 0.0), (-0.0, -0.0, 0.0)),
+         plate=(0.0, -0.0, -0.0))
+@example(pose=RigidTransform((0.0, -0.0, 1.0, -0.0), (0.0, -0.0, 0.5)),
+         tool_offset=RigidTransform((0.0, 0.0, 0.0, 1.0), (0.0, -0.0, 0.05)),
+         plate=(-0.0, 0.0, 0.55))
+def test_tool_dist_from_the_tool_point_matches_the_tool_pose(pose, tool_offset, plate):
+    """A record's ``tool_dist``, from the tool point ``pose.transform_point``
+    of the tool offset's translation, has the bits of the distance from the
+    composed tool pose to the plate."""
+    point = pose.transform_point(tool_offset.translation)
+    reference = pose.compose(tool_offset).translation_distance_to(
+        RigidTransform(translation=plate))
+    assert bits(_point_distance(point, plate)) == bits(reference)
 
 
 # -- force envelope ----------------------------------------------------------

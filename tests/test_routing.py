@@ -188,15 +188,16 @@ class TestContactDrum:
 
 class TestLowPass:
     def test_step_response_converges(self):
-        f = LowPassFilter(cutoff_hz=20.0, dt=DT, size=3)
-        target = np.array([1.0, -2.0, 0.5])
+        f = LowPassFilter(cutoff_hz=20.0, dt=DT)
+        target = np.array([1.0, -2.0, 0.5, 0.3, 0.0, -0.1])
         for _ in range(500):  # 0.5 s >> the 8 ms time constant
             out = f.update(target)
         assert out == pytest.approx(target, rel=1e-3)
 
     def test_disabled_filter_passes_through(self):
-        f = LowPassFilter(cutoff_hz=0.0, dt=DT, size=2)
-        assert f.update([3.0, 4.0]) == pytest.approx([3.0, 4.0])
+        f = LowPassFilter(cutoff_hz=0.0, dt=DT)
+        wrench = [3.0, 4.0, -1.0, 0.5, 0.0, 2.0]
+        assert f.update(wrench) == tuple(wrench)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
