@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .devices import ArmSpec, GloveSpec
+from .devices import NUM_FINGERS, ArmSpec, GloveSpec
 from .docking import (DEFAULT_BREAKING_FORCE_N, DEFAULT_FRICTION_MU,
                       DockJointKind)
 from .geometry import Box, Vec3
@@ -135,7 +135,7 @@ def _arm_torque_through_joint(spec: ArmSpec, name: str, degraded: tuple[str, ...
 
 def _glove_torques(glove: GloveSpec) -> tuple[tuple[str, float], ...]:
     return tuple((f"{glove.name}:finger{i}", glove.max_joint_torque)
-                 for i in range(glove.actuated_dofs))
+                 for i in range(NUM_FINGERS))
 
 
 def _max_force_over_cells(regions: Sequence[ForceRegion]) -> Vec3:

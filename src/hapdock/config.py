@@ -26,11 +26,12 @@ import yaml
 
 from .devices import (ARM_CATALOG, GLOVE_CATALOG, GLOVE_PERIOD_TICKS, ArmSpec,
                       DEVICE_PERIOD_LIMIT_S, GloveSpec, HandCalibration,
-                      NUM_FINGERS, TICK_RATE_HZ)
+                      NUM_FINGERS)
 from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_CONTACT_RADIUS_M, DEFAULT_FRICTION_MU,
                       DEFAULT_POS_TOL_M, DockJointKind, JOINT_KIND_CATALOG)
 from .frames import RigidTransform, quat_from_euler_xyz
+from .geometry import DT, TICK_RATE_HZ
 
 SCHEMA_VERSION = 1
 # Support-force gap, N, below which the weight oracle cannot tell two cans
@@ -149,9 +150,10 @@ class CoordinatorConfig:
     glove_period_ticks: int = GLOVE_PERIOD_TICKS
     filter_cutoff_hz: float = 20.0
 
+    # The one tick length; perfbench reads it from the loaded config.
     @property
     def dt(self) -> float:
-        return 1.0 / TICK_RATE_HZ
+        return DT
 
     @property
     def ticks(self) -> int:

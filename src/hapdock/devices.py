@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 
 from .frames import (RigidTransform, _qrotate, euler_xyz_from_quat, quat_from_euler_xyz,
                      slerp)
-from .geometry import Box, Vec3
+from .geometry import DT, Box, Vec3
 
-# Scheduler rate contract: the coordinator ticks at 1 kHz; the glove must not
-# be commanded faster than 30 Hz while the arm must be re-targeted at least
-# that often.
-TICK_RATE_HZ = 1000.0
+# Scheduler rate contract: the coordinator ticks at ``geometry.TICK_RATE_HZ``;
+# the glove must not be commanded faster than 30 Hz while the arm must be
+# re-targeted at least that often.
 DEVICE_PERIOD_LIMIT_S = 1.0 / 30.0
 GLOVE_PERIOD_TICKS = 34  # 34 ms >= 33.3 ms minimum spacing
-# Bound on the effector's angular speed while it tracks a target, rad/s.
+# The arm's tracking loop: hardware cap on the effector's speed, m/s, its
+# first-order time constant, s, and the bound on its angular speed, rad/s.
+MAX_SPEED = 1.5
+TRACK_TAU_S = 0.010
 ANGULAR_SPEED_BOUND = 3.0
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
@@ -43,8 +45,6 @@ class ArmSpec:
     stiffness: float                 # N/m of the admittance control loop
     base_pose: RigidTransform = RigidTransform.identity()
     workspace_center: Vec3 = (0.0, 0.0, 0.0)  # box center, base frame
-    max_speed: float = 1.5           # m/s hardware cap
-    track_tau_s: float = 0.010       # first-order tracking time constant
     _box: Box = field(init=False, repr=False, compare=False)
     _half_range: Vec3 = field(init=False, repr=False, compare=False)
     base_inv: RigidTransform = field(init=False, repr=False, compare=False)
@@ -56,8 +56,8 @@ class ArmSpec:
                             ("max_torque", self.max_torque)):
             if any(v <= 0.0 for v in vals):
                 raise ValueError(f"{self.name}: {label} must be strictly positive")
-        if self.stiffness <= 0.0 or self.max_speed <= 0.0 or self.track_tau_s <= 0.0:
-            raise ValueError(f"{self.name}: stiffness, max_speed and track_tau_s must be positive")
+        if self.stiffness <= 0.0:
+            raise ValueError(f"{self.name}: stiffness must be positive")
         # Built once: arm_step reads them on every control tick.
         object.__setattr__(self, "_box",
                            Box.from_extents(self.workspace_center, self.workspace_extents))
@@ -77,10 +77,10 @@ class ArmSpec:
 
 @dataclass(frozen=True, slots=True)
 class GloveSpec:
-    """Hand exoskeleton capabilities: actuated DOF count and torque limit."""
+    """Hand exoskeleton capabilities: one actuated DOF per finger, each with
+    the same torque limit."""
 
     name: str = "glove"
-    actuated_dofs: int = 5
     max_joint_torque: float = 0.5    # Nm per actuated DOF
 
     def __post_init__(self):
@@ -260,16 +260,14 @@ def glove_apply(cmd: GloveCommand, hand: HandState,
                      resist_torques=tuple(torques), clamp_flags=hand.clamp_flags)
 
 
-def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmState:
-    """Advance the effector one control tick toward the commanded target.
+def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand) -> ArmState:
+    """Advance the effector one control tick (``DT``) toward the commanded target.
 
     The inner loop is a first-order tracker with a hard speed clamp: error
     decays monotonically and the effector arrives exactly once the remaining
     distance fits in one tick. Targets outside the workspace are projected
     onto the box and the clamp is reported on the returned state.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     box = spec.workspace_box_base()
     target_pos = cmd.target.translation
     clamped_pos = box.clamp_point(target_pos)
@@ -289,8 +287,8 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
     cur = state.pose
     dx = tuple(t - c for t, c in zip(target_world.translation, cur.translation))
     dist = math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2)
-    speed = min(cmd.speed_limit, spec.max_speed, dist / spec.track_tau_s)
-    step = speed * dt
+    speed = min(cmd.speed_limit, MAX_SPEED, dist / TRACK_TAU_S)
+    step = speed * DT
     if step >= dist or dist < 1e-15:
         new_pos = target_world.translation
     else:
@@ -301,8 +299,8 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand, dt: float) -> ArmS
     if angle < 1e-12:
         new_rot = target_world.rotation
     else:
-        omega = min(ANGULAR_SPEED_BOUND, angle / spec.track_tau_s)
-        frac = min(1.0, omega * dt / angle)
+        omega = min(ANGULAR_SPEED_BOUND, angle / TRACK_TAU_S)
+        frac = min(1.0, omega * DT / angle)
         new_rot = slerp(cur.rotation, target_world.rotation, frac)
 
     # Safety net: the effector itself must never leave the reachable box.

@@ -121,7 +121,7 @@ class IllegalDockTransition(RuntimeError):
 
 
 def pursue(effector_pose: RigidTransform, target_pose: RigidTransform,
-           max_speed: float, dt: float, *,
+           max_speed: float, *,
            base_pose: RigidTransform = RigidTransform.identity(),
            tool_offset: RigidTransform = RigidTransform.identity()) -> ArmCommand:
     """Pure-pursuit command: chase the target's current pose directly.
@@ -131,8 +131,6 @@ def pursue(effector_pose: RigidTransform, target_pose: RigidTransform,
     face lands on the target. Orientation is commanded to the fixed pose that
     mates the tool with the target, not blended.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if max_speed <= 0.0:
         raise ValueError("max_speed must be positive")
     effect_fwd = base_pose.inverse().compose(effector_pose)

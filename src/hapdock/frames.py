@@ -39,6 +39,14 @@ def _qnormalize(q: Quat) -> Quat:
     return (w * inv, x * inv, y * inv, z * inv)
 
 
+def _point_distance(a: Vec3, b: Vec3) -> float:
+    """Euclidean distance of two points, summed in this order: the one
+    distance expression (``math.dist`` rounds differently)."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+
+
 def _qrotate(q: Quat, v: Vec3) -> Vec3:
     # v' = v + w*(2 qv x v) + qv x (2 qv x v)
     w, x, y, z = q
@@ -117,9 +125,7 @@ class RigidTransform:
         return self.inverse().compose(other).rotation_angle()
 
     def translation_distance_to(self, other: "RigidTransform") -> float:
-        ax, ay, az = self.translation
-        bx, by, bz = other.translation
-        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+        return _point_distance(self.translation, other.translation)
 
 
 def slerp(a: Quat, b: Quat, fraction: float) -> Quat:

@@ -1,4 +1,4 @@
-"""Axis-aligned box helpers shared by the workspace, capability and physics code."""
+"""Axis-aligned box helpers and the tick length, shared by every layer."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 Vec3 = tuple[float, float, float]
 ZERO3: Vec3 = (0.0, 0.0, 0.0)
+
+# The coordinator's one tick rate, and its tick length in seconds.
+TICK_RATE_HZ = 1000.0
+DT = 1.0 / TICK_RATE_HZ
 
 
 @dataclass(frozen=True, slots=True)

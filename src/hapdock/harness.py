@@ -15,14 +15,14 @@ import struct
 from dataclasses import dataclass
 
 from .config import ORACLE_NOISE_FLOOR_N, ArmConfig, Condition, ScenarioConfig
-from .devices import (TICK_RATE_HZ, ArmCommand, ArmState, GloveCommand, HandState,
+from .devices import (ArmCommand, ArmState, GloveCommand, HandState,
                       arm_step, glove_apply, hand_collider_spheres,
                       hand_forward_model, impedance_displacement)
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
-from .frames import RigidTransform, _qmul, _qnormalize, _qrotate
-from .geometry import ZERO3, Box, Vec3
+from .frames import RigidTransform, _point_distance, _qmul, _qnormalize, _qrotate
+from .geometry import DT, TICK_RATE_HZ, ZERO3, Box, Vec3
 from .routing import LowPassFilter, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                   SolverParams, World, step_world)
@@ -89,14 +89,6 @@ _SAMPLE_BITS = struct.Struct("<13d")
 _WRIST_BYTES = 3 * 8
 
 
-def _point_distance(a: Vec3, b: Vec3) -> float:
-    """``RigidTransform.translation_distance_to`` of two points: its
-    expression, so its bits (``math.dist`` rounds differently)."""
-    ax, ay, az = a
-    bx, by, bz = b
-    return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
-
-
 def _same_bits(a: ArmState, b: ArmState) -> bool:
     """Whether two arm states are equal bit for bit: ``==`` would also match
     0.0 with -0.0, which the log tells apart."""
@@ -135,10 +127,9 @@ class Coordinator:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.dt = cfg.coordinator.dt
         self.glove_period = cfg.coordinator.glove_period_ticks
         self.world = self._build_world()
-        self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz, self.dt)
+        self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz)
         self.glove_cmd = GloveCommand(
             spring_constant=(cfg.glove.spring_constant,) * 5)
         dock = cfg.dock
@@ -317,7 +308,7 @@ class Coordinator:
         world = self.world
         if world.hand:
             # The spheres come in the same order every tick.
-            world.move_hand([c for _, c, _ in spheres], self.dt)
+            world.move_hand([c for _, c, _ in spheres])
         else:
             world.set_hand([HandCollider(name, c, radius, ZERO3)
                             for name, c, radius in spheres])
@@ -341,26 +332,21 @@ class Coordinator:
         chain's constants and return ``_follow``'s result for ``plate``.
 
         The chain is ``plate.compose(attach_pose).compose(tool_inv)``, its
-        local pose ``base_inv.compose(...)``, the pinned pose
-        ``base_pose.compose`` of the clamped local pose and the tool point
-        ``pinned.transform_point(tool_offset.translation)``.
-        ``compose`` is ``N(qmul(a.r, b.r))`` and ``a.t + qrotate(a.r, b.t)``,
-        so with every rotation constant ``chain`` holds ``(c1, c2, pinned
-        rotation, tool vector)``: the follow translation is ``(p + c1) + c2``
-        for the plate position ``p``, and the tool point is the pinned
-        position plus the tool vector, the same float operations in the same
-        order.
+        local pose ``base_inv.compose(...)`` and the pinned pose
+        ``base_pose.compose`` of the clamped local pose. ``compose`` is
+        ``N(qmul(a.r, b.r))`` and ``a.t + qrotate(a.r, b.t)``, so with every
+        rotation constant ``chain`` holds ``(c1, c2, pinned rotation)``: the
+        follow translation is ``(p + c1) + c2`` for the plate position ``p``,
+        the same float operations in the same order.
         """
         spec, attach = u.cfg.spec, joint.attach_pose
         rp, tool_inv = self.plate_rotation, self.tool_inv
-        tool = self.cfg.dock.tool_offset
         q1 = _qnormalize(_qmul(rp, attach.rotation))
         q2 = _qnormalize(_qmul(q1, tool_inv.rotation))
         q3 = _qnormalize(_qmul(spec.base_inv.rotation, q2))
         q4 = _qnormalize(_qmul(spec.base_pose.rotation, q3))
         self.docked, self.joint = u, joint
-        self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation),
-                      q4, _qrotate(q4, tool.translation))
+        self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation), q4)
         return self._follow(u, plate)
 
     def _follow(self, u: _ArmUnit, plate: RigidTransform):
@@ -464,27 +450,24 @@ class Coordinator:
         spec = u.cfg.spec
         if u is self.docked:
             local, clamped_pos = follow
-            _, _, q_pinned, tool_vec = self.chain
+            q_pinned = self.chain[2]
             pos = spec.base_pose.transform_point(clamped_pos)
-            pinned = RigidTransform(q_pinned, pos)
-            u.state = ArmState(pose=pinned, clamped=clamped_pos != local)
-            u.tool_point = (pinned, (pos[0] + tool_vec[0], pos[1] + tool_vec[1],
-                                     pos[2] + tool_vec[2]))
+            u.state = ArmState(pose=RigidTransform(q_pinned, pos), clamped=clamped_pos != local)
             disp = impedance_displacement(cmd_world[:3], spec.stiffness)
             return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
         if u.dock_state is DockState.INTERCEPTING:
-            cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed, self.dt,
+            cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed,
                          base_pose=spec.base_pose, tool_offset=self.cfg.dock.tool_offset)
-            u.state = arm_step(spec, u.state, cmd, self.dt)
+            u.state = arm_step(spec, u.state, cmd)
             return spec.base_pose.compose(cmd.target)
         if u.dock_state is DockState.RELEASING:
             hold = spec.base_inv.compose(u.state.pose)
             cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
             # A releasing arm reports no clamp.
-            u.state = ArmState(pose=arm_step(spec, u.state, cmd, self.dt).pose)
+            u.state = ArmState(pose=arm_step(spec, u.state, cmd).pose)
             return u.state.pose
         if u.state is not u.parked:
-            state = arm_step(spec, u.state, u.park_cmd, self.dt)
+            state = arm_step(spec, u.state, u.park_cmd)
             if _same_bits(state, u.state):
                 u.parked = u.state
             else:
@@ -509,11 +492,10 @@ class Coordinator:
         Tracking noise is a position error of the tracker: the interception
         extrapolates the tracked plate with the true plate's velocity, so the
         noise is not differenced into a velocity (which would scale it by
-        1/dt). Without noise the two plates are one.
+        1/DT). Without noise the two plates are one.
         """
         cfg = self.cfg
-        dt = self.dt
-        t = tick * dt
+        t = tick * DT
         events: list[str] = []
 
         hand, wrist = self._hand_for_tick(t, events, tick)
@@ -521,7 +503,7 @@ class Coordinator:
             self._update_hand_colliders(hand, wrist)
 
         try:
-            _, impulses = step_world(self.world, dt)
+            _, impulses = step_world(self.world)
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
@@ -531,12 +513,12 @@ class Coordinator:
         truth_pos = plate_truth.translation
         prev = self._prev_plate
         plate_vel = (ZERO3 if prev is None else
-                     ((truth_pos[0] - prev[0]) / dt, (truth_pos[1] - prev[1]) / dt,
-                      (truth_pos[2] - prev[2]) / dt))
+                     ((truth_pos[0] - prev[0]) / DT, (truth_pos[1] - prev[1]) / DT,
+                      (truth_pos[2] - prev[2]) / DT))
         self._prev_plate = truth_pos
 
         docked = self.docked
-        routed = route_forces(impulses, docked is not None, dt, reference_point=plate_pos)
+        routed = route_forces(impulses, docked is not None, reference_point=plate_pos)
 
         # The magnet-on-plate dock cannot carry torque about its normal and the
         # hand is kept flat, so only the net force is rendered.
@@ -563,7 +545,7 @@ class Coordinator:
             total = 0.0
             for imp in impulses:
                 if imp.hand_collider is not None and imp.body_b == body.name:
-                    total += imp.magnitude / dt * imp.normal[1]
+                    total += imp.magnitude / DT * imp.normal[1]
             support[body.name] = float(total)
 
         lifecycle = cfg.condition is not Condition.FREE
@@ -600,7 +582,7 @@ class Coordinator:
         self.log.append({
             "tick": tick,
             "t": t,
-            "dt": dt,
+            "dt": DT,
             "events": events,
             "wrist": list(wrist.translation),
             "flex": list(hand.flex),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
                       finger_sphere_centers)
 from .frames import RigidTransform
-from .geometry import Vec3
+from .geometry import DT, Vec3
 from .sim import ContactImpulse, World, _sphere_box
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
@@ -31,13 +31,13 @@ class RoutedForces:
     hand_contact_count: int
 
 
-def _hand_forces(impulses: list[ContactImpulse], dt: float):
+def _hand_forces(impulses: list[ContactImpulse]):
     """Per-collider reaction forces on the hand as (source body, force, point)."""
     out = []
     for imp in impulses:
         if imp.hand_collider is None:
             continue
-        scale = imp.magnitude / dt
+        scale = imp.magnitude / DT
         nx, ny, nz = imp.normal
         out.append((imp.body_b, (-scale * nx, -scale * ny, -scale * nz), imp.point))
     return out
@@ -80,7 +80,7 @@ def _paired_magnitude(forces, angle_deg: float) -> float:
     return paired
 
 
-def route_forces(impulses: list[ContactImpulse], docked: bool, dt: float, *,
+def route_forces(impulses: list[ContactImpulse], docked: bool, *,
                  reference_point: Vec3) -> RoutedForces:
     """Route one step's hand-contact impulses.
 
@@ -89,9 +89,7 @@ def route_forces(impulses: list[ContactImpulse], docked: bool, dt: float, *,
     When docked the arm renders it; when not docked it is logged as residual
     and discarded.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    forces = _hand_forces(impulses, dt)
+    forces = _hand_forces(impulses)
     rx, ry, rz = reference_point
 
     fx = fy = fz = tx = ty = tz = 0.0
@@ -165,14 +163,14 @@ def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
 
 
 class LowPassFilter:
-    """First-order low-pass on a fixed-rate wrench (six numbers), held as a
-    float tuple."""
+    """First-order low-pass on a wrench (six numbers) sampled every tick,
+    held as a float tuple."""
 
-    def __init__(self, cutoff_hz: float, dt: float):
+    def __init__(self, cutoff_hz: float):
         if cutoff_hz < 0.0:
             raise ValueError("cutoff must be nonnegative")
         self.enabled = cutoff_hz > 0.0
-        self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt) if self.enabled else 1.0
+        self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * DT) if self.enabled else 1.0
         self.state = (0.0,) * 6
 
     def update(self, x) -> tuple[float, ...]:

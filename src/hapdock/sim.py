@@ -18,10 +18,10 @@ sphere-box edge or corner contact (normal with several nonzero components)
 would round differently, as numpy's own result there already depends on
 whether the CPU has FMA.
 
-A world at its fixed point skips the step. A step reads only the bodies'
-positions and velocities, the hand colliders' centers and velocities, ``dt``,
-``params``, ``gravity`` and fields no step changes (extents, masses, kinds,
-names and radii). So when a step hands every body back bit for bit, a later
+A world at its fixed point skips the step. A step of ``DT`` reads only the
+bodies' positions and velocities, the hand colliders' centers and
+velocities, ``params``, ``gravity`` and fields no step changes (extents,
+masses, kinds, names and radii). So when a step hands every body back bit for bit, a later
 step from an input with the same bits gives the same bodies and the same
 report again, and ``step_world`` returns that report without collecting
 contacts, solving or projecting. Bits are compared, not floats: ``==`` would
@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .geometry import ZERO3, Vec3
+from .geometry import DT, ZERO3, Vec3
 
 
 class BodyKind(Enum):
@@ -127,7 +127,7 @@ class World:
     bodies: list[RigidBody] = field(default_factory=list)
     hand: list[HandCollider] = field(default_factory=list)
     # The last step that handed its input back bit for bit, as
-    # ``(body bits, hand bits, dt, params, gravity, report)``, the hand bits
+    # ``(body bits, hand bits, params, gravity, report)``, the hand bits
     # None when the step was hand-free; see ``step_world``. ``set_hand``
     # clears it.
     fixed_point: tuple | None = field(default=None, init=False, repr=False,
@@ -153,15 +153,15 @@ class World:
         self.hand = list(colliders)
         self.fixed_point = None
 
-    def move_hand(self, centers: list[Vec3], dt: float) -> None:
+    def move_hand(self, centers: list[Vec3]) -> None:
         """Move the colliders in place to ``centers``, given in ``set_hand``
-        order; each velocity is the move over ``dt``."""
+        order; each velocity is the move over one tick, ``DT``."""
         hand = self.hand
         if len(centers) != len(hand):
             raise ValueError(f"expected {len(hand)} hand centers, got {len(centers)}")
         for h, c in zip(hand, centers):
             p = h.center
-            h.velocity = ((c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt)
+            h.velocity = ((c[0] - p[0]) / DT, (c[1] - p[1]) / DT, (c[2] - p[2]) / DT)
             h.center = c
 
     def dynamic_bodies(self) -> list[RigidBody]:
@@ -323,13 +323,13 @@ def _collect_contacts(world: World) -> list[_Contact]:
     return contacts
 
 
-def _penalty_contacts(world: World, dt: float) -> list[ContactImpulse]:
+def _penalty_contacts(world: World) -> list[ContactImpulse]:
     """Hand against immovable geometry: reported as spring-law pseudo impulses."""
     k = world.params.surface_stiffness
     # Impulse applied to the body is the hand pressing inward.
     return [ContactImpulse(body_a="hand", body_b=body.name,
                            point=point, normal=(-n_out[0], -n_out[1], -n_out[2]),
-                           magnitude=k * depth * dt, hand_collider=h.name)
+                           magnitude=k * depth * DT, hand_collider=h.name)
             for body, h, depth, n_out, point in _hand_hits(world, dynamic=False)]
 
 
@@ -351,8 +351,8 @@ def _check_finite(world: World) -> None:
             raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
 
 
-def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
-    """Advance the world one fixed step and report every contact impulse.
+def step_world(world: World) -> tuple[World, list[ContactImpulse]]:
+    """Advance the world one tick, ``DT``, and report every contact impulse.
 
     The returned world is the input advanced in place; it is returned so the
     call reads as a state transition.
@@ -360,10 +360,10 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     A step that hands every body's position and velocity back bit for bit is
     a fixed point: ``world.fixed_point`` keeps the bits of its input (every
     body's position and velocity, every hand collider's center and
-    velocity), ``dt``, the ``params`` and ``gravity`` objects and the report.
-    A later call with the same bits, the same ``dt`` and the same two objects
-    returns a new list of that report and changes nothing; that input passed
-    the divergence check at the end of the step that recorded it. ``params``
+    velocity), the ``params`` and ``gravity`` objects and the report. A
+    later call with the same bits and the same two objects returns a new
+    list of that report and changes nothing; that input passed the
+    divergence check at the end of the step that recorded it. ``params``
     and ``gravity`` are immutable and keyed by identity, so replacing either
     misses even with an equal value. ``add_body`` lengthens the key and
     ``set_hand`` clears the record, as radii are not in the key; extents,
@@ -372,7 +372,7 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     A fixed point is *hand-free* when no hand sphere met a box in it: no
     collected contact is a hand contact, no penalty contact was made, and
     no projection pass moved a body. Its record keeps None for the hand
-    bits, and a later call with the same body bits, ``dt``, ``params`` and
+    bits, and a later call with the same body bits, ``params`` and
     ``gravity`` returns its report when ``_hand_touches`` finds no hit at
     the input, whatever the hand's bits. This is exact. Without a
     projection move the step collects contacts at two places only: its
@@ -390,32 +390,30 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
     writes a hand collider, so after the step they are still the input's
     bits.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     bodies = _bits([(b.position, b.velocity) for b in world.bodies])
     hand = None
     fixed = world.fixed_point
-    if (fixed is not None and fixed[0] == bodies and fixed[2] == dt
-            and fixed[3] is world.params and fixed[4] is world.gravity):
+    if (fixed is not None and fixed[0] == bodies
+            and fixed[2] is world.params and fixed[3] is world.gravity):
         if fixed[1] is None:
             if not _hand_touches(world):
-                return world, list(fixed[5])
+                return world, list(fixed[4])
         else:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
             if fixed[1] == hand:
-                return world, list(fixed[5])
+                return world, list(fixed[4])
     _check_finite(world)
 
     contacts = _collect_contacts(world)
-    penalty = _penalty_contacts(world, dt)
+    penalty = _penalty_contacts(world)
     dynamics = world.dynamic_bodies()
 
     gx, gy, gz = world.gravity
     for b in dynamics:
         v = b.velocity
-        v[0] += gx * dt
-        v[1] += gy * dt
-        v[2] += gz * dt
+        v[0] += gx * DT
+        v[1] += gy * DT
+        v[2] += gz * DT
 
     if contacts:
         for _ in range(world.params.iterations):
@@ -447,9 +445,9 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
 
     for b in dynamics:
         p, v = b.position, b.velocity
-        p[0] += v[0] * dt
-        p[1] += v[1] * dt
-        p[2] += v[2] * dt
+        p[0] += v[0] * DT
+        p[1] += v[1] * DT
+        p[2] += v[2] * DT
 
     # Positional projection: remove residual penetration without injecting
     # momentum, moving dynamic bodies only.
@@ -506,6 +504,5 @@ def step_world(world: World, dt: float) -> tuple[World, list[ContactImpulse]]:
             hand = None
         elif hand is None:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
-        world.fixed_point = (bodies, hand, dt, world.params, world.gravity,
-                             tuple(report))
+        world.fixed_point = (bodies, hand, world.params, world.gravity, tuple(report))
     return world, report

@@ -60,10 +60,10 @@ def cached_run(name: str) -> MetricLog:
             reached.append(True)
             return collect(world)
 
-        def counting_step(world, dt):
+        def counting_step(world):
             nonlocal full
             reached.clear()
-            out = step(world, dt)
+            out = step(world)
             full += bool(reached)
             return out
 

@@ -61,7 +61,7 @@ class TestValidation:
         # The defaults no dataclass declares: the arm model's catalog row, the
         # workspace center as park pose, and the catalog names' own defaults.
         for name in ("workspace_center", "workspace_extents", "rot_range_deg", "max_force",
-                     "max_torque", "stiffness", "max_speed", "track_tau_s"):
+                     "max_torque", "stiffness"):
             assert getattr(arm.spec, name) == getattr(VIRTUOSE_6D, name), name
         assert arm.spec.name == "arm"
         assert arm.park_position == arm.spec.workspace_box_world().center

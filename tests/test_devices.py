@@ -10,6 +10,7 @@ from hapdock.devices import (ArmCommand, ArmSpec, ArmState, DEFAULT_HAND_PARAMS,
                              hand_collider_spheres, hand_forward_model,
                              impedance_displacement)
 from hapdock.frames import RigidTransform
+from hapdock.geometry import DT
 
 IDENTITY = RigidTransform.identity()
 CAL = HandCalibration(flex_min=(10.0,) * 5, flex_max=(90.0,) * 5,
@@ -123,7 +124,7 @@ class TestArmStep:
         spec = small_arm()
         state = ArmState(pose=RigidTransform.from_translation((0.1, 0.2, 0.0)))
         cmd = ArmCommand(target=state.pose, speed_limit=1.0)
-        out = arm_step(spec, state, cmd, 0.001)
+        out = arm_step(spec, state, cmd)
         assert out.pose.translation_distance_to(state.pose) < 1e-12
         assert out.pose.rotation_angle_to(state.pose) < 1e-12
 
@@ -136,7 +137,7 @@ class TestArmStep:
                          speed_limit=1.0)
         ticks_to_tol = None
         for i in range(1, 201):
-            state = arm_step(spec, state, cmd, 0.001)
+            state = arm_step(spec, state, cmd)
             if math.dist(state.pose.translation, (0.1, 0.0, 0.0)) <= 0.005:
                 ticks_to_tol = i
                 break
@@ -148,7 +149,7 @@ class TestArmStep:
         cmd = ArmCommand(target=RigidTransform.from_translation((2.0, 0.0, 0.0)),
                          speed_limit=5.0)
         for _ in range(3000):
-            state = arm_step(spec, state, cmd, 0.001)
+            state = arm_step(spec, state, cmd)
         assert state.clamped
         assert state.pose.translation == pytest.approx((0.5, 0.0, 0.0), abs=1e-9)
 
@@ -162,7 +163,7 @@ class TestArmStep:
             cmd = ArmCommand(target=target, speed_limit=1.0)
             last = math.dist(state.pose.translation, target.translation)
             for _ in range(300):
-                state = arm_step(spec, state, cmd, 0.001)
+                state = arm_step(spec, state, cmd)
                 d = math.dist(state.pose.translation, target.translation)
                 assert d <= last + 1e-12
                 last = d
@@ -175,7 +176,7 @@ class TestArmStep:
                          speed_limit=10.0)
         box = spec.workspace_box_base().inflate(1e-6)
         for _ in range(1000):
-            state = arm_step(spec, state, cmd, 0.001)
+            state = arm_step(spec, state, cmd)
             assert box.contains(state.pose.translation)
 
     def test_rotation_range_clamped(self):
@@ -184,7 +185,7 @@ class TestArmStep:
         cmd = ArmCommand(target=RigidTransform.from_axis_angle((0, 0, 1), 1.0),
                          speed_limit=1.0)
         for _ in range(2000):
-            state = arm_step(spec, state, cmd, 0.001)
+            state = arm_step(spec, state, cmd)
         assert state.pose.rotation_angle() == pytest.approx(math.radians(20.0), abs=1e-6)
         assert state.clamped
 
@@ -216,11 +217,10 @@ class TestSpecsAndRates:
         assert VIRTUOSE_6D.rot_range_deg == (330.0, 130.0, 270.0)
         assert VIRTUOSE_6D.max_force == (9.5, 9.5, 9.5)
         assert VIRTUOSE_6D.max_torque == (1.0, 1.0, 1.0)
-        assert DEXMO_GLOVE.actuated_dofs == 5
         assert DEXMO_GLOVE.max_joint_torque == 0.5
 
     def test_glove_rate_respects_device_limit(self):
-        assert GLOVE_PERIOD_TICKS * 0.001 >= DEVICE_PERIOD_LIMIT_S
+        assert GLOVE_PERIOD_TICKS * DT >= DEVICE_PERIOD_LIMIT_S
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

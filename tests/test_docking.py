@@ -11,6 +11,7 @@ from hapdock.docking import (DOF_LABELS, LEGAL_TRANSITIONS, DockContext, DockJoi
                              PRISMATIC, TOOTHED, dock_step, joint_transmit,
                              predict_position, pursue, try_attach)
 from hapdock.frames import RigidTransform
+from hapdock.geometry import DT
 
 ALL_KINDS = (PLATE_SLIP, PLATE_FRICTION, PINNED_ROTARY, TOOTHED, PRISMATIC)
 BREAK = 5.0 * 9.81  # magnet rated hold: 5 kg
@@ -158,9 +159,9 @@ class TestPursue:
 
     def test_on_target_is_zero_motion(self):
         eff = RigidTransform.from_translation((0.2, 0.0, 0.0))
-        cmd = pursue(eff, eff, 1.0, 0.001)
+        cmd = pursue(eff, eff, 1.0)
         assert cmd.target.translation_distance_to(eff) < 1e-9
-        out = arm_step(self.SPEC, ArmState(pose=eff), cmd, 0.001)
+        out = arm_step(self.SPEC, ArmState(pose=eff), cmd)
         assert out.pose.translation_distance_to(eff) < 1e-12
 
     def test_static_capture_time_bound(self):
@@ -169,8 +170,8 @@ class TestPursue:
         state = ArmState(pose=RigidTransform.identity())
         captured_at = None
         for i in range(1, 700):
-            cmd = pursue(state.pose, target, 1.0, 0.001)
-            state = arm_step(self.SPEC, state, cmd, 0.001)
+            cmd = pursue(state.pose, target, 1.0)
+            state = arm_step(self.SPEC, state, cmd)
             if state.pose.translation_distance_to(target) <= 0.005:
                 captured_at = i
                 break
@@ -180,13 +181,13 @@ class TestPursue:
     def test_moving_target_distance_strictly_decreases(self):
         state = ArmState(pose=RigidTransform.identity())
         for i in range(1200):
-            t = i * 0.001
+            t = i * DT
             target = RigidTransform.from_translation((0.4 + 0.3 * t, 0.2, 0.0))
             d_before = state.pose.translation_distance_to(target)
             if d_before <= 0.005:
                 break
-            cmd = pursue(state.pose, target, 1.0, 0.001)
-            state = arm_step(self.SPEC, state, cmd, 0.001)
+            cmd = pursue(state.pose, target, 1.0)
+            state = arm_step(self.SPEC, state, cmd)
             assert state.pose.translation_distance_to(target) < d_before
         else:
             pytest.fail("moving target was never captured")
@@ -196,16 +197,14 @@ class TestPursue:
         tool_offset = RigidTransform.from_translation((0.0, -0.05, 0.0))
         eff = RigidTransform.from_translation((0.1, 0.3, 0.0))
         target = RigidTransform.from_translation((0.4, 0.2, 0.1))
-        cmd = pursue(eff, target, 1.0, 0.001, tool_offset=tool_offset)
+        cmd = pursue(eff, target, 1.0, tool_offset=tool_offset)
         implied_tool = cmd.target.compose(tool_offset)
         assert implied_tool.translation_distance_to(target) < 1e-9
 
     def test_argument_validation(self):
         eff = RigidTransform.identity()
         with pytest.raises(ValueError):
-            pursue(eff, eff, 0.0, 0.001)
-        with pytest.raises(ValueError):
-            pursue(eff, eff, 1.0, 0.0)
+            pursue(eff, eff, 0.0)
 
 
 def ctx(**over) -> DockContext:

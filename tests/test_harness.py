@@ -29,8 +29,8 @@ def synthetic_log(force_by_can: dict, ticks_per_window: int = 100) -> tuple:
                 "arms": [{"name": "arm", "rendered":
                           [0.0, -force, 0.0, 0.0, 0.0, 0.0]}],
             })
-            t += 0.001
-        windows[name] = (start, t - 0.001)
+            t += geometry.DT
+        windows[name] = (start, t - geometry.DT)
     return log, windows
 
 
@@ -117,15 +117,15 @@ class TestCoordinator:
         log = run_scenario(build("pursuit_static"))
         for i, rec in enumerate(log.records):
             assert rec["tick"] == i
-            assert rec["dt"] == 0.001
-            assert rec["t"] == i * 0.001
+            assert rec["dt"] == geometry.DT
+            assert rec["t"] == i * geometry.DT
 
     def test_glove_and_arm_rate_contract(self):
         log = run_scenario(build("pursuit_static"))
         glove_ticks = [r["tick"] for r in log.records if "glove_cmd" in r["events"]]
         assert glove_ticks[0] == 0
         gaps = [b - a for a, b in zip(glove_ticks, glove_ticks[1:])]
-        assert all(g * 0.001 >= 1.0 / 30.0 for g in gaps)
+        assert all(g * geometry.DT >= 1.0 / 30.0 for g in gaps)
         for rec in log.records:
             assert any(e.startswith("arm_target:") for e in rec["events"])
 
@@ -252,7 +252,7 @@ class TestDockingPipeline:
         prev = log.records[attach_tick - 1]["arms"][0]["pos"]
         cur = log.records[attach_tick]["arms"][0]["pos"]
         step = math.dist(prev, cur)
-        assert step <= cfg.arms[0].pursuit_speed * 0.001 + 1e-9
+        assert step <= cfg.arms[0].pursuit_speed * geometry.DT + 1e-9
 
 
 class TestDockSlot:
@@ -419,7 +419,7 @@ class TestHotPath:
         # Velocities come from the same sphere one tick earlier.
         for h, p in zip(coord.world.hand, prev):
             assert h.center != p
-            expected = tuple((c - q) / coord.dt for c, q in zip(h.center, p))
+            expected = tuple((c - q) / geometry.DT for c, q in zip(h.center, p))
             assert [v.hex() for v in h.velocity] == [v.hex() for v in expected]
 
     def test_handover_steps_no_parked_arm_and_keeps_its_bytes(self, monkeypatch):

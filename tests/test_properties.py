@@ -25,7 +25,7 @@ from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
                              joint_transmit)
 from hapdock.frames import RigidTransform
-from hapdock.geometry import Box
+from hapdock.geometry import DT, Box
 from hapdock.harness import Coordinator, _point_distance, _same_bits
 from hapdock.routing import _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
@@ -312,7 +312,7 @@ def hand_worlds(draw):
         for h in spheres:
             h.center = draw(st.tuples(coords, coords, coords))
         world.set_hand(spheres)
-        world.move_hand(centers, 0.001)
+        world.move_hand(centers)
     else:
         world.set_hand(spheres)
     return world
@@ -337,30 +337,28 @@ def brute_force_hand_hits(world: World, dynamic: bool) -> list:
 @settings(max_examples=500, deadline=None)
 @given(world=hand_worlds())
 def test_hand_broadphase_culls_no_contact(world):
-    dt = 0.001
     contacts = [(c.body.name, c.hand.name, c.normal, c.depth, c.point)
                 for c in _collect_contacts(world) if c.hand is not None]
     assert contacts == brute_force_hand_hits(world, dynamic=True)
     k = world.params.surface_stiffness
     penalty = [(imp.body_b, imp.hand_collider, imp.normal, imp.magnitude, imp.point)
-               for imp in _penalty_contacts(world, dt)]
-    assert penalty == [(b, h, n, k * depth * dt, p)
+               for imp in _penalty_contacts(world)]
+    assert penalty == [(b, h, n, k * depth * DT, p)
                        for b, h, n, depth, p in brute_force_hand_hits(world, dynamic=False)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(world=hand_worlds(), data=st.data())
 def test_moved_hand_matches_a_hand_set_there(world, data):
-    dt = 0.001
     before = [h.center for h in world.hand]
     objects = list(world.hand)
     centers = [data.draw(st.tuples(coords, coords, coords)) for _ in before]
-    world.move_hand(centers, dt)
+    world.move_hand(centers)
     assert all(h is o for h, o in zip(world.hand, objects))
     for h, c, p in zip(world.hand, centers, before):
         assert h.center == c
         assert ([bits(v) for v in h.velocity]
-                == [bits((a - b) / dt) for a, b in zip(c, p)])
+                == [bits((a - b) / DT) for a, b in zip(c, p)])
 
 
 @st.composite
@@ -509,11 +507,11 @@ def test_fixed_point_step_matches_a_fresh_world(run):
     world, frames = run
     reference = fresh_copy(world)
     for centers in frames:
-        world.move_hand(centers, 0.001)
-        reference.move_hand(centers, 0.001)
+        world.move_hand(centers)
+        reference.move_hand(centers)
         reference = fresh_copy(reference)
-        report = step_world(world, 0.001)[1]
-        assert step_bits(world, report) == step_bits(reference, step_world(reference, 0.001)[1])
+        report = step_world(world)[1]
+        assert step_bits(world, report) == step_bits(reference, step_world(reference)[1])
 
 
 @st.composite
@@ -559,12 +557,12 @@ def test_hand_free_fixed_point_step_matches_a_fresh_world(run):
     world, frames = run
     reference = fresh_copy(world)
     for centers in frames:
-        world.move_hand(centers, 0.001)
-        reference.move_hand(centers, 0.001)
+        world.move_hand(centers)
+        reference.move_hand(centers)
         reference = fresh_copy(reference)
         record = world.fixed_point
-        report = step_world(world, 0.001)[1]
-        assert step_bits(world, report) == step_bits(reference, step_world(reference, 0.001)[1])
+        report = step_world(world)[1]
+        assert step_bits(world, report) == step_bits(reference, step_world(reference)[1])
         if record is not None and record[1] is None:
             assert world.fixed_point is record
 
@@ -718,7 +716,7 @@ def test_changed_sample_is_recomputed(which, zero, then):
         raw = as_dict("single_lift_force_feedback")
         raw["coordinator"] = {**raw["coordinator"], "duration_s": 0.002}
         raw["trajectory"] = {**raw["trajectory"], **{
-            key: [[0.0, *values[lo:hi]], [0.001, *held[lo:hi]]]
+            key: [[0.0, *values[lo:hi]], [DT, *held[lo:hi]]]
             for key, lo, hi in (("wrist", 0, 3), ("flex", 3, 8), ("abduction", 8, 13))}}
         return scenario_from_dict(raw)
 
@@ -884,7 +882,6 @@ def state_bits(state: ArmState) -> list:
     return [bits(v) for v in pose.rotation + pose.translation] + [state.clamped]
 
 
-PARK_DT = 0.001
 PARK_STEPS = 3000
 BASE_ROTATIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0),
                   (math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0), (0.9, 0.1, -0.3, 0.2))
@@ -901,9 +898,7 @@ def park_cases(draw):
         max_force=(9.5, 9.5, 9.5), max_torque=(1.0, 1.0, 1.0), stiffness=1000.0,
         base_pose=RigidTransform.from_quat(draw(st.sampled_from(BASE_ROTATIONS)),
                                            draw(translations)),
-        workspace_center=draw(st.tuples(*[st.sampled_from((0.0, 0.25, -0.5))] * 3)),
-        max_speed=draw(st.floats(0.5, 3.0)),
-        track_tau_s=draw(st.sampled_from((0.005, 0.010, 0.020))))
+        workspace_center=draw(st.tuples(*[st.sampled_from((0.0, 0.25, -0.5))] * 3)))
     target = spec.workspace_box_base().center
     if draw(st.booleans()):
         target = tuple(t + draw(st.floats(-1.5, 1.5)) for t in target)
@@ -943,7 +938,7 @@ TWIN_START = ArmState(RigidTransform((1.0, -0.0, -0.0, -0.0), (-0.0, 0.1, -0.2))
 def test_parked_arm_stays_at_its_fixed_point(case):
     spec, cmd, state = case
     for _ in range(PARK_STEPS):
-        out = arm_step(spec, state, cmd, PARK_DT)
+        out = arm_step(spec, state, cmd)
         fixed = state_bits(out) == state_bits(state)
         # The coordinator's test is bits, never ``==``.
         assert _same_bits(out, state) is fixed
@@ -956,9 +951,9 @@ def test_parked_arm_stays_at_its_fixed_point(case):
     # ``arm_step`` is pure: the kept input and the equal output both stay put.
     for kept in (state, out):
         for _ in range(5):
-            assert state_bits(arm_step(spec, kept, cmd, PARK_DT)) == state_bits(state)
+            assert state_bits(arm_step(spec, kept, cmd)) == state_bits(state)
     for twin in signed_zero_twins(state):
-        stepped = arm_step(spec, twin, cmd, PARK_DT)
+        stepped = arm_step(spec, twin, cmd)
         assert stepped == twin and state_bits(stepped) == state_bits(state)
         assert not _same_bits(stepped, twin)
 
@@ -1053,8 +1048,8 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     assert pose_bits(u.state.pose) == pose_bits(ref["pinned"])
     assert u.state.clamped == ref["clamp_flag"]
     assert pose_bits(target) == pose_bits(ref["target"])
-    assert u.tool_point[0] is u.state.pose
-    assert [bits(v) for v in u.tool_point[1]] == [bits(v) for v in ref["tool_point"]]
+    tool_point = u.state.pose.transform_point(tool_offset.translation)
+    assert [bits(v) for v in tool_point] == [bits(v) for v in ref["tool_point"]]
 
     sent = []
     with pytest.MonkeyPatch.context() as mp:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import os
 import struct
 import subprocess
@@ -8,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import hapdock
-from hapdock import harness
+from hapdock import devices, docking, geometry, harness, routing, sim
 from shipped import as_dict, build
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,3 +120,15 @@ def test_perfbench_hooks_see_every_tick_call(monkeypatch):
             hand_bits = bits
             seen.update(counts)
     assert sorted(set(calls) - seen) == []
+
+
+def test_the_tick_length_is_one_constant():
+    # The coordinator has one tick rate, so no function takes the tick
+    # length; perfbench still reads it as ``CoordinatorConfig.dt``.
+    ticked = (devices.arm_step, docking.pursue, sim.step_world, sim.World.move_hand,
+              routing.route_forces, routing.LowPassFilter)
+    assert [f.__qualname__ for f in ticked
+            if "dt" in inspect.signature(f).parameters] == []
+    dt = hapdock.config.CoordinatorConfig(duration_s=1.0).dt
+    assert struct.pack("<d", dt) == struct.pack("<d", geometry.DT)
+    assert geometry.DT == 1.0 / geometry.TICK_RATE_HZ

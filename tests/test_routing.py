@@ -7,12 +7,12 @@ from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS,
                              HandCalibration, finger_sphere_centers,
                              hand_forward_model)
 from hapdock.frames import RigidTransform
+from hapdock.geometry import DT
 from hapdock.routing import (LowPassFilter, _finger_penetration, contact_drum_param,
                              route_forces)
 from hapdock.sim import (BodyKind, ContactImpulse, HandCollider, RigidBody,
                          World, step_world)
 
-DT = 0.001
 CAL = HandCalibration()
 IDENTITY = RigidTransform.identity()
 
@@ -33,7 +33,7 @@ class TestRouteForces:
         # Equal-and-opposite pair on the same body: glove-only, zero net.
         imp = [impulse("index_2", "post", (0.0, -1.0, 0.0), 0.02 * DT),
                impulse("thumb_2", "post", (0.0, 1.0, 0.0), 0.02 * DT)]
-        routed = route_forces(imp, True, DT, reference_point=(0, 0, 0))
+        routed = route_forces(imp, True, reference_point=(0, 0, 0))
         assert routed.net_force == (0.0, 0.0, 0.0)
         assert routed.paired_magnitude == pytest.approx(0.02)
 
@@ -41,14 +41,14 @@ class TestRouteForces:
         # Hand statically supporting 0.3 kg: arm feels (0, -2.943, 0) N.
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT,
                        point=(0.0, 0.1, 0.0))]
-        routed = route_forces(imp, True, DT, reference_point=(0.0, 0.1, 0.0))
+        routed = route_forces(imp, True, reference_point=(0.0, 0.1, 0.0))
         assert routed.net_force == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
         assert routed.residual == (0.0,) * 6
         assert routed.paired_magnitude == 0.0
 
     def test_undocked_net_force_is_discarded_to_residual(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 0.3 * 9.81 * DT)]
-        routed = route_forces(imp, False, DT, reference_point=(0.0, 0.0, 0.0))
+        routed = route_forces(imp, False, reference_point=(0.0, 0.0, 0.0))
         assert routed.residual[:3] == pytest.approx((0.0, -2.943, 0.0), rel=1e-9)
         assert routed.residual == routed.net_force + routed.net_torque
 
@@ -65,7 +65,7 @@ class TestRouteForces:
                                 point=tuple(rng.uniform(-0.1, 0.1, 3))))
         total = -sum(np.asarray(i.normal) * i.magnitude / DT for i in imps)
         for docked in (True, False):
-            routed = route_forces(imps, docked, DT, reference_point=(0, 0, 0))
+            routed = route_forces(imps, docked, reference_point=(0, 0, 0))
             assert routed.net_force == pytest.approx(total, abs=1e-12)
             assert routed.residual == ((0.0,) * 6 if docked
                                        else routed.net_force + routed.net_torque)
@@ -73,7 +73,7 @@ class TestRouteForces:
     def test_torque_about_reference_point(self):
         imp = [impulse("palm", "can", (0.0, 1.0, 0.0), 1.0 * DT,
                        point=(0.1, 0.0, 0.0))]
-        routed = route_forces(imp, True, DT, reference_point=(0.0, 0.0, 0.0))
+        routed = route_forces(imp, True, reference_point=(0.0, 0.0, 0.0))
         # The hand feels the 1 N reaction downward at +10 cm x: -0.1 Nm about z.
         assert routed.net_torque == pytest.approx((0.0, 0.0, -0.1), abs=1e-12)
 
@@ -82,12 +82,8 @@ class TestRouteForces:
         n2 = (math.sin(math.radians(30)), math.cos(math.radians(30)), 0.0)
         imp = [impulse("a", "post", (0.0, -1.0, 0.0), 1e-3),
                impulse("b", "post", n2, 1e-3)]
-        routed = route_forces(imp, False, DT, reference_point=(0.0, 0.0, 0.0))
+        routed = route_forces(imp, False, reference_point=(0.0, 0.0, 0.0))
         assert routed.paired_magnitude == 0.0
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            route_forces([], False, 0.0, reference_point=(0.0, 0.0, 0.0))
 
 
 def pinch_world() -> World:
@@ -173,9 +169,8 @@ class TestContactDrum:
                                          center=np.array([0.0, y, 0.0]),
                                          radius=0.05,
                                          velocity=np.array([0.0, vy, 0.0]))])
-                _, impulses = step_world(w, DT)
-                routed = route_forces(impulses, True, DT,
-                                      reference_point=(0.0, 0.0, 0.0))
+                _, impulses = step_world(w)
+                routed = route_forces(impulses, True, reference_point=(0.0, 0.0, 0.0))
                 if i > 700:
                     forces.append(-routed.net_force[1])
             return sum(forces) / len(forces)
@@ -188,17 +183,17 @@ class TestContactDrum:
 
 class TestLowPass:
     def test_step_response_converges(self):
-        f = LowPassFilter(cutoff_hz=20.0, dt=DT)
+        f = LowPassFilter(cutoff_hz=20.0)
         target = np.array([1.0, -2.0, 0.5, 0.3, 0.0, -0.1])
         for _ in range(500):  # 0.5 s >> the 8 ms time constant
             out = f.update(target)
         assert out == pytest.approx(target, rel=1e-3)
 
     def test_disabled_filter_passes_through(self):
-        f = LowPassFilter(cutoff_hz=0.0, dt=DT)
+        f = LowPassFilter(cutoff_hz=0.0)
         wrench = [3.0, 4.0, -1.0, 0.5, 0.0, 2.0]
         assert f.update(wrench) == tuple(wrench)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            LowPassFilter(cutoff_hz=-1.0, dt=DT)
+            LowPassFilter(cutoff_hz=-1.0)

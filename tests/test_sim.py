@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hapdock import sim
+from hapdock.geometry import DT
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                          World, _collect_contacts, _sphere_box, step_world)
 
-DT = 0.001
 G = 9.81
 
 
@@ -106,7 +106,7 @@ class TestDynamics:
         # Static equilibrium: the desk supplies m*g*dt upward every step.
         w = world_with(desk(), can())
         for _ in range(50):
-            _, impulses = step_world(w, DT)
+            _, impulses = step_world(w)
         assert len(impulses) == 1
         imp = impulses[0]
         assert imp.body_b == "can"
@@ -118,7 +118,7 @@ class TestDynamics:
     def test_free_fall_velocity(self):
         w = world_with(can(y=5.0))
         for _ in range(1000):
-            step_world(w, DT)
+            step_world(w)
         assert plain_floats(w.body("can").velocity)
         assert w.body("can").velocity[1] == pytest.approx(-9.81, abs=1e-9)
 
@@ -131,7 +131,7 @@ class TestDynamics:
             x = -0.12 + 0.2 * (i * DT)  # sphere sweeping in +x
             w.set_hand([HandCollider(name="palm", center=np.array([x, 0.055, 0.0]),
                                      radius=0.05, velocity=np.array([0.2, 0.0, 0.0]))])
-            for imp in step_world(w, DT)[1]:
+            for imp in step_world(w)[1]:
                 if imp.hand_collider == "palm":
                     impulse_normals.append(imp.normal)
         assert float(w.body("can").position[0]) > x0 + 0.005
@@ -144,7 +144,7 @@ class TestDynamics:
         w.set_hand([HandCollider(name="palm", center=np.array([0.0, 0.11, 0.0]),
                                  radius=0.05, velocity=np.zeros(3))])
         before = w.hand[0].center.copy()
-        step_world(w, DT)
+        step_world(w)
         assert np.array_equal(w.hand[0].center, before)
 
     def test_move_hand_takes_one_center_per_collider(self):
@@ -152,7 +152,7 @@ class TestDynamics:
         w.set_hand([HandCollider(name="palm", center=(0.0, 0.2, 0.0), radius=0.05,
                                  velocity=(0.0, 0.0, 0.0))])
         with pytest.raises(ValueError):
-            w.move_hand([(0.0, 0.3, 0.0), (0.0, 0.4, 0.0)], DT)
+            w.move_hand([(0.0, 0.3, 0.0), (0.0, 0.4, 0.0)])
         assert w.hand[0].center == (0.0, 0.2, 0.0)
 
     def test_supported_can_rides_rising_palm(self):
@@ -164,7 +164,7 @@ class TestDynamics:
                                      center=np.array([0.0, y_palm, 0.0]),
                                      radius=0.05,
                                      velocity=np.array([0.0, 0.25, 0.0]))])
-            step_world(w, DT)
+            step_world(w)
         # After 1.2 s the palm top is ~0.29: the can must be airborne on it.
         can_bottom = float(w.body("can").position[1]) - 0.055
         palm_top = y_palm + 0.05
@@ -175,7 +175,7 @@ class TestDynamics:
         assert plain_floats(w.body("can").position)
         last = mechanical_energy(w)
         for _ in range(1500):
-            step_world(w, DT)
+            step_world(w)
             e = mechanical_energy(w)
             assert e <= last + 1e-9
             last = e
@@ -186,7 +186,7 @@ class TestDynamics:
         w = world_with(desk(), can())
         w.set_hand([HandCollider(name="palm", center=np.array([0.0, 0.002, 0.0]),
                                  radius=0.05, velocity=np.array([0.0, 0.3, 0.0]))])
-        _, report = step_world(w, DT)
+        _, report = step_world(w)
         impulses = [i for i in report if i.hand_collider is not None]
         assert impulses
         on_body = np.zeros(3)
@@ -201,7 +201,7 @@ class TestDynamics:
         upper = can(name="upper", mass=0.1, y=0.166)
         w = world_with(desk(), lower, upper)
         for _ in range(400):
-            _, impulses = step_world(w, DT)
+            _, impulses = step_world(w)
         pair = [i for i in impulses if {i.body_a, i.body_b} == {"lower", "upper"}]
         assert len(pair) == 1
         assert pair[0].magnitude == pytest.approx(0.1 * G * DT, rel=1e-6)
@@ -213,7 +213,7 @@ class TestDynamics:
             w = world_with(desk(), can(y=0.2))
             out = []
             for _ in range(500):
-                step_world(w, DT)
+                step_world(w)
             out.extend(w.body("can").position)
             out.extend(w.body("can").velocity)
             return out
@@ -247,7 +247,7 @@ def step_bits(world: World, report) -> tuple:
 def settle(world: World, limit: int = 2000) -> tuple:
     """Step until a step hands its input back; return the world's record."""
     for _ in range(limit):
-        step_world(world, DT)
+        step_world(world)
         if world.fixed_point is not None:
             return world.fixed_point
     raise AssertionError("the world never reached a fixed point")
@@ -279,12 +279,12 @@ class TestFixedPoint:
     def test_repeat_returns_the_report_without_a_step(self, collects):
         w = held_can()
         record = settle(w)
-        before = step_bits(w, record[5])
+        before = step_bits(w, record[-1])
         collects.clear()
-        reports = [step_world(w, DT)[1] for _ in range(3)]
+        reports = [step_world(w)[1] for _ in range(3)]
         assert collects == []
         assert w.fixed_point is record
-        assert reports[0] is not reports[1] and list(record[5]) == reports[0]
+        assert reports[0] is not reports[1] and list(record[-1]) == reports[0]
         assert any(i.hand_collider == "palm" for i in reports[0])
         for report in reports:
             assert step_bits(w, report) == before
@@ -310,9 +310,9 @@ class TestFixedPoint:
             w.gravity = tuple(list(w.gravity))
         copy = fresh_copy(w)
         collects.clear()
-        report = step_world(w, DT)[1]
+        report = step_world(w)[1]
         assert collects and collects[0] is w
-        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+        assert step_bits(w, report) == step_bits(copy, step_world(copy)[1])
 
 
 def sandwich() -> World:
@@ -335,12 +335,12 @@ class TestHandFreeFixedPoint:
         record = settle(w)
         assert record[1] is None
         for k in range(1, 4):
-            w.move_hand([(0.01 * k, 0.2 - 0.001 * k, 0.0)], DT)
+            w.move_hand([(0.01 * k, 0.2 - 0.001 * k, 0.0)])
             copy = fresh_copy(w)
             collects.clear()
-            report = step_world(w, DT)[1]
+            report = step_world(w)[1]
             assert collects == [] and w.fixed_point is record
-            assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+            assert step_bits(w, report) == step_bits(copy, step_world(copy)[1])
 
     def test_a_touching_hand_steps(self, collects):
         w = world_with(desk(), can())
@@ -348,17 +348,17 @@ class TestHandFreeFixedPoint:
         record = settle(w)
         collects.clear()
         # Resting on the can's top face, 0.1 mm deep.
-        w.move_hand([(0.0, 0.11 + 0.02 - 1e-4, 0.0)], DT)
+        w.move_hand([(0.0, 0.11 + 0.02 - 1e-4, 0.0)])
         copy = fresh_copy(w)
-        report = step_world(w, DT)[1]
+        report = step_world(w)[1]
         assert collects and w.fixed_point is not record
         assert any(i.hand_collider == "palm" for i in report)
-        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+        assert step_bits(w, report) == step_bits(copy, step_world(copy)[1])
 
     def test_projected_fixed_point_keeps_the_hand_bits(self, collects):
         w = sandwich()
         box = w.body("box")
-        step_world(w, DT)
+        step_world(w)
         # Both passes moved the box, and the step handed it back.
         assert len(collects) == 3
         assert box.position == [0.0, 0.0, 0.0] and box.velocity == [0.0, 0.0, 0.0]
@@ -367,13 +367,13 @@ class TestHandFreeFixedPoint:
         # The same hand repeats the record; a moved hand, touching nothing,
         # does not.
         collects.clear()
-        step_world(w, DT)
+        step_world(w)
         assert collects == [] and w.fixed_point is record
-        w.move_hand([(1.5, 0.001, 0.0)], DT)
+        w.move_hand([(1.5, 0.001, 0.0)])
         copy = fresh_copy(w)
-        report = step_world(w, DT)[1]
+        report = step_world(w)[1]
         assert len(collects) == 3
-        assert step_bits(w, report) == step_bits(copy, step_world(copy, DT)[1])
+        assert step_bits(w, report) == step_bits(copy, step_world(copy)[1])
 
 
 class TestDivergence:
@@ -381,14 +381,14 @@ class TestDivergence:
         w = world_with(can())
         w.body("can").velocity[1] = float("nan")
         with pytest.raises(SimulationDiverged):
-            step_world(w, DT)
+            step_world(w)
 
     def test_runaway_state_halts(self):
         w = world_with(can())
         w.body("can").velocity[1] = 1.0e200
         with pytest.raises(SimulationDiverged):
             for _ in range(10):
-                step_world(w, DT)
+                step_world(w)
 
     @pytest.mark.parametrize("attr", ["position", "velocity"])
     def test_opposite_runaway_components_halt(self, attr):
@@ -396,11 +396,7 @@ class TestDivergence:
         w = world_with(can())
         getattr(w.body("can"), attr)[:3] = (1.0e12, -1.0e12, 0.0)
         with pytest.raises(SimulationDiverged):
-            step_world(w, DT)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_world(world_with(can()), 0.0)
+            step_world(w)
 
 
 class TestValidation:
