@@ -31,7 +31,7 @@ from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_CONTACT_RADIUS_M, DEFAULT_FRICTION_MU,
                       DEFAULT_POS_TOL_M, DockJointKind, JOINT_KIND_CATALOG)
 from .frames import RigidTransform, quat_from_euler_xyz
-from .geometry import DT, TICK_RATE_HZ
+from .geometry import DT, TICK_RATE_HZ, ZERO6
 
 SCHEMA_VERSION = 1
 # Support-force gap, N, below which the weight oracle cannot tell two cans
@@ -113,13 +113,30 @@ class SceneConfig:
     slop: float = 5.0e-4
 
 
+class Track(tuple):
+    """A ``((t, values), ...)`` track with ``t`` strictly increasing, as the
+    loader builds it.
+
+    ``held[i]`` is the value inside segment ``i`` when its two rows hold equal
+    values, else None. For equal values, zeros of either sign included,
+    ``x0 + a * (x1 - x0)`` adds a zero to ``x0`` for every ``a >= 0``, which
+    is ``x0 + 0.0``: the bits of ``x0`` except that -0.0 becomes +0.0.
+    """
+
+    def __new__(cls, rows):
+        track = super().__new__(cls, rows)
+        track.held = tuple(tuple(x0 + 0.0 for x0 in v0) if v0 == v1 else None
+                           for (_, v0), (_, v1) in zip(track, track[1:]))
+        return track
+
+
 @dataclass(frozen=True, slots=True)
 class TrajectoryConfig:
     """Scripted hand motion as piecewise-linear waypoint tracks."""
 
-    wrist: tuple[tuple[float, tuple[float, float, float]], ...]
-    flex: tuple[tuple[float, tuple[float, ...]], ...]
-    abduction: tuple[tuple[float, tuple[float, ...]], ...]
+    wrist: Track
+    flex: Track
+    abduction: Track
     wrist_rotation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def sample(self, t: float):
@@ -131,13 +148,17 @@ class TrajectoryConfig:
 _row_time = itemgetter(0)
 
 
-def sample_track(track, t: float) -> tuple[float, ...]:
-    """Piecewise-linear value of a ``((t, values), ...)`` track, held at its ends."""
+def sample_track(track: Track, t: float) -> tuple[float, ...]:
+    """Piecewise-linear value of ``track`` at ``t``, held at its ends. A time
+    inside a held segment returns that segment's one ``held`` tuple."""
     if t <= track[0][0]:
         return track[0][1]
     if t >= track[-1][0]:
         return track[-1][1]
     i = bisect_right(track, t, key=_row_time) - 1
+    held = track.held[i]
+    if held is not None:
+        return held
     t0, v0 = track[i]
     t1, v1 = track[i + 1]
     a = (t - t0) / (t1 - t0)
@@ -173,12 +194,12 @@ class ScenarioConfig:
     trajectory: TrajectoryConfig
     lift_windows: dict = field(default_factory=dict)
     oracle_noise_floor_n: float = ORACLE_NOISE_FLOOR_N
-    injected_load: tuple[tuple[float, tuple[float, ...]], ...] = ()
+    injected_load: Track | tuple = ()
     tracking_noise_std_m: float = 0.0
 
     def sample_injected_load(self, t: float) -> tuple[float, ...]:
         if not self.injected_load:
-            return (0.0,) * 6
+            return ZERO6
         return sample_track(self.injected_load, t)
 
 
@@ -248,7 +269,7 @@ def _track(width: int):
                 raise ConfigError(f"{path}[{i}][0]", "timestamps must be strictly increasing")
             track.append((t, tuple(_number(v, f"{path}[{i}][{j}]")
                                    for j, v in enumerate(row[1:], 1))))
-        return tuple(track)
+        return Track(track)
     return parse
 
 

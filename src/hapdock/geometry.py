@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 Vec3 = tuple[float, float, float]
 ZERO3: Vec3 = (0.0, 0.0, 0.0)
+ZERO6 = (0.0,) * 6  # a zero wrench
 
 # The coordinator's one tick rate, and its tick length in seconds.
 TICK_RATE_HZ = 1000.0

@@ -15,14 +15,14 @@ import struct
 from dataclasses import dataclass
 
 from .config import ORACLE_NOISE_FLOOR_N, ArmConfig, Condition, ScenarioConfig
-from .devices import (ArmCommand, ArmState, GloveCommand, HandState,
+from .devices import (NUM_FINGERS, ArmCommand, ArmState, GloveCommand, HandState,
                       arm_step, glove_apply, hand_collider_spheres,
                       hand_forward_model, impedance_displacement)
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
 from .frames import RigidTransform, _point_distance, _qmul, _qnormalize, _qrotate
-from .geometry import DT, TICK_RATE_HZ, ZERO3, Box, Vec3
+from .geometry import DT, TICK_RATE_HZ, ZERO3, ZERO6, Box, Vec3
 from .routing import LowPassFilter, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                   SolverParams, World, step_world)
@@ -79,9 +79,6 @@ class MetricLog:
         return log
 
 
-ZERO6 = (0.0,) * 6
-
-
 _POSE_BITS = struct.Struct("<7d")
 # A trajectory sample: wrist position (the first 24 bytes), five flexes,
 # five abductions.
@@ -131,7 +128,7 @@ class Coordinator:
         self.world = self._build_world()
         self.filter = LowPassFilter(cfg.coordinator.filter_cutoff_hz)
         self.glove_cmd = GloveCommand(
-            spring_constant=(cfg.glove.spring_constant,) * 5)
+            spring_constant=(cfg.glove.spring_constant,) * NUM_FINGERS)
         dock = cfg.dock
         self.tool_inv = dock.tool_offset.inverse()
         self.unattached_joint = DockJoint(
@@ -175,6 +172,12 @@ class Coordinator:
         self._applied: tuple = (None, None, None)     # (intended, command, hand)
         # (hand, wrist) last moved to, and whether it was moved to twice in a row.
         self._collider: tuple = (None, None, False)
+        # The force path's last inputs and outputs, so that a docked command
+        # that did not move is not rebuilt; see ``_command``, ``_transmit``
+        # and ``_control``.
+        self._cmd: tuple = (None, None, None, None)   # (unit, filtered, load, command)
+        self._sent: tuple = (None, None, None)        # (command, joint, transmit)
+        self._disp: tuple = (None, None, None)        # (unit, command, displacement)
         self.log = MetricLog(self._header())
 
     def _unit(self, arm: ArmConfig) -> _ArmUnit:
@@ -266,9 +269,9 @@ class Coordinator:
             wrist = RigidTransform(self.wrist_rotation, wrist_pos)
             if last_key is None or key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]:
                 sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
-                          for i in range(5)]
+                          for i in range(NUM_FINGERS)]
                 sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
-                           for i in range(5)]
+                           for i in range(NUM_FINGERS)]
                 sensed.append(0.0)  # spare wrist channel, unused by the forward model
             self._sample = (key, sensed, wrist)
         intended = hand_forward_model(sensed, cal)
@@ -281,10 +284,10 @@ class Coordinator:
                     f"previous command; the contract needs {self.glove_period}")
             self._last_glove_tick = tick
             stops = tuple(contact_drum_param(wrist, intended, k, self.world)
-                          for k in range(5))
+                          for k in range(NUM_FINGERS))
             self.glove_cmd = GloveCommand(
                 stop_angle=stops,
-                spring_constant=(cfg.glove.spring_constant,) * 5)
+                spring_constant=(cfg.glove.spring_constant,) * NUM_FINGERS)
             events.append("glove_cmd")
         last_intended, last_cmd, applied = self._applied
         if intended is not last_intended or self.glove_cmd is not last_cmd:
@@ -405,15 +408,11 @@ class Coordinator:
             local, clamped = follow
             if math.dist(local, clamped) > dock.release_slack_m:
                 release_demanded = True
-            inv = self.plate_rotation_inv
-            cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
-            out_plate, out_slip, released = joint_transmit(self.joint, cmd_plate)
+            out, out_slip, released = self._transmit(cmd_world)
             if released:
                 release_demanded = True
             if not release_demanded:
-                rp = self.plate_rotation
-                transmitted = _qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:])
-                slip = out_slip
+                transmitted, slip = out, out_slip
 
         if u.dock_state is DockState.INTERCEPTING and magnet_on and slot_available:
             magnet_pose = u.state.pose.compose(dock.tool_offset)
@@ -443,6 +442,43 @@ class Coordinator:
         u.dock_state = new_state
         return transmitted, slip, follow
 
+    def _command(self, u: _ArmUnit, filtered: tuple[float, ...],
+                 load: tuple[float, ...]) -> tuple[float, ...]:
+        """The docked arm ``u``'s command wrench, world frame: under force
+        feedback ``filtered`` clamped to ``u``'s envelope, plus the injected
+        ``load``. Last tick's object while ``u``, ``filtered`` and ``load``
+        are last tick's objects."""
+        last_u, last_filtered, last_load, cmd = self._cmd
+        if u is last_u and filtered is last_filtered and load is last_load:
+            return cmd
+        cmd = ZERO6
+        if self.cfg.condition is Condition.FORCE_FEEDBACK:
+            # The arm's own actuation saturates at its envelope; injected
+            # loads model external pulls on the joint and bypass it.
+            spec = u.cfg.spec
+            limits = spec.max_force + spec.max_torque
+            cmd = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
+        cmd = tuple(c + l for c, l in zip(cmd, load))
+        self._cmd = (u, filtered, load, cmd)
+        return cmd
+
+    def _transmit(self, cmd_world: tuple[float, ...]):
+        """``joint_transmit``'s ``(transmitted, slip, released)`` for the dock
+        joint and ``cmd_world`` turned into the plate frame, with the
+        transmitted wrench turned back to the world frame. The plate's
+        rotation is a scenario constant, so this is last tick's tuple while
+        ``cmd_world`` and the joint are last tick's objects."""
+        last_cmd, last_joint, out = self._sent
+        joint = self.joint
+        if cmd_world is last_cmd and joint is last_joint:
+            return out
+        inv, rp = self.plate_rotation_inv, self.plate_rotation
+        cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
+        out_plate, slip, released = joint_transmit(joint, cmd_plate)
+        out = (_qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:]), slip, released)
+        self._sent = (cmd_world, joint, out)
+        return out
+
     def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
                  cmd_world: tuple[float, ...]) -> RigidTransform:
         """Step ``u``'s arm for this tick and return its target, world frame.
@@ -453,7 +489,12 @@ class Coordinator:
             q_pinned = self.chain[2]
             pos = spec.base_pose.transform_point(clamped_pos)
             u.state = ArmState(pose=RigidTransform(q_pinned, pos), clamped=clamped_pos != local)
-            disp = impedance_displacement(cmd_world[:3], spec.stiffness)
+            # Last tick's displacement while ``u`` and the command are last
+            # tick's objects.
+            last_u, last_cmd, disp = self._disp
+            if u is not last_u or cmd_world is not last_cmd:
+                disp = impedance_displacement(cmd_world[:3], spec.stiffness)
+                self._disp = (u, cmd_world, disp)
             return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
         if u.dock_state is DockState.INTERCEPTING:
             cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed,
@@ -529,14 +570,7 @@ class Coordinator:
 
         cmd_world = ZERO6
         if docked is not None:
-            if cfg.condition is Condition.FORCE_FEEDBACK:
-                # The arm's own actuation saturates at its envelope; injected
-                # loads model external pulls on the joint and bypass it.
-                spec = docked.cfg.spec
-                limits = spec.max_force + spec.max_torque
-                cmd_world = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
-            cmd_world = tuple(c + l for c, l in
-                              zip(cmd_world, cfg.sample_injected_load(t)))
+            cmd_world = self._command(docked, filtered, cfg.sample_injected_load(t))
 
         support = {}
         for body in self.world.bodies:

@@ -9,12 +9,13 @@ stop values themselves come from the de-penetration (contact-drum) search.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
                       finger_sphere_centers)
 from .frames import RigidTransform
-from .geometry import DT, Vec3
+from .geometry import DT, ZERO3, ZERO6, Vec3
 from .sim import ContactImpulse, World, _sphere_box
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
@@ -29,6 +30,12 @@ class RoutedForces:
     net_torque: Vec3                # world frame, about the reference point
     paired_magnitude: float         # |force| attributed to canceling squeeze pairs
     hand_contact_count: int
+
+
+# A step without hand contacts, routed about any reference point, docked or
+# not: every sum is +0.0 and nothing pairs.
+_NO_CONTACT = RoutedForces(residual=ZERO6, net_force=ZERO3, net_torque=ZERO3,
+                           paired_magnitude=0.0, hand_contact_count=0)
 
 
 def _hand_forces(impulses: list[ContactImpulse]):
@@ -87,9 +94,12 @@ def route_forces(impulses: list[ContactImpulse], docked: bool, *,
     The vector sum over all hand colliders is the net world-referenced force,
     with its torque taken about ``reference_point`` (the attachment plate).
     When docked the arm renders it; when not docked it is logged as residual
-    and discarded.
+    and discarded. A step without hand contacts returns one shared
+    ``RoutedForces`` object.
     """
     forces = _hand_forces(impulses)
+    if not forces:
+        return _NO_CONTACT
     rx, ry, rz = reference_point
 
     fx = fy = fz = tx = ty = tz = 0.0
@@ -162,23 +172,42 @@ def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
     return hi
 
 
+_WRENCH_BITS = struct.Struct("<6d")
+
+
 class LowPassFilter:
     """First-order low-pass on a wrench (six numbers) sampled every tick,
-    held as a float tuple."""
+    held as a float tuple.
+
+    An update that changes no bit of the state keeps the state object, so a
+    caller can key on it. Its input is then a fixed point of that state: the
+    same input bits (packed, not ``==``, so a zero's sign counts) return the
+    state again without arithmetic until the state moves.
+    """
 
     def __init__(self, cutoff_hz: float):
         if cutoff_hz < 0.0:
             raise ValueError("cutoff must be nonnegative")
         self.enabled = cutoff_hz > 0.0
         self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * DT) if self.enabled else 1.0
-        self.state = (0.0,) * 6
+        self.state = ZERO6
+        # A state object and the bits of an input that left it as it is.
+        self._still: tuple = (None, None)
 
     def update(self, x) -> tuple[float, ...]:
-        x = tuple(float(v) for v in x)
-        if len(x) != len(self.state):
-            raise ValueError(f"expected a {len(self.state)}-vector, got {len(x)} values")
+        x = tuple(map(float, x))
+        state = self.state
+        if len(x) != len(state):
+            raise ValueError(f"expected a {len(state)}-vector, got {len(x)} values")
+        key = _WRENCH_BITS.pack(*x)
+        still_state, still_key = self._still
+        if state is still_state and key == still_key:
+            return state
         if self.enabled:
             a = self.alpha
-            x = tuple(s + a * (v - s) for s, v in zip(self.state, x))
+            x = tuple(s + a * (v - s) for s, v in zip(state, x))
+        if _WRENCH_BITS.pack(*x) == _WRENCH_BITS.pack(*state):
+            self._still = (state, key)
+            return state
         self.state = x
         return x

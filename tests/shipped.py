@@ -6,7 +6,7 @@ from pathlib import Path
 
 import yaml
 
-from hapdock import harness, sim
+from hapdock import harness, routing, sim
 from hapdock.config import ScenarioConfig, load_scenario
 from hapdock.harness import MetricLog, run_scenario
 
@@ -35,12 +35,14 @@ RUNTIME: dict[str, float] = {}   # seconds the cached run took
 # Physics steps of the cached run that collected contacts, i.e. that were
 # not a repeat of the world's last fixed point.
 FULL_STEPS: dict[str, int] = {}
-# Hand-layer work of the cached run: calls of ``glove_apply``,
-# ``hand_collider_spheres`` and ``World.move_hand``, and calls of
+# Hand-layer and force-path work of the cached run: calls of ``glove_apply``,
+# ``hand_collider_spheres`` and ``World.move_hand``; calls of
 # ``hand_forward_model`` and its memo misses (the calls that returned
 # another ``HandState`` object than the call before: the sensed fingers
-# moved; a wrist that moves alone is no miss).
-HAND_CALLS: dict[str, Counter] = {}
+# moved; a wrist that moves alone is no miss); calls of ``joint_transmit``
+# and ``impedance_displacement``, and full routing passes (calls of
+# ``routing._paired_magnitude``).
+CALLS: dict[str, Counter] = {}
 
 
 def cached_run(name: str) -> MetricLog:
@@ -80,7 +82,10 @@ def cached_run(name: str) -> MetricLog:
                    (harness, "hand_forward_model", counting_forward),
                    (sim.World, "move_hand", counting("move_hand", sim.World.move_hand))]
         patches += [(harness, key, counting(key, getattr(harness, key)))
-                    for key in ("glove_apply", "hand_collider_spheres")]
+                    for key in ("glove_apply", "hand_collider_spheres", "joint_transmit",
+                                "impedance_displacement")]
+        patches.append((routing, "_paired_magnitude",
+                        counting("_paired_magnitude", routing._paired_magnitude)))
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]
         for owner, key, wrapper in patches:
             setattr(owner, key, wrapper)
@@ -92,5 +97,5 @@ def cached_run(name: str) -> MetricLog:
             for owner, key, original in originals:
                 setattr(owner, key, original)
         FULL_STEPS[name] = full
-        HAND_CALLS[name] = calls
+        CALLS[name] = calls
     return _CACHE[name]

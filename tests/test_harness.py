@@ -11,7 +11,7 @@ from hapdock.docking import DockState
 from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
-from shipped import FULL_STEPS, HAND_CALLS, NAMES, as_dict, build, cached_run
+from shipped import CALLS, FULL_STEPS, NAMES, as_dict, build, cached_run
 from test_golden import GOLDEN_SHA256
 
 
@@ -505,10 +505,55 @@ class TestHotPath:
         # colliders move when the fingers or the wrist moved, and once more
         # after the hand stops (tick 0 builds them instead).
         cached_run(name)
-        calls = HAND_CALLS[name]
+        calls = CALLS[name]
         assert [calls[key] for key in ("hand_forward_model", "forward_model_misses",
                                        "glove_apply", "hand_collider_spheres",
                                        "move_hand")] == [ticks, misses, glove, spheres, moves]
+
+    @pytest.mark.parametrize("name, docked, transmits, displacements, routed", [
+        # Lift's command moves with its contacts and its filter's decay.
+        ("single_lift_force_feedback", 8965, 4814, 4815, 6201),
+        # Squeeze's pairs cancel: its command moves once, on the first
+        # docked tick.
+        ("squeeze_cancellation", 3875, 1, 2, 2610),
+        # No hand contacts: nothing is routed, and each attach transmits
+        # once with its new joint.
+        ("handover_sweep", 7800, 2, 4, 0),
+    ], ids=HOT_PATH_SCENES)
+    def test_force_path_runs_only_when_its_inputs_move(self, name, docked, transmits,
+                                                       displacements, routed):
+        # The joint transmits when the command or the joint is a new object,
+        # the displacement is rebuilt when the command or the docked arm is,
+        # and a step without hand contacts is not routed.
+        log = cached_run(name)
+        assert sum(r["docked_arm"] is not None for r in log.records) == docked
+        calls = CALLS[name]
+        assert [calls[key] for key in ("joint_transmit", "impedance_displacement",
+                                       "_paired_magnitude")] == [transmits, displacements,
+                                                                 routed]
+
+    @pytest.mark.parametrize("name, seconds, noise", [
+        # The injected load ramps, and the joint breaks at 1.982 s.
+        ("decouple_sweep", 2.5, 0.0),
+        # Attach at 0.334 s, hand contacts from 1.312 s, a noisy plate.
+        ("single_lift_force_feedback", 2.0, 0.0005),
+    ])
+    def test_force_path_without_its_memos_keeps_the_bytes(self, name, seconds, noise):
+        def run(forget):
+            coord = Coordinator(_short(name, seconds, tracking_noise_std_m=noise))
+            for tick in range(coord.cfg.coordinator.ticks):
+                if forget:
+                    coord._cmd, coord._sent, coord._disp = (None,) * 4, (None,) * 3, (None,) * 3
+                    coord.filter._still = (None, None)
+                coord._tick(tick)
+            return coord.log
+
+        log = run(forget=False)
+        # The docked command both moves and repeats for hundreds of ticks.
+        cmds = [r["cmd_wrench"] for r in log.records if r["docked_arm"] is not None]
+        moves = sum(a != b for a, b in zip(cmds, cmds[1:]))
+        assert 500 < moves < len(cmds) - 500
+        assert log.to_bytes() == run(forget=True).to_bytes()
 
     def test_wrist_sweep_enters_the_glove_only_on_its_commands(self, monkeypatch):
         # Handover's wrist sweeps under still fingers: the glove step reruns

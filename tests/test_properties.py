@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hapdock.capability import DockLink, capability_at, compose_capability
-from hapdock.config import ConfigError, scenario_from_dict
+from hapdock.config import ConfigError, Track, sample_track, scenario_from_dict
 from hapdock import harness
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
                              NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, ArmCommand,
@@ -27,7 +27,7 @@ from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
 from hapdock.frames import RigidTransform
 from hapdock.geometry import DT, Box
 from hapdock.harness import Coordinator, _point_distance, _same_bits
-from hapdock.routing import _paired_magnitude
+from hapdock.routing import LowPassFilter, _paired_magnitude
 from hapdock.sim import (BodyKind, HandCollider, RigidBody, World, _collect_contacts,
                          _penalty_contacts, _sphere_box, step_world)
 from shipped import NAMES, as_dict
@@ -1075,11 +1075,109 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
 def test_tool_dist_from_the_tool_point_matches_the_tool_pose(pose, tool_offset, plate):
     """A record's ``tool_dist``, from the tool point ``pose.transform_point``
     of the tool offset's translation, has the bits of the distance from the
-    composed tool pose to the plate."""
+    composed tool pose to the plate, its squares summed x, y, z from the left."""
     point = pose.transform_point(tool_offset.translation)
-    reference = pose.compose(tool_offset).translation_distance_to(
-        RigidTransform(translation=plate))
+    (tx, ty, tz), (px, py, pz) = pose.compose(tool_offset).translation, plate
+    reference = math.sqrt(((tx - px) ** 2 + (ty - py) ** 2) + (tz - pz) ** 2)
     assert bits(_point_distance(point, plate)) == bits(reference)
+
+
+@pytest.mark.parametrize("a, b, digits", [
+    # Each of these rounds differently when summed in any other order, or
+    # through ``math.dist`` or ``math.hypot``.
+    ((0.127, -0.034, 0.179), (-0.147, 0.207, 0.238), "0x1.7a846c22bab9ap-2"),
+    ((-0.19, -0.277, 0.304), (-0.261, -0.313, -0.065), "0x1.828c7ed732108p-2"),
+    ((-0.408, -0.401, 0.38), (-0.321, -0.477, 0.342), "0x1.f21d5c85ef102p-4"),
+])
+def test_tool_dist_keeps_its_summation_order(a, b, digits):
+    assert _point_distance(a, b).hex() == digits
+
+
+# -- force path fixed points --------------------------------------------------
+
+# Wrench components: often signed zeros, sometimes the smallest subnormals.
+wrench_parts = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+                         st.floats(-50.0, 50.0, allow_nan=False))
+
+
+def with_zero_signs(draw, values):
+    """``values`` with each zero's sign drawn anew: equal to it by ``==``."""
+    return tuple(draw(st.sampled_from((0.0, -0.0))) if v == 0.0 else v for v in values)
+
+
+@st.composite
+def filter_runs(draw):
+    """A cutoff and one input per tick: runs of repeats of 1-3 wrenches and
+    of copies of them that differ only in a zero's sign."""
+    cutoff = draw(st.sampled_from((0.0, 20.0, 1000.0)) | st.floats(0.0, 2000.0))
+    pool = draw(st.lists(st.tuples(*[wrench_parts] * 6), min_size=1, max_size=3))
+    pool += [with_zero_signs(draw, w) for w in pool]
+    inputs = []
+    for _ in range(draw(st.integers(1, 8))):
+        inputs += [draw(st.sampled_from(pool))] * draw(st.integers(1, 40))
+    return cutoff, inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=filter_runs())
+def test_filter_fixed_point_matches_a_fresh_filter(run):
+    # The reference is a new filter every tick, so it has no fixed point to
+    # repeat. An output with last tick's bits is last tick's object.
+    cutoff, inputs = run
+    filt = LowPassFilter(cutoff)
+    state = last = filt.state
+    for x in inputs:
+        reference = LowPassFilter(cutoff)
+        reference.state = state
+        state = reference.update(x)
+        out = filt.update(x)
+        assert [bits(v) for v in out] == [bits(v) for v in state]
+        assert (out is last) == ([bits(v) for v in out] == [bits(v) for v in last])
+        last = out
+
+
+def reference_sample(rows, t):
+    """``sample_track`` before held segments: ends held, the interpolation
+    formula inside."""
+    if t <= rows[0][0]:
+        return rows[0][1]
+    if t >= rows[-1][0]:
+        return rows[-1][1]
+    i = max(k for k, (tk, _) in enumerate(rows) if tk <= t)
+    (t0, v0), (t1, v1) = rows[i], rows[i + 1]
+    a = (t - t0) / (t1 - t0)
+    return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1))
+
+
+@st.composite
+def held_tracks(draw):
+    """Rows of a 2-4 row track, one segment of which is held: its second
+    row repeats the first with each zero's sign drawn anew."""
+    times = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=4,
+                                 unique=True)))
+    values = [draw(st.tuples(*[wrench_parts] * 3)) for _ in times]
+    k = draw(st.integers(0, len(times) - 2))
+    values[k + 1] = with_zero_signs(draw, values[k])
+    return list(zip(times, values)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(track=held_tracks(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(track=([(0.0, (0.0, -0.0, 1.0)), (1.0, (-0.0, 0.0, 1.0))], 0), fractions=[0.5])
+@example(track=([(0.0, (-0.0, -0.0, 0.0)), (1.0, (-0.0, -0.0, 0.0))], 0), fractions=[0.0, 0.25])
+def test_held_segment_has_the_bits_of_the_interpolation(track, fractions):
+    rows, k = track
+    (t0, _), (t1, _) = rows[k], rows[k + 1]
+    loaded = Track(rows)
+    inside = set()
+    for f in fractions:
+        t = t0 + f * (t1 - t0)
+        value = sample_track(loaded, t)
+        assert [bits(v) for v in value] == [bits(v) for v in reference_sample(rows, t)]
+        if t0 < t < t1:
+            inside.add(id(value))
+    # Every time inside the held segment returns its one tuple.
+    assert len(inside) <= 1
 
 
 # -- force envelope ----------------------------------------------------------

@@ -197,3 +197,10 @@ class TestLowPass:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             LowPassFilter(cutoff_hz=-1.0)
+
+    def test_wrong_length_rejected_at_a_fixed_point(self):
+        f = LowPassFilter(cutoff_hz=20.0)
+        assert f.update([0.0] * 6) is f.update([-0.0 + 0.0] * 6) is f.state
+        for wrench in ([0.0] * 5, [0.0] * 7):
+            with pytest.raises(ValueError, match="expected a 6-vector"):
+                f.update(wrench)
