@@ -7,7 +7,6 @@ spring constants. Both are modeled at the API level, not the motor level.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -162,6 +161,8 @@ class HandState:
     abduction: tuple[float, ...]
     resist_torques: tuple[float, ...] = (0.0,) * NUM_FINGERS
     clamp_flags: tuple[bool, ...] = (False,) * (2 * NUM_FINGERS)
+    # (calibration, packed sensed values) of a ``hand_forward_model`` result.
+    source: tuple = field(default=(None, None), repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,34 +199,27 @@ class ArmState:
     clamped: bool = False
 
 
-# The last ``hand_forward_model`` evaluation, as ``(calibration, bits of the
-# sensed values, HandState)``.
 _SENSED_BITS = struct.Struct("<11d")
-_last_forward: tuple | None = None
 
 
-def hand_forward_model(sensed, calibration: HandCalibration) -> HandState:
+def hand_forward_model(sensed, calibration: HandCalibration,
+                       last: HandState | None) -> HandState:
     """Map the raw sensor vector to the normalized finger parameters.
 
     Sensor layout is five flex channels, five spread channels and one spare
     wrist channel that the simplified model ignores. Values outside the
     calibrated range are clamped and flagged.
 
-    Pure, so memoized on its last key: the calibration object's identity and
-    the packed bits of the sensed values (bits, as ``==`` would match -0.0
-    with 0.0). A call whose key matches the previous call's returns the same
-    ``HandState`` object, so a wrist that moves under still fingers keeps
-    it, and the glove and the hand colliders tell still fingers by identity.
-    Identity, not equality, keys the calibration: two equal calibrations may
-    differ in the sign of a zero.
+    The model is pure, so ``last``, an earlier result or None, is returned
+    when it came from this ``calibration`` object and from the bits of
+    ``sensed`` (identity and bits: ``==`` would match -0.0 with 0.0). A
+    caller that hands back its last result tells still fingers by identity.
     """
-    global _last_forward
     if len(sensed) != 11:
         raise ValueError(f"expected 11 sensed values, got {len(sensed)}")
     key = _SENSED_BITS.pack(*sensed)
-    last = _last_forward
-    if last is not None and last[0] is calibration and last[1] == key:
-        return last[2]
+    if last is not None and last.source[0] is calibration and last.source[1] == key:
+        return last
     flex, abd, flags = [], [], []
     for i in range(NUM_FINGERS):
         f, c = calibration.normalize(float(sensed[i]),
@@ -237,9 +231,8 @@ def hand_forward_model(sensed, calibration: HandCalibration) -> HandState:
                                      calibration.abd_min[i], calibration.abd_max[i])
         abd.append(a)
         flags.append(c)
-    state = HandState(flex=tuple(flex), abduction=tuple(abd), clamp_flags=tuple(flags))
-    _last_forward = (calibration, key, state)
-    return state
+    return HandState(flex=tuple(flex), abduction=tuple(abd), clamp_flags=tuple(flags),
+                     source=(calibration, key))
 
 
 def glove_apply(cmd: GloveCommand, hand: HandState,
@@ -389,37 +382,28 @@ def finger_sphere_centers(wrist: RigidTransform, finger: int,
             for a, b, c in _finger_offsets(wrist.rotation, finger, joint_angles, abd_angle)]
 
 
-@functools.lru_cache(maxsize=1)
-def _hand_offsets(rotation, flex: tuple[float, ...],
-                  abduction: tuple[float, ...]) -> tuple[Vec3, ...]:
-    """Every default-hand sphere center's rotated offset from the wrist, palm
-    first, then each finger proximal to distal.
-
-    Pure, so memoized on its last key: a tick whose rotation and fingers
-    match the previous tick's evaluates no chain. Keys that differ only in
-    the sign of a zero compare equal and give the same bits: a signed zero
-    only flips the sign of zero intermediates, and each offset coordinate is
-    a sum whose first term, the chain point's coordinate, is nonzero or +0.0.
-    """
+def hand_offsets(rotation, hand: HandState) -> tuple[Vec3, ...]:
+    """Every default-hand sphere center's offset from the wrist for the wrist
+    rotation ``rotation``, palm first, then each finger proximal to distal."""
     geom, params = DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS
     offsets = [_qrotate(rotation, geom.palm_center)]
     for k in range(NUM_FINGERS):
-        offsets += _finger_offsets(rotation, k, params.joint_angles(flex[k]),
-                                   params.abduction_angle(abduction[k]))
+        offsets += _finger_offsets(rotation, k, params.joint_angles(hand.flex[k]),
+                                   params.abduction_angle(hand.abduction[k]))
     return tuple(offsets)
 
 
-# (name, radius) of every hand sphere, in ``_hand_offsets`` order.
+# (name, radius) of every hand sphere, in ``hand_offsets`` order.
 _HAND_SPHERES = (("palm", DEFAULT_HAND_GEOMETRY.palm_radius),) + tuple(
     (name, DEFAULT_HAND_GEOMETRY.phalange_radius) for names in PHALANGE_NAMES
     for name in names)
 
 
 def hand_collider_spheres(wrist: RigidTransform,
-                          hand: HandState) -> list[tuple[str, Vec3, float]]:
+                          offsets: tuple[Vec3, ...]) -> list[tuple[str, Vec3, float]]:
     """All hand collider spheres (name, world center, radius) of the default
-    hand at the wrist pose ``wrist``: the memoized offsets translated to it."""
+    hand at the wrist pose ``wrist``: ``offsets``, ``hand_offsets`` for the
+    wrist's rotation, translated to it."""
     ox, oy, oz = wrist.translation
-    offsets = _hand_offsets(wrist.rotation, hand.flex, hand.abduction)
     return [(name, (ox + a, oy + b, oz + c), radius)
             for (name, radius), (a, b, c) in zip(_HAND_SPHERES, offsets)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import ORACLE_NOISE_FLOOR_N, ArmConfig, Condition, ScenarioConfig
 from .devices import (NUM_FINGERS, ArmCommand, ArmState, GloveCommand, HandState,
                       arm_step, glove_apply, hand_collider_spheres,
-                      hand_forward_model, impedance_displacement)
+                      hand_forward_model, hand_offsets, impedance_displacement)
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
@@ -84,6 +84,7 @@ _POSE_BITS = struct.Struct("<7d")
 # five abductions.
 _SAMPLE_BITS = struct.Struct("<13d")
 _WRIST_BYTES = 3 * 8
+_FINGER_BITS = struct.Struct("<10d")               # five flexes, five abductions
 
 
 def _same_bits(a: ArmState, b: ArmState) -> bool:
@@ -111,16 +112,33 @@ class _ArmUnit:
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
-    # A state that parking returns bit for bit: parking ``state`` while it
-    # is this object needs no step, as ``arm_step`` is pure.
-    parked: ArmState | None = None
-    # (pose, the tool point of ``pose``) of the last record, the tool point
-    # being ``pose.compose(tool_offset).translation``.
-    tool_point: tuple[RigidTransform, Vec3] | None = None
+    # A state that parking returns bit for bit and its tool point: parking
+    # ``state`` while it is this object needs no step, as ``arm_step`` is pure.
+    parked: tuple = (None, None)
+
+
+@dataclass(slots=True)
+class _Reuse:
+    """Last tick's inputs and outputs of the pure steps a tick need not
+    rerun, keyed on identity or packed ``struct`` bits (``==`` would match
+    0.0 with -0.0). The defaults are the cold values."""
+
+    sample: tuple = (None, None, None)            # (bits, sensed, wrist)
+    # (intended, command, hand); ``intended`` is also the forward model's
+    # last result, handed back to it.
+    applied: tuple = (None, None, None)
+    # (hand, wrist) the colliders last moved to, whether they were moved to
+    # it twice in a row, and the hand's finger bits and ``hand_offsets``.
+    collider: tuple = (None, None, False, None, None)
+    cmd: tuple = (None, None, None, None)         # (unit, filtered, load, command)
+    sent: tuple = (None, None, None)              # (command, joint, transmit)
+    disp: tuple = (None, None, None)              # (unit, command, displacement)
 
 
 class Coordinator:
-    """Owns all mutable state and drives one scenario tick by tick."""
+    """Owns all mutable state and drives one scenario tick by tick. Its reuse
+    slots are ``reuse`` and, in the objects they key on, ``_ArmUnit.parked``,
+    ``World.fixed_point`` and ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -166,18 +184,7 @@ class Coordinator:
         self.hand_contacts = any(b.collide_with_hand for b in self.world.bodies)
         self._prev_plate: Vec3 | None = None
         self._last_glove_tick: int | None = None
-        # The hand layer's last inputs and outputs, so that a still hand is
-        # not recomputed; see ``_hand_for_tick`` and ``_update_hand_colliders``.
-        self._sample: tuple = (None, None, None)      # (bits, sensed, wrist)
-        self._applied: tuple = (None, None, None)     # (intended, command, hand)
-        # (hand, wrist) last moved to, and whether it was moved to twice in a row.
-        self._collider: tuple = (None, None, False)
-        # The force path's last inputs and outputs, so that a docked command
-        # that did not move is not rebuilt; see ``_command``, ``_transmit``
-        # and ``_control``.
-        self._cmd: tuple = (None, None, None, None)   # (unit, filtered, load, command)
-        self._sent: tuple = (None, None, None)        # (command, joint, transmit)
-        self._disp: tuple = (None, None, None)        # (unit, command, displacement)
+        self.reuse = _Reuse()
         self.log = MetricLog(self._header())
 
     def _unit(self, arm: ArmConfig) -> _ArmUnit:
@@ -254,17 +261,17 @@ class Coordinator:
         reuses last tick's sensed values and wrist pose, and one whose wrist
         alone moved reuses the sensed values. ``hand_forward_model`` is
         still called once per tick, first in the tick: perfbench's tick hook
-        counts those calls. Its memo hands back last tick's ``HandState``
-        object for the same sensed bits, however the wrist moved, and
-        ``glove_apply`` is pure, so its result is kept while both that object
-        and the glove command object are last tick's; a new command every
-        glove period breaks it.
+        counts those calls. Handed its last result, it returns that
+        ``HandState`` object for the same sensed bits, however the wrist
+        moved, and ``glove_apply`` is pure, so its result is kept while both
+        that object and the glove command object are last tick's; a new
+        command every glove period breaks it.
         """
-        cfg = self.cfg
+        cfg, reuse = self.cfg, self.reuse
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
         cal = cfg.glove.calibration
         key = _SAMPLE_BITS.pack(*wrist_pos, *flex_int, *abd)
-        last_key, sensed, wrist = self._sample
+        last_key, sensed, wrist = reuse.sample
         if key != last_key:
             wrist = RigidTransform(self.wrist_rotation, wrist_pos)
             if last_key is None or key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]:
@@ -273,8 +280,9 @@ class Coordinator:
                 sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
                            for i in range(NUM_FINGERS)]
                 sensed.append(0.0)  # spare wrist channel, unused by the forward model
-            self._sample = (key, sensed, wrist)
-        intended = hand_forward_model(sensed, cal)
+            reuse.sample = (key, sensed, wrist)
+        last_intended, last_cmd, applied = reuse.applied
+        intended = hand_forward_model(sensed, cal, last_intended)
 
         if tick % self.glove_period == 0:
             last = self._last_glove_tick
@@ -289,10 +297,9 @@ class Coordinator:
                 stop_angle=stops,
                 spring_constant=(cfg.glove.spring_constant,) * NUM_FINGERS)
             events.append("glove_cmd")
-        last_intended, last_cmd, applied = self._applied
         if intended is not last_intended or self.glove_cmd is not last_cmd:
             applied = glove_apply(self.glove_cmd, intended, cfg.glove.spec)
-            self._applied = (intended, self.glove_cmd, applied)
+            reuse.applied = (intended, self.glove_cmd, applied)
         return applied, wrist
 
     def _update_hand_colliders(self, hand: HandState, wrist: RigidTransform) -> None:
@@ -300,14 +307,21 @@ class Coordinator:
 
         Moving to the same (``HandState``, wrist) pair of objects twice in a
         row gives every collider a +0.0 velocity at the same center; a third
-        move would change no bit, so a hand at rest is not moved again.
+        move would change no bit, so a hand at rest is not moved again. The
+        wrist rotation is a scenario constant, so the sphere offsets are
+        rebuilt only for another ``HandState`` object whose finger bits
+        differ: a glove command makes a new object for the same fingers.
         """
-        last_hand, last_wrist, resting = self._collider
+        last_hand, last_wrist, resting, fingers, offsets = self.reuse.collider
         same = hand is last_hand and wrist is last_wrist
         if same and resting:
             return
-        self._collider = (hand, wrist, same)
-        spheres = hand_collider_spheres(wrist, hand)
+        if hand is not last_hand:
+            key = _FINGER_BITS.pack(*hand.flex, *hand.abduction)
+            if key != fingers:
+                fingers, offsets = key, hand_offsets(self.wrist_rotation, hand)
+        self.reuse.collider = (hand, wrist, same, fingers, offsets)
+        spheres = hand_collider_spheres(wrist, offsets)
         world = self.world
         if world.hand:
             # The spheres come in the same order every tick.
@@ -448,7 +462,7 @@ class Coordinator:
         feedback ``filtered`` clamped to ``u``'s envelope, plus the injected
         ``load``. Last tick's object while ``u``, ``filtered`` and ``load``
         are last tick's objects."""
-        last_u, last_filtered, last_load, cmd = self._cmd
+        last_u, last_filtered, last_load, cmd = self.reuse.cmd
         if u is last_u and filtered is last_filtered and load is last_load:
             return cmd
         cmd = ZERO6
@@ -459,7 +473,7 @@ class Coordinator:
             limits = spec.max_force + spec.max_torque
             cmd = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
         cmd = tuple(c + l for c, l in zip(cmd, load))
-        self._cmd = (u, filtered, load, cmd)
+        self.reuse.cmd = (u, filtered, load, cmd)
         return cmd
 
     def _transmit(self, cmd_world: tuple[float, ...]):
@@ -468,7 +482,7 @@ class Coordinator:
         transmitted wrench turned back to the world frame. The plate's
         rotation is a scenario constant, so this is last tick's tuple while
         ``cmd_world`` and the joint are last tick's objects."""
-        last_cmd, last_joint, out = self._sent
+        last_cmd, last_joint, out = self.reuse.sent
         joint = self.joint
         if cmd_world is last_cmd and joint is last_joint:
             return out
@@ -476,7 +490,7 @@ class Coordinator:
         cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
         out_plate, slip, released = joint_transmit(joint, cmd_plate)
         out = (_qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:]), slip, released)
-        self._sent = (cmd_world, joint, out)
+        self.reuse.sent = (cmd_world, joint, out)
         return out
 
     def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
@@ -489,12 +503,10 @@ class Coordinator:
             q_pinned = self.chain[2]
             pos = spec.base_pose.transform_point(clamped_pos)
             u.state = ArmState(pose=RigidTransform(q_pinned, pos), clamped=clamped_pos != local)
-            # Last tick's displacement while ``u`` and the command are last
-            # tick's objects.
-            last_u, last_cmd, disp = self._disp
+            last_u, last_cmd, disp = self.reuse.disp
             if u is not last_u or cmd_world is not last_cmd:
                 disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                self._disp = (u, cmd_world, disp)
+                self.reuse.disp = (u, cmd_world, disp)
             return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
         if u.dock_state is DockState.INTERCEPTING:
             cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed,
@@ -507,10 +519,11 @@ class Coordinator:
             # A releasing arm reports no clamp.
             u.state = ArmState(pose=arm_step(spec, u.state, cmd).pose)
             return u.state.pose
-        if u.state is not u.parked:
+        if u.state is not u.parked[0]:
             state = arm_step(spec, u.state, u.park_cmd)
             if _same_bits(state, u.state):
-                u.parked = u.state
+                tool = u.state.pose.transform_point(self.cfg.dock.tool_offset.translation)
+                u.parked = (u.state, tool)
             else:
                 u.state = state
         return u.park
@@ -597,18 +610,19 @@ class Coordinator:
                     u, triggers[i], u is winner, t, plate, cmd_world, events)
             target = self._control(u, follow, plate, cmd_world)
             pose = u.state.pose
-            if u.tool_point is None or u.tool_point[0] is not pose:
-                u.tool_point = (pose, pose.transform_point(tool_local))
+            parked, tool = u.parked
+            if u.state is not parked:
+                tool = pose.transform_point(tool_local)
             arms_rec.append({
                 "name": u.cfg.name,
                 "state": u.dock_state.value,
-                "pos": list(pose.translation),
-                "quat": list(pose.rotation),
-                "target": list(target.translation),
-                "rendered": list(transmitted),
+                "pos": pose.translation,
+                "quat": pose.rotation,
+                "target": target.translation,
+                "rendered": transmitted,
                 "slip": slip,
                 "clamped": u.state.clamped,
-                "tool_dist": _point_distance(u.tool_point[1], truth_pos),
+                "tool_dist": _point_distance(tool, truth_pos),
                 "magnet": u.magnet.effective,
             })
         events.extend(self.arm_target_events)
@@ -618,15 +632,15 @@ class Coordinator:
             "t": t,
             "dt": DT,
             "events": events,
-            "wrist": list(wrist.translation),
-            "flex": list(hand.flex),
-            "stops": list(self.glove_cmd.stop_angle),
-            "resist": list(hand.resist_torques),
+            "wrist": wrist.translation,
+            "flex": hand.flex,
+            "stops": self.glove_cmd.stop_angle,
+            "resist": hand.resist_torques,
             "sensor_clamps": sum(hand.clamp_flags),
-            "cmd_wrench": list(cmd_world),
-            "net_force": list(routed.net_force),
-            "net_torque": list(routed.net_torque),
-            "residual": list(routed.residual),
+            "cmd_wrench": cmd_world,
+            "net_force": routed.net_force,
+            "net_torque": routed.net_torque,
+            "residual": routed.residual,
             "paired": routed.paired_magnitude,
             "contacts": routed.hand_contact_count,
             "support": support,

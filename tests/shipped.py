@@ -35,12 +35,14 @@ RUNTIME: dict[str, float] = {}   # seconds the cached run took
 # Physics steps of the cached run that collected contacts, i.e. that were
 # not a repeat of the world's last fixed point.
 FULL_STEPS: dict[str, int] = {}
-# Hand-layer and force-path work of the cached run: calls of ``glove_apply``,
-# ``hand_collider_spheres`` and ``World.move_hand``; calls of
-# ``hand_forward_model`` and its memo misses (the calls that returned
-# another ``HandState`` object than the call before: the sensed fingers
-# moved; a wrist that moves alone is no miss); calls of ``joint_transmit``
-# and ``impedance_displacement``, and full routing passes (calls of
+# Work of the cached run that the coordinator's reuse slots save, counted
+# in the run's own coordinator: calls of ``glove_apply``,
+# ``hand_collider_spheres``, ``hand_offsets`` and ``World.move_hand``; calls of
+# ``hand_forward_model`` and its misses (the calls that returned another
+# ``HandState`` object than the call before: the sensed fingers moved; a
+# wrist that moves alone is no miss); calls of ``arm_step`` (a parked arm
+# at its fixed point is not stepped), ``joint_transmit`` and
+# ``impedance_displacement``, and full routing passes (calls of
 # ``routing._paired_magnitude``).
 CALLS: dict[str, Counter] = {}
 
@@ -82,8 +84,8 @@ def cached_run(name: str) -> MetricLog:
                    (harness, "hand_forward_model", counting_forward),
                    (sim.World, "move_hand", counting("move_hand", sim.World.move_hand))]
         patches += [(harness, key, counting(key, getattr(harness, key)))
-                    for key in ("glove_apply", "hand_collider_spheres", "joint_transmit",
-                                "impedance_displacement")]
+                    for key in ("glove_apply", "hand_collider_spheres", "hand_offsets",
+                                "arm_step", "joint_transmit", "impedance_displacement")]
         patches.append((routing, "_paired_magnitude",
                         counting("_paired_magnitude", routing._paired_magnitude)))
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]

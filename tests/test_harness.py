@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import sys
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,7 @@ from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
 from shipped import CALLS, FULL_STEPS, NAMES, as_dict, build, cached_run
-from test_golden import GOLDEN_SHA256
+from test_golden import GOLDEN_SHA256, VARIANT_SHA256
 
 
 def synthetic_log(force_by_can: dict, ticks_per_window: int = 100) -> tuple:
@@ -93,7 +95,9 @@ class TestMetricLog:
         log.write(path)
         loaded = MetricLog.read(path)
         assert loaded.header == log.header
-        assert loaded.records == log.records
+        # A record in memory is what its JSON line decodes to, with its
+        # tuples read as lists.
+        assert loaded.records == [json.loads(json.dumps(r)) for r in log.records]
 
     def test_bad_log_rejected(self, tmp_path):
         path = tmp_path / "bad.ndjson"
@@ -271,7 +275,7 @@ class TestDockSlot:
             assert len(docked) <= 1
             for arm in rec["arms"]:
                 if arm["name"] not in docked:
-                    assert arm["rendered"] == [0.0] * 6
+                    assert list(arm["rendered"]) == [0.0] * 6
                     assert arm["slip"] is False
 
     @pytest.mark.parametrize("tick, docked_arm, states", [
@@ -297,6 +301,34 @@ def _short(name: str, duration_s: float, **over):
 # Test ids of the scenes whose pinned counts are parametrized: named, so that a
 # re-pinned count does not rename a test.
 HOT_PATH_SCENES = ["single_lift_force_feedback", "squeeze_cancellation", "handover_sweep"]
+
+
+def _lines(records) -> list[str]:
+    """The records' log lines."""
+    return [json.dumps(r, separators=(",", ":")) for r in records]
+
+
+def _cold(coord: Coordinator) -> None:
+    """Clear every reuse slot of ``coord``: its own, declared in
+    ``harness._Reuse``, and those kept in the objects they key on."""
+    coord.reuse = harness._Reuse()
+    coord.world.fixed_point = None
+    coord.filter._still = (None, None)
+    for u in coord.units:
+        u.parked = (None, None)
+
+
+# (scene, seconds, wrist rotation, tracking noise) of the cold reference runs:
+# the hot-path scenes, handover up to its second attach (tick 4135); the
+# rotated and noisy golden variants; decouple_sweep's ramp through its joint
+# break at 1.982 s.
+COLD_RUNS = [
+    ("single_lift_force_feedback", 2.0, None, None),
+    ("squeeze_cancellation", 1.5, None, None),
+    ("handover_sweep", 4.2, None, None),
+    ("decouple_sweep", 2.5, None, None),
+] + [(name, seconds, rotation, noise) for (name, rotation, noise, _), seconds
+     in zip(VARIANT_SHA256, (1.0, 2.0, 1.5))]
 
 
 class TestHotPath:
@@ -349,7 +381,7 @@ class TestHotPath:
         coord = Coordinator(_short("handover_sweep", 5.0))
         quiet = attach = 0
         for tick in range(coord.cfg.coordinator.ticks):
-            parked = [u for u in coord.units if u.state is u.parked]
+            parked = [u for u in coord.units if u.state is u.parked[0]]
             calls.clear()
             coord._tick(tick)
             rec = coord.log.records[-1]
@@ -446,10 +478,10 @@ class TestHotPath:
         coord = Coordinator(_short("handover_sweep", 0.5))
         arm_b = coord.units[1]
         tick = 0
-        while arm_b.parked is None:
+        while arm_b.parked[0] is None:
             coord._tick(tick)
             tick += 1
-        assert arm_b.state is arm_b.parked and arm_b.dock_state is DockState.FREE
+        assert arm_b.state is arm_b.parked[0] and arm_b.dock_state is DockState.FREE
         parked = arm_b.state
         values = parked.pose.rotation + parked.pose.translation
         zero = values.index(0.0)
@@ -470,13 +502,13 @@ class TestHotPath:
         coord._control(arm_b, None, plate, (0.0,) * 6)
         # Stepped, and the step's bits replace the twin's.
         assert stepped.count("arm_b") == 1
-        assert arm_b.state is not twin and arm_b.parked is not twin
+        assert arm_b.state is not twin and arm_b.parked[0] is not twin
         assert [v.hex() for v in arm_b.state.pose.rotation + arm_b.state.pose.translation
                 ] == [v.hex() for v in values]
         # The stepped state is the fixed point again: one more step finds
         # it, and then parking skips the call.
         coord._control(arm_b, None, plate, (0.0,) * 6)
-        assert stepped.count("arm_b") == 2 and arm_b.parked is arm_b.state
+        assert stepped.count("arm_b") == 2 and arm_b.parked[0] is arm_b.state
         coord._control(arm_b, None, plate, (0.0,) * 6)
         assert stepped.count("arm_b") == 2
 
@@ -491,24 +523,27 @@ class TestHotPath:
         assert len(cached_run(name).records) == ticks
         assert FULL_STEPS[name] == full
 
-    @pytest.mark.parametrize("name, ticks, misses, glove, spheres, moves", [
+    @pytest.mark.parametrize("name, ticks, misses, glove, spheres, offsets, moves", [
         # Lift's and handover's fingers never move; only their wrists do.
-        ("single_lift_force_feedback", 9300, 1, 274, 4130, 4129),
-        ("squeeze_cancellation", 4000, 901, 992, 1085, 1084),
+        ("single_lift_force_feedback", 9300, 1, 274, 4130, 1, 4129),
+        ("squeeze_cancellation", 4000, 901, 992, 1085, 229, 1084),
         # No body collides with the hand, so no collider is built.
-        ("handover_sweep", 8000, 1, 236, 0, 0),
+        ("handover_sweep", 8000, 1, 236, 0, 0, 0),
     ], ids=HOT_PATH_SCENES)
-    def test_still_hand_skips_its_work(self, name, ticks, misses, glove, spheres, moves):
+    def test_still_hand_skips_its_work(self, name, ticks, misses, glove, spheres, offsets,
+                                       moves):
         # The forward model is called once per tick and misses its memo only
         # when the sensed bits moved, not when the wrist alone moved. The
         # glove reruns on those ticks and on a new glove command; the
         # colliders move when the fingers or the wrist moved, and once more
-        # after the hand stops (tick 0 builds them instead).
+        # after the hand stops (tick 0 builds them instead); their offsets
+        # are rebuilt only when the finger bits moved.
         cached_run(name)
         calls = CALLS[name]
         assert [calls[key] for key in ("hand_forward_model", "forward_model_misses",
-                                       "glove_apply", "hand_collider_spheres",
-                                       "move_hand")] == [ticks, misses, glove, spheres, moves]
+                                       "glove_apply", "hand_collider_spheres", "hand_offsets",
+                                       "move_hand")] == [ticks, misses, glove, spheres, offsets,
+                                                         moves]
 
     @pytest.mark.parametrize("name, docked, transmits, displacements, routed", [
         # Lift's command moves with its contacts and its filter's decay.
@@ -532,28 +567,86 @@ class TestHotPath:
                                        "_paired_magnitude")] == [transmits, displacements,
                                                                  routed]
 
-    @pytest.mark.parametrize("name, seconds, noise", [
-        # The injected load ramps, and the joint breaks at 1.982 s.
-        ("decouple_sweep", 2.5, 0.0),
-        # Attach at 0.334 s, hand contacts from 1.312 s, a noisy plate.
-        ("single_lift_force_feedback", 2.0, 0.0005),
-    ])
-    def test_force_path_without_its_memos_keeps_the_bytes(self, name, seconds, noise):
-        def run(forget):
-            coord = Coordinator(_short(name, seconds, tracking_noise_std_m=noise))
-            for tick in range(coord.cfg.coordinator.ticks):
-                if forget:
-                    coord._cmd, coord._sent, coord._disp = (None,) * 4, (None,) * 3, (None,) * 3
-                    coord.filter._still = (None, None)
-                coord._tick(tick)
-            return coord.log
+    def test_interleaved_runs_keep_their_own_state(self, monkeypatch):
+        # Two coordinators stepped alternately in one process share no reuse
+        # slot: the whole squeeze and the lift's first 4000 ticks each get
+        # the bytes and the hand-layer counts they get alone.
+        keys = ("glove_apply", "forward_model_misses", "hand_collider_spheres")
+        cached_run("squeeze_cancellation")
+        assert [CALLS["squeeze_cancellation"][k] for k in keys] == [992, 901, 1085]
+        alone = cached_run("single_lift_force_feedback").records[:4000]
+        squeeze = Coordinator(build("squeeze_cancellation"))
+        lift = Coordinator(_short("single_lift_force_feedback", 4.0))
+        calls = {squeeze: Counter(), lift: Counter()}
+        last = {}
+        turn = squeeze
 
-        log = run(forget=False)
-        # The docked command both moves and repeats for hundreds of ticks.
-        cmds = [r["cmd_wrench"] for r in log.records if r["docked_arm"] is not None]
-        moves = sum(a != b for a, b in zip(cmds, cmds[1:]))
-        assert 500 < moves < len(cmds) - 500
-        assert log.to_bytes() == run(forget=True).to_bytes()
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[turn][key] += 1
+                return fn(*args)
+            return wrapper
+
+        model = harness.hand_forward_model
+
+        def forward(*args):
+            hand = model(*args)
+            calls[turn]["forward_model_misses"] += hand is not last.get(turn)
+            last[turn] = hand
+            return hand
+
+        monkeypatch.setattr(harness, "hand_forward_model", forward)
+        for key in ("glove_apply", "hand_collider_spheres"):
+            monkeypatch.setattr(harness, key, counting(key, getattr(harness, key)))
+        for tick in range(4000):
+            for turn in (squeeze, lift):
+                turn._tick(tick)
+        assert [calls[squeeze][k] for k in keys] == [992, 901, 1085]
+        assert [calls[lift][k] for k in keys] == [118, 1, 1555]
+        digest = hashlib.sha256(squeeze.log.to_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256["squeeze_cancellation"]
+        assert _lines(lift.log.records) == _lines(alone)
+
+    @pytest.mark.parametrize("name, ticks, stepped", [
+        ("single_lift_force_feedback", 9300, 334),
+        ("squeeze_cancellation", 4000, 124),
+        # Two arms: each parks until its interception and after its release.
+        ("handover_sweep", 8000, 2052),
+    ], ids=HOT_PATH_SCENES)
+    def test_parked_arms_are_not_stepped(self, name, ticks, stepped):
+        assert len(cached_run(name).records) == ticks
+        assert CALLS[name]["arm_step"] == stepped
+
+    @pytest.mark.parametrize("name, seconds, rotation, noise", COLD_RUNS,
+                             ids=[f"{run[0]}-{run[1]}s" + "-variant" * (run[2] is not None)
+                                  for run in COLD_RUNS])
+    def test_cold_run_keeps_the_bytes(self, monkeypatch, name, seconds, rotation, noise):
+        # The cold reference: the run again with every reuse slot cleared
+        # before each tick, so nothing of an earlier tick is reused.
+        raw = as_dict(name)
+        raw["coordinator"] = {**raw["coordinator"], "duration_s": seconds}
+        if rotation is not None:
+            raw["trajectory"]["wrist_rotation"] = list(rotation)
+            raw["tracking_noise_std_m"] = noise
+        cfg = scenario_from_dict(raw)
+        applied = []
+        original = harness.glove_apply
+        monkeypatch.setattr(harness, "glove_apply",
+                            lambda *args: applied.append(True) or original(*args))
+        coord = Coordinator(cfg)
+        ticks = cfg.coordinator.ticks
+        for tick in range(ticks):
+            _cold(coord)
+            coord._tick(tick)
+        # Nothing was left to reuse: the glove ran on every tick.
+        assert len(applied) == ticks
+        monkeypatch.undo()
+        if rotation is None:
+            warm = cached_run(name).records[:ticks]
+        else:
+            warm = run_scenario(cfg).records
+        assert any(r["docked_arm"] for r in warm)
+        assert _lines(coord.log.records) == _lines(warm)
 
     def test_wrist_sweep_enters_the_glove_only_on_its_commands(self, monkeypatch):
         # Handover's wrist sweeps under still fingers: the glove step reruns
@@ -585,7 +678,7 @@ class TestHotPath:
         assert any(r["docked_arm"] for r in log.records)
 
         def plain(v) -> bool:
-            if isinstance(v, list):
+            if isinstance(v, (list, tuple)):
                 return all(plain(x) for x in v)
             if isinstance(v, dict):
                 return all(isinstance(k, str) and plain(x) for k, x in v.items())

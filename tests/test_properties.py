@@ -17,9 +17,9 @@ from hapdock.config import ConfigError, Track, sample_track, scenario_from_dict
 from hapdock import harness
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
                              NUM_FINGERS, PHALANGE_NAMES, VIRTUOSE_6D, ArmCommand,
-                             ArmSpec, ArmState, HandCalibration, HandState, _hand_offsets,
-                             arm_step, finger_sphere_centers, hand_collider_spheres,
-                             hand_forward_model, impedance_displacement)
+                             ArmSpec, ArmState, HandCalibration, HandState, arm_step,
+                             finger_sphere_centers, hand_collider_spheres,
+                             hand_forward_model, hand_offsets, impedance_displacement)
 from hapdock.docking import (DOF_LABELS, JOINT_KIND_CATALOG, LEGAL_TRANSITIONS,
                              PINNED_ROTARY, PLATE_FRICTION, PLATE_SLIP, PRISMATIC,
                              TOOTHED, DockContext, DockJoint, DockState, dock_step,
@@ -627,39 +627,52 @@ def test_inlined_hand_chain_matches_transform_point_bits(wrist, flex, abd):
         expected = reference_finger_centers(geom, wrist, k, angles, abd_angle)
         assert [bits(v) for c in centers for v in c] == [bits(v) for c in expected for v in c]
     state = HandState(flex=flex, abduction=abd)
-    assert_same_spheres(hand_collider_spheres(wrist, state),
+    assert_same_spheres(hand_collider_spheres(wrist, hand_offsets(wrist.rotation, state)),
                         reference_hand_spheres(wrist, state))
 
 
 IDENTITY = RigidTransform()
+# One coordinator for every example below; each starts with cold slots and
+# no colliders.
+LIFT = Coordinator(scenario_from_dict({**as_dict("single_lift_force_feedback"),
+                                       "coordinator": {"duration_s": 0.01}}))
 
 
 @settings(max_examples=500, deadline=None)
-# Keys that differ only in the sign of a zero are equal memo keys, so the
-# second call of each example below is a memo hit.
-@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=1, value=-0.0)
-@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=4, value=-0.0)
-@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=9, value=-0.0)
+# A state that differs only in the sign of a zero gets its own offsets; one
+# with the same bits in another object keeps them.
+@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=0, value=-0.0)
+@example(wrist=IDENTITY, flex=(0.0,) * 5, abd=(0.0,) * 5, which=5, value=-0.0)
 @example(wrist=RigidTransform((0.0, 0.0, 1.0, 0.0), (-0.0, -0.0, -0.0)),
-         flex=(0.5,) * 5, abd=(0.5,) * 5, which=0, value=-0.0)
+         flex=(0.5,) * 5, abd=(0.5,) * 5, which=9, value=0.5)
 @given(wrist=poses, flex=st.tuples(*[unit_floats] * NUM_FINGERS),
-       abd=st.tuples(*[unit_floats] * NUM_FINGERS), which=st.integers(0, 13),
+       abd=st.tuples(*[unit_floats] * NUM_FINGERS), which=st.integers(0, 9),
        value=st.one_of(unit_floats, st.just(-0.0)))
 def test_hand_memo_returns_no_stale_entry(wrist, flex, abd, which, value):
-    # Two states in a row that differ in one rotation (0-3), flex (4-8) or
-    # abduction (9-13) component.
-    key = list(wrist.rotation + flex + abd)
+    # The coordinator keeps the sphere offsets while the wrist alone moves
+    # (its rotation is a scenario constant) and for another ``HandState``
+    # with the same finger bits; a state that differs in one flex (0-4) or
+    # abduction (5-9) bit gets its own. Every move matches the reference
+    # chain bit for bit.
+    coord = LIFT
+    coord.reuse = harness._Reuse()
+    coord.world.set_hand([])
+    coord.wrist_rotation = wrist.rotation
+    key = list(flex + abd)
     key[which] = value
-    moved_wrist = RigidTransform(tuple(key[:4]), wrist.translation)
-    moved = HandState(flex=tuple(key[4:9]), abduction=tuple(key[9:]))
     first = HandState(flex=flex, abduction=abd)
-    for pose, state in ((wrist, first), (moved_wrist, moved)):
-        hits = _hand_offsets.cache_info().hits
-        assert_same_spheres(hand_collider_spheres(pose, state),
-                            reference_hand_spheres(pose, state))
-    same_key = (wrist.rotation, first.flex, first.abduction) == (
-        moved_wrist.rotation, moved.flex, moved.abduction)
-    assert _hand_offsets.cache_info().hits == hits + same_key
+    moved = HandState(flex=tuple(key[:5]), abduction=tuple(key[5:]))
+    shifted = RigidTransform(wrist.rotation, tuple(t + 0.01 for t in wrist.translation))
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "hand_offsets", lambda *a: built.append(a) or hand_offsets(*a))
+        for pose, state in ((wrist, first), (shifted, first), (shifted, moved), (wrist, moved)):
+            coord._update_hand_colliders(state, pose)
+            assert_same_spheres([(h.name, h.center, h.radius) for h in coord.world.hand],
+                                reference_hand_spheres(pose, state))
+    same_bits = [bits(v) for v in flex + abd] == [bits(v) for v in key]
+    assert [state for _, state in built] == [first] + [moved] * (not same_bits)
+    assert all(state is want for (_, state), want in zip(built, (first, moved)))
 
 
 # -- still hand --------------------------------------------------------------
@@ -683,24 +696,25 @@ calibrations = st.builds(
 @example(sensed=[-0.0] * 11, cal=HandCalibration())
 @given(sensed=st.lists(sensor_values, min_size=11, max_size=11), cal=calibrations)
 def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal):
-    first = hand_forward_model(list(sensed), cal)
-    # The same bits in a new list hit the memo.
-    assert hand_forward_model(list(sensed), cal) is first
+    first = hand_forward_model(list(sensed), cal, None)
+    # The same bits in a new list return the last result handed back.
+    assert hand_forward_model(list(sensed), cal, first) is first
     # An equal calibration in another object misses, and evaluates afresh.
     twin = replace(cal)
-    fresh = hand_forward_model(sensed, twin)
+    fresh = hand_forward_model(sensed, twin, first)
     assert fresh is not first
     assert hand_state_bits(fresh) == hand_state_bits(first)
-    # So does a sensed value whose zero changed its sign, after a call with
-    # the other sign.
+    # So does a sensed value whose zero changed its sign.
     for i, v in enumerate(sensed):
         if v == 0.0:
             flipped = sensed[:i] + [-v] + sensed[i + 1:]
-            got = hand_forward_model(flipped, twin)
+            got = hand_forward_model(flipped, twin, fresh)
             assert got is not fresh
             assert hand_state_bits(got) == hand_state_bits(
-                hand_forward_model(flipped, replace(cal)))
-            fresh = hand_forward_model(sensed, twin)
+                hand_forward_model(flipped, replace(cal), None))
+    # A state the model did not compute is never handed back.
+    applied = HandState(first.flex, first.abduction, clamp_flags=first.clamp_flags)
+    assert hand_forward_model(sensed, cal, applied) is not applied
 
 
 @pytest.mark.parametrize("which", range(13))
@@ -723,10 +737,10 @@ def test_changed_sample_is_recomputed(which, zero, then):
     changed, held = Coordinator(config(zero)), Coordinator(config(then))
     for coord in (changed, held):
         coord._tick(0)
-    sample = changed._sample
+    sample = changed.reuse.sample
     for coord in (changed, held):
         coord._tick(1)
-    assert changed._sample is not sample
+    assert changed.reuse.sample is not sample
     got, want = changed.log.records[1], held.log.records[1]
     for key in ("wrist", "flex", "resist"):
         assert [bits(v) for v in got[key]] == [bits(v) for v in want[key]]

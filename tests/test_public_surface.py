@@ -132,3 +132,22 @@ def test_the_tick_length_is_one_constant():
     dt = hapdock.config.CoordinatorConfig(duration_s=1.0).dt
     assert struct.pack("<d", dt) == struct.pack("<d", geometry.DT)
     assert geometry.DT == 1.0 / geometry.TICK_RATE_HZ
+
+
+def test_no_process_wide_state():
+    # A run's state belongs to its Coordinator: a module-level memo would be
+    # shared by every run in the process. So no module declares a
+    # ``global`` and no function is cached by ``functools``.
+    cached = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for path in sorted((ROOT / "src" / "hapdock").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}: global")
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in cached:
+                    found.append(f"{path.name}:{dec.lineno}: {name}")
+    assert found == []

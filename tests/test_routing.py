@@ -19,7 +19,7 @@ IDENTITY = RigidTransform.identity()
 
 def hand_at(flex=0.0):
     sensed = [flex] * 5 + [0.5] * 5 + [0.0]
-    return hand_forward_model(sensed, CAL)
+    return hand_forward_model(sensed, CAL, None)
 
 
 def impulse(collider, body, normal, magnitude, point=(0.0, 0.0, 0.0)):
