@@ -10,11 +10,19 @@ over the reach boxes' lower corners finds it in O(n^4) for n arms (see
 A stacked force is a bound of the layout, not something a run renders: the
 coordinator docks one arm at a time (its one dock slot, ``Coordinator.docked``
 in the harness), so ``hapdock run`` renders at most one arm's force at any tick.
+
+``capability_at`` answers from a per-axis interval index that a capability
+builds on its first query and keeps in a field that equality, hashing and
+``repr`` never see. Each region's interval ends on an axis are the first and
+last floats where the closed-box test ``abs(p - c) <= h`` itself holds, so a
+lookup reaches exactly the regions that test would, shared faces included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .devices import NUM_FINGERS, ArmSpec, GloveSpec
@@ -88,6 +96,8 @@ class HybridCapability:
     force_regions: tuple[ForceRegion, ...]
     glove_torques: tuple[tuple[str, float], ...]
     glove_present: bool
+    # Built by the first ``capability_at`` (see ``_build_index``).
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,6 +246,105 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
     )
 
 
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+_TOP = 0x7FF0000000000000         # float-order key of +inf; -_TOP is -inf's
+
+
+def _key(f: float) -> int:
+    """Position of ``f`` in float order, one integer step per float; -0.0 and
+    0.0 share 0, as they do for every comparison."""
+    bits = _I64.unpack(_F64.pack(f))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _float(k: int) -> float:
+    return _F64.unpack(_I64.pack(k if k >= 0 else -k | -0x8000000000000000))[0]
+
+
+def _last_inside(c: float, h: float, start: int) -> int:
+    """Key of the last float ``p`` with ``abs(p - c) <= h``, searching up
+    from key ``start``, where the test holds.
+
+    The floats passing the test are contiguous in float order, because
+    ``p - c`` rounds monotonically. The search gallops up from ``c + h``,
+    where the end usually lies within an ulp or two, then bisects. An end
+    near 0.0 can lie far from ``c + h`` in float steps (about 4.4e18 for
+    c = -0.5, h = 0.5, whose end is 5.55e-17), and takes about 120 tests.
+    """
+    def inside(k):
+        return k <= _TOP and abs(_float(k) - c) <= h
+
+    lo = start
+    hi = max(_key(c + h), lo)
+    step = 1
+    while inside(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _interval(c: float, h: float) -> tuple[int, int] | None:
+    """Keys of the first and last float ``p`` with ``abs(p - c) <= h``, or
+    None when no float passes.
+
+    The test holds at ``c`` itself unless ``c`` or ``h`` is not finite; only
+    an infinite ``c`` with ``h`` = inf then passes anything, 0.0 among it.
+    The lower end mirrors the upper one: ``abs(p - c)`` equals
+    ``abs(-p - -c)`` bit for bit.
+    """
+    for anchor in (c, 0.0):
+        if abs(anchor - c) <= h:
+            a = _key(anchor)
+            return -_last_inside(-c, h, -a), _last_inside(c, h, a)
+    return None
+
+
+def _build_index(cap: HybridCapability) -> tuple:
+    """Per axis, the sorted interval starts and floats after each interval
+    end, and for each slot between them the bitmask of the regions (bit k
+    for ``force_regions[k]``) that reach it. Then an empty map from a
+    reached mask to its ``PointCapability``, filled as queries reach masks."""
+    index = []
+    for axis in range(3):
+        spans = []
+        for bit, region in enumerate(cap.force_regions):
+            ends = _interval(region.box.center[axis], region.box.half_extents[axis])
+            if ends is not None:
+                lo, hi = ends
+                # A region reaching +inf has no float after its end.
+                after = _float(hi + 1) if hi < _TOP else None
+                spans.append((1 << bit, _float(lo), after))
+        cuts = sorted({v for _, lo, after in spans for v in (lo, after) if v is not None})
+        # Slot i holds the points p with cuts[i - 1] <= p < cuts[i].
+        masks = [0] + [sum(bit for bit, lo, after in spans
+                           if lo <= v and (after is None or v < after)) for v in cuts]
+        index += [cuts, masks]
+    index.append({})
+    object.__setattr__(cap, "_index", tuple(index))
+    return cap._index
+
+
+def _answer(cap: HybridCapability, mask: int) -> PointCapability:
+    force = [0.0, 0.0, 0.0]
+    torque: list[tuple[str, float]] = []
+    reachable = []
+    for bit, region in enumerate(cap.force_regions):
+        if mask >> bit & 1:
+            reachable.append(region.arm_name)
+            for axis in range(3):
+                force[axis] += region.force[axis]
+            torque.extend(region.torque)
+    torque.extend(cap.glove_torques)
+    return PointCapability(force=tuple(force), torque=tuple(torque),
+                           reachable_by=tuple(reachable), grounded=bool(reachable))
+
+
 def capability_at(cap: HybridCapability, point) -> PointCapability:
     """Envelope available at a world point (three numbers): sum of the arms
     that reach it.
@@ -244,21 +353,26 @@ def capability_at(cap: HybridCapability, point) -> PointCapability:
     arms, although the boxes share no interior and ``force_envelope`` does
     not stack them there. Away from every face the sum never exceeds the
     envelope.
+
+    The first query builds the capability's index (``_build_index``): the
+    exact float interval each region's closed-box test passes on each axis.
+    A query is then one ``bisect_right`` per axis and the intersection of
+    three bitmasks, and points that reach the same regions share one
+    ``PointCapability``, its force summed in region order as the box test
+    would. The index is never compared, hashed or printed.
     """
     x, y, z = point
-    point = (float(x), float(y), float(z))
-    force = [0.0, 0.0, 0.0]
-    torque: list[tuple[str, float]] = []
-    reachable = []
-    for region in cap.force_regions:
-        if region.box.contains(point):
-            reachable.append(region.arm_name)
-            for axis in range(3):
-                force[axis] += region.force[axis]
-            torque.extend(region.torque)
-    torque.extend(cap.glove_torques)
-    return PointCapability(force=tuple(force), torque=tuple(torque),
-                           reachable_by=tuple(reachable), grounded=bool(reachable))
+    x, y, z = float(x), float(y), float(z)
+    xs, xm, ys, ym, zs, zm, answers = cap._index or _build_index(cap)
+    mask = xm[bisect_right(xs, x)] & ym[bisect_right(ys, y)] & zm[bisect_right(zs, z)]
+    # NaN sorts past every cut, into +inf's slot, which only a region with
+    # an infinite half extent reaches; no box holds NaN.
+    if mask and (x != x or y != y or z != z):
+        mask = 0
+    found = answers.get(mask)
+    if found is None:
+        found = answers[mask] = _answer(cap, mask)
+    return found
 
 
 def _fmt_mm(meters: float) -> int:

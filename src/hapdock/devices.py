@@ -307,8 +307,8 @@ def impedance_displacement(force_cmd, stiffness: float) -> Vec3:
     """Spring-law offset that makes the admittance loop render ``force_cmd``."""
     if stiffness <= 0.0:
         raise ValueError("stiffness must be strictly positive")
-    fx, fy, fz = (float(c) for c in force_cmd)
-    return (fx / stiffness, fy / stiffness, fz / stiffness)
+    fx, fy, fz = force_cmd
+    return (float(fx) / stiffness, float(fy) / stiffness, float(fz) / stiffness)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hapdock import capability
 from hapdock.capability import (CapabilityError, DockLink, UNBOUNDED,
                                 capability_at, capability_report,
                                 capability_to_dict, compose_capability)
@@ -131,6 +132,63 @@ class TestMultiArm:
             grounded = capability_at(cap, tuple(p)).grounded
             assert grounded == any(b.contains(tuple(p)) for b in boxes)
 
+
+
+def three_arms():
+    """arm_a and arm_b side by side (one shared face), arm_c across both."""
+    arms = [arm_at(0.0, "arm_a"), arm_at(1.33, "arm_b"), arm_at(0.6, "arm_c")]
+    return compose_capability(arms, [DEXMO_GLOVE],
+                              [DockLink(k, 0, PLATE_FRICTION) for k in range(3)])
+
+
+def views(cap):
+    return (hash(cap), repr(cap), capability_to_dict(cap), capability_report(cap))
+
+
+class TestQueryIndex:
+    def test_a_query_changes_no_view_of_the_capability(self):
+        cap, fresh = three_arms(), three_arms()
+        before = views(cap)
+        capability_at(cap, (0.665, 0.0, 0.0))
+        assert views(cap) == before == views(fresh)
+        assert cap == fresh
+
+    def test_replace_answers_from_its_own_regions(self):
+        cap = three_arms()
+        assert capability_at(cap, (1.0, 0.0, 0.0)).reachable_by == ("arm_b", "arm_c")
+        alone = replace(cap, force_regions=cap.force_regions[:1])
+        assert capability_at(alone, (1.0, 0.0, 0.0)).grounded is False
+        assert capability_at(alone, (0.0, 0.0, 0.0)).reachable_by == ("arm_a",)
+
+    def test_points_reaching_the_same_arms_share_one_answer(self):
+        cap = three_arms()
+        one = capability_at(cap, (-0.5, 0.0, 0.0))
+        assert capability_at(cap, (-0.4, 0.1, -0.2)) is one
+        assert one.reachable_by == ("arm_a",)
+
+    def test_one_index_and_one_answer_per_reached_set(self, monkeypatch):
+        built = {"index": 0, "answer": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(capability, "_build_index",
+                            counting("index", capability._build_index))
+        monkeypatch.setattr(capability, "PointCapability",
+                            counting("answer", capability.PointCapability))
+        cap = three_arms()
+        xs = [*np.linspace(-1.0, 2.5, 351), 0.665]   # and the face arm_a and arm_b share
+        points = [(float(x), 0.0, 0.0) for x in xs]
+        answers = [capability_at(cap, p) for p in points]
+        # The cold reference: the arms a per-region box test reaches.
+        reference = [tuple(r.arm_name for r in cap.force_regions if r.box.contains(p))
+                     for p in points]
+        assert [a.reachable_by for a in answers] == reference
+        assert len(set(reference)) == 6
+        assert built == {"index": 1, "answer": 6}
 
 class TestJointEffects:
     def test_toothed_keeps_all_torques(self):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hapdock.capability import DockLink, capability_at, compose_capability
+from hapdock.capability import (DockLink, ForceRegion, PointCapability, capability_at,
+                                compose_capability)
 from hapdock.config import ConfigError, Track, sample_track, scenario_from_dict
 from hapdock import harness
 from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, DEXMO_GLOVE,
@@ -972,6 +973,32 @@ def test_parked_arm_stays_at_its_fixed_point(case):
         assert not _same_bits(stepped, twin)
 
 
+# -- impedance displacement ----------------------------------------------------
+
+def generator_displacement(force_cmd, stiffness):
+    """``impedance_displacement`` as it was, converting through a generator."""
+    fx, fy, fz = (float(c) for c in force_cmd)
+    return (fx / stiffness, fy / stiffness, fz / stiffness)
+
+
+force_components = st.one_of(st.floats(), st.integers(-10**20, 10**20),
+                             st.floats().map(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(force=st.lists(force_components, min_size=2, max_size=4),
+       container=st.sampled_from((list, tuple)),
+       stiffness=st.one_of(st.floats(1e-6, 1e9), st.integers(1, 10**6)))
+def test_impedance_unpack_keeps_the_generator_bits(force, container, stiffness):
+    force = container(force)
+    if len(force) != 3:
+        with pytest.raises(ValueError):
+            impedance_displacement(force, stiffness)
+        return
+    got = impedance_displacement(force, stiffness)
+    assert [bits(v) for v in got] == [bits(v) for v in generator_displacement(force, stiffness)]
+
+
 # -- docked chain ------------------------------------------------------------
 
 def pose_bits(pose: RigidTransform) -> list:
@@ -1291,6 +1318,123 @@ def test_point_force_away_from_faces_within_envelope(layout, point):
                for face in (r.box.min_corner(), r.box.max_corner()) for i in range(3)))
     force = capability_at(cap, point).force
     assert all(f <= e for f, e in zip(force, cap.force_envelope))
+
+
+# -- capability index --------------------------------------------------------
+
+def reference_capability_at(cap, point):
+    """The per-region closed-box scan the interval index replaced."""
+    x, y, z = point
+    point = (float(x), float(y), float(z))
+    force = [0.0, 0.0, 0.0]
+    torque, reachable = [], []
+    for region in cap.force_regions:
+        if region.box.contains(point):
+            reachable.append(region.arm_name)
+            for axis in range(3):
+                force[axis] += region.force[axis]
+            torque.extend(region.torque)
+    torque.extend(cap.glove_torques)
+    return PointCapability(force=tuple(force), torque=tuple(torque),
+                           reachable_by=tuple(reachable), grounded=bool(reachable))
+
+
+def assert_same_answer(cap, point):
+    got, want = capability_at(cap, point), reference_capability_at(cap, point)
+    assert [bits(f) for f in got.force] == [bits(f) for f in want.force], point
+    assert (got.reachable_by, got.torque, got.grounded) == (
+        want.reachable_by, want.torque, want.grounded), point
+
+
+GLOVE_ONLY = compose_capability([], [DEXMO_GLOVE], [])
+
+
+def capability_of(boxes):
+    """A capability over the given (centre, half extents, force) regions."""
+    regions = tuple(ForceRegion(f"arm{k}", Box(c, h), force, ((f"arm{k}:rx", 1.0),))
+                    for k, (c, h, force) in enumerate(boxes))
+    return replace(GLOVE_ONLY, force_regions=regions)
+
+
+# Faces on a 0.5 m grid that includes 0.0, and boxes thinner than 1e-12 m.
+index_centres = st.integers(-3, 3).map(lambda k: 0.5 * k)
+index_halves = st.one_of(st.integers(1, 3).map(lambda k: 0.5 * k),
+                         st.sampled_from((1e-13, 4e-13, 5e-16)))
+index_boxes = st.tuples(st.tuples(*[index_centres] * 3), st.tuples(*[index_halves] * 3),
+                        st.tuples(*[st.floats(0.1, 40.0)] * 3))
+
+
+@st.composite
+def index_layouts(draw):
+    # Drawing from a small pool makes identical boxes common.
+    pool = draw(st.lists(index_boxes, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=14))
+
+
+def near(v: float) -> list:
+    """``v`` and the floats one and two ulps either side of it."""
+    out = [v]
+    for toward in (-math.inf, math.inf):
+        w = v
+        for _ in range(2):
+            w = math.nextafter(w, toward)
+            out.append(w)
+    return out
+
+
+SPECIAL_COORDS = (0.0, -0.0, math.inf, -math.inf, math.nan, 0, 1, np.float64(0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxes=index_layouts(), data=st.data())
+def test_index_answers_as_the_region_scan(boxes, data):
+    cap = capability_of(boxes)
+    # Per axis: every face and the floats +-1 and +-2 ulps from it.
+    coords = [sorted({w for c, h, _ in boxes for face in (c[a] - h[a], c[a] + h[a])
+                      for w in near(face)} or {0.0})
+              for a in range(3)]
+    for c, h, _ in set(boxes):
+        for a in range(3):
+            for v in coords[a]:
+                point = list(c)
+                point[a] = v
+                assert_same_answer(cap, point)
+    for special in SPECIAL_COORDS:
+        for a in range(3):
+            point = [0.5, 0.5, 0.5]
+            point[a] = special
+            assert_same_answer(cap, point)
+    # Corners and edges: faces of different boxes combined across axes,
+    # some given as ints or numpy floats.
+    kinds = st.sampled_from((float, np.float64, lambda v: int(v) if v == int(v) else v))
+    for _ in range(30):
+        point = [data.draw(kinds)(data.draw(st.sampled_from(coords[a]))) for a in range(3)]
+        assert_same_answer(cap, point)
+
+
+def test_index_end_far_from_its_face_in_float_steps():
+    # The low face of c = 0.5, h = 0.5 ends just below 0.0, some 4.4e18
+    # floats from c - h = 0.0: a search that steps one ulp at a time never
+    # finishes, so finishing is the guard.
+    cap = capability_of([((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (9.5, 9.5, 9.5))])
+    inside = -5.551115123125783e-17
+    outside = math.nextafter(inside, -1.0)
+    assert capability_at(cap, (inside, 0.5, 0.5)).grounded
+    assert not capability_at(cap, (outside, 0.5, 0.5)).grounded
+    for v in near(inside) + near(0.0) + near(1.0):
+        assert_same_answer(cap, (v, v, 0.5))
+
+
+def test_index_of_an_infinite_box():
+    # +inf passes the box test of an infinite half extent and NaN never
+    # does, though both sort past every finite cut.
+    cap = capability_of([((0.0, 0.0, 0.0), (math.inf, 1.0, 1.0), (9.5, 9.5, 9.5)),
+                         ((math.inf, 0.0, 0.0), (math.inf, 1.0, 1.0), (1.0, 1.0, 1.0)),
+                         ((1.0, 0.0, 0.0), (math.nan, 1.0, 1.0), (1.0, 1.0, 1.0))])
+    assert capability_at(cap, (math.inf, 0.0, 0.0)).reachable_by == ("arm0",)
+    assert not capability_at(cap, (math.nan, 0.0, 0.0)).grounded
+    for x in (math.inf, -math.inf, math.nan, 0.0, -1e308, 1e308, 1.0):
+        assert_same_answer(cap, (x, 0.0, 0.0))
 
 
 # -- dock lifecycle ----------------------------------------------------------
