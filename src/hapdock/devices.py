@@ -53,9 +53,9 @@ class ArmSpec:
                             ("rot_range_deg", self.rot_range_deg),
                             ("max_force", self.max_force),
                             ("max_torque", self.max_torque)):
-            if any(v <= 0.0 for v in vals):
+            if any(not v > 0.0 for v in vals):
                 raise ValueError(f"{self.name}: {label} must be strictly positive")
-        if self.stiffness <= 0.0:
+        if not self.stiffness > 0.0:
             raise ValueError(f"{self.name}: stiffness must be positive")
         # Built once: arm_step reads them on every control tick.
         object.__setattr__(self, "_box",

@@ -256,7 +256,10 @@ def dock_step(state: DockState, ctx: DockContext) -> tuple[DockState, tuple[str,
 
 def predict_position(position: Vec3, velocity, horizon_s: float) -> Vec3:
     """Constant-velocity extrapolation used to anticipate interception."""
-    return tuple(p + float(v) * horizon_s for p, v in zip(position, velocity))
+    px, py, pz = position
+    vx, vy, vz = velocity
+    return (px + float(vx) * horizon_s, py + float(vy) * horizon_s,
+            pz + float(vz) * horizon_s)
 
 
 @dataclass(slots=True)

@@ -21,7 +21,7 @@ class Box:
     half_extents: Vec3
 
     def __post_init__(self):
-        if any(h <= 0.0 for h in self.half_extents):
+        if any(not h > 0.0 for h in self.half_extents):
             raise ValueError("box half extents must be strictly positive")
 
     @classmethod

@@ -112,9 +112,10 @@ class _ArmUnit:
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
-    # A state that parking returns bit for bit and its tool point: parking
-    # ``state`` while it is this object needs no step, as ``arm_step`` is pure.
-    parked: tuple = (None, None)
+    # A state that parking returns bit for bit: parking ``state`` while it
+    # is this object needs no step, as ``arm_step`` is pure.
+    parked: ArmState | None = None
+    tool: tuple = (None, None)         # (state, its tool point)
 
 
 @dataclass(slots=True)
@@ -123,7 +124,7 @@ class _Reuse:
     rerun, keyed on identity or packed ``struct`` bits (``==`` would match
     0.0 with -0.0). The defaults are the cold values."""
 
-    sample: tuple = (None, None, None)            # (bits, sensed, wrist)
+    sample: tuple = (b"", None, None)             # (bits, sensed, wrist)
     # (intended, command, hand); ``intended`` is also the forward model's
     # last result, handed back to it.
     applied: tuple = (None, None, None)
@@ -133,11 +134,21 @@ class _Reuse:
     cmd: tuple = (None, None, None, None)         # (unit, filtered, load, command)
     sent: tuple = (None, None, None)              # (command, joint, transmit)
     disp: tuple = (None, None, None)              # (unit, command, displacement)
+    plate: tuple = (None, None)                   # (wrist, true plate)
+    # (plate position, plate velocity, predicted position, triggers)
+    trigger: tuple = (None, None, None, None)
+    routed: tuple = (None, None, None, None)      # (plate position, report, docked, routed)
+    support: tuple = (None, None)                 # (report, support)
+    follow: tuple = (None, None, None)            # (plate, chain, follow)
+    docked_arm: tuple = (None, None, None, None)  # (follow, displacement, state, target)
 
 
 class Coordinator:
     """Owns all mutable state and drives one scenario tick by tick. Its reuse
-    slots are ``reuse`` and, in the objects they key on, ``_ArmUnit.parked``,
+    slots are ``reuse`` (the hand: ``sample``, ``applied``, ``collider``; the
+    plate: ``plate``, ``trigger``, ``routed``, ``support``; the docked arm:
+    ``cmd``, ``sent``, ``disp``, ``follow``, ``docked_arm``) and, in the
+    objects they key on, ``_ArmUnit.parked``, ``_ArmUnit.tool``,
     ``World.fixed_point`` and ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
@@ -258,8 +269,9 @@ class Coordinator:
 
         Still fingers cost only their keys. A trajectory sample whose packed
         bits match last tick's (bits, not ``==``, so a zero's sign counts)
-        reuses last tick's sensed values and wrist pose, and one whose wrist
-        alone moved reuses the sensed values. ``hand_forward_model`` is
+        reuses last tick's sensed values and wrist pose, one whose wrist
+        alone moved reuses the sensed values, and one whose fingers alone
+        moved reuses the wrist pose. ``hand_forward_model`` is
         still called once per tick, first in the tick: perfbench's tick hook
         counts those calls. Handed its last result, it returns that
         ``HandState`` object for the same sensed bits, however the wrist
@@ -273,8 +285,10 @@ class Coordinator:
         key = _SAMPLE_BITS.pack(*wrist_pos, *flex_int, *abd)
         last_key, sensed, wrist = reuse.sample
         if key != last_key:
-            wrist = RigidTransform(self.wrist_rotation, wrist_pos)
-            if last_key is None or key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]:
+            fingers_moved = key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]
+            if not fingers_moved or key[:_WRIST_BYTES] != last_key[:_WRIST_BYTES]:
+                wrist = RigidTransform(self.wrist_rotation, wrist_pos)
+            if fingers_moved:
                 sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
                           for i in range(NUM_FINGERS)]
                 sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
@@ -373,15 +387,23 @@ class Coordinator:
         Only the plate's translation moves from attach to release (the wrist
         rotation is a scenario constant, tracking noise moves the translation
         only, and the joint is fixed), so the rotations come from ``chain``
-        and a tick does three additions per component and one rotation.
+        and a tick does three additions per component and one rotation. The
+        result is last tick's object while ``plate`` and ``chain`` are last
+        tick's objects: ``chain`` is built anew at each attach.
         """
-        c1, c2 = self.chain[:2]
+        chain = self.chain
+        last_plate, last_chain, follow = self.reuse.follow
+        if plate is last_plate and chain is last_chain:
+            return follow
+        c1, c2 = chain[:2]
         p = plate.translation
         spec = u.cfg.spec
         local = spec.base_inv.transform_point(((p[0] + c1[0]) + c2[0],
                                                (p[1] + c1[1]) + c2[1],
                                                (p[2] + c1[2]) + c2[2]))
-        return local, spec.workspace_box_base().clamp_point(local)
+        follow = (local, spec.workspace_box_base().clamp_point(local))
+        self.reuse.follow = (plate, chain, follow)
+        return follow
 
     def _winner(self, t: float, predicted: Vec3, triggers: list[bool]) -> _ArmUnit | None:
         """The nearest effector among free arms whose trigger fires and whose
@@ -496,18 +518,29 @@ class Coordinator:
     def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
                  cmd_world: tuple[float, ...]) -> RigidTransform:
         """Step ``u``'s arm for this tick and return its target, world frame.
-        ``follow`` is the lifecycle's, read only while ``u`` is docked."""
+        ``follow`` is the lifecycle's, read only while ``u`` is docked. The
+        docked arm's state and target are last tick's objects while
+        ``follow`` and the displacement are: ``follow`` comes from this
+        attach's chain, so it fixes ``u`` and the pinned rotation."""
         spec = u.cfg.spec
         if u is self.docked:
-            local, clamped_pos = follow
-            q_pinned = self.chain[2]
-            pos = spec.base_pose.transform_point(clamped_pos)
-            u.state = ArmState(pose=RigidTransform(q_pinned, pos), clamped=clamped_pos != local)
-            last_u, last_cmd, disp = self.reuse.disp
+            reuse = self.reuse
+            last_u, last_cmd, disp = reuse.disp
             if u is not last_u or cmd_world is not last_cmd:
                 disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                self.reuse.disp = (u, cmd_world, disp)
-            return RigidTransform(q_pinned, tuple(p + d for p, d in zip(pos, disp)))
+                reuse.disp = (u, cmd_world, disp)
+            last_follow, last_disp, state, target = reuse.docked_arm
+            if follow is not last_follow or disp is not last_disp:
+                local, clamped_pos = follow
+                q_pinned = self.chain[2]
+                pos = spec.base_pose.transform_point(clamped_pos)
+                state = ArmState(pose=RigidTransform(q_pinned, pos),
+                                 clamped=clamped_pos != local)
+                target = RigidTransform(q_pinned, (pos[0] + disp[0], pos[1] + disp[1],
+                                                   pos[2] + disp[2]))
+                reuse.docked_arm = (follow, disp, state, target)
+            u.state = state
+            return target
         if u.dock_state is DockState.INTERCEPTING:
             cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed,
                          base_pose=spec.base_pose, tool_offset=self.cfg.dock.tool_offset)
@@ -519,11 +552,10 @@ class Coordinator:
             # A releasing arm reports no clamp.
             u.state = ArmState(pose=arm_step(spec, u.state, cmd).pose)
             return u.state.pose
-        if u.state is not u.parked[0]:
+        if u.state is not u.parked:
             state = arm_step(spec, u.state, u.park_cmd)
             if _same_bits(state, u.state):
-                tool = u.state.pose.transform_point(self.cfg.dock.tool_offset.translation)
-                u.parked = (u.state, tool)
+                u.parked = u.state
             else:
                 u.state = state
         return u.park
@@ -547,8 +579,17 @@ class Coordinator:
         extrapolates the tracked plate with the true plate's velocity, so the
         noise is not differenced into a velocity (which would scale it by
         1/DT). Without noise the two plates are one.
+
+        A still wrist reruns none of the plate's work. The true plate is
+        rebuilt only for a new wrist object, and its velocity is ``ZERO3``
+        while it is last tick's object: ``(x - x) / DT`` is +0.0 for every
+        finite ``x``. The prediction and triggers are kept while the plate
+        position and velocity are last tick's objects; the routing while the
+        position, the report and the docked flag are (``step_world`` hands
+        back one report object at a fixed point); ``support`` while the
+        report is. A tool point is rebuilt only for a new arm state object.
         """
-        cfg = self.cfg
+        cfg, reuse = self.cfg, self.reuse
         t = tick * DT
         events: list[str] = []
 
@@ -561,45 +602,59 @@ class Coordinator:
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
-        plate_truth = self._plate_truth(wrist.translation)
+        last_wrist, plate_truth = reuse.plate
+        if wrist is not last_wrist:
+            plate_truth = self._plate_truth(wrist.translation)
+            reuse.plate = (wrist, plate_truth)
         plate = self._tracked_plate(plate_truth)
         plate_pos = plate.translation
         truth_pos = plate_truth.translation
         prev = self._prev_plate
-        plate_vel = (ZERO3 if prev is None else
+        plate_vel = (ZERO3 if prev is None or prev is truth_pos else
                      ((truth_pos[0] - prev[0]) / DT, (truth_pos[1] - prev[1]) / DT,
                       (truth_pos[2] - prev[2]) / DT))
         self._prev_plate = truth_pos
 
         docked = self.docked
-        routed = route_forces(impulses, docked is not None, reference_point=plate_pos)
+        is_docked = docked is not None
+        last_pos, last_report, last_docked, routed = reuse.routed
+        if (plate_pos is not last_pos or impulses is not last_report
+                or is_docked is not last_docked):
+            routed = route_forces(impulses, is_docked, reference_point=plate_pos)
+            reuse.routed = (plate_pos, impulses, is_docked, routed)
 
         # The magnet-on-plate dock cannot carry torque about its normal and the
         # hand is kept flat, so only the net force is rendered.
         filter_input = ZERO6
-        if docked is not None and cfg.condition is Condition.FORCE_FEEDBACK:
+        if is_docked and cfg.condition is Condition.FORCE_FEEDBACK:
             filter_input = routed.net_force + ZERO3
         filtered = self.filter.update(filter_input)
 
         cmd_world = ZERO6
-        if docked is not None:
+        if is_docked:
             cmd_world = self._command(docked, filtered, cfg.sample_injected_load(t))
 
-        support = {}
-        for body in self.world.bodies:
-            if body.kind is not BodyKind.DYNAMIC:
-                continue
-            total = 0.0
-            for imp in impulses:
-                if imp.hand_collider is not None and imp.body_b == body.name:
-                    total += imp.magnitude / DT * imp.normal[1]
-            support[body.name] = float(total)
+        last_report, support = reuse.support
+        if impulses is not last_report:
+            support = {}
+            for body in self.world.bodies:
+                if body.kind is not BodyKind.DYNAMIC:
+                    continue
+                total = 0.0
+                for imp in impulses:
+                    if imp.hand_collider is not None and imp.body_b == body.name:
+                        total += imp.magnitude / DT * imp.normal[1]
+                support[body.name] = float(total)
+            reuse.support = (impulses, support)
 
         lifecycle = cfg.condition is not Condition.FREE
         if lifecycle:
-            predicted = predict_position(plate_pos, plate_vel,
-                                         cfg.dock.interception_horizon_s)
-            triggers = [u.trigger_box.contains(predicted) for u in self.units]
+            last_pos, last_vel, predicted, triggers = reuse.trigger
+            if plate_pos is not last_pos or plate_vel is not last_vel:
+                predicted = predict_position(plate_pos, plate_vel,
+                                             cfg.dock.interception_horizon_s)
+                triggers = [u.trigger_box.contains(predicted) for u in self.units]
+                reuse.trigger = (plate_pos, plate_vel, predicted, triggers)
             winner = self._winner(t, predicted, triggers)
         tool_local = cfg.dock.tool_offset.translation    # effector frame
         arms_rec = []
@@ -609,10 +664,12 @@ class Coordinator:
                 transmitted, slip, follow = self._lifecycle(
                     u, triggers[i], u is winner, t, plate, cmd_world, events)
             target = self._control(u, follow, plate, cmd_world)
-            pose = u.state.pose
-            parked, tool = u.parked
-            if u.state is not parked:
+            state = u.state
+            pose = state.pose
+            last_state, tool = u.tool
+            if state is not last_state:
                 tool = pose.transform_point(tool_local)
+                u.tool = (state, tool)
             arms_rec.append({
                 "name": u.cfg.name,
                 "state": u.dock_state.value,
@@ -621,7 +678,7 @@ class Coordinator:
                 "target": target.translation,
                 "rendered": transmitted,
                 "slip": slip,
-                "clamped": u.state.clamped,
+                "clamped": state.clamped,
                 "tool_dist": _point_distance(tool, truth_pos),
                 "magnet": u.magnet.effective,
             })

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
@@ -38,7 +39,7 @@ _NO_CONTACT = RoutedForces(residual=ZERO6, net_force=ZERO3, net_torque=ZERO3,
                            paired_magnitude=0.0, hand_contact_count=0)
 
 
-def _hand_forces(impulses: list[ContactImpulse]):
+def _hand_forces(impulses: Sequence[ContactImpulse]):
     """Per-collider reaction forces on the hand as (source body, force, point)."""
     out = []
     for imp in impulses:
@@ -87,7 +88,7 @@ def _paired_magnitude(forces, angle_deg: float) -> float:
     return paired
 
 
-def route_forces(impulses: list[ContactImpulse], docked: bool, *,
+def route_forces(impulses: Sequence[ContactImpulse], docked: bool, *,
                  reference_point: Vec3) -> RoutedForces:
     """Route one step's hand-contact impulses.
 

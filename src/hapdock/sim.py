@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -351,7 +352,7 @@ def _check_finite(world: World) -> None:
             raise SimulationDiverged(f"body {b.name!r} has non-finite or runaway state")
 
 
-def step_world(world: World) -> tuple[World, list[ContactImpulse]]:
+def step_world(world: World) -> tuple[World, Sequence[ContactImpulse]]:
     """Advance the world one tick, ``DT``, and report every contact impulse.
 
     The returned world is the input advanced in place; it is returned so the
@@ -360,9 +361,10 @@ def step_world(world: World) -> tuple[World, list[ContactImpulse]]:
     A step that hands every body's position and velocity back bit for bit is
     a fixed point: ``world.fixed_point`` keeps the bits of its input (every
     body's position and velocity, every hand collider's center and
-    velocity), the ``params`` and ``gravity`` objects and the report. A
-    later call with the same bits and the same two objects returns a new
-    list of that report and changes nothing; that input passed the
+    velocity), the ``params`` and ``gravity`` objects and the report, a
+    tuple that this step returns too. A later call with the same bits and
+    the same two objects returns that tuple and changes nothing, so a
+    caller can key on the report object; that input passed the
     divergence check at the end of the step that recorded it. ``params``
     and ``gravity`` are immutable and keyed by identity, so replacing either
     misses even with an equal value. ``add_body`` lengthens the key and
@@ -397,11 +399,11 @@ def step_world(world: World) -> tuple[World, list[ContactImpulse]]:
             and fixed[2] is world.params and fixed[3] is world.gravity):
         if fixed[1] is None:
             if not _hand_touches(world):
-                return world, list(fixed[4])
+                return world, fixed[4]
         else:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
             if fixed[1] == hand:
-                return world, list(fixed[4])
+                return world, fixed[4]
     _check_finite(world)
 
     contacts = _collect_contacts(world)
@@ -504,5 +506,6 @@ def step_world(world: World) -> tuple[World, list[ContactImpulse]]:
             hand = None
         elif hand is None:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
-        world.fixed_point = (bodies, hand, world.params, world.gravity, tuple(report))
+        report = tuple(report)
+        world.fixed_point = (bodies, hand, world.params, world.gravity, report)
     return world, report

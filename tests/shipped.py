@@ -42,8 +42,12 @@ FULL_STEPS: dict[str, int] = {}
 # ``HandState`` object than the call before: the sensed fingers moved; a
 # wrist that moves alone is no miss); calls of ``arm_step`` (a parked arm
 # at its fixed point is not stepped), ``joint_transmit`` and
-# ``impedance_displacement``, and full routing passes (calls of
-# ``routing._paired_magnitude``).
+# ``impedance_displacement``; calls of ``route_forces`` and full routing
+# passes (calls of ``routing._paired_magnitude``); calls of
+# ``Coordinator._plate_truth`` and ``predict_position``, and the
+# ``ArmState`` objects the coordinator builds; and the ticks that rebuilt
+# ``reuse.support`` or ``reuse.follow``, and the tool points built (the
+# arms whose ``_ArmUnit.tool`` a tick replaced).
 CALLS: dict[str, Counter] = {}
 
 
@@ -55,9 +59,9 @@ def cached_run(name: str) -> MetricLog:
         forward = [None]
 
         def counting(key, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         def counting_collect(world):
@@ -71,6 +75,14 @@ def cached_run(name: str) -> MetricLog:
             full += bool(reached)
             return out
 
+        def counting_tick(coord, tick):
+            slots = (coord.reuse.support, coord.reuse.follow)
+            tools = [u.tool for u in coord.units]
+            run_tick(coord, tick)
+            calls["support"] += coord.reuse.support is not slots[0]
+            calls["follow"] += coord.reuse.follow is not slots[1]
+            calls["tool"] += sum(u.tool is not old for u, old in zip(coord.units, tools))
+
         def counting_forward(*args):
             hand = model(*args)
             calls["hand_forward_model"] += 1
@@ -79,13 +91,18 @@ def cached_run(name: str) -> MetricLog:
             return hand
 
         collect, step, model = sim._collect_contacts, harness.step_world, harness.hand_forward_model
+        run_tick = harness.Coordinator._tick
         patches = [(sim, "_collect_contacts", counting_collect),
+                   (harness.Coordinator, "_tick", counting_tick),
                    (harness, "step_world", counting_step),
                    (harness, "hand_forward_model", counting_forward),
-                   (sim.World, "move_hand", counting("move_hand", sim.World.move_hand))]
+                   (sim.World, "move_hand", counting("move_hand", sim.World.move_hand)),
+                   (harness.Coordinator, "_plate_truth",
+                    counting("_plate_truth", harness.Coordinator._plate_truth))]
         patches += [(harness, key, counting(key, getattr(harness, key)))
                     for key in ("glove_apply", "hand_collider_spheres", "hand_offsets",
-                                "arm_step", "joint_transmit", "impedance_displacement")]
+                                "arm_step", "joint_transmit", "impedance_displacement",
+                                "route_forces", "predict_position", "ArmState")]
         patches.append((routing, "_paired_magnitude",
                         counting("_paired_magnitude", routing._paired_magnitude)))
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]

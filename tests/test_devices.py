@@ -10,7 +10,7 @@ from hapdock.devices import (ArmCommand, ArmSpec, ArmState, DEFAULT_HAND_PARAMS,
                              hand_collider_spheres, hand_forward_model,
                              hand_offsets, impedance_displacement)
 from hapdock.frames import RigidTransform
-from hapdock.geometry import DT
+from hapdock.geometry import DT, Box
 
 IDENTITY = RigidTransform.identity()
 CAL = HandCalibration(flex_min=(10.0,) * 5, flex_max=(90.0,) * 5,
@@ -227,6 +227,17 @@ class TestSpecsAndRates:
             small_arm(workspace_extents=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             GloveSpec(max_joint_torque=0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: Box((0.0, 0.0, 0.0), (0.5, v, 0.5)),
+        lambda v: small_arm(workspace_extents=(1.0, v, 1.0)),
+    ], ids=["box", "arm_spec"])
+    def test_nan_extent_rejected(self, build):
+        # NaN fails every comparison, so the check must be ``not v > 0``;
+        # an infinite extent stays legal.
+        with pytest.raises(ValueError):
+            build(math.nan)
+        build(math.inf)
 
     def test_hand_colliders_layout(self):
         hand = hand_forward_model(sensed(10.0), CAL, None)

@@ -315,7 +315,8 @@ def _cold(coord: Coordinator) -> None:
     coord.world.fixed_point = None
     coord.filter._still = (None, None)
     for u in coord.units:
-        u.parked = (None, None)
+        u.parked = None
+        u.tool = (None, None)
 
 
 # (scene, seconds, wrist rotation, tracking noise) of the cold reference runs:
@@ -381,7 +382,7 @@ class TestHotPath:
         coord = Coordinator(_short("handover_sweep", 5.0))
         quiet = attach = 0
         for tick in range(coord.cfg.coordinator.ticks):
-            parked = [u for u in coord.units if u.state is u.parked[0]]
+            parked = [u for u in coord.units if u.state is u.parked]
             calls.clear()
             coord._tick(tick)
             rec = coord.log.records[-1]
@@ -478,10 +479,10 @@ class TestHotPath:
         coord = Coordinator(_short("handover_sweep", 0.5))
         arm_b = coord.units[1]
         tick = 0
-        while arm_b.parked[0] is None:
+        while arm_b.parked is None:
             coord._tick(tick)
             tick += 1
-        assert arm_b.state is arm_b.parked[0] and arm_b.dock_state is DockState.FREE
+        assert arm_b.state is arm_b.parked and arm_b.dock_state is DockState.FREE
         parked = arm_b.state
         values = parked.pose.rotation + parked.pose.translation
         zero = values.index(0.0)
@@ -502,13 +503,13 @@ class TestHotPath:
         coord._control(arm_b, None, plate, (0.0,) * 6)
         # Stepped, and the step's bits replace the twin's.
         assert stepped.count("arm_b") == 1
-        assert arm_b.state is not twin and arm_b.parked[0] is not twin
+        assert arm_b.state is not twin and arm_b.parked is not twin
         assert [v.hex() for v in arm_b.state.pose.rotation + arm_b.state.pose.translation
                 ] == [v.hex() for v in values]
         # The stepped state is the fixed point again: one more step finds
         # it, and then parking skips the call.
         coord._control(arm_b, None, plate, (0.0,) * 6)
-        assert stepped.count("arm_b") == 2 and arm_b.parked[0] is arm_b.state
+        assert stepped.count("arm_b") == 2 and arm_b.parked is arm_b.state
         coord._control(arm_b, None, plate, (0.0,) * 6)
         assert stepped.count("arm_b") == 2
 
@@ -547,10 +548,10 @@ class TestHotPath:
 
     @pytest.mark.parametrize("name, docked, transmits, displacements, routed", [
         # Lift's command moves with its contacts and its filter's decay.
-        ("single_lift_force_feedback", 8965, 4814, 4815, 6201),
+        ("single_lift_force_feedback", 8965, 4814, 4815, 2174),
         # Squeeze's pairs cancel: its command moves once, on the first
         # docked tick.
-        ("squeeze_cancellation", 3875, 1, 2, 2610),
+        ("squeeze_cancellation", 3875, 1, 2, 60),
         # No hand contacts: nothing is routed, and each attach transmits
         # once with its new joint.
         ("handover_sweep", 7800, 2, 4, 0),
@@ -559,13 +560,61 @@ class TestHotPath:
                                                        displacements, routed):
         # The joint transmits when the command or the joint is a new object,
         # the displacement is rebuilt when the command or the docked arm is,
-        # and a step without hand contacts is not routed.
+        # and a report is routed in full only when it has hand contacts and
+        # it, the plate or the docked flag is new.
         log = cached_run(name)
         assert sum(r["docked_arm"] is not None for r in log.records) == docked
         calls = CALLS[name]
         assert [calls[key] for key in ("joint_transmit", "impedance_displacement",
                                        "_paired_magnitude")] == [transmits, displacements,
                                                                  routed]
+
+    @pytest.mark.parametrize("name, counts", [
+        # Lift's wrist moves on 3802 ticks; the prediction reruns once more
+        # each time it stops, as the velocity turns back into ``ZERO3``.
+        ("single_lift_force_feedback", [3803, 3807, 3977, 2513, 3803, 4927, 5260]),
+        # Squeeze's wrist never moves: routing reruns for a new report only.
+        ("squeeze_cancellation", [1, 1, 63, 62, 1, 3, 126]),
+        # Handover's wrist moves on 6667 ticks; physics has no bodies.
+        ("handover_sweep", [6668, 6669, 6669, 1, 6668, 6681, 8720]),
+    ], ids=HOT_PATH_SCENES)
+    def test_plate_work_runs_only_when_the_wrist_moves(self, name, counts):
+        # The true plate and the follow pose are rebuilt for a new wrist
+        # object; the prediction when the plate position or velocity is a
+        # new object; routing when the plate position, the report or the
+        # docked flag is; ``support`` when the report is; the docked arm's
+        # state when its follow pose or displacement is (plus one parked
+        # state per arm at start and the releasing states); a tool point for
+        # a new arm state object.
+        cached_run(name)
+        calls = CALLS[name]
+        assert [calls[key] for key in ("_plate_truth", "predict_position", "route_forces",
+                                       "support", "follow", "ArmState", "tool")] == counts
+
+    def test_routing_gets_the_recorded_report(self, monkeypatch):
+        # At a physics fixed point ``step_world`` returns the recorded report
+        # object, and that object is what routing gets; a report that repeats
+        # under a still plate is not routed again.
+        stepped, routed = [], []
+        step, route = harness.step_world, harness.route_forces
+
+        def stepping(world):
+            out = step(world)
+            stepped.append((out[1], world.fixed_point))
+            return out
+
+        def routing(impulses, *args, **kwargs):
+            routed.append((len(stepped), impulses))
+            return route(impulses, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "step_world", stepping)
+        monkeypatch.setattr(harness, "route_forces", routing)
+        run_scenario(_short("squeeze_cancellation", 1.0))
+        hits = [report for report, fixed in stepped if fixed is not None]
+        assert len(hits) > 900
+        assert all(report is fixed[-1] for report, fixed in stepped if fixed is not None)
+        assert all(impulses is stepped[n - 1][0] for n, impulses in routed)
+        assert 0 < len(routed) < 100
 
     def test_interleaved_runs_keep_their_own_state(self, monkeypatch):
         # Two coordinators stepped alternately in one process share no reuse

@@ -1427,10 +1427,11 @@ def test_index_end_far_from_its_face_in_float_steps():
 
 def test_index_of_an_infinite_box():
     # +inf passes the box test of an infinite half extent and NaN never
-    # does, though both sort past every finite cut.
+    # does, though both sort past every finite cut. An infinite centre with
+    # a finite half extent passes no float at all.
     cap = capability_of([((0.0, 0.0, 0.0), (math.inf, 1.0, 1.0), (9.5, 9.5, 9.5)),
                          ((math.inf, 0.0, 0.0), (math.inf, 1.0, 1.0), (1.0, 1.0, 1.0)),
-                         ((1.0, 0.0, 0.0), (math.nan, 1.0, 1.0), (1.0, 1.0, 1.0))])
+                         ((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))])
     assert capability_at(cap, (math.inf, 0.0, 0.0)).reachable_by == ("arm0",)
     assert not capability_at(cap, (math.nan, 0.0, 0.0)).grounded
     for x in (math.inf, -math.inf, math.nan, 0.0, -1e308, 1e308, 1.0):

@@ -277,17 +277,23 @@ def held_can() -> World:
 
 class TestFixedPoint:
     def test_repeat_returns_the_report_without_a_step(self, collects):
+        # The step that records the fixed point and every hit return the one
+        # recorded report object, so a caller can key on it.
         w = held_can()
-        record = settle(w)
-        before = step_bits(w, record[-1])
+        for _ in range(2000):
+            recorded = step_world(w)[1]
+            if w.fixed_point is not None:
+                break
+        record = w.fixed_point
+        assert isinstance(recorded, tuple) and recorded is record[-1]
+        before = step_bits(w, recorded)
         collects.clear()
         reports = [step_world(w)[1] for _ in range(3)]
         assert collects == []
         assert w.fixed_point is record
-        assert reports[0] is not reports[1] and list(record[-1]) == reports[0]
-        assert any(i.hand_collider == "palm" for i in reports[0])
-        for report in reports:
-            assert step_bits(w, report) == before
+        assert all(report is recorded for report in reports)
+        assert any(i.hand_collider == "palm" for i in recorded)
+        assert step_bits(w, recorded) == before
 
     @pytest.mark.parametrize("change", [
         "signed_zero", "radius", "add_body", "position", "params", "gravity"])
