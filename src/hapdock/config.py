@@ -19,7 +19,6 @@ import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import yaml
@@ -117,6 +116,7 @@ class Track(tuple):
     """A ``((t, values), ...)`` track with ``t`` strictly increasing, as the
     loader builds it.
 
+    ``times`` is the tuple of its row times, which ``sample_track`` bisects.
     ``held[i]`` is the value inside segment ``i`` when its two rows hold equal
     values, else None. For equal values, zeros of either sign included,
     ``x0 + a * (x1 - x0)`` adds a zero to ``x0`` for every ``a >= 0``, which
@@ -125,6 +125,7 @@ class Track(tuple):
 
     def __new__(cls, rows):
         track = super().__new__(cls, rows)
+        track.times = tuple(t for t, _ in track)
         track.held = tuple(tuple(x0 + 0.0 for x0 in v0) if v0 == v1 else None
                            for (_, v0), (_, v1) in zip(track, track[1:]))
         return track
@@ -145,9 +146,6 @@ class TrajectoryConfig:
                 sample_track(self.abduction, t))
 
 
-_row_time = itemgetter(0)
-
-
 def sample_track(track: Track, t: float) -> tuple[float, ...]:
     """Piecewise-linear value of ``track`` at ``t``, held at its ends. A time
     inside a held segment returns that segment's one ``held`` tuple."""
@@ -155,7 +153,7 @@ def sample_track(track: Track, t: float) -> tuple[float, ...]:
         return track[0][1]
     if t >= track[-1][0]:
         return track[-1][1]
-    i = bisect_right(track, t, key=_row_time) - 1
+    i = bisect_right(track.times, t) - 1
     held = track.held[i]
     if held is not None:
         return held

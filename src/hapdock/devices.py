@@ -198,6 +198,15 @@ class ArmState:
     pose: RigidTransform
     clamped: bool = False
 
+    # Stored like ``RigidTransform``'s fields.
+    def __init__(self, pose: RigidTransform, clamped: bool = False):
+        _SET_POSE(self, pose)
+        _SET_CLAMPED(self, clamped)
+
+
+_SET_POSE = ArmState.pose.__set__
+_SET_CLAMPED = ArmState.clamped.__set__
+
 
 _SENSED_BITS = struct.Struct("<11d")
 

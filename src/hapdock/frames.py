@@ -68,6 +68,13 @@ class RigidTransform:
     rotation: Quat = (1.0, 0.0, 0.0, 0.0)
     translation: Vec3 = (0.0, 0.0, 0.0)
 
+    # Stores through the slots' descriptors (bound below the class): the
+    # frozen ``__setattr__`` is only for callers that try to assign.
+    def __init__(self, rotation: Quat = (1.0, 0.0, 0.0, 0.0),
+                 translation: Vec3 = (0.0, 0.0, 0.0)):
+        _SET_ROTATION(self, rotation)
+        _SET_TRANSLATION(self, translation)
+
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform()
@@ -126,6 +133,10 @@ class RigidTransform:
 
     def translation_distance_to(self, other: "RigidTransform") -> float:
         return _point_distance(self.translation, other.translation)
+
+
+_SET_ROTATION = RigidTransform.rotation.__set__
+_SET_TRANSLATION = RigidTransform.translation.__set__
 
 
 def slerp(a: Quat, b: Quat, fraction: float) -> Quat:

@@ -116,6 +116,9 @@ class _ArmUnit:
     # is this object needs no step, as ``arm_step`` is pure.
     parked: ArmState | None = None
     tool: tuple = (None, None)         # (state, its tool point)
+    # (the dock state and the six ``DockContext`` flags, ``dock_step``'s
+    # result for them)
+    step: tuple = (None, None)
 
 
 @dataclass(slots=True)
@@ -149,7 +152,8 @@ class Coordinator:
     plate: ``plate``, ``trigger``, ``routed``, ``support``; the docked arm:
     ``cmd``, ``sent``, ``disp``, ``follow``, ``docked_arm``) and, in the
     objects they key on, ``_ArmUnit.parked``, ``_ArmUnit.tool``,
-    ``World.fixed_point`` and ``LowPassFilter._still``."""
+    ``_ArmUnit.step`` (the dock transition), ``World.fixed_point`` and
+    ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -429,6 +433,13 @@ class Coordinator:
         hand (world frame) and the slip flag, zero unless ``u`` was docked and
         stays docked, and ``_follow``'s result for ``u`` this tick (None when
         ``u`` neither was docked nor attached).
+
+        ``dock_step`` is pure over the dock state and the six context flags,
+        so ``u.step`` keeps its result for them: the context is built and
+        ``dock_step`` called only when one of the seven differs from the
+        last call's, as for a parked free arm it rarely does. Every exit of
+        ``DOCK_PROTOCOL`` changes the state, so the tick after a transition
+        steps again, and a kept result is the state with no events.
         """
         dock = self.cfg.dock
         transmitted, slip, follow = ZERO6, False, None
@@ -455,15 +466,22 @@ class Coordinator:
             joint_candidate = try_attach(magnet_pose, plate, dock.pos_tol,
                                          dock.ang_tol_rad, self.unattached_joint)
 
-        ctx = DockContext(
-            intercept_wanted=trigger,
-            arbitration_winner=won,
-            magnet_energized=magnet_on,
-            attach_candidate=joint_candidate is not None,
-            slot_available=slot_available,
-            release_demanded=release_demanded,
-        )
-        new_state, evs = dock_step(u.dock_state, ctx)
+        attach_candidate = joint_candidate is not None
+        inputs = (u.dock_state, trigger, won, magnet_on, attach_candidate, slot_available,
+                  release_demanded)
+        last_inputs, result = u.step
+        if inputs != last_inputs:
+            ctx = DockContext(
+                intercept_wanted=trigger,
+                arbitration_winner=won,
+                magnet_energized=magnet_on,
+                attach_candidate=attach_candidate,
+                slot_available=slot_available,
+                release_demanded=release_demanded,
+            )
+            result = dock_step(u.dock_state, ctx)
+            u.step = (inputs, result)
+        new_state, evs = result
         for ev in evs:
             events.append(f"{ev}:{u.cfg.name}")
             if ev == "intercept":
@@ -672,7 +690,7 @@ class Coordinator:
                 u.tool = (state, tool)
             arms_rec.append({
                 "name": u.cfg.name,
-                "state": u.dock_state.value,
+                "state": u.dock_state._value_,        # ``.value`` is a property
                 "pos": pose.translation,
                 "quat": pose.rotation,
                 "target": target.translation,

@@ -45,7 +45,8 @@ FULL_STEPS: dict[str, int] = {}
 # ``impedance_displacement``; calls of ``route_forces`` and full routing
 # passes (calls of ``routing._paired_magnitude``); calls of
 # ``Coordinator._plate_truth`` and ``predict_position``, and the
-# ``ArmState`` objects the coordinator builds; and the ticks that rebuilt
+# ``ArmState`` objects the coordinator builds; calls of ``dock_step`` and the
+# ``DockContext`` objects built for it; and the ticks that rebuilt
 # ``reuse.support`` or ``reuse.follow``, and the tool points built (the
 # arms whose ``_ArmUnit.tool`` a tick replaced).
 CALLS: dict[str, Counter] = {}
@@ -102,7 +103,8 @@ def cached_run(name: str) -> MetricLog:
         patches += [(harness, key, counting(key, getattr(harness, key)))
                     for key in ("glove_apply", "hand_collider_spheres", "hand_offsets",
                                 "arm_step", "joint_transmit", "impedance_displacement",
-                                "route_forces", "predict_position", "ArmState")]
+                                "route_forces", "predict_position", "ArmState",
+                                "dock_step", "DockContext")]
         patches.append((routing, "_paired_magnitude",
                         counting("_paired_magnitude", routing._paired_magnitude)))
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]

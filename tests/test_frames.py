@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from hapdock.devices import ArmState
 from hapdock.frames import (RigidTransform, correction_chain, euler_xyz_from_quat,
                             quat_from_euler_xyz, slerp)
 
@@ -170,3 +173,54 @@ class TestHelpers:
         b = RigidTransform.from_axis_angle((0, 0, 1), 1.0).rotation
         mid = RigidTransform(slerp(a, b, 0.5), (0, 0, 0))
         assert mid.rotation_angle() == pytest.approx(0.5, abs=1e-9)
+
+
+# Both value types store their fields through an explicit ``__init__``; the
+# dataclass still generates everything else.
+POSE = RigidTransform((1.0, -0.0, 0.0, 0.0), (0.25, -0.0, 1.5))
+VALUES = [
+    (POSE, "RigidTransform(rotation=(1.0, -0.0, 0.0, 0.0), translation=(0.25, -0.0, 1.5))",
+     {"translation": (0.0, 0.0, 0.0)}),
+    (ArmState(POSE, True), f"ArmState(pose={POSE!r}, clamped=True)", {"clamped": False}),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value, text, change", VALUES,
+                             ids=["RigidTransform", "ArmState"])
+    def test_still_a_frozen_slotted_dataclass(self, value, text, change):
+        cls = type(value)
+        names = [f.name for f in dataclasses.fields(cls)]
+        items = tuple(getattr(value, n) for n in names)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+        assert repr(value) == text
+        # ``==`` and ``hash`` read the fields as a tuple, and only equal types.
+        twin = cls(*items)
+        assert twin == value and hash(twin) == hash(value) == hash(items)
+        assert value != items
+        # Keyword construction stores the objects it is handed.
+        built = cls(**dict(zip(names, items)))
+        assert built == value and all(getattr(built, n) is v for n, v in zip(names, items))
+        changed = dataclasses.replace(value, **change)
+        assert type(changed) is cls and changed != value
+        assert [getattr(changed, n) for n in names] == [change.get(n, v)
+                                                        for n, v in zip(names, items)]
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and repr(restored) == text
+
+    def test_defaults(self):
+        identity = RigidTransform()
+        assert (identity.rotation, identity.translation) == ((1.0, 0.0, 0.0, 0.0),
+                                                             (0.0, 0.0, 0.0))
+        assert [f.default for f in dataclasses.fields(RigidTransform)] == [
+            identity.rotation, identity.translation]
+        assert RigidTransform(translation=(1.0, 2.0, 3.0)).rotation == identity.rotation
+        assert ArmState(pose=POSE).clamped is False
+        assert dataclasses.fields(ArmState)[1].default is False
+        with pytest.raises(TypeError):
+            ArmState()

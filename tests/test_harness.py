@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hapdock import geometry, harness
 from hapdock.config import scenario_from_dict
 from hapdock.devices import ArmState
-from hapdock.docking import DockState
+from hapdock.docking import DockContext, DockState
 from hapdock.frames import RigidTransform
 from hapdock.harness import (Coordinator, GloveRateViolation, MetricLog,
                              run_scenario, summarize, weight_oracle)
@@ -317,6 +318,7 @@ def _cold(coord: Coordinator) -> None:
     for u in coord.units:
         u.parked = None
         u.tool = (None, None)
+        u.step = (None, None)
 
 
 # (scene, seconds, wrist rotation, tracking noise) of the cold reference runs:
@@ -665,6 +667,81 @@ class TestHotPath:
     def test_parked_arms_are_not_stepped(self, name, ticks, stepped):
         assert len(cached_run(name).records) == ticks
         assert CALLS[name]["arm_step"] == stepped
+
+    # ``dock_step`` calls per shipped run, one ``DockContext`` each. One dock
+    # is five: the intercept, the tick after it, the magnet coming on, the
+    # attach and the tick after it; the cold run steps each arm every tick.
+    DOCK_STEPS = {
+        "decouple_sweep": 9,             # a dock, its release and demagnetizing
+        "handover_sweep": 17,            # two arms, two docks, one handover
+        "pursuit_moving": 5,
+        "pursuit_static": 5,
+        "single_lift_docked": 5,
+        "single_lift_force_feedback": 5,
+        "single_lift_free": 0,           # the free condition runs no lifecycle
+        "squeeze_cancellation": 5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOCK_STEPS))
+    def test_dock_transitions_rerun_only_when_their_inputs_flip(self, name):
+        cached_run(name)
+        assert [CALLS[name]["dock_step"], CALLS[name]["DockContext"]] == [
+            self.DOCK_STEPS[name]] * 2
+
+    def test_a_new_dock_state_steps_again_under_the_same_flags(self, monkeypatch):
+        stepped = []
+        original = harness.dock_step
+
+        def counting(state, ctx):
+            stepped.append((state, ctx))
+            return original(state, ctx)
+
+        monkeypatch.setattr(harness, "dock_step", counting)
+        coord = Coordinator(_short("handover_sweep", 0.1))
+        arm_b = coord.units[1]
+        plate = RigidTransform.identity()
+        events = []
+        for _ in range(2):
+            coord._lifecycle(arm_b, False, False, 0.0, plate, geometry.ZERO6, events)
+        assert [state for state, _ in stepped] == [DockState.FREE] and events == []
+        # The same six flags under a releasing state: its magnet is off, so
+        # it turns free.
+        arm_b.dock_state = DockState.RELEASING
+        coord._lifecycle(arm_b, False, False, 0.0, plate, geometry.ZERO6, events)
+        assert [state for state, _ in stepped] == [DockState.FREE, DockState.RELEASING]
+        assert stepped[1][1] == stepped[0][1]
+        assert events == ["demagnetized:arm_b"] and arm_b.dock_state is DockState.FREE
+        # One slot: free again under those flags steps again.
+        coord._lifecycle(arm_b, False, False, 0.0, plate, geometry.ZERO6, events)
+        assert len(stepped) == 3 and events == ["demagnetized:arm_b"]
+
+    def test_a_stepped_transition_keys_on_every_context_field(self, monkeypatch):
+        # A ``DockContext`` field the key left out would let a kept result
+        # stand for another context: each context is built with every field,
+        # and its unit's key is the dock state and those fields in order.
+        names = [f.name for f in dataclasses.fields(DockContext)]
+        built, stepped = [], []
+        context, step = harness.DockContext, harness.dock_step
+
+        def building(**kwargs):
+            built.append(sorted(kwargs))
+            return context(**kwargs)
+
+        def stepping(state, ctx):
+            result = step(state, ctx)
+            stepped.append((state, ctx, result))
+            return result
+
+        monkeypatch.setattr(harness, "DockContext", building)
+        monkeypatch.setattr(harness, "dock_step", stepping)
+        coord = Coordinator(build("handover_sweep"))
+        for tick in range(coord.cfg.coordinator.ticks):
+            del stepped[:]
+            coord._tick(tick)
+            for state, ctx, result in stepped:
+                [unit] = [u for u in coord.units if u.step[1] is result]
+                assert unit.step[0] == (state, *(getattr(ctx, n) for n in names))
+        assert built == [sorted(names)] * 17
 
     @pytest.mark.parametrize("name, seconds, rotation, noise", COLD_RUNS,
                              ids=[f"{run[0]}-{run[1]}s" + "-variant" * (run[2] is not None)

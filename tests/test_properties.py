@@ -1221,6 +1221,21 @@ def test_held_segment_has_the_bits_of_the_interpolation(track, fractions):
     assert len(inside) <= 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5, unique=True),
+       data=st.data())
+def test_sample_track_bisects_its_row_times(times, data):
+    # ``sample_track`` bisects ``Track.times``: at each row time, between
+    # rows and past both ends it picks the row the reference picks.
+    times = sorted(times)
+    rows = [(t, data.draw(st.tuples(*[wrench_parts] * 3))) for t in times]
+    loaded = Track(rows)
+    assert loaded.times == tuple(times)
+    for t in times + data.draw(st.lists(st.floats(-1.0, 11.0), max_size=4)):
+        assert [bits(v) for v in sample_track(loaded, t)] == [
+            bits(v) for v in reference_sample(rows, t)]
+
+
 # -- force envelope ----------------------------------------------------------
 
 def reference_intersection(a: Box, b: Box) -> Box | None:

@@ -65,6 +65,21 @@ def test_perfbench_traced_calls_are_harness_attributes():
     assert _tracer_constant("TICK_ENTRY") == "hand_forward_model"
 
 
+def test_harness_calls_each_traced_name_by_that_name():
+    # The tracer's wrapper on a harness attribute sees only the calls that
+    # look that name up in the module: a call through another module, an
+    # alias or an attribute would hide its layer from ``--trace 1`` without
+    # an error. Read from the source, as nothing needs to run.
+    calls = _tracer_constant("TICK_CALLS")
+    tree = ast.parse((ROOT / "src" / "hapdock" / "harness.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.asname is None}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert sorted(set(calls) - imported) == []
+    assert sorted(set(calls) - called) == []
+
+
 def test_hand_forward_model_marks_each_tick_once(monkeypatch):
     # perfbench/ticks.py times a tick from one harness.hand_forward_model
     # call to the next.
