@@ -8,7 +8,7 @@ over the reach boxes' lower corners finds it in O(n^4) for n arms (see
 ``_max_force_over_cells``).
 
 A stacked force is a bound of the layout, not something a run renders: the
-coordinator docks one arm at a time (its one dock slot, ``Coordinator.docked``
+coordinator docks one arm at a time (its one dock slot, ``Coordinator.dock``
 in the harness), so ``hapdock run`` renders at most one arm's force at any tick.
 
 ``capability_at`` answers from a per-axis interval index that a capability

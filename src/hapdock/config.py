@@ -30,7 +30,7 @@ from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_CONTACT_RADIUS_M, DEFAULT_FRICTION_MU,
                       DEFAULT_POS_TOL_M, DockJointKind, JOINT_KIND_CATALOG)
 from .frames import RigidTransform, quat_from_euler_xyz
-from .geometry import DT, TICK_RATE_HZ, ZERO6
+from .geometry import DT, TICK_RATE_HZ, ZERO6, lerp
 
 SCHEMA_VERSION = 1
 # Support-force gap, N, below which the weight oracle cannot tell two cans
@@ -160,7 +160,7 @@ def sample_track(track: Track, t: float) -> tuple[float, ...]:
     t0, v0 = track[i]
     t1, v1 = track[i + 1]
     a = (t - t0) / (t1 - t0)
-    return tuple(x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1))
+    return lerp(v0, v1, a)
 
 
 @dataclass(frozen=True, slots=True)

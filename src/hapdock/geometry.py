@@ -13,6 +13,11 @@ TICK_RATE_HZ = 1000.0
 DT = 1.0 / TICK_RATE_HZ
 
 
+def lerp(v0, v1, a: float) -> tuple[float, ...]:
+    """``v0 + a * (v1 - v0)`` component by component, as a tuple."""
+    return tuple([x0 + a * (x1 - x0) for x0, x1 in zip(v0, v1)])
+
+
 @dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box given by center and half extents."""

@@ -122,10 +122,28 @@ class _ArmUnit:
 
 
 @dataclass(slots=True)
+class _Dock:
+    """The one dock, from attach to release: the docked arm, its joint, the
+    follow chain's constants (see ``_attach``) and the results kept for this
+    dock. A new attach builds a new dock, so no kept result outlives its
+    dock."""
+
+    unit: _ArmUnit
+    joint: DockJoint
+    c1: Vec3
+    c2: Vec3
+    rotation: tuple                               # the pinned pose's
+    follow: tuple = (None, None)                  # (plate, follow)
+    cmd: tuple = (None, None, None)               # (filtered, load, command)
+    sent: tuple = (None, None)                    # (command, transmit)
+    disp: tuple = (None, None)                    # (command, displacement)
+    arm: tuple = (None, None, None, None)         # (follow, displacement, state, target)
+
+
+@dataclass(slots=True)
 class _Reuse:
-    """Last tick's inputs and outputs of the pure steps a tick need not
-    rerun, keyed on identity or packed ``struct`` bits (``==`` would match
-    0.0 with -0.0). The defaults are the cold values."""
+    """Last tick's inputs and outputs of the hand and plate steps a tick
+    need not rerun."""
 
     sample: tuple = (b"", None, None)             # (bits, sensed, wrist)
     # (intended, command, hand); ``intended`` is also the forward model's
@@ -134,25 +152,23 @@ class _Reuse:
     # (hand, wrist) the colliders last moved to, whether they were moved to
     # it twice in a row, and the hand's finger bits and ``hand_offsets``.
     collider: tuple = (None, None, False, None, None)
-    cmd: tuple = (None, None, None, None)         # (unit, filtered, load, command)
-    sent: tuple = (None, None, None)              # (command, joint, transmit)
-    disp: tuple = (None, None, None)              # (unit, command, displacement)
     plate: tuple = (None, None)                   # (wrist, true plate)
     # (plate position, plate velocity, predicted position, triggers)
     trigger: tuple = (None, None, None, None)
     routed: tuple = (None, None, None, None)      # (plate position, report, docked, routed)
     support: tuple = (None, None)                 # (report, support)
-    follow: tuple = (None, None, None)            # (plate, chain, follow)
-    docked_arm: tuple = (None, None, None, None)  # (follow, displacement, state, target)
 
 
 class Coordinator:
-    """Owns all mutable state and drives one scenario tick by tick. Its reuse
-    slots are ``reuse`` (the hand: ``sample``, ``applied``, ``collider``; the
-    plate: ``plate``, ``trigger``, ``routed``, ``support``; the docked arm:
-    ``cmd``, ``sent``, ``disp``, ``follow``, ``docked_arm``) and, in the
-    objects they key on, ``_ArmUnit.parked``, ``_ArmUnit.tool``,
-    ``_ArmUnit.step`` (the dock transition), ``World.fixed_point`` and
+    """Owns all mutable state and drives one scenario tick by tick.
+
+    A kept result is last tick's output of a pure step, handed back while
+    that step's inputs are last tick's objects or have last tick's packed
+    ``struct`` bits (``==`` would match 0.0 with -0.0); the defaults of the
+    slots are the cold values. The slots are ``reuse`` (the hand and the
+    plate), the one ``dock`` (``_Dock``: the docked arm's chain, command,
+    transmit and state, dropped at release), ``_ArmUnit.parked``, ``tool``
+    and ``step`` (the dock transition), ``World.fixed_point`` and
     ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
@@ -183,15 +199,7 @@ class Coordinator:
         self.plate_rotation = _qnormalize(_qmul(wrist_rotation, offset.rotation))
         self.plate_rotation_inv = RigidTransform(self.plate_rotation).inverse().rotation
         self.plate_shift = _qrotate(wrist_rotation, offset.translation)
-        # The one dock slot: ``docked``, ``joint`` and ``chain`` (the follow
-        # chain's constants) from attach to release. The wrist rotation is a
-        # scenario constant, tracking noise moves the plate's translation
-        # only, and the joint's ``attach_pose``, the arm's base and the tool
-        # offset are fixed from attach to release, so ``_attach`` builds
-        # every rotation of the docked chain once.
-        self.docked: _ArmUnit | None = None
-        self.joint: DockJoint | None = None
-        self.chain: tuple | None = None
+        self.dock: _Dock | None = None
         self.rng = random.Random(cfg.seed)
         self.noise_std = cfg.tracking_noise_std_m
         # Without a body that collides with the hand nothing reads the
@@ -363,14 +371,16 @@ class Coordinator:
                               (wrist[0] + sx, wrist[1] + sy, wrist[2] + sz))
 
     def _attach(self, u: _ArmUnit, joint: DockJoint, plate: RigidTransform):
-        """Give the dock slot to ``u`` with ``joint``, build the follow
-        chain's constants and return ``_follow``'s result for ``plate``.
+        """Dock ``u`` with ``joint`` and return ``_follow``'s result for
+        ``plate``.
 
         The chain is ``plate.compose(attach_pose).compose(tool_inv)``, its
         local pose ``base_inv.compose(...)`` and the pinned pose
         ``base_pose.compose`` of the clamped local pose. ``compose`` is
-        ``N(qmul(a.r, b.r))`` and ``a.t + qrotate(a.r, b.t)``, so with every
-        rotation constant ``chain`` holds ``(c1, c2, pinned rotation)``: the
+        ``N(qmul(a.r, b.r))`` and ``a.t + qrotate(a.r, b.t)``. The wrist
+        rotation is a scenario constant, tracking noise moves the plate's
+        translation only, and the joint, the arm's base and the tool offset
+        are fixed until release, so every rotation is built here once: the
         follow translation is ``(p + c1) + c2`` for the plate position ``p``,
         the same float operations in the same order.
         """
@@ -380,33 +390,25 @@ class Coordinator:
         q2 = _qnormalize(_qmul(q1, tool_inv.rotation))
         q3 = _qnormalize(_qmul(spec.base_inv.rotation, q2))
         q4 = _qnormalize(_qmul(spec.base_pose.rotation, q3))
-        self.docked, self.joint = u, joint
-        self.chain = (_qrotate(rp, attach.translation), _qrotate(q1, tool_inv.translation), q4)
-        return self._follow(u, plate)
+        self.dock = dock = _Dock(u, joint, _qrotate(rp, attach.translation),
+                                 _qrotate(q1, tool_inv.translation), q4)
+        return self._follow(dock, plate)
 
-    def _follow(self, u: _ArmUnit, plate: RigidTransform):
+    def _follow(self, dock: _Dock, plate: RigidTransform):
         """Base-frame effector translation that keeps the docked magnet on
-        the plate, and that translation clamped to the workspace.
-
-        Only the plate's translation moves from attach to release (the wrist
-        rotation is a scenario constant, tracking noise moves the translation
-        only, and the joint is fixed), so the rotations come from ``chain``
-        and a tick does three additions per component and one rotation. The
-        result is last tick's object while ``plate`` and ``chain`` are last
-        tick's objects: ``chain`` is built anew at each attach.
-        """
-        chain = self.chain
-        last_plate, last_chain, follow = self.reuse.follow
-        if plate is last_plate and chain is last_chain:
+        the plate, and that translation clamped to the workspace: three
+        additions per component and one rotation, kept for ``plate``."""
+        last_plate, follow = dock.follow
+        if plate is last_plate:
             return follow
-        c1, c2 = chain[:2]
+        c1, c2 = dock.c1, dock.c2
         p = plate.translation
-        spec = u.cfg.spec
+        spec = dock.unit.cfg.spec
         local = spec.base_inv.transform_point(((p[0] + c1[0]) + c2[0],
                                                (p[1] + c1[1]) + c2[1],
                                                (p[2] + c1[2]) + c2[2]))
         follow = (local, spec.workspace_box_base().clamp_point(local))
-        self.reuse.follow = (plate, chain, follow)
+        dock.follow = (plate, follow)
         return follow
 
     def _winner(self, t: float, predicted: Vec3, triggers: list[bool]) -> _ArmUnit | None:
@@ -448,14 +450,15 @@ class Coordinator:
         magnet_on = u.magnet.update(t)
         # Read at each arm's turn: a release frees the slot for a later arm
         # in the same tick.
-        slot_available = self.docked is None
+        docked = self.dock
+        slot_available = docked is None
 
-        if u is self.docked:
-            follow = self._follow(u, plate)
+        if docked is not None and u is docked.unit:
+            follow = self._follow(docked, plate)
             local, clamped = follow
             if math.dist(local, clamped) > dock.release_slack_m:
                 release_demanded = True
-            out, out_slip, released = self._transmit(cmd_world)
+            out, out_slip, released = self._transmit(docked, cmd_world)
             if released:
                 release_demanded = True
             if not release_demanded:
@@ -491,72 +494,65 @@ class Coordinator:
             elif ev in ("release", "abort"):
                 u.magnet.command(False, t)
                 if ev == "release":
-                    self.docked = self.joint = self.chain = None
+                    self.dock = None
                     u.cooldown_until = t + dock.reattach_cooldown_s
         u.dock_state = new_state
         return transmitted, slip, follow
 
-    def _command(self, u: _ArmUnit, filtered: tuple[float, ...],
+    def _command(self, dock: _Dock, filtered: tuple[float, ...],
                  load: tuple[float, ...]) -> tuple[float, ...]:
-        """The docked arm ``u``'s command wrench, world frame: under force
-        feedback ``filtered`` clamped to ``u``'s envelope, plus the injected
-        ``load``. Last tick's object while ``u``, ``filtered`` and ``load``
-        are last tick's objects."""
-        last_u, last_filtered, last_load, cmd = self.reuse.cmd
-        if u is last_u and filtered is last_filtered and load is last_load:
+        """The docked arm's command wrench, world frame: under force feedback
+        ``filtered`` clamped to the arm's envelope, plus the injected
+        ``load``; kept for ``filtered`` and ``load``."""
+        last_filtered, last_load, cmd = dock.cmd
+        if filtered is last_filtered and load is last_load:
             return cmd
         cmd = ZERO6
         if self.cfg.condition is Condition.FORCE_FEEDBACK:
             # The arm's own actuation saturates at its envelope; injected
             # loads model external pulls on the joint and bypass it.
-            spec = u.cfg.spec
+            spec = dock.unit.cfg.spec
             limits = spec.max_force + spec.max_torque
             cmd = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
         cmd = tuple(c + l for c, l in zip(cmd, load))
-        self.reuse.cmd = (u, filtered, load, cmd)
+        dock.cmd = (filtered, load, cmd)
         return cmd
 
-    def _transmit(self, cmd_world: tuple[float, ...]):
+    def _transmit(self, dock: _Dock, cmd_world: tuple[float, ...]):
         """``joint_transmit``'s ``(transmitted, slip, released)`` for the dock
         joint and ``cmd_world`` turned into the plate frame, with the
         transmitted wrench turned back to the world frame. The plate's
-        rotation is a scenario constant, so this is last tick's tuple while
-        ``cmd_world`` and the joint are last tick's objects."""
-        last_cmd, last_joint, out = self.reuse.sent
-        joint = self.joint
-        if cmd_world is last_cmd and joint is last_joint:
+        rotation is a scenario constant, so this is kept for ``cmd_world``."""
+        last_cmd, out = dock.sent
+        if cmd_world is last_cmd:
             return out
         inv, rp = self.plate_rotation_inv, self.plate_rotation
         cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
-        out_plate, slip, released = joint_transmit(joint, cmd_plate)
+        out_plate, slip, released = joint_transmit(dock.joint, cmd_plate)
         out = (_qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:]), slip, released)
-        self.reuse.sent = (cmd_world, joint, out)
+        dock.sent = (cmd_world, out)
         return out
 
     def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
                  cmd_world: tuple[float, ...]) -> RigidTransform:
         """Step ``u``'s arm for this tick and return its target, world frame.
-        ``follow`` is the lifecycle's, read only while ``u`` is docked. The
-        docked arm's state and target are last tick's objects while
-        ``follow`` and the displacement are: ``follow`` comes from this
-        attach's chain, so it fixes ``u`` and the pinned rotation."""
+        ``follow`` is the lifecycle's, read only while ``u`` is docked."""
         spec = u.cfg.spec
-        if u is self.docked:
-            reuse = self.reuse
-            last_u, last_cmd, disp = reuse.disp
-            if u is not last_u or cmd_world is not last_cmd:
+        dock = self.dock
+        if dock is not None and u is dock.unit:
+            last_cmd, disp = dock.disp
+            if cmd_world is not last_cmd:
                 disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                reuse.disp = (u, cmd_world, disp)
-            last_follow, last_disp, state, target = reuse.docked_arm
+                dock.disp = (cmd_world, disp)
+            last_follow, last_disp, state, target = dock.arm
             if follow is not last_follow or disp is not last_disp:
                 local, clamped_pos = follow
-                q_pinned = self.chain[2]
                 pos = spec.base_pose.transform_point(clamped_pos)
-                state = ArmState(pose=RigidTransform(q_pinned, pos),
+                state = ArmState(pose=RigidTransform(dock.rotation, pos),
                                  clamped=clamped_pos != local)
-                target = RigidTransform(q_pinned, (pos[0] + disp[0], pos[1] + disp[1],
-                                                   pos[2] + disp[2]))
-                reuse.docked_arm = (follow, disp, state, target)
+                target = RigidTransform(dock.rotation, (pos[0] + disp[0], pos[1] + disp[1],
+                                                        pos[2] + disp[2]))
+                dock.arm = (follow, disp, state, target)
             u.state = state
             return target
         if u.dock_state is DockState.INTERCEPTING:
@@ -583,7 +579,7 @@ class Coordinator:
 
         Each arm in turn runs its dock lifecycle, then its control, then its
         ``arms[]`` entry; no turn reads another arm's control or entry, and
-        the lifecycles share the one dock slot in arm order, so a release
+        the lifecycles share the one ``dock`` in arm order, so a release
         frees it for a later arm in the same tick.
 
         A record reads two instants. ``docked_arm`` is the arm docked when the
@@ -598,14 +594,11 @@ class Coordinator:
         noise is not differenced into a velocity (which would scale it by
         1/DT). Without noise the two plates are one.
 
-        A still wrist reruns none of the plate's work. The true plate is
-        rebuilt only for a new wrist object, and its velocity is ``ZERO3``
-        while it is last tick's object: ``(x - x) / DT`` is +0.0 for every
-        finite ``x``. The prediction and triggers are kept while the plate
-        position and velocity are last tick's objects; the routing while the
-        position, the report and the docked flag are (``step_world`` hands
-        back one report object at a fixed point); ``support`` while the
-        report is. A tool point is rebuilt only for a new arm state object.
+        A still wrist reruns none of the plate's work: each stage keys on
+        the objects the stage before it handed back (``step_world`` hands
+        back one report object at a fixed point). The true plate's velocity
+        is ``ZERO3`` while it is last tick's object: ``(x - x) / DT`` is +0.0
+        for every finite ``x``.
         """
         cfg, reuse = self.cfg, self.reuse
         t = tick * DT
@@ -633,8 +626,8 @@ class Coordinator:
                       (truth_pos[2] - prev[2]) / DT))
         self._prev_plate = truth_pos
 
-        docked = self.docked
-        is_docked = docked is not None
+        dock = self.dock
+        is_docked = dock is not None
         last_pos, last_report, last_docked, routed = reuse.routed
         if (plate_pos is not last_pos or impulses is not last_report
                 or is_docked is not last_docked):
@@ -650,7 +643,7 @@ class Coordinator:
 
         cmd_world = ZERO6
         if is_docked:
-            cmd_world = self._command(docked, filtered, cfg.sample_injected_load(t))
+            cmd_world = self._command(dock, filtered, cfg.sample_injected_load(t))
 
         last_report, support = reuse.support
         if impulses is not last_report:
@@ -719,7 +712,7 @@ class Coordinator:
             "paired": routed.paired_magnitude,
             "contacts": routed.hand_contact_count,
             "support": support,
-            "docked_arm": docked.cfg.name if docked else None,
+            "docked_arm": dock.unit.cfg.name if is_docked else None,
             "arms": arms_rec,
         })
 

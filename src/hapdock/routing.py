@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
                       finger_sphere_centers)
 from .frames import RigidTransform
-from .geometry import DT, ZERO3, ZERO6, Vec3
+from .geometry import DT, ZERO3, ZERO6, Vec3, lerp
 from .sim import ContactImpulse, World, _sphere_box
 
 PAIRING_ANGLE_DEG = 15.0  # opposing-force pairing cone, isolated for replacement
@@ -205,8 +205,7 @@ class LowPassFilter:
         if state is still_state and key == still_key:
             return state
         if self.enabled:
-            a = self.alpha
-            x = tuple(s + a * (v - s) for s, v in zip(state, x))
+            x = lerp(state, x, self.alpha)
         if _WRENCH_BITS.pack(*x) == _WRENCH_BITS.pack(*state):
             self._still = (state, key)
             return state

@@ -144,12 +144,6 @@ class World:
         self.bodies.append(body)
         return body
 
-    def body(self, name: str) -> RigidBody:
-        for b in self.bodies:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def set_hand(self, colliders: list[HandCollider]) -> None:
         self.hand = list(colliders)
         self.fixed_point = None

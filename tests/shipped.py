@@ -35,20 +35,22 @@ RUNTIME: dict[str, float] = {}   # seconds the cached run took
 # Physics steps of the cached run that collected contacts, i.e. that were
 # not a repeat of the world's last fixed point.
 FULL_STEPS: dict[str, int] = {}
-# Work of the cached run that the coordinator's reuse slots save, counted
-# in the run's own coordinator: calls of ``glove_apply``,
-# ``hand_collider_spheres``, ``hand_offsets`` and ``World.move_hand``; calls of
-# ``hand_forward_model`` and its misses (the calls that returned another
-# ``HandState`` object than the call before: the sensed fingers moved; a
-# wrist that moves alone is no miss); calls of ``arm_step`` (a parked arm
-# at its fixed point is not stepped), ``joint_transmit`` and
+# Work of the cached run that the coordinator's kept results save (see
+# ``harness.Coordinator``), counted in the run's own coordinator: calls of
+# ``glove_apply``, ``hand_collider_spheres``, ``hand_offsets`` and
+# ``World.move_hand``; calls of ``hand_forward_model`` and its misses (the
+# calls that returned another ``HandState`` object than the call before: the
+# sensed fingers moved; a wrist that moves alone is no miss); calls of
+# ``arm_step`` (a parked arm at its fixed point is not stepped),
+# ``joint_transmit`` and
 # ``impedance_displacement``; calls of ``route_forces`` and full routing
 # passes (calls of ``routing._paired_magnitude``); calls of
 # ``Coordinator._plate_truth`` and ``predict_position``, and the
 # ``ArmState`` objects the coordinator builds; calls of ``dock_step`` and the
 # ``DockContext`` objects built for it; and the ticks that rebuilt
-# ``reuse.support`` or ``reuse.follow``, and the tool points built (the
-# arms whose ``_ArmUnit.tool`` a tick replaced).
+# ``reuse.support`` or a ``_Dock.follow`` (a handover tick that rebuilds the
+# releasing dock's and builds the new dock's counts once), and the tool
+# points built (the arms whose ``_ArmUnit.tool`` a tick replaced).
 CALLS: dict[str, Counter] = {}
 
 
@@ -77,11 +79,14 @@ def cached_run(name: str) -> MetricLog:
             return out
 
         def counting_tick(coord, tick):
-            slots = (coord.reuse.support, coord.reuse.follow)
+            support, dock = coord.reuse.support, coord.dock
+            follow = dock.follow if dock is not None else None
             tools = [u.tool for u in coord.units]
             run_tick(coord, tick)
-            calls["support"] += coord.reuse.support is not slots[0]
-            calls["follow"] += coord.reuse.follow is not slots[1]
+            calls["support"] += coord.reuse.support is not support
+            new = coord.dock
+            calls["follow"] += ((dock is not None and dock.follow is not follow)
+                                or (new is not None and new is not dock))
             calls["tool"] += sum(u.tool is not old for u, old in zip(coord.units, tools))
 
         def counting_forward(*args):

@@ -309,29 +309,56 @@ def _lines(records) -> list[str]:
     return [json.dumps(r, separators=(",", ":")) for r in records]
 
 
+# The fields of the coordinator's slot classes that hold the run's state or
+# constants, not a kept result. ``_cold`` sets every other field to its
+# default, the cold value.
+RUN_STATE = {
+    harness._Reuse: (),
+    harness._Dock: ("unit", "joint", "c1", "c2", "rotation"),
+    harness._ArmUnit: ("cfg", "state", "dock_state", "magnet", "trigger_box", "park",
+                       "park_cmd", "cooldown_until"),
+}
+
+
 def _cold(coord: Coordinator) -> None:
-    """Clear every reuse slot of ``coord``: its own, declared in
-    ``harness._Reuse``, and those kept in the objects they key on."""
-    coord.reuse = harness._Reuse()
+    """Clear every kept result of ``coord``: the fields of its ``reuse``, its
+    ``dock`` and its arm units that ``RUN_STATE`` does not name, and those
+    kept in the world and the filter."""
+    for slots in (coord.reuse, coord.dock, *coord.units):
+        if slots is not None:
+            for f in dataclasses.fields(slots):
+                if f.name not in RUN_STATE[type(slots)]:
+                    setattr(slots, f.name, f.default)
     coord.world.fixed_point = None
     coord.filter._still = (None, None)
-    for u in coord.units:
-        u.parked = None
-        u.tool = (None, None)
-        u.step = (None, None)
 
 
-# (scene, seconds, wrist rotation, tracking noise) of the cold reference runs:
-# the hot-path scenes, handover up to its second attach (tick 4135); the
-# rotated and noisy golden variants; decouple_sweep's ramp through its joint
-# break at 1.982 s.
+def _reattach(raw: dict) -> None:
+    """decouple_sweep with the load falling back to zero after its joint
+    breaks (1.982 s) and a 0.3 s cooldown: the arm docks a second time."""
+    raw["dock"] = {**raw["dock"], "reattach_cooldown_s": 0.3}
+    raw["injected_load"] = [*raw["injected_load"], [2.25] + [0.0] * 6]
+
+
+def _variant(rotation, noise):
+    def edit(raw: dict) -> None:
+        raw["trajectory"]["wrist_rotation"] = list(rotation)
+        raw["tracking_noise_std_m"] = noise
+    return edit
+
+
+# (scene, seconds, test id suffix, edit of the scene's mapping) of the cold
+# reference runs: the hot-path scenes, handover up to its second attach (tick
+# 4135); decouple_sweep's ramp through its joint break at 1.982 s, and with a
+# second dock of the same arm; the rotated and noisy golden variants.
 COLD_RUNS = [
-    ("single_lift_force_feedback", 2.0, None, None),
-    ("squeeze_cancellation", 1.5, None, None),
-    ("handover_sweep", 4.2, None, None),
-    ("decouple_sweep", 2.5, None, None),
-] + [(name, seconds, rotation, noise) for (name, rotation, noise, _), seconds
-     in zip(VARIANT_SHA256, (1.0, 2.0, 1.5))]
+    ("single_lift_force_feedback", 2.0, "", None),
+    ("squeeze_cancellation", 1.5, "", None),
+    ("handover_sweep", 4.2, "", None),
+    ("decouple_sweep", 2.5, "", None),
+    ("decouple_sweep", 2.6, "-reattach", _reattach),
+] + [(name, seconds, "-variant", _variant(rotation, noise))
+     for (name, rotation, noise, _), seconds in zip(VARIANT_SHA256, (1.0, 2.0, 1.5))]
 
 
 class TestHotPath:
@@ -359,9 +386,9 @@ class TestHotPath:
         calls = []
         original = Coordinator._follow
 
-        def counting(self, u, plate):
-            calls.append(u.cfg.name)
-            return original(self, u, plate)
+        def counting(self, dock, plate):
+            calls.append(dock.unit.cfg.name)
+            return original(self, dock, plate)
 
         monkeypatch.setattr(Coordinator, "_follow", counting)
         log = run_scenario(_short("handover_sweep", 0.5))
@@ -393,7 +420,7 @@ class TestHotPath:
                 attach += 1
                 assert 0 < len(calls) <= 12
             elif (states == ["docked", "free"] and rec["docked_arm"] is not None
-                  and len(parked) == 1 and parked[0] is not coord.docked):
+                  and len(parked) == 1 and parked[0] is not coord.dock.unit):
                 quiet += 1
                 assert calls == [], tick
         # Both arms attach once; arm_a docks beside parked arm_b for about 3 s.
@@ -560,8 +587,8 @@ class TestHotPath:
     ], ids=HOT_PATH_SCENES)
     def test_force_path_runs_only_when_its_inputs_move(self, name, docked, transmits,
                                                        displacements, routed):
-        # The joint transmits when the command or the joint is a new object,
-        # the displacement is rebuilt when the command or the docked arm is,
+        # The joint transmits and the displacement is rebuilt when the
+        # command is a new object or the dock is new (a new attach),
         # and a report is routed in full only when it has hand contacts and
         # it, the plate or the docked flag is new.
         log = cached_run(name)
@@ -743,17 +770,16 @@ class TestHotPath:
                 assert unit.step[0] == (state, *(getattr(ctx, n) for n in names))
         assert built == [sorted(names)] * 17
 
-    @pytest.mark.parametrize("name, seconds, rotation, noise", COLD_RUNS,
-                             ids=[f"{run[0]}-{run[1]}s" + "-variant" * (run[2] is not None)
-                                  for run in COLD_RUNS])
-    def test_cold_run_keeps_the_bytes(self, monkeypatch, name, seconds, rotation, noise):
-        # The cold reference: the run again with every reuse slot cleared
+    @pytest.mark.parametrize("name, seconds, suffix, edit", COLD_RUNS,
+                             ids=[f"{name}-{seconds}s{suffix}"
+                                  for name, seconds, suffix, _ in COLD_RUNS])
+    def test_cold_run_keeps_the_bytes(self, monkeypatch, name, seconds, suffix, edit):
+        # The cold reference: the run again with every kept result cleared
         # before each tick, so nothing of an earlier tick is reused.
         raw = as_dict(name)
         raw["coordinator"] = {**raw["coordinator"], "duration_s": seconds}
-        if rotation is not None:
-            raw["trajectory"]["wrist_rotation"] = list(rotation)
-            raw["tracking_noise_std_m"] = noise
+        if edit is not None:
+            edit(raw)
         cfg = scenario_from_dict(raw)
         applied = []
         original = harness.glove_apply
@@ -767,12 +793,40 @@ class TestHotPath:
         # Nothing was left to reuse: the glove ran on every tick.
         assert len(applied) == ticks
         monkeypatch.undo()
-        if rotation is None:
+        if edit is None:
             warm = cached_run(name).records[:ticks]
         else:
             warm = run_scenario(cfg).records
-        assert any(r["docked_arm"] for r in warm)
+        attaches = Counter(e for r in warm for e in r["events"] if e.startswith("attach:"))
+        assert max(attaches.values(), default=0) == (2 if edit is _reattach else 1)
         assert _lines(coord.log.records) == _lines(warm)
+
+    def test_cold_clears_every_field_but_the_run_state(self):
+        # Each field of the slot classes is run state, named in
+        # ``RUN_STATE`` and kept by ``_cold``, or a kept result that ``_cold``
+        # sets back to its default: a new field without a default fails
+        # here until it is named, and one with a default is cleared.
+        coord = Coordinator(_short("handover_sweep", 0.3))
+        coord.run()
+        slot_objects = (coord.reuse, coord.dock, *coord.units)
+        assert {type(slots) for slots in slot_objects} == set(RUN_STATE)
+        marker = object()
+        before = []
+        for slots in slot_objects:
+            fields = dataclasses.fields(slots)
+            run_state = RUN_STATE[type(slots)]
+            assert set(run_state) <= {f.name for f in fields}
+            for f in fields:
+                if f.name not in run_state:
+                    assert f.default is not dataclasses.MISSING, f.name
+                    setattr(slots, f.name, marker)
+            before.append({f.name: getattr(slots, f.name) for f in fields})
+        _cold(coord)
+        for slots, values in zip(slot_objects, before):
+            run_state = RUN_STATE[type(slots)]
+            for f in dataclasses.fields(slots):
+                want = values[f.name] if f.name in run_state else f.default
+                assert getattr(slots, f.name) is want, f.name
 
     def test_wrist_sweep_enters_the_glove_only_on_its_commands(self, monkeypatch):
         # Handover's wrist sweeps under still fingers: the glove step reruns

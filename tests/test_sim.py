@@ -104,7 +104,8 @@ class TestNarrowphase:
 class TestDynamics:
     def test_resting_can_support_impulse(self):
         # Static equilibrium: the desk supplies m*g*dt upward every step.
-        w = world_with(desk(), can())
+        body = can()
+        w = world_with(desk(), body)
         for _ in range(50):
             _, impulses = step_world(w)
         assert len(impulses) == 1
@@ -113,19 +114,21 @@ class TestDynamics:
         assert imp.normal == pytest.approx((0.0, 1.0, 0.0))
         assert all(type(v) is float for v in imp.normal)
         assert imp.magnitude == pytest.approx(0.3 * G * DT, rel=1e-9)
-        assert w.body("can").velocity[:3] == pytest.approx((0, 0, 0), abs=1e-12)
+        assert body.velocity[:3] == pytest.approx((0, 0, 0), abs=1e-12)
 
     def test_free_fall_velocity(self):
-        w = world_with(can(y=5.0))
+        body = can(y=5.0)
+        w = world_with(body)
         for _ in range(1000):
             step_world(w)
-        assert plain_floats(w.body("can").velocity)
-        assert w.body("can").velocity[1] == pytest.approx(-9.81, abs=1e-9)
+        assert plain_floats(body.velocity)
+        assert body.velocity[1] == pytest.approx(-9.81, abs=1e-9)
 
     def test_hand_sweep_displaces_can(self):
         # Golden mini-scene: palm sphere pushing a can sideways.
-        w = world_with(desk(), can())
-        x0 = float(w.body("can").position[0])
+        body = can()
+        w = world_with(desk(), body)
+        x0 = float(body.position[0])
         impulse_normals = []
         for i in range(300):
             x = -0.12 + 0.2 * (i * DT)  # sphere sweeping in +x
@@ -134,7 +137,7 @@ class TestDynamics:
             for imp in step_world(w)[1]:
                 if imp.hand_collider == "palm":
                     impulse_normals.append(imp.normal)
-        assert float(w.body("can").position[0]) > x0 + 0.005
+        assert float(body.position[0]) > x0 + 0.005
         assert impulse_normals, "the sweep never touched the can"
         # Contact normal pushes the can away from the hand, i.e. +x.
         assert all(n[0] > 0.9 for n in impulse_normals)
@@ -156,7 +159,8 @@ class TestDynamics:
         assert w.hand[0].center == (0.0, 0.2, 0.0)
 
     def test_supported_can_rides_rising_palm(self):
-        w = world_with(desk(), can())
+        body = can()
+        w = world_with(desk(), body)
         y_palm = -0.06
         for i in range(1200):
             y_palm = -0.06 + 0.25 * (i * DT)
@@ -166,13 +170,14 @@ class TestDynamics:
                                      velocity=np.array([0.0, 0.25, 0.0]))])
             step_world(w)
         # After 1.2 s the palm top is ~0.29: the can must be airborne on it.
-        can_bottom = float(w.body("can").position[1]) - 0.055
+        can_bottom = float(body.position[1]) - 0.055
         palm_top = y_palm + 0.05
         assert can_bottom == pytest.approx(palm_top, abs=2e-3)
 
     def test_energy_non_increasing_without_hand(self):
-        w = world_with(desk(), can(y=0.3))  # dropped from 19 cm up
-        assert plain_floats(w.body("can").position)
+        body = can(y=0.3)  # dropped from 19 cm up
+        w = world_with(desk(), body)
+        assert plain_floats(body.position)
         last = mechanical_energy(w)
         for _ in range(1500):
             step_world(w)
@@ -210,12 +215,13 @@ class TestDynamics:
 
     def test_step_determinism(self):
         def run():
-            w = world_with(desk(), can(y=0.2))
+            body = can(y=0.2)
+            w = world_with(desk(), body)
             out = []
             for _ in range(500):
                 step_world(w)
-            out.extend(w.body("can").position)
-            out.extend(w.body("can").velocity)
+            out.extend(body.position)
+            out.extend(body.velocity)
             return out
         first = run()
         assert all(type(v) is float for v in first)
@@ -300,7 +306,8 @@ class TestFixedPoint:
     def test_changed_input_misses(self, collects, change):
         w = held_can()
         settle(w)
-        position = w.body("can").position
+        body = w.bodies[-1]
+        position = body.position
         if change == "signed_zero":
             assert position[0] == 0.0 and math.copysign(1.0, position[0]) == 1.0
             position[0] = -0.0
@@ -309,7 +316,7 @@ class TestFixedPoint:
         elif change == "add_body":
             w.add_body(can(name="dropped", y=0.3, x=0.3))
         elif change == "position":
-            w.body("can").position = [position[0], position[1] + 1e-3, position[2]]
+            body.position = [position[0], position[1] + 1e-3, position[2]]
         elif change == "params":
             w.params = replace(w.params)   # an equal, new object
         else:
@@ -363,7 +370,7 @@ class TestHandFreeFixedPoint:
 
     def test_projected_fixed_point_keeps_the_hand_bits(self, collects):
         w = sandwich()
-        box = w.body("box")
+        box = w.bodies[1]
         step_world(w)
         # Both passes moved the box, and the step handed it back.
         assert len(collects) == 3
@@ -384,14 +391,16 @@ class TestHandFreeFixedPoint:
 
 class TestDivergence:
     def test_nonfinite_state_halts(self):
-        w = world_with(can())
-        w.body("can").velocity[1] = float("nan")
+        body = can()
+        w = world_with(body)
+        body.velocity[1] = float("nan")
         with pytest.raises(SimulationDiverged):
             step_world(w)
 
     def test_runaway_state_halts(self):
-        w = world_with(can())
-        w.body("can").velocity[1] = 1.0e200
+        body = can()
+        w = world_with(body)
+        body.velocity[1] = 1.0e200
         with pytest.raises(SimulationDiverged):
             for _ in range(10):
                 step_world(w)
@@ -399,8 +408,9 @@ class TestDivergence:
     @pytest.mark.parametrize("attr", ["position", "velocity"])
     def test_opposite_runaway_components_halt(self, attr):
         # The components sum to zero, so only a per-component check sees them.
-        w = world_with(can())
-        getattr(w.body("can"), attr)[:3] = (1.0e12, -1.0e12, 0.0)
+        body = can()
+        w = world_with(body)
+        getattr(body, attr)[:3] = (1.0e12, -1.0e12, 0.0)
         with pytest.raises(SimulationDiverged):
             step_world(w)
 
