@@ -34,9 +34,11 @@ def _capability_of(cfg: ScenarioConfig):
 
 
 def _cmd_run(args) -> int:
+    if args.out == "":
+        raise ConfigError("--out", "expected a non-empty path")
     cfg = load_scenario(args.config)
     log = run_scenario(cfg)
-    out = Path(args.out) if args.out else Path(f"{cfg.name}.log.ndjson")
+    out = Path(args.out) if args.out is not None else Path(f"{cfg.name}.log.ndjson")
     log.write(out)
     summary = summarize(log)
     summary["log"] = str(out)

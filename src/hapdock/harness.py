@@ -8,6 +8,7 @@ single-threaded and seeded, so a scenario replays byte-identically.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -29,7 +30,12 @@ from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
 
 
 class MetricLog:
-    """Append-only per-tick records plus one self-describing header."""
+    """Append-only per-tick records plus one self-describing header.
+
+    ``to_bytes`` and ``write`` share one line writer: it encodes the header
+    and then each record once, with ``json.dumps``' compact encoder, and
+    hands each line's bytes, newline included, straight to one buffer or an
+    open file, so no whole-log string or list of lines is ever built."""
 
     def __init__(self, header: dict):
         self.header = header
@@ -38,42 +44,53 @@ class MetricLog:
     def append(self, record: dict) -> None:
         self.records.append(record)
 
+    def _write_lines(self, write) -> None:
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        write(encode(self.header).encode() + b"\n")
+        for r in self.records:
+            write(encode(r).encode() + b"\n")
+
     def to_bytes(self) -> bytes:
-        lines = [json.dumps(self.header, separators=(",", ":"))]
-        lines.extend(json.dumps(r, separators=(",", ":")) for r in self.records)
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        buf = io.BytesIO()
+        self._write_lines(buf.write)
+        return buf.getvalue()
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            self._write_lines(fh.write)
 
     @classmethod
     def read(cls, path) -> "MetricLog":
         """The log in the file ``path``. A file that cannot be read or is not
         UTF-8 raises ``ValueError`` naming ``path``, and a line that is not a
-        JSON object one naming ``path:line``; blank lines are skipped."""
+        JSON object one naming ``path:line``. Only a line break (LF, CRLF or
+        CR) ends a line, and blank lines are skipped."""
+        objects = []
+        first = 0                       # the header's line number
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                for n, line in enumerate(fh, 1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}:{n}: {exc}") from None
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"{path}:{n}: expected a JSON object, "
+                                         f"got {type(obj).__name__}")
+                    if not objects:
+                        first = n
+                    objects.append(obj)
         except OSError as exc:
             raise ValueError(f"{path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
-        if not lines:
+        if not objects:
             raise ValueError(f"{path}: empty log")
-        objects = []
-        for n, line in lines:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{n}: expected a JSON object, "
-                                 f"got {type(obj).__name__}")
-            objects.append(obj)
         if objects[0].get("record") != "header":
-            raise ValueError(f"{path}:{lines[0][0]}: first record is not a header")
+            raise ValueError(f"{path}:{first}: first record is not a header")
         log = cls(objects[0])
         log.records = objects[1:]
         return log
@@ -799,15 +816,18 @@ def weight_oracle(log: MetricLog, lift_windows: dict,
 
 def summarize(log: MetricLog) -> dict:
     """Compact run summary for the CLI."""
-    attaches = [(r["t"], e) for r in log.records for e in r["events"]
-                if e.startswith("attach:")]
-    releases = [(r["t"], e) for r in log.records for e in r["events"]
-                if e.startswith("release:")]
+    attaches, releases = [], []
     max_rendered = 0.0
     for r in log.records:
+        for e in r["events"]:
+            if e.startswith("attach:"):
+                attaches.append((r["t"], e))
+            elif e.startswith("release:"):
+                releases.append((r["t"], e))
         for arm in r["arms"]:
-            f = arm["rendered"][:3]
-            max_rendered = max(max_rendered, math.sqrt(sum(x * x for x in f)))
+            f = arm["rendered"]
+            max_rendered = max(max_rendered,
+                               math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2]))
     return {
         "scenario": log.header["scenario"],
         "condition": log.header["condition"],

@@ -305,6 +305,15 @@ class TestCli:
         first = out.read_text().splitlines()[0]
         assert json.loads(first)["record"] == "header"
 
+    def test_run_empty_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # An empty path is an error, not the default log name.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(shipped_path("pursuit_static")), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --out: expected a non-empty path\n"
+        assert not any(tmp_path.iterdir())
+
     def test_divergence_exit_3(self, tmp_path, capsys):
         d = minimal_dict(scene={"bodies": [{
             "name": "runaway", "kind": "dynamic",

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -105,6 +106,70 @@ class TestMetricLog:
         path.write_text('{"record": "tick"}\n')
         with pytest.raises(ValueError):
             MetricLog.read(path)
+
+    @pytest.mark.parametrize("name", ["handover_sweep", None],
+                             ids=["handover_sweep", "header-only"])
+    def test_file_holds_the_bytes(self, tmp_path, name):
+        if name is None:
+            log = MetricLog({"record": "header", "scenario": "s", "condition": "free"})
+        else:
+            log = cached_run(name)
+        path = tmp_path / "log.ndjson"
+        log.write(path)
+        blob = path.read_bytes()
+        assert blob == log.to_bytes()
+        assert blob.count(b"\n") == len(log.records) + 1 and blob.endswith(b"}\n")
+
+    def test_to_bytes_holds_one_buffer(self):
+        # The lines go straight into one buffer, and the bytes returned are
+        # that buffer: no list of lines or joined copy is held beside it.
+        log = cached_run("pursuit_static")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blob = log.to_bytes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * len(blob)
+
+    def test_unencodable_record_raises(self, tmp_path):
+        log = MetricLog({"record": "header", "scenario": "s", "condition": "free"})
+        log.append({"tick": 0, "bad": object()})
+        with pytest.raises(TypeError):
+            log.to_bytes()
+        with pytest.raises(TypeError):
+            log.write(tmp_path / "log.ndjson")
+
+    def test_line_separator_inside_a_string_is_no_line_break(self, tmp_path):
+        # U+2028, U+2029 and U+0085 are valid raw inside a JSON string; only
+        # a newline ends an NDJSON line.
+        path = tmp_path / "log.ndjson"
+        header = '{"record":"header","scenario":"s\u2028x\u2029y\x85z","condition":"free"}'
+        path.write_text(header + '\n{"tick":0}\n', encoding="utf-8")
+        log = MetricLog.read(path)
+        assert log.header["scenario"] == "s\u2028x\u2029y\x85z"
+        assert log.records == [{"tick": 0}]
+
+    def test_crlf_log_reads_like_lf(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        path.write_bytes(b'{"record":"header"}\r\n\r\n{"tick":0}\r\n5\r\n')
+        with pytest.raises(ValueError, match=r":4: expected a JSON object, got int$"):
+            MetricLog.read(path)
+        path.write_bytes(b'{"record":"header"}\r\n\r\n{"tick":0}\r\n')
+        assert MetricLog.read(path).records == [{"tick": 0}]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_summary_matches_the_two_pass_form(self, name):
+        log = cached_run(name)
+        s = summarize(log)
+        assert s["attach_events"] == [(r["t"], e) for r in log.records
+                                      for e in r["events"] if e.startswith("attach:")]
+        assert s["release_events"] == [(r["t"], e) for r in log.records
+                                       for e in r["events"] if e.startswith("release:")]
+        top = max(math.sqrt(sum(x * x for x in a["rendered"][:3]))
+                  for r in log.records for a in r["arms"])
+        assert s["max_rendered_force_n"].hex() == max(0.0, top).hex()
 
 
 class TestCoordinator:
