@@ -33,12 +33,23 @@ def _capability_of(cfg: ScenarioConfig):
                               arm_names=[a.name for a in cfg.arms])
 
 
+def _output_path(value: str, flag: str) -> Path:
+    """``value`` as the path of a file to write, checked before any work:
+    not empty, not a directory, and in a directory that exists."""
+    if value == "":
+        raise ConfigError(flag, "expected a non-empty path")
+    path = Path(value)
+    if path.is_dir():
+        raise ConfigError(flag, f"{value}: is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(flag, f"{value}: {path.parent} is not a directory")
+    return path
+
+
 def _cmd_run(args) -> int:
-    if args.out == "":
-        raise ConfigError("--out", "expected a non-empty path")
     cfg = load_scenario(args.config)
+    out = _output_path(f"{cfg.name}.log.ndjson" if args.out is None else args.out, "--out")
     log = run_scenario(cfg)
-    out = Path(args.out) if args.out is not None else Path(f"{cfg.name}.log.ndjson")
     log.write(out)
     summary = summarize(log)
     summary["log"] = str(out)
@@ -50,6 +61,7 @@ def _cmd_capability(args) -> int:
     point = None
     if args.at is not None:
         point = tuple(number_arg(v, f"--at[{i}]") for i, v in enumerate(args.at))
+    out = None if args.json is None else _output_path(args.json, "--json")
     cfg = load_scenario(args.config)
     cap = _capability_of(cfg)
     print(capability_report(cap))
@@ -57,8 +69,8 @@ def _cmd_capability(args) -> int:
         pc = capability_at(cap, point)
         print(f"at {point}: force {pc.force} N, grounded={pc.grounded}, "
               f"arms={list(pc.reachable_by)}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
             json.dump(capability_to_dict(cap), fh, indent=2)
         print(f"wrote {args.json}")
     return EXIT_OK

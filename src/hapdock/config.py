@@ -384,6 +384,8 @@ def _windows_of_bodies(v: dict, path: str) -> None:
 
 _COORDINATOR = _Table(CoordinatorConfig, (
     _Row("duration_s", _number, _POSITIVE, required=True),
+    _check("duration_s", lambda v: round(v["duration_s"] * TICK_RATE_HZ) < 1,
+           f"must round to at least one tick of {DT * 1e3:g} ms"),
     _Row("glove_period_ticks", _integer, 1),
     _check("glove_period_ticks",
            lambda v: v["glove_period_ticks"] < DEVICE_PERIOD_LIMIT_S * TICK_RATE_HZ,

@@ -8,7 +8,6 @@ spring constants. Both are modeled at the API level, not the motor level.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .frames import (RigidTransform, _qrotate, euler_xyz_from_quat, quat_from_euler_xyz,
@@ -161,7 +160,7 @@ class HandState:
     abduction: tuple[float, ...]
     resist_torques: tuple[float, ...] = (0.0,) * NUM_FINGERS
     clamp_flags: tuple[bool, ...] = (False,) * (2 * NUM_FINGERS)
-    # (calibration, packed sensed values) of a ``hand_forward_model`` result.
+    # (calibration, sensed) objects of a ``hand_forward_model`` result.
     source: tuple = field(default=(None, None), repr=False, compare=False)
 
 
@@ -208,9 +207,6 @@ _SET_POSE = ArmState.pose.__set__
 _SET_CLAMPED = ArmState.clamped.__set__
 
 
-_SENSED_BITS = struct.Struct("<11d")
-
-
 def hand_forward_model(sensed, calibration: HandCalibration,
                        last: HandState | None) -> HandState:
     """Map the raw sensor vector to the normalized finger parameters.
@@ -220,28 +216,22 @@ def hand_forward_model(sensed, calibration: HandCalibration,
     calibrated range are clamped and flagged.
 
     The model is pure, so ``last``, an earlier result or None, is returned
-    when it came from this ``calibration`` object and from the bits of
-    ``sensed`` (identity and bits: ``==`` would match -0.0 with 0.0). A
-    caller that hands back its last result tells still fingers by identity.
+    when it came from this ``calibration`` object and this ``sensed``
+    object, so a caller hands in a new ``sensed`` whenever a value changes.
+    One that hands back its last result and builds a new tuple only when
+    the fingers move tells still fingers by identity.
     """
     if len(sensed) != 11:
         raise ValueError(f"expected 11 sensed values, got {len(sensed)}")
-    key = _SENSED_BITS.pack(*sensed)
-    if last is not None and last.source[0] is calibration and last.source[1] == key:
+    if last is not None and last.source[0] is calibration and last.source[1] is sensed:
         return last
-    flex, abd, flags = [], [], []
-    for i in range(NUM_FINGERS):
-        f, c = calibration.normalize(float(sensed[i]),
-                                     calibration.flex_min[i], calibration.flex_max[i])
-        flex.append(f)
-        flags.append(c)
-    for i in range(NUM_FINGERS):
-        a, c = calibration.normalize(float(sensed[NUM_FINGERS + i]),
-                                     calibration.abd_min[i], calibration.abd_max[i])
-        abd.append(a)
-        flags.append(c)
-    return HandState(flex=tuple(flex), abduction=tuple(abd), clamp_flags=tuple(flags),
-                     source=(calibration, key))
+    lo = calibration.flex_min + calibration.abd_min
+    hi = calibration.flex_max + calibration.abd_max
+    out = [calibration.normalize(float(sensed[i]), lo[i], hi[i])
+           for i in range(2 * NUM_FINGERS)]
+    values = tuple(v for v, _ in out)
+    return HandState(flex=values[:NUM_FINGERS], abduction=values[NUM_FINGERS:],
+                     clamp_flags=tuple(c for _, c in out), source=(calibration, sensed))
 
 
 def glove_apply(cmd: GloveCommand, hand: HandState,

@@ -151,10 +151,9 @@ class _Dock:
     c2: Vec3
     rotation: tuple                               # the pinned pose's
     follow: tuple = (None, None)                  # (plate, follow)
-    cmd: tuple = (None, None, None)               # (filtered, load, command)
-    sent: tuple = (None, None)                    # (command, transmit)
-    disp: tuple = (None, None)                    # (command, displacement)
-    arm: tuple = (None, None, None, None)         # (follow, displacement, state, target)
+    # (filtered, load, command, transmit, displacement)
+    cmd: tuple = (None, None, None, None, None)
+    arm: tuple = (None, None, None, None)         # (follow, command, state, target)
 
 
 @dataclass(slots=True)
@@ -179,14 +178,14 @@ class _Reuse:
 class Coordinator:
     """Owns all mutable state and drives one scenario tick by tick.
 
-    A kept result is last tick's output of a pure step, handed back while
-    that step's inputs are last tick's objects or have last tick's packed
-    ``struct`` bits (``==`` would match 0.0 with -0.0); the defaults of the
-    slots are the cold values. The slots are ``reuse`` (the hand and the
-    plate), the one ``dock`` (``_Dock``: the docked arm's chain, command,
-    transmit and state, dropped at release), ``_ArmUnit.parked``, ``tool``
-    and ``step`` (the dock transition), ``World.fixed_point`` and
-    ``LowPassFilter._still``."""
+    A kept result is last tick's output of pure steps, kept once at the
+    inputs that decide it and handed back while those are last tick's
+    objects or have last tick's packed ``struct`` bits (``==`` would match
+    0.0 with -0.0); a later stage keys on the object handed back, and the
+    defaults of the slots are the cold values. The slots are ``reuse`` (the
+    hand and the plate), the one ``dock`` (``_Dock``, dropped at release),
+    ``_ArmUnit.parked``, ``tool`` and ``step`` (the dock transition),
+    ``World.fixed_point`` and ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -296,17 +295,12 @@ class Coordinator:
         """The hand after the glove's stops and the wrist pose for tick
         ``tick`` at time ``t``, issuing the glove command when one is due.
 
-        Still fingers cost only their keys. A trajectory sample whose packed
-        bits match last tick's (bits, not ``==``, so a zero's sign counts)
-        reuses last tick's sensed values and wrist pose, one whose wrist
-        alone moved reuses the sensed values, and one whose fingers alone
-        moved reuses the wrist pose. ``hand_forward_model`` is
-        still called once per tick, first in the tick: perfbench's tick hook
-        counts those calls. Handed its last result, it returns that
-        ``HandState`` object for the same sensed bits, however the wrist
-        moved, and ``glove_apply`` is pure, so its result is kept while both
-        that object and the glove command object are last tick's; a new
-        command every glove period breaks it.
+        The trajectory sample's bits key the wrist pose and the sensed tuple
+        apart, so each is rebuilt only when its part of the sample moved.
+        The forward model keys on the sensed tuple, and ``glove_apply`` on
+        the intended hand and the glove command, new every glove period.
+        ``hand_forward_model`` is still called once per tick, first in the
+        tick: perfbench's tick hook counts those calls.
         """
         cfg, reuse = self.cfg, self.reuse
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
@@ -318,11 +312,11 @@ class Coordinator:
             if not fingers_moved or key[:_WRIST_BYTES] != last_key[:_WRIST_BYTES]:
                 wrist = RigidTransform(self.wrist_rotation, wrist_pos)
             if fingers_moved:
-                sensed = [cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
-                          for i in range(NUM_FINGERS)]
-                sensed += [cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
-                           for i in range(NUM_FINGERS)]
-                sensed.append(0.0)  # spare wrist channel, unused by the forward model
+                # The spare wrist channel is last, unused by the forward model.
+                sensed = (*(cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
+                            for i in range(NUM_FINGERS)),
+                          *(cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
+                            for i in range(NUM_FINGERS)), 0.0)
             reuse.sample = (key, sensed, wrist)
         last_intended, last_cmd, applied = reuse.applied
         intended = hand_forward_model(sensed, cal, last_intended)
@@ -431,12 +425,9 @@ class Coordinator:
     def _winner(self, t: float, predicted: Vec3, triggers: list[bool]) -> _ArmUnit | None:
         """The nearest effector among free arms whose trigger fires and whose
         cooldown is over; ties break toward the lowest arm index."""
-        winner = None
-        best = None
+        winner = best = None
         for u, trigger in zip(self.units, triggers):
-            if u.dock_state is not DockState.FREE or not trigger:
-                continue
-            if t < u.cooldown_until:
+            if u.dock_state is not DockState.FREE or not trigger or t < u.cooldown_until:
                 continue
             d = math.dist(u.state.pose.translation, predicted)
             if best is None or d < best - 1e-12:
@@ -444,14 +435,14 @@ class Coordinator:
         return winner
 
     def _lifecycle(self, u: _ArmUnit, trigger: bool, won: bool, t: float,
-                   plate: RigidTransform, cmd_world: tuple[float, ...],
-                   events: list[str]):
+                   plate: RigidTransform, transmit, events: list[str]):
         """Run ``u``'s dock lifecycle for this tick.
 
         Returns ``(transmitted, slip, follow)``: the wrench transmitted to the
         hand (world frame) and the slip flag, zero unless ``u`` was docked and
         stays docked, and ``_follow``'s result for ``u`` this tick (None when
-        ``u`` neither was docked nor attached).
+        ``u`` neither was docked nor attached). ``transmit`` is ``_command``'s,
+        read only while ``u`` is docked.
 
         ``dock_step`` is pure over the dock state and the six context flags,
         so ``u.step`` keeps its result for them: the context is built and
@@ -472,12 +463,8 @@ class Coordinator:
 
         if docked is not None and u is docked.unit:
             follow = self._follow(docked, plate)
-            local, clamped = follow
-            if math.dist(local, clamped) > dock.release_slack_m:
-                release_demanded = True
-            out, out_slip, released = self._transmit(docked, cmd_world)
-            if released:
-                release_demanded = True
+            out, out_slip, released = transmit
+            release_demanded = released or math.dist(*follow) > dock.release_slack_m
             if not release_demanded:
                 transmitted, slip = out, out_slip
 
@@ -517,38 +504,33 @@ class Coordinator:
         return transmitted, slip, follow
 
     def _command(self, dock: _Dock, filtered: tuple[float, ...],
-                 load: tuple[float, ...]) -> tuple[float, ...]:
-        """The docked arm's command wrench, world frame: under force feedback
-        ``filtered`` clamped to the arm's envelope, plus the injected
-        ``load``; kept for ``filtered`` and ``load``."""
-        last_filtered, last_load, cmd = dock.cmd
+                 load: tuple[float, ...]):
+        """The docked arm's command wrench, world frame, and its transmit,
+        kept with the command's displacement for ``filtered`` and ``load``.
+
+        The command is ``filtered`` clamped to the arm's envelope under force
+        feedback, plus the injected ``load``; the transmit is
+        ``joint_transmit``'s ``(transmitted, slip, released)`` for it in the
+        plate frame, turned back to the world frame (the plate's rotation is
+        a scenario constant)."""
+        last_filtered, last_load, cmd, out, _ = dock.cmd
         if filtered is last_filtered and load is last_load:
-            return cmd
+            return cmd, out
+        spec = dock.unit.cfg.spec
         cmd = ZERO6
         if self.cfg.condition is Condition.FORCE_FEEDBACK:
             # The arm's own actuation saturates at its envelope; injected
             # loads model external pulls on the joint and bypass it.
-            spec = dock.unit.cfg.spec
             limits = spec.max_force + spec.max_torque
             cmd = tuple(min(hi, max(-hi, v)) for v, hi in zip(filtered, limits))
         cmd = tuple(c + l for c, l in zip(cmd, load))
-        dock.cmd = (filtered, load, cmd)
-        return cmd
-
-    def _transmit(self, dock: _Dock, cmd_world: tuple[float, ...]):
-        """``joint_transmit``'s ``(transmitted, slip, released)`` for the dock
-        joint and ``cmd_world`` turned into the plate frame, with the
-        transmitted wrench turned back to the world frame. The plate's
-        rotation is a scenario constant, so this is kept for ``cmd_world``."""
-        last_cmd, out = dock.sent
-        if cmd_world is last_cmd:
-            return out
         inv, rp = self.plate_rotation_inv, self.plate_rotation
-        cmd_plate = _qrotate(inv, cmd_world[:3]) + _qrotate(inv, cmd_world[3:])
+        cmd_plate = _qrotate(inv, cmd[:3]) + _qrotate(inv, cmd[3:])
         out_plate, slip, released = joint_transmit(dock.joint, cmd_plate)
         out = (_qrotate(rp, out_plate[:3]) + _qrotate(rp, out_plate[3:]), slip, released)
-        dock.sent = (cmd_world, out)
-        return out
+        dock.cmd = (filtered, load, cmd, out,
+                    impedance_displacement(cmd[:3], spec.stiffness))
+        return cmd, out
 
     def _control(self, u: _ArmUnit, follow, plate: RigidTransform,
                  cmd_world: tuple[float, ...]) -> RigidTransform:
@@ -557,19 +539,19 @@ class Coordinator:
         spec = u.cfg.spec
         dock = self.dock
         if dock is not None and u is dock.unit:
-            last_cmd, disp = dock.disp
-            if cmd_world is not last_cmd:
-                disp = impedance_displacement(cmd_world[:3], spec.stiffness)
-                dock.disp = (cmd_world, disp)
-            last_follow, last_disp, state, target = dock.arm
-            if follow is not last_follow or disp is not last_disp:
+            last_follow, last_cmd, state, target = dock.arm
+            if follow is not last_follow or cmd_world is not last_cmd:
+                # An attach tick's command is not the new dock's.
+                _, _, cmd, _, disp = dock.cmd
+                if cmd_world is not cmd:
+                    disp = impedance_displacement(cmd_world[:3], spec.stiffness)
                 local, clamped_pos = follow
                 pos = spec.base_pose.transform_point(clamped_pos)
                 state = ArmState(pose=RigidTransform(dock.rotation, pos),
                                  clamped=clamped_pos != local)
                 target = RigidTransform(dock.rotation, (pos[0] + disp[0], pos[1] + disp[1],
                                                         pos[2] + disp[2]))
-                dock.arm = (follow, disp, state, target)
+                dock.arm = (follow, cmd_world, state, target)
             u.state = state
             return target
         if u.dock_state is DockState.INTERCEPTING:
@@ -611,11 +593,11 @@ class Coordinator:
         noise is not differenced into a velocity (which would scale it by
         1/DT). Without noise the two plates are one.
 
-        A still wrist reruns none of the plate's work: each stage keys on
-        the objects the stage before it handed back (``step_world`` hands
-        back one report object at a fixed point). The true plate's velocity
-        is ``ZERO3`` while it is last tick's object: ``(x - x) / DT`` is +0.0
-        for every finite ``x``.
+        Every stage keeps its result by the rule stated on ``Coordinator``,
+        so a still wrist reruns none of the plate's work (``step_world``
+        hands back one report object at a fixed point). The true plate's
+        velocity is ``ZERO3`` while it is last tick's object: ``(x - x) /
+        DT`` is +0.0 for every finite ``x``.
         """
         cfg, reuse = self.cfg, self.reuse
         t = tick * DT
@@ -658,9 +640,9 @@ class Coordinator:
             filter_input = routed.net_force + ZERO3
         filtered = self.filter.update(filter_input)
 
-        cmd_world = ZERO6
+        cmd_world, transmit = ZERO6, None
         if is_docked:
-            cmd_world = self._command(dock, filtered, cfg.sample_injected_load(t))
+            cmd_world, transmit = self._command(dock, filtered, cfg.sample_injected_load(t))
 
         last_report, support = reuse.support
         if impulses is not last_report:
@@ -690,7 +672,7 @@ class Coordinator:
             transmitted, slip, follow = ZERO6, False, None
             if lifecycle:
                 transmitted, slip, follow = self._lifecycle(
-                    u, triggers[i], u is winner, t, plate, cmd_world, events)
+                    u, triggers[i], u is winner, t, plate, transmit, events)
             target = self._control(u, follow, plate, cmd_world)
             state = u.state
             pose = state.pose

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, HandState,
                       finger_sphere_centers)
@@ -176,6 +176,7 @@ def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
 _WRENCH_BITS = struct.Struct("<6d")
 
 
+@dataclass(slots=True)
 class LowPassFilter:
     """First-order low-pass on a wrench (six numbers) sampled every tick,
     held as a float tuple.
@@ -186,14 +187,18 @@ class LowPassFilter:
     state again without arithmetic until the state moves.
     """
 
-    def __init__(self, cutoff_hz: float):
-        if cutoff_hz < 0.0:
+    cutoff_hz: float
+    enabled: bool = field(init=False)
+    alpha: float = field(init=False)
+    state: tuple = field(default=ZERO6, init=False)
+    # A state object and the bits of an input that left it as it is.
+    _still: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.cutoff_hz < 0.0:
             raise ValueError("cutoff must be nonnegative")
-        self.enabled = cutoff_hz > 0.0
-        self.alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * DT) if self.enabled else 1.0
-        self.state = ZERO6
-        # A state object and the bits of an input that left it as it is.
-        self._still: tuple = (None, None)
+        self.enabled = self.cutoff_hz > 0.0
+        self.alpha = 1.0 - math.exp(-2.0 * math.pi * self.cutoff_hz * DT) if self.enabled else 1.0
 
     def update(self, x) -> tuple[float, ...]:
         x = tuple(map(float, x))

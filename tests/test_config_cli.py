@@ -4,6 +4,7 @@ import json
 import pytest
 import yaml
 
+from hapdock import cli
 from hapdock.cli import main
 from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.devices import GLOVE_CATALOG, VIRTUOSE_6D
@@ -110,6 +111,19 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             scenario_from_dict(d)
         assert "glove_period_ticks" in err.value.path
+
+    @pytest.mark.parametrize("duration", [0.0004, 0.0005])
+    def test_a_scene_runs_at_least_one_tick(self, tmp_path, capsys, duration):
+        # 0.0005 s rounds half to even, to no tick at all: a scene that
+        # would log its header alone is rejected.
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(minimal_dict(coordinator={"duration_s": duration})))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: $.coordinator.duration_s: "
+            "must round to at least one tick of 1 ms\n")
+        d = minimal_dict(coordinator={"duration_s": 0.0006})
+        assert scenario_from_dict(d).coordinator.ticks == 1
 
     def test_normalized_flex_range_checked(self):
         d = minimal_dict()
@@ -313,6 +327,35 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "config error: --out: expected a non-empty path\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("run", "pursuit_static", "--out"), "--out"),
+        (("capability", "handover_sweep", "--at", "0", "0", "0", "--json"), "--json"),
+    ], ids=["run", "capability"])
+    @pytest.mark.parametrize("target, message", [
+        ("missing/x.out", "{parent} is not a directory"),
+        ("file/x.out", "{parent} is not a directory"),
+        ("dir", "is a directory"),
+    ], ids=["missing-directory", "file-as-directory", "directory"])
+    def test_output_path_checked_before_the_work(self, tmp_path, capsys, monkeypatch, argv,
+                                                 flag, target, message):
+        # A path that cannot be written is a config error at its flag, raised
+        # before the scene is simulated or its capability composed, and
+        # before anything is printed or written.
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        worked = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: worked.append(cfg))
+        monkeypatch.setattr(cli, "_capability_of", lambda cfg: worked.append(cfg))
+        path = tmp_path / target
+        command, scene, *rest = argv
+        assert main([command, str(shipped_path(scene)), *rest, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and worked == []
+        assert captured.err == (f"config error: {flag}: {path}: "
+                                f"{message.format(parent=path.parent)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_divergence_exit_3(self, tmp_path, capsys):
         d = minimal_dict(scene={"bodies": [{

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from hapdock import geometry, harness
+from hapdock import geometry, harness, routing, sim
 from hapdock.config import scenario_from_dict
 from hapdock.devices import ArmState
 from hapdock.docking import DockContext, DockState
@@ -382,20 +382,24 @@ RUN_STATE = {
     harness._Dock: ("unit", "joint", "c1", "c2", "rotation"),
     harness._ArmUnit: ("cfg", "state", "dock_state", "magnet", "trigger_box", "park",
                        "park_cmd", "cooldown_until"),
+    sim.World: ("gravity", "params", "bodies", "hand"),
+    routing.LowPassFilter: ("cutoff_hz", "enabled", "alpha", "state"),
 }
 
 
+def _slot_objects(coord: Coordinator) -> list:
+    """The objects of ``coord`` whose classes ``RUN_STATE`` names."""
+    return [s for s in (coord.reuse, coord.dock, *coord.units, coord.world, coord.filter)
+            if s is not None]
+
+
 def _cold(coord: Coordinator) -> None:
-    """Clear every kept result of ``coord``: the fields of its ``reuse``, its
-    ``dock`` and its arm units that ``RUN_STATE`` does not name, and those
-    kept in the world and the filter."""
-    for slots in (coord.reuse, coord.dock, *coord.units):
-        if slots is not None:
-            for f in dataclasses.fields(slots):
-                if f.name not in RUN_STATE[type(slots)]:
-                    setattr(slots, f.name, f.default)
-    coord.world.fixed_point = None
-    coord.filter._still = (None, None)
+    """Clear every kept result of ``coord``: each field of its slot objects
+    that ``RUN_STATE`` does not name."""
+    for slots in _slot_objects(coord):
+        for f in dataclasses.fields(slots):
+            if f.name not in RUN_STATE[type(slots)]:
+                setattr(slots, f.name, f.default)
 
 
 def _reattach(raw: dict) -> None:
@@ -873,7 +877,7 @@ class TestHotPath:
         # here until it is named, and one with a default is cleared.
         coord = Coordinator(_short("handover_sweep", 0.3))
         coord.run()
-        slot_objects = (coord.reuse, coord.dock, *coord.units)
+        slot_objects = _slot_objects(coord)
         assert {type(slots) for slots in slot_objects} == set(RUN_STATE)
         marker = object()
         before = []

@@ -697,18 +697,25 @@ calibrations = st.builds(
 @example(sensed=[-0.0] * 11, cal=HandCalibration())
 @given(sensed=st.lists(sensor_values, min_size=11, max_size=11), cal=calibrations)
 def test_forward_model_memo_hit_matches_a_fresh_evaluation(sensed, cal):
-    first = hand_forward_model(list(sensed), cal, None)
-    # The same bits in a new list return the last result handed back.
-    assert hand_forward_model(list(sensed), cal, first) is first
-    # An equal calibration in another object misses, and evaluates afresh.
+    sensed = tuple(sensed)
+    first = hand_forward_model(sensed, cal, None)
+    # The same sensed object returns the last result handed back.
+    assert hand_forward_model(sensed, cal, first) is first
+    # The same bits in a new list or tuple are evaluated afresh, to the same
+    # bits.
+    for again in (list(sensed), tuple(list(sensed))):
+        fresh = hand_forward_model(again, cal, first)
+        assert fresh is not first
+        assert hand_state_bits(fresh) == hand_state_bits(first)
+    # So does an equal calibration in another object.
     twin = replace(cal)
     fresh = hand_forward_model(sensed, twin, first)
     assert fresh is not first
     assert hand_state_bits(fresh) == hand_state_bits(first)
-    # So does a sensed value whose zero changed its sign.
+    # And a sensed value whose zero changed its sign.
     for i, v in enumerate(sensed):
         if v == 0.0:
-            flipped = sensed[:i] + [-v] + sensed[i + 1:]
+            flipped = sensed[:i] + (-v,) + sensed[i + 1:]
             got = hand_forward_model(flipped, twin, fresh)
             assert got is not fresh
             assert hand_state_bits(got) == hand_state_bits(
@@ -1005,8 +1012,11 @@ def pose_bits(pose: RigidTransform) -> list:
     return [bits(v) for v in pose.rotation + pose.translation]
 
 
-def reference_docked_chain(wrist_rotation, wrist, noise, dock, spec, joint, cmd_world):
-    """The docked tick as the compose chain it was written as."""
+def reference_docked_chain(wrist_rotation, wrist, noise, dock, spec, joint, filtered, load):
+    """The docked tick as the compose chain it was written as, under force
+    feedback."""
+    limits = spec.max_force + spec.max_torque
+    cmd_world = tuple(min(hi, max(-hi, f)) + l for f, hi, l in zip(filtered, limits, load))
     truth = RigidTransform(wrist_rotation, wrist).compose(dock.plate_offset)
     plate = RigidTransform(truth.rotation,
                            tuple(p + n for p, n in zip(truth.translation, noise)))
@@ -1023,7 +1033,8 @@ def reference_docked_chain(wrist_rotation, wrist, noise, dock, spec, joint, cmd_
     release = released or math.dist(local.translation, clamped) > dock.release_slack_m
     transmitted = ((0.0,) * 6 if release else
                    plate.rotate_vector(out[:3]) + plate.rotate_vector(out[3:]))
-    return {"plate_truth": truth, "plate": plate, "local": local.translation,
+    return {"cmd_world": cmd_world, "plate_truth": truth, "plate": plate,
+            "local": local.translation,
             "clamped": clamped, "pinned": pinned, "clamp_flag": clamped != local.translation,
             "target": target, "tool_point": pinned.compose(dock.tool_offset).translation,
             "cmd_plate": cmd_plate, "transmitted": transmitted,
@@ -1053,12 +1064,14 @@ HANDOVER = scenario_from_dict({**as_dict("handover_sweep"),
        base=st.builds(RigidTransform.from_quat, signed_quats, signed_vecs(0.3)),
        attach=offset_poses, wrist=signed_vecs(0.4), noise=signed_vecs(0.001),
        kind=st.sampled_from(sorted(JOINT_KIND_CATALOG.values(), key=lambda k: k.name)),
-       cmd_world=commands)
+       filtered=commands, load=commands)
 def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, tool_offset,
-                                                base, attach, wrist, noise, kind, cmd_world):
+                                                base, attach, wrist, noise, kind, filtered,
+                                                load):
     """The constants built at attach plus a tick's additions give the bits of
-    the old compose chain: plate, follow, clamp, pinned pose, target, tool
-    point, plate-frame command and transmitted wrench."""
+    the old compose chain: plate, follow, clamp, pinned pose, command,
+    target, tool point, plate-frame command and transmitted wrench, on the
+    attach tick and on a docked tick."""
     cfg = replace(HANDOVER,
                   trajectory=replace(HANDOVER.trajectory, wrist_rotation=wrist_rotation),
                   dock=replace(HANDOVER.dock, plate_offset=plate_offset,
@@ -1071,7 +1084,7 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     spec = u.cfg.spec
     joint = replace(coord.unattached_joint, attach_pose=attach)
     ref = reference_docked_chain(coord.wrist_rotation, wrist, noise, cfg.dock, spec,
-                                 joint, cmd_world)
+                                 joint, filtered, load)
 
     truth = coord._plate_truth(wrist)
     assert pose_bits(truth) == pose_bits(ref["plate_truth"])
@@ -1085,19 +1098,34 @@ def test_docked_chain_matches_the_compose_chain(wrist_rotation, plate_offset, to
     assert [bits(v) for v in local] == [bits(v) for v in ref["local"]]
     assert [bits(v) for v in clamped] == [bits(v) for v in ref["clamped"]]
 
-    target = coord._control(u, follow, plate, cmd_world)
-    assert pose_bits(u.state.pose) == pose_bits(ref["pinned"])
-    assert u.state.clamped == ref["clamp_flag"]
-    assert pose_bits(target) == pose_bits(ref["target"])
-    tool_point = u.state.pose.transform_point(tool_offset.translation)
-    assert [bits(v) for v in tool_point] == [bits(v) for v in ref["tool_point"]]
-
-    sent = []
+    sent, displaced = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "joint_transmit",
                    lambda j, w: sent.append(w) or joint_transmit(j, w))
+        mp.setattr(harness, "impedance_displacement",
+                   lambda f, k: displaced.append(f) or impedance_displacement(f, k))
+        # The attach tick: the new dock has no command yet, so the arm
+        # displaces by the tick's own (a handover tick's is the releasing
+        # dock's), here one with the command's bits.
+        targets = [coord._control(u, follow, plate, tuple(list(ref["cmd_world"])))]
+        states = [u.state]
+        # A docked tick: the command keeps its transmit and displacement,
+        # and the arm takes that displacement.
+        cmd_world, transmit = coord._command(coord.dock, filtered, load)
+        kept = coord._command(coord.dock, filtered, load)
+        assert kept[0] is cmd_world and kept[1] is transmit
+        targets.append(coord._control(u, follow, plate, cmd_world))
+        states.append(u.state)
         transmitted, slip, follow = coord._lifecycle(u, True, False, 0.5, plate,
-                                                     cmd_world, [])
+                                                     transmit, [])
+    assert len(displaced) == 2 and len(sent) == 1
+    assert [bits(v) for v in cmd_world] == [bits(v) for v in ref["cmd_world"]]
+    for target, state in zip(targets, states):
+        assert pose_bits(state.pose) == pose_bits(ref["pinned"])
+        assert state.clamped == ref["clamp_flag"]
+        assert pose_bits(target) == pose_bits(ref["target"])
+        tool_point = state.pose.transform_point(tool_offset.translation)
+        assert [bits(v) for v in tool_point] == [bits(v) for v in ref["tool_point"]]
     assert [bits(v) for v in sent[0]] == [bits(v) for v in ref["cmd_plate"]]
     assert [bits(v) for v in transmitted] == [bits(v) for v in ref["transmitted"]]
     assert slip == ref["slip"]
