@@ -24,7 +24,7 @@ from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       try_attach)
 from .frames import RigidTransform, _point_distance, _qmul, _qnormalize, _qrotate
 from .geometry import DT, TICK_RATE_HZ, ZERO3, ZERO6, Box, Vec3
-from .routing import LowPassFilter, contact_drum_param, route_forces
+from .routing import LowPassFilter, _hand_boxes, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
                   SolverParams, World, step_world)
 
@@ -159,7 +159,8 @@ class _Dock:
 @dataclass(slots=True)
 class _Reuse:
     """Last tick's inputs and outputs of the hand and plate steps a tick
-    need not rerun."""
+    need not rerun, and the last glove pass's contact-drum stops
+    (``stops``)."""
 
     sample: tuple = (b"", None, None)             # (bits, sensed, wrist)
     # (intended, command, hand); ``intended`` is also the forward model's
@@ -173,6 +174,10 @@ class _Reuse:
     trigger: tuple = (None, None, None, None)
     routed: tuple = (None, None, None, None)      # (plate position, report, docked, routed)
     support: tuple = (None, None)                 # (report, support)
+    # (wrist, intended, box bits, stops) of the last glove pass that ran
+    # the contact-drum searches; the box bits are the packed position and
+    # half extents of every body that collides with the hand.
+    stops: tuple = (None, None, None, None)
 
 
 class Coordinator:
@@ -183,9 +188,10 @@ class Coordinator:
     objects or have last tick's packed ``struct`` bits (``==`` would match
     0.0 with -0.0); a later stage keys on the object handed back, and the
     defaults of the slots are the cold values. The slots are ``reuse`` (the
-    hand and the plate), the one ``dock`` (``_Dock``, dropped at release),
-    ``_ArmUnit.parked``, ``tool`` and ``step`` (the dock transition),
-    ``World.fixed_point`` and ``LowPassFilter._still``."""
+    hand, the glove's contact-drum stops ``reuse.stops`` and the plate), the
+    one ``dock`` (``_Dock``, dropped at release), ``_ArmUnit.parked``,
+    ``tool`` and ``step`` (the dock transition), ``World.fixed_point`` and
+    ``LowPassFilter._still``."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -299,6 +305,10 @@ class Coordinator:
         apart, so each is rebuilt only when its part of the sample moved.
         The forward model keys on the sensed tuple, and ``glove_apply`` on
         the intended hand and the glove command, new every glove period.
+        A glove pass reruns the five contact-drum searches only when the
+        wrist or the intended hand is another object than at the last pass
+        that ran them, or a hand-colliding body's position or half extents
+        moved a bit; otherwise its command takes that pass's stops.
         ``hand_forward_model`` is still called once per tick, first in the
         tick: perfbench's tick hook counts those calls.
         """
@@ -328,8 +338,14 @@ class Coordinator:
                     f"glove commanded at tick {tick}, {tick - last} ticks after the "
                     f"previous command; the contract needs {self.glove_period}")
             self._last_glove_tick = tick
-            stops = tuple(contact_drum_param(wrist, intended, k, self.world)
-                          for k in range(NUM_FINGERS))
+            world = self.world
+            flat = [v for box in _hand_boxes(world) for v in box]
+            bits = struct.pack(f"<{len(flat)}d", *flat)
+            last_wrist, last_hand, last_bits, stops = reuse.stops
+            if wrist is not last_wrist or intended is not last_hand or bits != last_bits:
+                stops = tuple(contact_drum_param(wrist, intended, k, world)
+                              for k in range(NUM_FINGERS))
+                reuse.stops = (wrist, intended, bits, stops)
             self.glove_cmd = GloveCommand(
                 stop_angle=stops,
                 spring_constant=(cfg.glove.spring_constant,) * NUM_FINGERS)

@@ -121,26 +121,33 @@ def route_forces(impulses: Sequence[ContactImpulse], docked: bool, *,
                         hand_contact_count=len(forces))
 
 
-def _finger_penetration(world: World, wrist: RigidTransform, finger: int,
-                        abd_angle: float, flex: float) -> float:
-    """Worst signed depth of the finger's phalange spheres at a given flex.
+def _hand_boxes(world: World) -> list[tuple[float, ...]]:
+    """Every body of ``world`` that collides with the hand as its position
+    and half extents, six floats."""
+    return [(*body.position, *body.half_extents) for body in world.bodies
+            if body.collide_with_hand]
 
-    Positive means penetrating, negative means clear; zero is exact touch.
+
+def _probe(boxes: list[tuple[float, ...]], wrist: RigidTransform, finger: int,
+           abd_angle: float, flex: float) -> float:
+    """The sign of the finger's worst signed depth over ``boxes`` at a given
+    flex: 1.0 penetrating, 0.0 exact touch, -1.0 clear. It stops at the
+    first phalange sphere that penetrates a box.
+
+    ``boxes`` is ``_hand_boxes``'s list.
     """
     centers = finger_sphere_centers(wrist, finger, DEFAULT_HAND_PARAMS.joint_angles(flex),
                                     abd_angle)
     radius = DEFAULT_HAND_GEOMETRY.phalange_radius
-    worst = -math.inf
-    for body in world.bodies:
-        if not body.collide_with_hand:
-            continue
-        px, py, pz = body.position
-        hx, hy, hz = body.half_extents
-        for cx, cy, cz in centers:
+    touch = False
+    for cx, cy, cz in centers:
+        for px, py, pz, hx, hy, hz in boxes:
             depth = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)[0]
-            if depth > worst:
-                worst = depth
-    return worst
+            if depth > 0.0:
+                return 1.0
+            if depth == 0.0:
+                touch = True
+    return 0.0 if touch else -1.0
 
 
 def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
@@ -151,22 +158,27 @@ def contact_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
     Evaluates the hypothetical de-penetration pose by moving the phalanges
     (not the world) back along the flex interpolant and bisecting, to a
     flex tolerance of 1e-4, for the first-contact flex. Returns 1.0
-    (unrestricted) when nothing touches and the current flex when the finger
-    is exactly at the surface.
+    (unrestricted) when nothing touches, without a probe when no body
+    collides with the hand, and the current flex when the finger is exactly
+    at the surface. A probe reads only the sign of the finger's worst depth,
+    so it stops at the first penetrating sphere.
     """
+    boxes = _hand_boxes(world)
+    if not boxes:
+        return 1.0
     flex_now = hand.flex[finger]
     abd_angle = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
-    pen_now = _finger_penetration(world, wrist, finger, abd_angle, flex_now)
+    pen_now = _probe(boxes, wrist, finger, abd_angle, flex_now)
     if pen_now < 0.0:
         return 1.0
     if pen_now == 0.0:
         return flex_now
-    if _finger_penetration(world, wrist, finger, abd_angle, 0.0) > 0.0:
+    if _probe(boxes, wrist, finger, abd_angle, 0.0) > 0.0:
         return 0.0
     lo, hi = 0.0, flex_now
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if _finger_penetration(world, wrist, finger, abd_angle, mid) > 0.0:
+        if _probe(boxes, wrist, finger, abd_angle, mid) > 0.0:
             hi = mid
         else:
             lo = mid

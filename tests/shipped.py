@@ -50,7 +50,8 @@ FULL_STEPS: dict[str, int] = {}
 # ``DockContext`` objects built for it; and the ticks that rebuilt
 # ``reuse.support`` or a ``_Dock.follow`` (a handover tick that rebuilds the
 # releasing dock's and builds the new dock's counts once), and the tool
-# points built (the arms whose ``_ArmUnit.tool`` a tick replaced).
+# points built (the arms whose ``_ArmUnit.tool`` a tick replaced); calls of
+# ``contact_drum_param`` and its probes (calls of ``routing._probe``).
 CALLS: dict[str, Counter] = {}
 
 
@@ -109,9 +110,9 @@ def cached_run(name: str) -> MetricLog:
                     for key in ("glove_apply", "hand_collider_spheres", "hand_offsets",
                                 "arm_step", "joint_transmit", "impedance_displacement",
                                 "route_forces", "predict_position", "ArmState",
-                                "dock_step", "DockContext")]
-        patches.append((routing, "_paired_magnitude",
-                        counting("_paired_magnitude", routing._paired_magnitude)))
+                                "dock_step", "DockContext", "contact_drum_param")]
+        patches += [(routing, key, counting(key, getattr(routing, key)))
+                    for key in ("_paired_magnitude", "_probe")]
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]
         for owner, key, wrapper in patches:
             setattr(owner, key, wrapper)

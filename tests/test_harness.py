@@ -416,13 +416,27 @@ def _variant(rotation, noise):
     return edit
 
 
+def _pebble(raw: dict) -> None:
+    """squeeze_cancellation without gravity and with a small hand-colliding
+    pebble sliding down z at 0.1 m/s across the index finger's curl path:
+    it reaches the finger after the pinch holds still (1.5 s)."""
+    raw["scene"] = {**raw["scene"], "gravity": [0.0, 0.0, 0.0]}
+    raw["scene"]["bodies"] = [*raw["scene"]["bodies"], {
+        "name": "pebble", "kind": "dynamic", "center": [0.175, 0.012, 0.2],
+        "half_extents": [0.004, 0.002, 0.004], "velocity": [0.0, 0.0, -0.1],
+        "mass": 0.01}]
+
+
 # (scene, seconds, test id suffix, edit of the scene's mapping) of the cold
-# reference runs: the hot-path scenes, handover up to its second attach (tick
-# 4135); decouple_sweep's ramp through its joint break at 1.982 s, and with a
-# second dock of the same arm; the rotated and noisy golden variants.
+# reference runs: the hot-path scenes, squeeze past its held pinch's first
+# kept glove stops (1.564 s) and with a pebble moving under that pinch,
+# handover up to its second attach (tick 4135); decouple_sweep's ramp through
+# its joint break at 1.982 s, and with a second dock of the same arm; the
+# rotated and noisy golden variants.
 COLD_RUNS = [
     ("single_lift_force_feedback", 2.0, "", None),
-    ("squeeze_cancellation", 1.5, "", None),
+    ("squeeze_cancellation", 2.2, "", None),
+    ("squeeze_cancellation", 2.2, "-pebble", _pebble),
     ("handover_sweep", 4.2, "", None),
     ("decouple_sweep", 2.5, "", None),
     ("decouple_sweep", 2.6, "-reattach", _reattach),
@@ -778,6 +792,26 @@ class TestHotPath:
         "squeeze_cancellation": 5,
     }
 
+    # ``contact_drum_param`` calls and their probes per shipped run. A glove
+    # pass searches again, five calls, only for a new wrist or intended hand
+    # object or moved hand-box bits; a scene without a hand box probes
+    # nothing. Lift's fingers are clear, one probe a call; squeeze bisects.
+    DRUM = {
+        "decouple_sweep": (5, 0),
+        "handover_sweep": (990, 0),
+        "pursuit_moving": (295, 0),
+        "pursuit_static": (5, 0),
+        "single_lift_docked": (610, 610),
+        "single_lift_force_feedback": (610, 610),
+        "single_lift_free": (610, 610),
+        "squeeze_cancellation": (145, 711),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRUM))
+    def test_glove_searches_only_when_their_inputs_move(self, name):
+        cached_run(name)
+        assert (CALLS[name]["contact_drum_param"], CALLS[name]["_probe"]) == self.DRUM[name]
+
     @pytest.mark.parametrize("name", sorted(DOCK_STEPS))
     def test_dock_transitions_rerun_only_when_their_inputs_flip(self, name):
         cached_run(name)
@@ -869,6 +903,30 @@ class TestHotPath:
         attaches = Counter(e for r in warm for e in r["events"] if e.startswith("attach:"))
         assert max(attaches.values(), default=0) == (2 if edit is _reattach else 1)
         assert _lines(coord.log.records) == _lines(warm)
+
+    def test_a_moving_hand_box_alone_reruns_the_glove_searches(self):
+        # Under the held pinch the wrist and the intended hand are the same
+        # objects pass after pass, so a glove pass that searches again does
+        # so for the pebble's moved bits alone, and its stops follow it.
+        raw = as_dict("squeeze_cancellation")
+        raw["coordinator"] = {**raw["coordinator"], "duration_s": 2.2}
+        _pebble(raw)
+        coord = Coordinator(scenario_from_dict(raw))
+        kept, moved = 0, []
+        for tick in range(coord.cfg.coordinator.ticks):
+            before = coord.reuse.stops
+            coord._tick(tick)
+            after = coord.reuse.stops
+            # Tick 1530 is the held pinch's first glove pass.
+            if tick <= 1530 or tick % coord.glove_period:
+                continue
+            if after is before:
+                kept += 1
+            else:
+                assert after[0] is before[0] and after[1] is before[1]
+                assert after[2] != before[2]
+                moved.append(after[3] != before[3])
+        assert kept > 0 and any(moved)
 
     def test_cold_clears_every_field_but_the_run_state(self):
         # Each field of the slot classes is run state, named in

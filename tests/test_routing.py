@@ -1,17 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS,
-                             HandCalibration, finger_sphere_centers,
+from hapdock import routing
+from hapdock.devices import (DEFAULT_HAND_GEOMETRY, DEFAULT_HAND_PARAMS, NUM_FINGERS,
+                             HandCalibration, HandState, finger_sphere_centers,
                              hand_forward_model)
 from hapdock.frames import RigidTransform
 from hapdock.geometry import DT
-from hapdock.routing import (LowPassFilter, _finger_penetration, contact_drum_param,
-                             route_forces)
+from hapdock.routing import LowPassFilter, contact_drum_param, route_forces
 from hapdock.sim import (BodyKind, ContactImpulse, HandCollider, RigidBody,
-                         World, step_world)
+                         World, _sphere_box, step_world)
 
 CAL = HandCalibration()
 IDENTITY = RigidTransform.identity()
@@ -94,6 +97,51 @@ def pinch_world() -> World:
     return w
 
 
+def _finger_penetration(world: World, wrist: RigidTransform, finger: int,
+                        abd_angle: float, flex: float) -> float:
+    """Reference: the worst signed depth of the finger's phalange spheres
+    over every hand-colliding body at a given flex, ``-inf`` when no body
+    collides with the hand. Positive means penetrating, negative clear and
+    zero exact touch."""
+    centers = finger_sphere_centers(wrist, finger, DEFAULT_HAND_PARAMS.joint_angles(flex),
+                                    abd_angle)
+    radius = DEFAULT_HAND_GEOMETRY.phalange_radius
+    worst = -math.inf
+    for body in world.bodies:
+        if not body.collide_with_hand:
+            continue
+        px, py, pz = body.position
+        hx, hy, hz = body.half_extents
+        for cx, cy, cz in centers:
+            depth = _sphere_box(cx, cy, cz, radius, px, py, pz, hx, hy, hz)[0]
+            if depth > worst:
+                worst = depth
+    return worst
+
+
+def reference_drum_param(wrist: RigidTransform, hand: HandState, finger: int,
+                         world: World) -> float:
+    """Reference: the contact-drum bisection with every probe taking the
+    worst depth over all bodies and spheres."""
+    flex_now = hand.flex[finger]
+    abd_angle = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[finger])
+    pen_now = _finger_penetration(world, wrist, finger, abd_angle, flex_now)
+    if pen_now < 0.0:
+        return 1.0
+    if pen_now == 0.0:
+        return flex_now
+    if _finger_penetration(world, wrist, finger, abd_angle, 0.0) > 0.0:
+        return 0.0
+    lo, hi = 0.0, flex_now
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if _finger_penetration(world, wrist, finger, abd_angle, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def first_contact_flex(world: World, finger: int, step=1e-4) -> float:
     """Grid-scan oracle for the flex where the finger first touches."""
     hand = hand_at()
@@ -105,6 +153,41 @@ def first_contact_flex(world: World, finger: int, step=1e-4) -> float:
             return f
         f += step
     raise AssertionError("finger never touches")
+
+
+unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+quat_parts = st.floats(-1.0, 1.0, allow_nan=False)
+wrists = st.builds(RigidTransform.from_quat,
+                   st.tuples(*[quat_parts] * 4).filter(lambda q: math.hypot(*q) > 1e-3),
+                   st.tuples(*[st.floats(-0.5, 0.5, allow_nan=False)] * 3))
+
+
+@st.composite
+def drum_cases(draw):
+    """A wrist, a hand and 0-3 boxes (position, half extents, kind, whether
+    they collide with the hand) placed in the wrist frame over the fingers'
+    reach, and maybe a plate whose top face touches one phalange sphere at
+    its current flex."""
+    wrist = draw(wrists)
+    flex = draw(st.tuples(*[unit_floats] * NUM_FINGERS))
+    abd = draw(st.tuples(*[unit_floats] * NUM_FINGERS))
+    kinds = st.sampled_from((BodyKind.STATIC, BodyKind.DYNAMIC))
+    specs = []
+    for _ in range(draw(st.integers(0, 3))):
+        local = draw(st.tuples(st.floats(0.0, 0.22), st.floats(-0.1, 0.1),
+                               st.floats(-0.07, 0.07)))
+        half = draw(st.tuples(*[st.floats(0.002, 0.06)] * 3))
+        specs.append((list(wrist.transform_point(local)), half, draw(kinds),
+                      draw(st.booleans())))
+    if draw(st.booleans()):
+        k, j = draw(st.integers(0, NUM_FINGERS - 1)), draw(st.integers(0, 2))
+        cx, cy, cz = finger_sphere_centers(
+            wrist, k, DEFAULT_HAND_PARAMS.joint_angles(flex[k]),
+            DEFAULT_HAND_PARAMS.abduction_angle(abd[k]))[j]
+        h, w = draw(st.floats(0.002, 0.02)), draw(st.floats(0.01, 0.05))
+        r = DEFAULT_HAND_GEOMETRY.phalange_radius
+        specs.append(([cx, cy - r - h, cz], (w, h, w), draw(kinds), True))
+    return wrist, HandState(flex=flex, abduction=abd), specs
 
 
 class TestContactDrum:
@@ -146,6 +229,30 @@ class TestContactDrum:
         hand = hand_at(flex=0.4)
         assert (contact_drum_param(IDENTITY, hand, 0, w)
                 == contact_drum_param(IDENTITY, hand, 1, w))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(case=(IDENTITY, HandState(flex=(0.3,) * 5, abduction=(0.5,) * 5), []))
+    @given(case=drum_cases())
+    def test_search_matches_the_worst_depth_reference(self, case):
+        # The search builds its box list once and stops a probe at the first
+        # penetrating sphere; each stop keeps the reference's bits, and each
+        # probe reports the sign of the reference's worst depth.
+        wrist, hand, specs = case
+        world = World()
+        for i, (position, half, kind, touches) in enumerate(specs):
+            world.add_body(RigidBody(name=f"box{i}", kind=kind, position=position,
+                                     half_extents=half, mass=1.0,
+                                     collide_with_hand=touches))
+        boxes = routing._hand_boxes(world)
+        for k in range(NUM_FINGERS):
+            stop = contact_drum_param(wrist, hand, k, world)
+            assert struct.pack("<d", stop) == struct.pack(
+                "<d", reference_drum_param(wrist, hand, k, world))
+            abd = DEFAULT_HAND_PARAMS.abduction_angle(hand.abduction[k])
+            for flex in (hand.flex[k], stop, 0.0):
+                worst = _finger_penetration(world, wrist, k, abd, flex)
+                sign = (worst > 0.0) - (worst < 0.0)
+                assert routing._probe(boxes, wrist, k, abd, flex) == sign
 
     def test_full_ride_through_supported_mass(self):
         # Closed-loop sanity: a palm-supported can routes ~m*g while two
