@@ -207,15 +207,13 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
         spec = arms[i]
         name = arm_names[i]
         if link is None:
-            force = tuple(spec.max_force)
-            arm_torque = tuple((f"{name}:{ax}", spec.max_torque[j])
-                               for j, ax in enumerate(ROT_AXES))
+            force, dofs = tuple(spec.max_force), ()
         else:
             dofs = link.kind.degraded_dofs()
             force = _arm_force_through_joint(spec, link)
-            arm_torque = _arm_torque_through_joint(spec, name, dofs)
-            degraded.extend(f"{name}:{d}" for d in dofs)
-            degraded_axes.update(d for d in dofs if d in ROT_AXES)
+        arm_torque = _arm_torque_through_joint(spec, name, dofs)
+        degraded.extend(f"{name}:{d}" for d in dofs)
+        degraded_axes.update(d for d in dofs if d in ROT_AXES)
         regions.append(ForceRegion(arm_name=name, box=spec.workspace_box_world(),
                                    force=force, torque=arm_torque))
         torques.extend(arm_torque)
@@ -228,9 +226,7 @@ def compose_capability(arms: Sequence[ArmSpec], gloves: Sequence[GloveSpec],
     rotation: list = [UNBOUNDED, UNBOUNDED, UNBOUNDED]
     if active and arms:
         for j, axis in enumerate(ROT_AXES):
-            if axis in degraded_axes:
-                rotation[j] = UNBOUNDED
-            else:
+            if axis not in degraded_axes:
                 rotation[j] = max(arms[i].rot_range_deg[j] for i, _ in active)
     elif not gloves:
         rotation = [0.0, 0.0, 0.0]

@@ -481,7 +481,8 @@ _SCENARIO = _Table(ScenarioConfig, (
     _Row("trajectory", _TRAJECTORY, required=True),
     _Row("lift_windows", lambda value, path: value, default={}),    # read by the next rule
     _windows_of_bodies,
-    _Row("injected_load", lambda value, path: _track(6)(value, path) if value else ()),
+    # A missing key or ``[]`` is no load; any other value must be a track.
+    _Row("injected_load", lambda value, path: _track(6)(value, path) if value != [] else ()),
     _Row("tracking_noise_std_m", _number, 0.0),
     _Row("oracle_noise_floor_n", _number, 0.0),
 ))

@@ -10,7 +10,7 @@ from enum import Enum
 
 from .devices import ArmCommand
 from .frames import RigidTransform, correction_chain
-from .geometry import Vec3
+from .geometry import ZERO6, Vec3
 
 DOF_LABELS = ("tx", "ty", "tz", "rx", "ry", "rz")
 
@@ -176,11 +176,8 @@ def joint_transmit(joint: DockJoint, wrench) -> tuple[tuple[float, ...], bool, b
         raise ValueError("wrench must be finite")
 
     tension = out[2]
-    if tension > joint.breaking_force:
-        return (0.0,) * 6, False, True
-    peel = math.hypot(out[3], out[4])
-    if peel > joint.peel_torque:
-        return (0.0,) * 6, False, True
+    if tension > joint.breaking_force or math.hypot(out[3], out[4]) > joint.peel_torque:
+        return ZERO6, False, True
 
     kind = joint.kind
     for i in kind.free_axes:

@@ -125,7 +125,7 @@ class _ArmUnit:
     state: ArmState
     dock_state: DockState
     magnet: MagnetChannel
-    trigger_box: Box | None            # inflated world box; None when never docking
+    trigger_box: Box                   # inflated world box; a FREE run never reads it
     park: RigidTransform               # world frame
     park_cmd: ArmCommand               # park target in the base frame
     cooldown_until: float = 0.0
@@ -160,16 +160,16 @@ class _Dock:
 class _Reuse:
     """Last tick's inputs and outputs of the hand and plate steps a tick
     need not rerun, and the last glove pass's contact-drum stops
-    (``stops``)."""
+    (``stops``). The true plate rides on the wrist pose in ``sample``: both
+    are built when the sample's wrist bits move."""
 
-    sample: tuple = (b"", None, None)             # (bits, sensed, wrist)
+    sample: tuple = (b"", None, None, None)       # (bits, sensed, wrist, true plate)
     # (intended, command, hand); ``intended`` is also the forward model's
     # last result, handed back to it.
     applied: tuple = (None, None, None)
     # (hand, wrist) the colliders last moved to, whether they were moved to
     # it twice in a row, and the hand's finger bits and ``hand_offsets``.
     collider: tuple = (None, None, False, None, None)
-    plate: tuple = (None, None)                   # (wrist, true plate)
     # (plate position, plate velocity, predicted position, triggers)
     trigger: tuple = (None, None, None, None)
     routed: tuple = (None, None, None, None)      # (plate position, report, docked, routed)
@@ -188,10 +188,12 @@ class Coordinator:
     objects or have last tick's packed ``struct`` bits (``==`` would match
     0.0 with -0.0); a later stage keys on the object handed back, and the
     defaults of the slots are the cold values. The slots are ``reuse`` (the
-    hand, the glove's contact-drum stops ``reuse.stops`` and the plate), the
-    one ``dock`` (``_Dock``, dropped at release), ``_ArmUnit.parked``,
-    ``tool`` and ``step`` (the dock transition), ``World.fixed_point`` and
-    ``LowPassFilter._still``."""
+    hand, the wrist with its true plate, the glove's contact-drum stops
+    ``reuse.stops`` and the plate's later stages), the one ``dock``
+    (``_Dock``, dropped at release), ``_ArmUnit.parked``, ``tool`` and
+    ``step`` (the dock transition), ``World.fixed_point`` and
+    ``LowPassFilter._still``. ``_prev_plate`` is run history, not a kept
+    result."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -233,17 +235,14 @@ class Coordinator:
         self.log = MetricLog(self._header())
 
     def _unit(self, arm: ArmConfig) -> _ArmUnit:
-        spec = arm.spec
+        spec, dock = arm.spec, self.cfg.dock
         park = RigidTransform.from_translation(arm.park_position)
-        trigger_box = None
-        if self.cfg.condition is not Condition.FREE:
-            trigger_box = spec.workspace_box_world().inflate(
-                self.cfg.dock.workspace_inflation_m)
         return _ArmUnit(
             cfg=arm, state=ArmState(pose=park),
             dock_state=DockState.FREE,
-            magnet=MagnetChannel(latency_s=self.cfg.dock.magnet_latency_s),
-            trigger_box=trigger_box, park=park,
+            magnet=MagnetChannel(latency_s=dock.magnet_latency_s),
+            trigger_box=spec.workspace_box_world().inflate(dock.workspace_inflation_m),
+            park=park,
             park_cmd=ArmCommand(target=spec.base_inv.compose(park),
                                 speed_limit=arm.pursuit_speed))
 
@@ -297,12 +296,13 @@ class Coordinator:
         return self.log
 
     def _hand_for_tick(self, t: float, events: list[str],
-                       tick: int) -> tuple[HandState, RigidTransform]:
+                       tick: int) -> tuple[HandState, RigidTransform, RigidTransform]:
         """The hand after the glove's stops and the wrist pose for tick
         ``tick`` at time ``t``, issuing the glove command when one is due.
 
-        The trajectory sample's bits key the wrist pose and the sensed tuple
-        apart, so each is rebuilt only when its part of the sample moved.
+        Also returns the plate's true pose. The trajectory sample's bits key
+        the wrist pose, with its true plate, and the sensed tuple apart, so
+        each is rebuilt only when its part of the sample moved.
         The forward model keys on the sensed tuple, and ``glove_apply`` on
         the intended hand and the glove command, new every glove period.
         A glove pass reruns the five contact-drum searches only when the
@@ -316,18 +316,19 @@ class Coordinator:
         wrist_pos, flex_int, abd = cfg.trajectory.sample(t)
         cal = cfg.glove.calibration
         key = _SAMPLE_BITS.pack(*wrist_pos, *flex_int, *abd)
-        last_key, sensed, wrist = reuse.sample
+        last_key, sensed, wrist, plate = reuse.sample
         if key != last_key:
             fingers_moved = key[_WRIST_BYTES:] != last_key[_WRIST_BYTES:]
             if not fingers_moved or key[:_WRIST_BYTES] != last_key[:_WRIST_BYTES]:
                 wrist = RigidTransform(self.wrist_rotation, wrist_pos)
+                plate = self._plate_truth(wrist_pos)
             if fingers_moved:
                 # The spare wrist channel is last, unused by the forward model.
                 sensed = (*(cal.flex_min[i] + flex_int[i] * (cal.flex_max[i] - cal.flex_min[i])
                             for i in range(NUM_FINGERS)),
                           *(cal.abd_min[i] + abd[i] * (cal.abd_max[i] - cal.abd_min[i])
                             for i in range(NUM_FINGERS)), 0.0)
-            reuse.sample = (key, sensed, wrist)
+            reuse.sample = (key, sensed, wrist, plate)
         last_intended, last_cmd, applied = reuse.applied
         intended = hand_forward_model(sensed, cal, last_intended)
 
@@ -353,7 +354,7 @@ class Coordinator:
         if intended is not last_intended or self.glove_cmd is not last_cmd:
             applied = glove_apply(self.glove_cmd, intended, cfg.glove.spec)
             reuse.applied = (intended, self.glove_cmd, applied)
-        return applied, wrist
+        return applied, wrist, plate
 
     def _update_hand_colliders(self, hand: HandState, wrist: RigidTransform) -> None:
         """Move the hand colliders to the spheres of ``hand`` at ``wrist``.
@@ -461,11 +462,13 @@ class Coordinator:
         read only while ``u`` is docked.
 
         ``dock_step`` is pure over the dock state and the six context flags,
-        so ``u.step`` keeps its result for them: the context is built and
-        ``dock_step`` called only when one of the seven differs from the
-        last call's, as for a parked free arm it rarely does. Every exit of
-        ``DOCK_PROTOCOL`` changes the state, so the tick after a transition
-        steps again, and a kept result is the state with no events.
+        so ``u.step`` keeps its result for them, keyed on the state and the
+        flags in ``DockContext``'s field order: the context is built from
+        the key and ``dock_step`` called only when one of the seven differs
+        from the last call's, as for a parked free arm it rarely does. Every
+        exit of ``DOCK_PROTOCOL`` changes the state, so the tick after a
+        transition steps again, and a kept result is the state with no
+        events.
         """
         dock = self.cfg.dock
         transmitted, slip, follow = ZERO6, False, None
@@ -494,15 +497,7 @@ class Coordinator:
                   release_demanded)
         last_inputs, result = u.step
         if inputs != last_inputs:
-            ctx = DockContext(
-                intercept_wanted=trigger,
-                arbitration_winner=won,
-                magnet_energized=magnet_on,
-                attach_candidate=attach_candidate,
-                slot_available=slot_available,
-                release_demanded=release_demanded,
-            )
-            result = dock_step(u.dock_state, ctx)
+            result = dock_step(u.dock_state, DockContext(*inputs[1:]))
             u.step = (inputs, result)
         new_state, evs = result
         for ev in evs:
@@ -610,8 +605,9 @@ class Coordinator:
         1/DT). Without noise the two plates are one.
 
         Every stage keeps its result by the rule stated on ``Coordinator``,
-        so a still wrist reruns none of the plate's work (``step_world``
-        hands back one report object at a fixed point). The true plate's
+        so a still wrist reruns none of the plate's work (the true plate is
+        built with the wrist pose, and ``step_world`` hands back one report
+        object at a fixed point). The true plate's
         velocity is ``ZERO3`` while it is last tick's object: ``(x - x) /
         DT`` is +0.0 for every finite ``x``.
         """
@@ -619,7 +615,7 @@ class Coordinator:
         t = tick * DT
         events: list[str] = []
 
-        hand, wrist = self._hand_for_tick(t, events, tick)
+        hand, wrist, plate_truth = self._hand_for_tick(t, events, tick)
         if self.hand_contacts:
             self._update_hand_colliders(hand, wrist)
 
@@ -628,10 +624,6 @@ class Coordinator:
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"t={t:.3f}s: {exc}") from exc
 
-        last_wrist, plate_truth = reuse.plate
-        if wrist is not last_wrist:
-            plate_truth = self._plate_truth(wrist.translation)
-            reuse.plate = (wrist, plate_truth)
         plate = self._tracked_plate(plate_truth)
         plate_pos = plate.translation
         truth_pos = plate_truth.translation

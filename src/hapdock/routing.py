@@ -115,7 +115,7 @@ def route_forces(impulses: Sequence[ContactImpulse], docked: bool, *,
     net_force = (fx, fy, fz)
     net_torque = (tx, ty, tz)
 
-    return RoutedForces(residual=(0.0,) * 6 if docked else net_force + net_torque,
+    return RoutedForces(residual=ZERO6 if docked else net_force + net_torque,
                         net_force=net_force, net_torque=net_torque,
                         paired_magnitude=_paired_magnitude(forces, PAIRING_ANGLE_DEG),
                         hand_contact_count=len(forces))

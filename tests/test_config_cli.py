@@ -182,6 +182,12 @@ class TestValidation:
         (("dock",), "joint_kind", ["plate_friction"]),
         # A calibration vector's own fault is reported at its own path.
         (("glove", "calibration"), "flex_min", [0.0] * 4),
+        # Only a missing key or ``[]`` means no injected load.
+        ((), "injected_load", 0),
+        ((), "injected_load", False),
+        ((), "injected_load", ""),
+        ((), "injected_load", {}),
+        ((), "injected_load", None),
     ])
     def test_loose_types_rejected_with_path(self, tmp_path, capsys, where, key, value):
         d, path = every_level_dict(where, key, value)
