@@ -31,6 +31,7 @@ from .docking import (DEFAULT_ANG_TOL_RAD, DEFAULT_BREAKING_FORCE_N,
                       DEFAULT_POS_TOL_M, DockJointKind, JOINT_KIND_CATALOG)
 from .frames import RigidTransform, quat_from_euler_xyz
 from .geometry import DT, TICK_RATE_HZ, ZERO6, lerp
+from .sim import _RUNAWAY_LIMIT
 
 SCHEMA_VERSION = 1
 # Support-force gap, N, below which the weight oracle cannot tell two cans
@@ -240,6 +241,18 @@ def _vec(n: int):
     return parse
 
 
+# A position as far out as a runaway body is no desk, and its squared
+# distances may overflow.
+_FAR = f"must lie within {_RUNAWAY_LIMIT:g} m of the origin on each axis"
+
+
+def _position(value, path: str) -> tuple[float, ...]:
+    point = _vec(3)(value, path)
+    if any(abs(x) > _RUNAWAY_LIMIT for x in point):
+        raise ConfigError(path, _FAR)
+    return point
+
+
 def _one_of(table: dict, unknown):
     """A key of ``table``, read as its value; other strings fail with ``unknown(name)``."""
     def parse(value, path: str):
@@ -397,13 +410,14 @@ _COORDINATOR = _Table(CoordinatorConfig, (
 _ARM = _Table(ArmConfig, (
     _Row("name", _string, required=True),
     _Row("model", _catalog(ARM_CATALOG, "arm model"), field="spec", default="virtuose_6d"),
-    _Row("base_position", _vec(3), field="base_pose", required=True,
+    _Row("base_position", _position, field="base_pose", required=True,
          convert=RigidTransform.from_translation),
-    *(_Row(key, _vec(3)) for key in ("workspace_center", "workspace_extents",
-                                     "rot_range_deg", "max_force", "max_torque")),
+    _Row("workspace_center", _position),
+    *(_Row(key, _vec(3)) for key in ("workspace_extents", "rot_range_deg", "max_force",
+                                     "max_torque")),
     _Row("stiffness", _number, _POSITIVE),
     _arm_spec,
-    _Row("park_position", _vec(3)),
+    _Row("park_position", _position),
     _check("park_position",
            lambda v: not v["spec"].workspace_box_world().contains(v["park_position"]),
            "park pose must lie inside the workspace"),
@@ -456,14 +470,18 @@ _SCENE = _Table(SceneConfig, (
 
 _TRAJECTORY = _Table(TrajectoryConfig, (
     _Row("wrist", _track(3), required=True),
+    _check("wrist", lambda v: any(abs(x) > _RUNAWAY_LIMIT for _, p in v["wrist"] for x in p),
+           _FAR),
     _Row("flex", _track(NUM_FINGERS), required=True),
     _Row("abduction", _track(NUM_FINGERS), default=[[0.0] + [0.5] * NUM_FINGERS]),
     _normalized,
     # Stored as given: ``Coordinator.__init__`` normalizes it once with
     # ``from_quat``, and a normalized copy here could shift the logged bits.
     _Row("wrist_rotation", _vec(4)),
-    _check("wrist_rotation", lambda v: math.hypot(*v["wrist_rotation"]) < 1e-12,
-           "must be a nonzero quaternion"),
+    # The norm as ``from_quat`` computes it, which must be finite to divide by.
+    _check("wrist_rotation",
+           lambda v: not 1e-12 <= math.sqrt(sum(c * c for c in v["wrist_rotation"])) < math.inf,
+           "must be a nonzero quaternion of finite norm"),
 ))
 
 _SCENARIO = _Table(ScenarioConfig, (
@@ -528,12 +546,31 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, failing on a key that a mapping repeats, where
+    the safe loader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue                # merged keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", key_node.start_mark)
+            keys.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def read_yaml(path):
     """The YAML document in the file ``path``. A file that cannot be read
-    or is not UTF-8, and invalid YAML, fail at ``$``."""
+    or is not UTF-8, and invalid YAML, a repeated key included, fail at
+    ``$``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError("$", f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

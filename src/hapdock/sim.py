@@ -225,17 +225,17 @@ class _Contact:
         self.inv_mass = 1.0 / body.mass + (1.0 / dyn.mass if dyn is not None else 0.0)
 
 
-def _hand_hits(world: World, dynamic: bool):
+def _hand_hits(world: World):
     """``(body, collider, depth, n_out, point)`` for every hand sphere
-    penetrating a box of the given kind that collides with the hand.
+    penetrating a box that collides with the hand, of either kind, in body
+    order and then sphere order.
 
     Per sphere, the three separating-axis rejects run before ``_sphere_box``;
     most spheres miss on one of them.
     """
     hand = world.hand
     for body in world.bodies:
-        if ((body.kind is BodyKind.DYNAMIC) is not dynamic
-                or not body.collide_with_hand):
+        if not body.collide_with_hand:
             continue
         px, py, pz = body.position
         hx, hy, hz = body.half_extents
@@ -256,18 +256,16 @@ def _hand_hits(world: World, dynamic: bool):
                 yield body, h, depth, n_out, point
 
 
-def _hand_touches(world: World) -> bool:
-    """Whether any hand sphere penetrates any box that collides with the hand."""
-    return (next(_hand_hits(world, True), None) is not None
-            or next(_hand_hits(world, False), None) is not None)
+def _collect_contacts(world: World) -> tuple[list[_Contact], list[ContactImpulse]]:
+    """The solver's contacts and the hand's penalty contacts, from one walk
+    over the hand.
 
-
-def _collect_contacts(world: World) -> list[_Contact]:
-    """Box-box contacts in pair order, then hand contacts on dynamic bodies.
-
-    A box pair's contact normal is its axis of least overlap (on a tie, the
-    first such axis) and pushes the dynamic body away; the point is the
-    center of the overlap region.
+    The contacts are the box-box ones in pair order, then the hand's on
+    dynamic bodies. A box pair's contact normal is its axis of least overlap
+    (on a tie, the first such axis) and pushes the dynamic body away; the
+    point is the center of the overlap region. The hand against immovable
+    geometry is reported as spring-law pseudo impulses instead, in body
+    order: the impulse on the body is the hand pressing inward.
     """
     contacts: list[_Contact] = []
     bodies = world.bodies
@@ -311,32 +309,26 @@ def _collect_contacts(world: World) -> list[_Contact]:
                 contacts.append(_Contact(b, a, None, (nx, ny, nz), depth, point))
             else:
                 contacts.append(_Contact(a, b, None, (-nx, -ny, -nz), depth, point))
-    for body, h, depth, n_out, point in _hand_hits(world, dynamic=True):
-        # Push the dynamic body away from the hand sphere.
-        contacts.append(_Contact(body, None, h, (-n_out[0], -n_out[1], -n_out[2]),
-                                 depth, point))
-    return contacts
-
-
-def _penalty_contacts(world: World) -> list[ContactImpulse]:
-    """Hand against immovable geometry: reported as spring-law pseudo impulses."""
+    penalty: list[ContactImpulse] = []
     k = world.params.surface_stiffness
-    # Impulse applied to the body is the hand pressing inward.
-    return [ContactImpulse(body_a="hand", body_b=body.name,
-                           point=point, normal=(-n_out[0], -n_out[1], -n_out[2]),
-                           magnitude=k * depth * DT, hand_collider=h.name)
-            for body, h, depth, n_out, point in _hand_hits(world, dynamic=False)]
+    for body, h, depth, n_out, point in _hand_hits(world):
+        n_in = (-n_out[0], -n_out[1], -n_out[2])
+        if body.kind is dynamic:
+            # Push the dynamic body away from the hand sphere.
+            contacts.append(_Contact(body, None, h, n_in, depth, point))
+        else:
+            penalty.append(ContactImpulse("hand", body.name, point, n_in,
+                                          k * depth * DT, h.name))
+    return contacts, penalty
 
 
 # A desk-scale body a million kilometers out is as diverged as a NaN.
 _RUNAWAY_LIMIT = 1.0e9
 
 
-def _check_finite(world: World) -> None:
+def _check_finite(dynamics: list[RigidBody]) -> None:
     lo, hi = -_RUNAWAY_LIMIT, _RUNAWAY_LIMIT
-    for b in world.bodies:
-        if b.kind is not BodyKind.DYNAMIC:
-            continue
+    for b in dynamics:
         # Per component: a sum would let opposite runaways cancel. The
         # comparisons are False for NaN, so NaN fails them too.
         px, py, pz = b.position
@@ -369,8 +361,8 @@ def step_world(world: World) -> tuple[World, Sequence[ContactImpulse]]:
     collected contact is a hand contact, no penalty contact was made, and
     no projection pass moved a body. Its record keeps None for the hand
     bits, and a later call with the same body bits, ``params`` and
-    ``gravity`` returns its report when ``_hand_touches`` finds no hit at
-    the input, whatever the hand's bits. This is exact. Without a
+    ``gravity`` returns its report when ``_hand_hits`` yields no hit at the
+    input, whatever the hand's bits. This is exact. Without a
     projection move the step collects contacts at two places only: its
     input, and the integrated positions, which are its output and so its
     input again. The current hand meets nothing there, as the recorded hand
@@ -392,17 +384,16 @@ def step_world(world: World) -> tuple[World, Sequence[ContactImpulse]]:
     if (fixed is not None and fixed[0] == bodies
             and fixed[2] is world.params and fixed[3] is world.gravity):
         if fixed[1] is None:
-            if not _hand_touches(world):
+            if next(_hand_hits(world), None) is None:
                 return world, fixed[4]
         else:
             hand = _bits([(h.center, h.velocity) for h in world.hand])
             if fixed[1] == hand:
                 return world, fixed[4]
-    _check_finite(world)
-
-    contacts = _collect_contacts(world)
-    penalty = _penalty_contacts(world)
     dynamics = world.dynamic_bodies()
+    _check_finite(dynamics)
+
+    contacts, penalty = _collect_contacts(world)
 
     gx, gy, gz = world.gravity
     for b in dynamics:
@@ -451,7 +442,7 @@ def step_world(world: World) -> tuple[World, Sequence[ContactImpulse]]:
     projected = False
     for _ in range(2):
         moved = False
-        for c in _collect_contacts(world):
+        for c in _collect_contacts(world)[0]:
             excess = c.depth - slop
             if excess <= 0.0:
                 continue
@@ -476,24 +467,13 @@ def step_world(world: World) -> tuple[World, Sequence[ContactImpulse]]:
             break
         projected = True
 
-    _check_finite(world)
+    _check_finite(dynamics)
 
-    report: list[ContactImpulse] = []
-    for c in contacts:
-        if c.accumulated <= 0.0:
-            continue
-        if c.hand is not None:
-            report.append(ContactImpulse(
-                body_a="hand", body_b=c.body.name,
-                point=c.point, normal=c.normal,
-                magnitude=c.accumulated, hand_collider=c.hand.name))
-        else:
-            report.append(ContactImpulse(
-                body_a=c.other.name,
-                body_b=c.body.name,
-                point=c.point, normal=c.normal,
-                magnitude=c.accumulated, hand_collider=None))
-    report.extend(penalty)
+    report = [ContactImpulse("hand" if c.hand is not None else c.other.name, c.body.name,
+                             c.point, c.normal, c.accumulated,
+                             c.hand.name if c.hand is not None else None)
+              for c in contacts if c.accumulated > 0.0]
+    report += penalty
     world.fixed_point = None
     if _bits([(b.position, b.velocity) for b in world.bodies]) == bodies:
         if not (penalty or projected) and all(c.hand is None for c in contacts):

@@ -51,7 +51,9 @@ FULL_STEPS: dict[str, int] = {}
 # ``reuse.support`` or a ``_Dock.follow`` (a handover tick that rebuilds the
 # releasing dock's and builds the new dock's counts once), and the tool
 # points built (the arms whose ``_ArmUnit.tool`` a tick replaced); calls of
-# ``contact_drum_param`` and its probes (calls of ``routing._probe``).
+# ``contact_drum_param`` and its probes (calls of ``routing._probe``); calls
+# of ``sim._collect_contacts`` and the walks over the hand (calls of
+# ``sim._hand_hits``).
 CALLS: dict[str, Counter] = {}
 
 
@@ -70,6 +72,7 @@ def cached_run(name: str) -> MetricLog:
 
         def counting_collect(world):
             reached.append(True)
+            calls["_collect_contacts"] += 1
             return collect(world)
 
         def counting_step(world):
@@ -103,6 +106,7 @@ def cached_run(name: str) -> MetricLog:
                    (harness.Coordinator, "_tick", counting_tick),
                    (harness, "step_world", counting_step),
                    (harness, "hand_forward_model", counting_forward),
+                   (sim, "_hand_hits", counting("_hand_hits", sim._hand_hits)),
                    (sim.World, "move_hand", counting("move_hand", sim.World.move_hand)),
                    (harness.Coordinator, "_plate_truth",
                     counting("_plate_truth", harness.Coordinator._plate_truth))]

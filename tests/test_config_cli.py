@@ -10,7 +10,7 @@ from hapdock.config import ConfigError, scenario_from_dict
 from hapdock.devices import GLOVE_CATALOG, VIRTUOSE_6D
 from hapdock.docking import DEFAULT_ANG_TOL_RAD, JOINT_KIND_CATALOG
 from hapdock.harness import MetricLog
-from shipped import path as shipped_path
+from shipped import as_dict, path as shipped_path
 
 
 def minimal_dict(**over) -> dict:
@@ -242,11 +242,15 @@ class TestValidation:
                                                        "must be >= 0.0")
 
     def test_zero_wrist_rotation_rejected(self):
-        d = minimal_dict()
-        d["trajectory"]["wrist_rotation"] = [0.0, 0.0, 0.0, 0.0]
-        with pytest.raises(ConfigError) as err:
-            scenario_from_dict(d)
-        assert err.value.path == "$.trajectory.wrist_rotation"
+        # So is a rotation whose squared norm overflows, which ``from_quat``
+        # would scale to zero.
+        for rotation in ([0.0, 0.0, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0],
+                         [1e155, 0.0, 0.0, 0.0]):
+            d = minimal_dict()
+            d["trajectory"]["wrist_rotation"] = rotation
+            with pytest.raises(ConfigError) as err:
+                scenario_from_dict(d)
+            assert err.value.path == "$.trajectory.wrist_rotation"
 
     def test_glove_period_beyond_float_range_is_compared_exactly(self):
         d = minimal_dict(coordinator={"duration_s": 0.1, "glove_period_ticks": 10**400})
@@ -363,6 +367,43 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert not any((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["arms"][0].update(base_position=[1e308, 0, 0]),
+         "$.arms[0].base_position"),
+        (lambda d: d["arms"][0].update(workspace_center=[1e308, 0, 0]),
+         "$.arms[0].workspace_center"),
+        (lambda d: d["arms"][0].update(park_position=[1e307, 0, 0],
+                                       workspace_extents=[1e308, 1e308, 1e308]),
+         "$.arms[0].park_position"),
+        (lambda d: d["trajectory"].update(wrist=[[0.0, 1e160, 0, 0]]), "$.trajectory.wrist"),
+    ], ids=["base", "workspace-center", "park", "wrist"])
+    def test_far_position_exit_2(self, tmp_path, capsys, edit, field):
+        # A finite position whose squared distances overflow fails at load
+        # with its path, before any tick.
+        d = as_dict("pursuit_static")
+        edit(d)
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(d))
+        out = tmp_path / "x.ndjson"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"config error: {field}: must lie within 1e+09 m "
+                                f"of the origin on each axis\n")
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        # PyYAML keeps a repeated key's last value; the loader rejects it.
+        text = shipped_path("pursuit_static").read_text()
+        assert "coordinator: {duration_s: 1.0}\n" in text
+        path = tmp_path / "twice.yaml"
+        path.write_text(text.replace("{duration_s: 1.0}", "{duration_s: 1.0, duration_s: 0.2}"))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: $: invalid YAML: ")
+        assert "found repeated key 'duration_s'" in captured.err
+        assert "line 5, column 32" in captured.err
+
     def test_divergence_exit_3(self, tmp_path, capsys):
         d = minimal_dict(scene={"bodies": [{
             "name": "runaway", "kind": "dynamic",
@@ -424,6 +465,7 @@ class TestCli:
         ("can_a: [0.0, 1.0\n", "$"),
         ("can_a: [1.0, 0.5]\n", "$.can_a"),
         ("1: [0.0, 0.5]\n", "$.1"),
+        ("can_a: [0.0, 0.5]\ncan_a: [0.0, 1.0]\n", "$"),
     ])
     def test_oracle_malformed_windows_exit_2(self, tmp_path, capsys, text, path):
         log = tmp_path / "log.ndjson"

@@ -637,6 +637,20 @@ class TestHotPath:
         assert len(cached_run(name).records) == ticks
         assert FULL_STEPS[name] == full
 
+    @pytest.mark.parametrize("name, collections, walks", [
+        # A full step collects at its input and in each projection pass, one
+        # walk over the hand each; a repeat of a hand-free fixed point walks
+        # it once to find the hand clear.
+        ("single_lift_force_feedback", 5026, 7789),
+        ("squeeze_cancellation", 124, 1513),
+        # Every step after the first is a hand-free fixed point.
+        ("handover_sweep", 2, 8001),
+    ], ids=HOT_PATH_SCENES)
+    def test_each_collection_walks_the_hand_once(self, name, collections, walks):
+        cached_run(name)
+        calls = CALLS[name]
+        assert [calls["_collect_contacts"], calls["_hand_hits"]] == [collections, walks]
+
     @pytest.mark.parametrize("name, ticks, misses, glove, spheres, offsets, moves", [
         # Lift's and handover's fingers never move; only their wrists do.
         ("single_lift_force_feedback", 9300, 1, 274, 4130, 1, 4129),

@@ -51,7 +51,7 @@ def world_with(*bodies) -> World:
 def box_pair_contact(a, ha, b, hb):
     """(normal pushing B away from A, depth, point) of a static box A and a
     dynamic box B, or None when they do not overlap."""
-    contacts = _collect_contacts(world_with(
+    contacts, _ = _collect_contacts(world_with(
         RigidBody(name="a", kind=BodyKind.STATIC, position=a, half_extents=ha),
         RigidBody(name="b", kind=BodyKind.DYNAMIC, position=b, half_extents=hb, mass=1.0)))
     if not contacts:
