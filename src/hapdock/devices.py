@@ -303,11 +303,18 @@ def arm_step(spec: ArmSpec, state: ArmState, cmd: ArmCommand) -> ArmState:
 
 
 def impedance_displacement(force_cmd, stiffness: float) -> Vec3:
-    """Spring-law offset that makes the admittance loop render ``force_cmd``."""
-    if stiffness <= 0.0:
+    """Spring-law offset that makes the admittance loop render ``force_cmd``.
+
+    A stiffness that is not positive, a force that is not finite, or a
+    displacement that overflows raises ``ValueError`` naming the argument."""
+    if not stiffness > 0.0:
         raise ValueError("stiffness must be strictly positive")
     fx, fy, fz = force_cmd
-    return (float(fx) / stiffness, float(fy) / stiffness, float(fz) / stiffness)
+    out = (float(fx) / stiffness, float(fy) / stiffness, float(fz) / stiffness)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"force_cmd / stiffness must be finite, got {force_cmd!r} / "
+                         f"{stiffness!r}")
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,6 +39,15 @@ def _qnormalize(q: Quat) -> Quat:
     return (w * inv, x * inv, y * inv, z * inv)
 
 
+def _finite(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; one that is not finite raises
+    ``ValueError`` naming the argument ``name``."""
+    out = tuple(float(c) for c in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite, got {out!r}")
+    return out
+
+
 def _point_distance(a: Vec3, b: Vec3) -> float:
     """Euclidean distance of two points, summed in this order: the one
     distance expression (``math.dist`` rounds differently)."""
@@ -79,28 +88,36 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform()
 
+    # The constructors below take outside input: a value that is not finite,
+    # or a rotation whose norm is zero or overflows, raises ``ValueError``
+    # naming its argument instead of becoming a NaN, zero or identity rotation.
     @classmethod
     def from_quat(cls, rotation, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        q = _qnormalize(tuple(float(c) for c in rotation))
-        t = tuple(float(c) for c in translation)
-        return cls(q, t)
+        q = _finite(rotation, "rotation")
+        if not 1e-12 <= math.sqrt(sum(c * c for c in q)) < math.inf:
+            raise ValueError(f"rotation must be a nonzero quaternion of finite norm, "
+                             f"got {q!r}")
+        return cls(_qnormalize(q), _finite(translation, "translation"))
 
     @classmethod
     def from_translation(cls, translation) -> "RigidTransform":
-        t = tuple(float(c) for c in translation)
-        return cls((1.0, 0.0, 0.0, 0.0), t)
+        return cls((1.0, 0.0, 0.0, 0.0), _finite(translation, "translation"))
 
     @classmethod
     def from_axis_angle(cls, axis, angle_rad: float,
                         translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        ax, ay, az = (float(c) for c in axis)
+        ax, ay, az = _finite(axis, "axis")
         n = math.sqrt(ax * ax + ay * ay + az * az)
-        if n < 1e-12:
-            raise ValueError("rotation axis must be non-zero")
-        half = 0.5 * float(angle_rad)
+        if not 1e-12 <= n < math.inf:
+            raise ValueError(f"axis must be non-zero with a finite norm, got "
+                             f"{(ax, ay, az)!r}")
+        angle = float(angle_rad)
+        if not math.isfinite(angle):
+            raise ValueError(f"angle_rad must be finite, got {angle!r}")
+        half = 0.5 * angle
         s = math.sin(half) / n
         q = (math.cos(half), ax * s, ay * s, az * s)
-        return cls(_qnormalize(q), tuple(float(c) for c in translation))
+        return cls(_qnormalize(q), _finite(translation, "translation"))
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """This motion followed by ``other`` in this motion's local frame."""

@@ -16,13 +16,15 @@ import struct
 from dataclasses import dataclass
 
 from .config import ORACLE_NOISE_FLOOR_N, ArmConfig, Condition, ScenarioConfig
-from .devices import (NUM_FINGERS, ArmCommand, ArmState, GloveCommand, HandState,
-                      arm_step, glove_apply, hand_collider_spheres,
-                      hand_forward_model, hand_offsets, impedance_displacement)
+from .devices import (ANGULAR_SPEED_BOUND, MAX_SPEED, NUM_FINGERS, TRACK_TAU_S, ArmCommand,
+                      ArmSpec, ArmState, GloveCommand, HandState, arm_step, glove_apply,
+                      hand_collider_spheres, hand_forward_model, hand_offsets,
+                      impedance_displacement)
 from .docking import (DockContext, DockJoint, DockState, MagnetChannel,
                       dock_step, joint_transmit, predict_position, pursue,
                       try_attach)
-from .frames import RigidTransform, _point_distance, _qmul, _qnormalize, _qrotate
+from .frames import (Quat, RigidTransform, _point_distance, _qmul, _qnormalize, _qrotate,
+                     euler_xyz_from_quat, quat_from_euler_xyz, slerp)
 from .geometry import DT, TICK_RATE_HZ, ZERO3, ZERO6, Box, Vec3
 from .routing import LowPassFilter, _hand_boxes, contact_drum_param, route_forces
 from .sim import (BodyKind, HandCollider, RigidBody, SimulationDiverged,
@@ -97,6 +99,7 @@ class MetricLog:
 
 
 _POSE_BITS = struct.Struct("<7d")
+_QUAT_BITS = struct.Struct("<4d")
 # A trajectory sample: wrist position (the first 24 bytes), five flexes,
 # five abductions.
 _SAMPLE_BITS = struct.Struct("<13d")
@@ -136,6 +139,9 @@ class _ArmUnit:
     # (the dock state and the six ``DockContext`` flags, ``dock_step``'s
     # result for them)
     step: tuple = (None, None)
+    # (effector rotation, its bits, ``Coordinator._turn``'s products for
+    # it), or (None, its bits, None) after a step on a new rotation
+    turn: tuple = (None, None, None)
 
 
 @dataclass(slots=True)
@@ -190,10 +196,10 @@ class Coordinator:
     defaults of the slots are the cold values. The slots are ``reuse`` (the
     hand, the wrist with its true plate, the glove's contact-drum stops
     ``reuse.stops`` and the plate's later stages), the one ``dock``
-    (``_Dock``, dropped at release), ``_ArmUnit.parked``, ``tool`` and
-    ``step`` (the dock transition), ``World.fixed_point`` and
-    ``LowPassFilter._still``. ``_prev_plate`` is run history, not a kept
-    result."""
+    (``_Dock``, dropped at release), ``_ArmUnit.parked``, ``tool``,
+    ``step`` (the dock transition) and ``turn`` (the intercept step's
+    rotations), ``World.fixed_point`` and ``LowPassFilter._still``.
+    ``_prev_plate`` is run history, not a kept result."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -566,10 +572,7 @@ class Coordinator:
             u.state = state
             return target
         if u.dock_state is DockState.INTERCEPTING:
-            cmd = pursue(u.state.pose, plate, u.cfg.pursuit_speed,
-                         base_pose=spec.base_pose, tool_offset=self.cfg.dock.tool_offset)
-            u.state = arm_step(spec, u.state, cmd)
-            return spec.base_pose.compose(cmd.target)
+            return self._intercept(u, plate)
         if u.dock_state is DockState.RELEASING:
             hold = spec.base_inv.compose(u.state.pose)
             cmd = ArmCommand(target=hold, speed_limit=u.cfg.pursuit_speed)
@@ -583,6 +586,136 @@ class Coordinator:
             else:
                 u.state = state
         return u.park
+
+    def _turn(self, spec: ArmSpec, rotation: Quat, bits: bytes) -> tuple:
+        """``_ArmUnit.turn`` for an intercepting arm whose effector has the
+        rotation ``rotation``, of packed bits ``bits``: the rotation half of
+        ``pursue``'s correction chain and of ``arm_step``, the same float
+        operations as theirs.
+
+        The plate's rotation, the arm's base and the tool offset are scenario
+        constants, so every rotation of the chain and the command's rotation
+        depend on ``rotation`` alone, and so does ``_arm_turn``'s result.
+        Returns ``(rotation, bits, products)``, the products being the four
+        rotations the chain's translations are rotated by and ``_arm_turn``'s
+        three results.
+        """
+        qc = spec.base_inv.rotation
+        ef = _qnormalize(_qmul(qc, rotation))                        # effect_local
+        w, x, y, z = ef
+        eli = _qnormalize((w, -x, -y, -z))                           # its inverse
+        tl = _qnormalize(_qmul(qc, self.plate_rotation))             # target_local
+        tool = _qnormalize(_qmul(rotation, self.cfg.dock.tool_offset.rotation))
+        w, x, y, z = _qnormalize(_qmul(eli, _qnormalize(_qmul(qc, tool))))
+        tte = _qnormalize((w, -x, -y, -z))                           # tool_to_effector
+        correction = _qnormalize(_qmul(eli, _qnormalize(_qmul(tl, tte))))
+        commanded = _qnormalize(_qmul(ef, correction))
+        return (rotation, bits,
+                (ef, eli, tl, tte, *self._arm_turn(spec, rotation, bits, commanded)))
+
+    @staticmethod
+    def _arm_turn(spec: ArmSpec, rotation: Quat, bits: bytes, commanded: Quat) -> tuple:
+        """The rotation half of ``arm_step`` for an effector of rotation
+        ``rotation`` (packed bits ``bits``) and a command of rotation
+        ``commanded``: whether the command's Euler angles were clamped, the
+        new effector rotation and the command's rotation in the world frame.
+        A new rotation with ``rotation``'s bits is handed back as
+        ``rotation`` itself, so an arm that holds its rotation keys
+        ``_ArmUnit.turn`` by identity."""
+        qc, rb = spec.base_inv.rotation, spec.base_pose.rotation
+        rx, ry, rz = euler_xyz_from_quat(commanded)
+        hx, hy, hz = spec._half_range
+        crx = max(-hx, min(hx, rx))
+        cry = max(-hy, min(hy, ry))
+        crz = max(-hz, min(hz, rz))
+        goal = _qnormalize(_qmul(rb, quat_from_euler_xyz(crx, cry, crz)))
+        w, x, y, z = rotation
+        rel = _qnormalize(_qmul(_qnormalize((w, -x, -y, -z)), goal))
+        angle = 2.0 * math.acos(min(1.0, abs(rel[0])))
+        if angle < 1e-12:
+            new = goal
+        else:
+            omega = min(ANGULAR_SPEED_BOUND, angle / TRACK_TAU_S)
+            new = slerp(rotation, goal, min(1.0, omega * DT / angle))
+        new = _qnormalize(_qmul(rb, _qnormalize(_qmul(qc, new))))
+        if _QUAT_BITS.pack(*new) == bits:
+            new = rotation
+        return ((crx, cry, crz) != (rx, ry, rz), new, _qnormalize(_qmul(rb, commanded)))
+
+    def _intercept(self, u: _ArmUnit, plate: RigidTransform) -> RigidTransform:
+        """Step the intercepting arm ``u`` toward ``plate`` and return its
+        target, world frame: bit for bit ``arm_step(spec, u.state, cmd)`` and
+        ``base_pose.compose(cmd.target)`` for ``cmd = pursue(u.state.pose,
+        plate, ...)``.
+
+        An effector rotation with other bits than the last step's takes its
+        command from ``pursue`` itself (perfbench times the interception
+        through this module's name) and ``arm_step``'s rotations from
+        ``_arm_turn``, and only its bits are kept in ``u.turn``. If the next
+        step's rotation has those bits, ``_turn`` keeps every rotation for
+        it, and while it holds them a step computes each product once: the
+        chain's translations, in the order ``compose`` and ``inverse`` add
+        them. Then come ``arm_step``'s position clamp, speed-limited move and
+        safety clamp.
+        """
+        spec = u.cfg.spec
+        pose = u.state.pose
+        rotation = pose.rotation
+        cur = pose.translation
+        qc, (bx, by, bz) = spec.base_inv.rotation, spec.base_inv.translation
+        rb, (gx, gy, gz) = spec.base_pose.rotation, spec.base_pose.translation
+        turn = u.turn
+        bits = turn[1] if rotation is turn[0] else _QUAT_BITS.pack(*rotation)
+        if bits != turn[1]:
+            cmd = pursue(pose, plate, u.cfg.pursuit_speed, base_pose=spec.base_pose,
+                         tool_offset=self.cfg.dock.tool_offset)
+            u.turn = (None, bits, None)
+            turn_clamped, new, target = self._arm_turn(spec, rotation, bits,
+                                                       cmd.target.rotation)
+            commanded = cmd.target.translation
+        else:
+            if turn[2] is None:
+                turn = u.turn = self._turn(spec, rotation, bits)
+            ef, eli, tl, tte, turn_clamped, new, target = turn[2]
+            # effect_fwd (= effect_local), the tool pose in the base frame,
+            # target_local
+            ox, oy, oz = _qrotate(qc, cur)
+            fx, fy, fz = bx + ox, by + oy, bz + oz
+            ox, oy, oz = _qrotate(rotation, self.cfg.dock.tool_offset.translation)
+            ox, oy, oz = _qrotate(qc, (cur[0] + ox, cur[1] + oy, cur[2] + oz))
+            tool = (bx + ox, by + oy, bz + oz)
+            ox, oy, oz = _qrotate(qc, plate.translation)
+            px, py, pz = bx + ox, by + oy, bz + oz
+            # effect_local_inv, effector_to_tool and its inverse
+            ix, iy, iz = _qrotate(eli, (fx, fy, fz))
+            lx, ly, lz = -ix, -iy, -iz
+            ox, oy, oz = _qrotate(eli, tool)
+            ix, iy, iz = _qrotate(tte, (lx + ox, ly + oy, lz + oz))
+            # effect_local_new, the correction and the command's target
+            ox, oy, oz = _qrotate(tl, (-ix, -iy, -iz))
+            ox, oy, oz = _qrotate(eli, (px + ox, py + oy, pz + oz))
+            ox, oy, oz = _qrotate(ef, (lx + ox, ly + oy, lz + oz))
+            commanded = (fx + ox, fy + oy, fz + oz)
+        # arm_step
+        box = spec.workspace_box_base()
+        clamped_pos = box.clamp_point(commanded)
+        clamped = clamped_pos != commanded or turn_clamped
+        ox, oy, oz = _qrotate(rb, clamped_pos)
+        goal = (gx + ox, gy + oy, gz + oz)
+        dx = tuple(t - c for t, c in zip(goal, cur))
+        dist = math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2)
+        speed = min(u.cfg.pursuit_speed, MAX_SPEED, dist / TRACK_TAU_S)
+        step = speed * DT
+        if step >= dist or dist < 1e-15:
+            new_pos = goal
+        else:
+            s = step / dist
+            new_pos = tuple(c + s * d for c, d in zip(cur, dx))
+        ox, oy, oz = _qrotate(qc, new_pos)
+        ox, oy, oz = _qrotate(rb, box.clamp_point((bx + ox, by + oy, bz + oz)))
+        u.state = ArmState(RigidTransform(new, (gx + ox, gy + oy, gz + oz)), clamped)
+        ox, oy, oz = _qrotate(rb, commanded)
+        return RigidTransform(target, (gx + ox, gy + oy, gz + oz))
 
     def _tick(self, tick: int) -> None:
         """Run one tick and log its record.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import yaml
 
-from hapdock import harness, routing, sim
+from hapdock import frames, harness, routing, sim
 from hapdock.config import ScenarioConfig, load_scenario
 from hapdock.harness import MetricLog, run_scenario
 
@@ -53,7 +53,10 @@ FULL_STEPS: dict[str, int] = {}
 # points built (the arms whose ``_ArmUnit.tool`` a tick replaced); calls of
 # ``contact_drum_param`` and its probes (calls of ``routing._probe``); calls
 # of ``sim._collect_contacts`` and the walks over the hand (calls of
-# ``sim._hand_hits``).
+# ``sim._hand_hits``); the intercept steps (calls of
+# ``Coordinator._intercept``), those that went through ``pursue`` and
+# their rotation rebuilds (calls of ``Coordinator._turn``), and calls of
+# ``RigidTransform.compose``.
 CALLS: dict[str, Counter] = {}
 
 
@@ -108,13 +111,15 @@ def cached_run(name: str) -> MetricLog:
                    (harness, "hand_forward_model", counting_forward),
                    (sim, "_hand_hits", counting("_hand_hits", sim._hand_hits)),
                    (sim.World, "move_hand", counting("move_hand", sim.World.move_hand)),
-                   (harness.Coordinator, "_plate_truth",
-                    counting("_plate_truth", harness.Coordinator._plate_truth))]
+                   (frames.RigidTransform, "compose",
+                    counting("compose", frames.RigidTransform.compose))]
+        patches += [(harness.Coordinator, key, counting(key, getattr(harness.Coordinator, key)))
+                    for key in ("_plate_truth", "_intercept", "_turn")]
         patches += [(harness, key, counting(key, getattr(harness, key)))
                     for key in ("glove_apply", "hand_collider_spheres", "hand_offsets",
-                                "arm_step", "joint_transmit", "impedance_displacement",
-                                "route_forces", "predict_position", "ArmState",
-                                "dock_step", "DockContext", "contact_drum_param")]
+                                "arm_step", "pursue", "joint_transmit",
+                                "impedance_displacement", "route_forces", "predict_position",
+                                "ArmState", "dock_step", "DockContext", "contact_drum_param")]
         patches += [(routing, key, counting(key, getattr(routing, key)))
                     for key in ("_paired_magnitude", "_probe")]
         originals = [(owner, key, getattr(owner, key)) for owner, key, _ in patches]

@@ -699,11 +699,11 @@ class TestHotPath:
     @pytest.mark.parametrize("name, counts", [
         # Lift's wrist moves on 3802 ticks; the prediction reruns once more
         # each time it stops, as the velocity turns back into ``ZERO3``.
-        ("single_lift_force_feedback", [3803, 3807, 3977, 2513, 3803, 4927, 5260]),
+        ("single_lift_force_feedback", [3803, 3807, 3977, 2513, 3803, 5261, 5260]),
         # Squeeze's wrist never moves: routing reruns for a new report only.
-        ("squeeze_cancellation", [1, 1, 63, 62, 1, 3, 126]),
+        ("squeeze_cancellation", [1, 1, 63, 62, 1, 127, 126]),
         # Handover's wrist moves on 6667 ticks; physics has no bodies.
-        ("handover_sweep", [6668, 6669, 6669, 1, 6668, 6681, 8720]),
+        ("handover_sweep", [6668, 6669, 6669, 1, 6668, 7780, 8720]),
     ], ids=HOT_PATH_SCENES)
     def test_plate_work_runs_only_when_the_wrist_moves(self, name, counts):
         # The true plate and the follow pose are rebuilt for a new wrist
@@ -711,8 +711,8 @@ class TestHotPath:
         # new object; routing when the plate position, the report or the
         # docked flag is; ``support`` when the report is; the docked arm's
         # state when its follow pose or displacement is (plus one parked
-        # state per arm at start and the releasing states); a tool point for
-        # a new arm state object.
+        # state per arm at start, the releasing states and one per intercept
+        # step); a tool point for a new arm state object.
         cached_run(name)
         calls = CALLS[name]
         assert [calls[key] for key in ("_plate_truth", "predict_position", "route_forces",
@@ -783,15 +783,51 @@ class TestHotPath:
         assert digest == GOLDEN_SHA256["squeeze_cancellation"]
         assert _lines(lift.log.records) == _lines(alone)
 
-    @pytest.mark.parametrize("name, ticks, stepped", [
-        ("single_lift_force_feedback", 9300, 334),
-        ("squeeze_cancellation", 4000, 124),
+    @pytest.mark.parametrize("name, ticks, steps, stepped, intercepts", [
+        ("single_lift_force_feedback", 9300, 334, 0, 334),
+        ("squeeze_cancellation", 4000, 124, 0, 124),
         # Two arms: each parks until its interception and after its release.
-        ("handover_sweep", 8000, 2052),
+        ("handover_sweep", 8000, 2052, 953, 1099),
     ], ids=HOT_PATH_SCENES)
-    def test_parked_arms_are_not_stepped(self, name, ticks, stepped):
+    def test_parked_arms_are_not_stepped(self, name, ticks, steps, stepped, intercepts):
+        # ``_intercept`` steps every intercepting arm and ``arm_step`` every
+        # other arm that moves. Together they are the ``steps`` that
+        # ``arm_step`` made alone when it stepped the intercepting arm too,
+        # so no step was dropped.
         assert len(cached_run(name).records) == ticks
-        assert CALLS[name]["arm_step"] == stepped
+        calls = CALLS[name]
+        assert [calls["arm_step"], calls["_intercept"]] == [stepped, intercepts]
+        assert stepped + intercepts == steps
+
+    # (intercept steps, those that took their command from ``pursue``,
+    # rotation rebuilds) per shipped run. Every shipped arm holds the
+    # identity rotation while it intercepts: each arm's first intercept step
+    # calls ``pursue``, its second builds ``_ArmUnit.turn`` and the later
+    # ones keep it.
+    TURNS = {
+        "decouple_sweep": (75, 1, 1),
+        "handover_sweep": (1099, 2, 2),             # one interception per arm
+        "pursuit_moving": (205, 1, 1),
+        "pursuit_static": (497, 1, 1),
+        "single_lift_docked": (334, 1, 1),
+        "single_lift_force_feedback": (334, 1, 1),
+        "single_lift_free": (0, 0, 0),
+        "squeeze_cancellation": (124, 1, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TURNS))
+    def test_intercept_rotations_rebuild_only_for_new_bits(self, name):
+        cached_run(name)
+        calls = CALLS[name]
+        assert (calls["_intercept"], calls["pursue"], calls["_turn"]) == self.TURNS[name]
+
+    def test_handover_composes_outside_the_intercept_step(self):
+        # ``pursue`` and ``arm_step`` composed 14 times per intercept step
+        # (19 403 per run); what is left is the parked and releasing arms'
+        # ``arm_step``, the two intercept steps through ``pursue`` and the
+        # lifecycle's magnet poses.
+        cached_run("handover_sweep")
+        assert CALLS["handover_sweep"]["compose"] == 4035
 
     # ``dock_step`` calls per shipped run, one ``DockContext`` each. One dock
     # is five: the intercept, the tick after it, the magnet coming on, the

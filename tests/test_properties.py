@@ -1005,8 +1005,14 @@ def test_impedance_unpack_keeps_the_generator_bits(force, container, stiffness):
         with pytest.raises(ValueError):
             impedance_displacement(force, stiffness)
         return
+    want = generator_displacement(force, stiffness)
+    if not all(map(math.isfinite, want)):
+        # A force that is not finite, or one whose displacement overflows.
+        with pytest.raises(ValueError, match="force_cmd"):
+            impedance_displacement(force, stiffness)
+        return
     got = impedance_displacement(force, stiffness)
-    assert [bits(v) for v in got] == [bits(v) for v in generator_displacement(force, stiffness)]
+    assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
 # -- docked chain ------------------------------------------------------------

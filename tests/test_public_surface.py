@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 import os
 import struct
 import subprocess
@@ -8,8 +9,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import hapdock
 from hapdock import devices, docking, geometry, harness, routing, sim
+from hapdock.devices import impedance_displacement
+from hapdock.frames import RigidTransform
 from shipped import as_dict, build
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,3 +173,82 @@ def test_no_process_wide_state():
                 if name in cached:
                     found.append(f"{path.name}:{dec.lineno}: {name}")
     assert found == []
+
+
+# -- floats at the public constructors ----------------------------------------
+
+@pytest.mark.parametrize("call, name", [
+    # Each of these returned a zero, NaN or identity rotation or an infinite
+    # displacement instead of raising.
+    (lambda: RigidTransform.from_quat((1e200, 1e200, 0.0, 0.0)), "rotation"),
+    (lambda: RigidTransform.from_quat((math.nan, 0.0, 0.0, 0.0)), "rotation"),
+    (lambda: RigidTransform.from_axis_angle((1e200, 1e200, 0.0), 1.0), "axis"),
+    (lambda: RigidTransform.from_axis_angle((math.nan, 0.0, 0.0), 1.0), "axis"),
+    (lambda: RigidTransform.from_axis_angle((1.0, 0.0, 0.0), math.nan), "angle_rad"),
+    (lambda: RigidTransform.from_translation((0.0, math.inf, 0.0)), "translation"),
+    (lambda: impedance_displacement((math.inf, 0.0, 0.0), 100.0), "force_cmd"),
+    (lambda: impedance_displacement((1e300, 0.0, 0.0), 1e-300), "force_cmd"),
+    (lambda: impedance_displacement((1.0, 0.0, 0.0), math.nan), "stiffness"),
+], ids=["quat-overflow", "quat-nan", "axis-overflow", "axis-nan", "angle-nan",
+        "translation-inf", "force-inf", "force-overflow", "stiffness-nan"])
+def test_silent_float_paths_raise_naming_the_argument(call, name):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(name)
+
+
+# Finite, huge, tiny, signed-zero and non-finite floats.
+extremes = st.one_of(st.floats(), st.sampled_from((
+    0.0, -0.0, 5e-324, -1e-300, 1e-170, 1e-7, 1.0, -1.0, 1e155, -1e200, 1.7e308,
+    math.inf, -math.inf, math.nan)))
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _outcome(call, bad: str | None):
+    """``call()``'s result, checked against ``bad``: the first argument, in
+    the order the callee checks them, that should raise (None if none)."""
+    if bad is not None:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).startswith(bad), (bad, str(err.value))
+        return None
+    return call()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rotation=st.tuples(*[extremes] * 4), axis=st.tuples(*[extremes] * 3),
+       angle=extremes, translation=st.tuples(*[extremes] * 3),
+       force=st.tuples(*[extremes] * 3), stiffness=extremes)
+def test_public_constructors_return_finite_values_or_name_the_argument(
+        rotation, axis, angle, translation, force, stiffness):
+    t_bad = not _finite(translation)
+
+    norm = math.sqrt(sum(c * c for c in rotation)) if _finite(rotation) else math.nan
+    bad = ("rotation" if not 1e-12 <= norm < math.inf else "translation" if t_bad else None)
+    pose = _outcome(lambda: RigidTransform.from_quat(rotation, translation), bad)
+    if pose is not None:
+        assert _finite(pose.rotation + pose.translation)
+        assert abs(math.hypot(*pose.rotation) - 1.0) < 1e-12
+
+    ax, ay, az = axis
+    norm = math.sqrt(ax * ax + ay * ay + az * az) if _finite(axis) else math.nan
+    bad = ("axis" if not 1e-12 <= norm < math.inf else "angle_rad"
+           if not math.isfinite(angle) else "translation" if t_bad else None)
+    pose = _outcome(lambda: RigidTransform.from_axis_angle(axis, angle, translation), bad)
+    if pose is not None:
+        assert _finite(pose.rotation + pose.translation)
+        assert abs(math.hypot(*pose.rotation) - 1.0) < 1e-12
+
+    pose = _outcome(lambda: RigidTransform.from_translation(translation),
+                    "translation" if t_bad else None)
+    assert pose is None or _finite(pose.translation)
+
+    if not stiffness > 0.0:
+        bad = "stiffness"
+    else:
+        bad = None if _finite([f / stiffness for f in force]) else "force_cmd"
+    disp = _outcome(lambda: impedance_displacement(force, stiffness), bad)
+    assert disp is None or _finite(disp)
